@@ -119,7 +119,7 @@ def alternate_optimize(case: TrialCase, opts: AoOptions = AoOptions()) -> AoResu
     include_neighbor = kind_opt.has_irr
 
     theta = np.ones(case.real.h1.shape[0], dtype=complex)
-    prev_obj = 0.0
+    prev_obj = -np.inf
     best_obj = -np.inf
     best: tuple[np.ndarray, PrecoderSet] | None = None
     outer_trace: list[float] = []

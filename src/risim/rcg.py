@@ -10,6 +10,7 @@ from .sinr import (
     CascadeTerms,
     PowerAllocation,
     ScenarioKind,
+    emi_products,
     signal_and_interference,
     weighted_log_utility,
 )
@@ -47,12 +48,8 @@ def euclid_grad(
         q_e = np.einsum("kj,kjl->kl", p2[None, :] * np.conj(ev), terms.e)
         q_all = q_all + q_e
         q_int = q_int + q_e
-    if kind is ScenarioKind.EMI:
-        mv = np.einsum("klm,m->kl", terms.b_mats, theta)
-        q_all = q_all + mv
-        q_int = q_int + mv
-    elif kind is ScenarioKind.EMI_IRR:
-        mv = np.einsum("klm,m->kl", terms.cd_mats, theta)
+    mv = emi_products(terms, theta, kind)
+    if mv is not None:
         q_all = q_all + mv
         q_int = q_int + mv
 
@@ -62,26 +59,13 @@ def euclid_grad(
     ).sum(axis=0)
 
 
-def euclid_grad_eif(terms, theta, powers, noise_power_w, weights=None) -> np.ndarray:
-    return euclid_grad(terms, theta, ScenarioKind.EIF, powers, noise_power_w, weights)
+def project_tangent(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Project x onto the tangent space of the circle manifold at theta.
 
-
-def euclid_grad_emi(terms, theta, powers, noise_power_w, weights=None) -> np.ndarray:
-    return euclid_grad(terms, theta, ScenarioKind.EMI, powers, noise_power_w, weights)
-
-
-def euclid_grad_emi_irr(terms, theta, powers, noise_power_w, weights=None) -> np.ndarray:
-    return euclid_grad(terms, theta, ScenarioKind.EMI_IRR, powers, noise_power_w, weights)
-
-
-def riemannian_grad(egrad: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Project a Euclidean gradient onto the tangent space of the circle manifold."""
-    return egrad - (egrad * np.conj(theta)).real * theta
-
-
-def vector_transport(direction: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Carry a previous direction into the tangent space at the current point."""
-    return direction - (direction * np.conj(theta)).real * theta
+    Applied to a Euclidean gradient this gives the Riemannian gradient; applied
+    to the previous direction it is the vector transport to theta.
+    """
+    return x - (x * np.conj(theta)).real * theta
 
 
 def polak_ribiere(rgrad_now: np.ndarray, rgrad_prev: np.ndarray) -> float:
@@ -181,12 +165,12 @@ def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = Rcg
 
     for _ in range(opts.max_iters):
         egrad = gradient(theta)
-        rg = riemannian_grad(egrad, theta)
+        rg = project_tangent(egrad, theta)
         if d_prev is None:
             d = rg
         else:
             tau1 = max(polak_ribiere(rg, g_prev), 0.0)
-            d = rg + tau1 * vector_transport(d_prev, theta)
+            d = rg + tau1 * project_tangent(d_prev, theta)
             if np.vdot(rg, d).real <= 0.0:
                 d = rg  # restart: conjugate direction lost ascent
         slope = float(np.vdot(rg, d).real)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -40,10 +39,12 @@ class CascadeTerms:
 
     a[k, i] is the serving cascade diag(g_k*) H1 u_i, so theta^H a[k, i] is the
     symbol-i amplitude at user k. e[k, j] is the neighbor-RIS cascade of the
-    cluster-2 stream j. q_cross is Z^H Theta2 R2 Theta2^H Z, the user
-    independent core of the re-reflected EMI covariance. EMI powers are the
-    aggregate captured levels (element area times EMI PSD integrated over the
-    bandwidth) in watts.
+    cluster-2 stream j. w21 = Theta2^H Z21 maps serving-RIS element signals to
+    the neighbor RIS, so EMI re-reflected by the neighbor has covariance
+    w21^H R2 w21 at the serving RIS. EMI terms are evaluated as matrix-vector
+    products with r1, r2 and w21 (see emi_products); no per-user covariance is
+    formed. EMI powers are the aggregate captured levels (element area times
+    EMI PSD integrated over the bandwidth) in watts.
     """
 
     a: np.ndarray  # (K1, K1, L1^2)
@@ -53,7 +54,8 @@ class CascadeTerms:
     emi2_w: float = 0.0
     emi_self_factor: float = 4.0
     e: np.ndarray | None = None  # (K1, K2, L1^2)
-    q_cross: np.ndarray | None = None  # (L1^2, L1^2)
+    w21: np.ndarray | None = None  # (L2^2, L1^2)
+    r2: np.ndarray | None = None  # (L2^2, L2^2) neighbor-RIS correlation
 
     @property
     def num_users(self) -> int:
@@ -62,34 +64,6 @@ class CascadeTerms:
     @property
     def num_elements(self) -> int:
         return self.a.shape[2]
-
-    @cached_property
-    def _unit_self(self) -> np.ndarray:
-        """Per-user diag(g_k*) R1 diag(g_k) at unit EMI power."""
-        g = self.g1
-        return np.conj(g)[:, :, None] * self.r1[None, :, :] * g[:, None, :]
-
-    @cached_property
-    def b_mats(self) -> np.ndarray:
-        """EMI covariance at the serving RIS, per user: (K1, L1^2, L1^2)."""
-        return self.emi1_w * self._unit_self
-
-    @cached_property
-    def c_mats(self) -> np.ndarray:
-        """Serving-RIS EMI covariance in the combined scenario (self factor applied)."""
-        return self.emi_self_factor * self.b_mats
-
-    @cached_property
-    def d_mats(self) -> np.ndarray:
-        """Re-reflected EMI covariance, per user: (K1, L1^2, L1^2)."""
-        if self.q_cross is None:
-            raise ValueError("cascade terms were built without a neighbor RIS")
-        g = self.g1
-        return self.emi2_w * (np.conj(g)[:, :, None] * self.q_cross[None, :, :] * g[:, None, :])
-
-    @cached_property
-    def cd_mats(self) -> np.ndarray:
-        return self.c_mats + self.d_mats
 
 
 def build_cascades(
@@ -131,13 +105,12 @@ def build_cascades(
         raise ValueError("neighbor arguments must be provided together")
 
     e = None
-    q_cross = None
+    w21 = None
     if theta2 is not None:
         m = np.conj(theta2)[:, None] * (h2 @ u2)  # Theta2 H2 u, columns per stream
         s = np.conj(z21).T @ m  # (L1^2, K2)
         e = np.einsum("kl,lj->kjl", np.conj(g1), s)
-        w = theta2[:, None] * z21  # Theta2^H Z21
-        q_cross = np.conj(w).T @ (r2 @ w)
+        w21 = theta2[:, None] * z21  # Theta2^H Z21
 
     return CascadeTerms(
         a=a,
@@ -147,14 +120,30 @@ def build_cascades(
         emi2_w=float(emi2_w),
         emi_self_factor=float(emi_self_factor),
         e=e,
-        q_cross=q_cross,
+        w21=w21,
+        r2=r2,
     )
 
 
-def _quad(mats: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Real quadratic forms theta^H M_k theta, floored at zero against roundoff."""
-    vals = np.einsum("l,klm,m->k", np.conj(theta), mats, theta).real
-    return np.maximum(vals, 0.0)
+def emi_products(terms: CascadeTerms, theta: np.ndarray, kind: ScenarioKind) -> np.ndarray | None:
+    """M_k theta for every user as a (K1, L1^2) array, or None without EMI.
+
+    M_k is the EMI covariance seen through user k's channel,
+    diag(g_k*) C diag(g_k), with C = emi1_w R1 for EMI and
+    C = factor emi1_w R1 + emi2_w w21^H R2 w21 for EMI_IRR. With
+    v_k = g_k * theta the product is g_k* (C v_k), so theta^H M_k theta is the
+    EMI power at user k and M_k theta its gradient contribution.
+    """
+    if not kind.has_emi:
+        return None
+    v = terms.g1 * theta  # rows v_k
+    cv = terms.emi1_w * (v @ terms.r1.T)  # rows emi1_w R1 v_k
+    if kind is ScenarioKind.EMI_IRR:
+        if terms.w21 is None:
+            raise ValueError("cascade terms were built without a neighbor RIS")
+        reflected = ((v @ terms.w21.T) @ terms.r2.T) @ np.conj(terms.w21)  # rows w21^H R2 w21 v_k
+        cv = terms.emi_self_factor * cv + terms.emi2_w * reflected
+    return np.conj(terms.g1) * cv
 
 
 def signal_and_interference(
@@ -180,10 +169,9 @@ def signal_and_interference(
         ev = np.einsum("l,kjl->kj", np.conj(theta), terms.e)
         den = den + (p2[None, :] * np.abs(ev) ** 2).sum(axis=1)
 
-    if kind is ScenarioKind.EMI:
-        den = den + _quad(terms.b_mats, theta)
-    elif kind is ScenarioKind.EMI_IRR:
-        den = den + _quad(terms.c_mats, theta) + _quad(terms.d_mats, theta)
+    mv = emi_products(terms, theta, kind)
+    if mv is not None:
+        den = den + np.maximum((mv @ np.conj(theta)).real, 0.0)  # floored against roundoff
 
     return sig, den
 
@@ -197,7 +185,9 @@ class SinrReport:
     weights: np.ndarray
 
 
-def _report(terms, theta, kind, powers, noise_power_w, weights) -> SinrReport:
+def scenario_sinr(terms, theta, kind, powers, noise_power_w, weights=None) -> SinrReport:
+    """Per-user SINR, rates and weighted sum rate for one scenario."""
+    kind = ScenarioKind(kind)
     sig, den = signal_and_interference(terms, theta, kind, powers, noise_power_w)
     gamma = sig / den
     rates = np.log2(1.0 + gamma)
@@ -209,38 +199,6 @@ def _report(terms, theta, kind, powers, noise_power_w, weights) -> SinrReport:
         sum_rate_bps_hz=float(w @ rates),
         weights=w,
     )
-
-
-def sinr_eif(terms, theta, powers, noise_power_w, weights=None) -> SinrReport:
-    """SINR with intra-cluster leakage and thermal noise only."""
-    return _report(terms, theta, ScenarioKind.EIF, powers, noise_power_w, weights)
-
-
-def sinr_emi(terms, theta, powers, noise_power_w, weights=None) -> SinrReport:
-    """Adds the EMI picked up by the serving RIS (covariance term, no sample)."""
-    return _report(terms, theta, ScenarioKind.EMI, powers, noise_power_w, weights)
-
-
-def sinr_irr(terms, theta, powers, noise_power_w, weights=None) -> SinrReport:
-    """Adds every cluster-2 stream re-radiated by the neighbor RIS."""
-    return _report(terms, theta, ScenarioKind.IRR, powers, noise_power_w, weights)
-
-
-def sinr_emi_irr(terms, theta, powers, noise_power_w, weights=None) -> SinrReport:
-    """Both impairments, including EMI re-reflected by the neighbor RIS."""
-    return _report(terms, theta, ScenarioKind.EMI_IRR, powers, noise_power_w, weights)
-
-
-_SINR_FNS = {
-    ScenarioKind.EIF: sinr_eif,
-    ScenarioKind.EMI: sinr_emi,
-    ScenarioKind.IRR: sinr_irr,
-    ScenarioKind.EMI_IRR: sinr_emi_irr,
-}
-
-
-def scenario_sinr(terms, theta, kind, powers, noise_power_w, weights=None) -> SinrReport:
-    return _SINR_FNS[ScenarioKind(kind)](terms, theta, powers, noise_power_w, weights)
 
 
 def sum_rate(rates: np.ndarray, weights=None) -> float:

@@ -34,7 +34,6 @@ from risim import (
     sample_correlated_rayleigh,
     scenario_sinr,
     signal_and_interference,
-    sinr_eif,
     spatial_correlation,
     trial_rng,
 )
@@ -168,13 +167,13 @@ def test_a3_reduction_identities():
     for _ in range(100):
         terms, theta, powers, _, _ = _instance(rng, 6)
         base = dict(theta=theta, powers=powers, noise_power_w=NOISE)
-        eif = sinr_eif(terms, **base).sinr
+        eif = scenario_sinr(terms, kind=ScenarioKind.EIF, **base).sinr
 
         def rel_gap(kind, **overrides):
             fields = dict(
                 a=terms.a, g1=terms.g1, r1=terms.r1, emi1_w=terms.emi1_w,
                 emi2_w=terms.emi2_w, emi_self_factor=terms.emi_self_factor,
-                e=terms.e, q_cross=terms.q_cross,
+                e=terms.e, w21=terms.w21, r2=terms.r2,
             )
             fields.update(overrides)
             quiet = CascadeTerms(**fields)
@@ -185,12 +184,12 @@ def test_a3_reduction_identities():
         worst = max(
             worst,
             rel_gap(ScenarioKind.IRR, e=np.zeros_like(terms.e),
-                    q_cross=np.zeros_like(terms.q_cross)),
+                    w21=np.zeros_like(terms.w21)),
         )
         worst = max(
             worst,
             rel_gap(ScenarioKind.EMI_IRR, emi1_w=0.0, emi2_w=0.0,
-                    e=np.zeros_like(terms.e), q_cross=np.zeros_like(terms.q_cross)),
+                    e=np.zeros_like(terms.e), w21=np.zeros_like(terms.w21)),
         )
     _verdict(
         "A3 reduction identities",

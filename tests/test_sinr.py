@@ -1,5 +1,7 @@
 """Cascade algebra, scenario SINRs, and reduction identities."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,13 @@ from risim import (
     PowerAllocation,
     ScenarioKind,
     build_cascades,
+    euclid_grad,
     outage_indicator,
+    phase_objective,
+    ris_element_positions,
     scenario_sinr,
     signal_and_interference,
-    sinr_eif,
-    sinr_emi,
-    sinr_emi_irr,
-    sinr_irr,
+    spatial_correlation,
     sum_rate,
     weighted_log_utility,
 )
@@ -128,32 +130,32 @@ def test_reduction_identities():
     for _ in range(100):
         terms, theta, powers, _ = _instance(rng)
         base = dict(theta=theta, powers=powers, noise_power_w=NOISE)
-        eif = sinr_eif(terms, **base)
+        eif = scenario_sinr(terms, kind=ScenarioKind.EIF, **base)
 
         no_emi = CascadeTerms(
             a=terms.a, g1=terms.g1, r1=terms.r1, emi1_w=0.0, emi2_w=0.0,
-            emi_self_factor=terms.emi_self_factor, e=terms.e, q_cross=terms.q_cross,
+            emi_self_factor=terms.emi_self_factor, e=terms.e, w21=terms.w21, r2=terms.r2,
         )
         np.testing.assert_allclose(
-            sinr_emi(no_emi, **base).sinr, eif.sinr, rtol=1e-12
+            scenario_sinr(no_emi, kind=ScenarioKind.EMI, **base).sinr, eif.sinr, rtol=1e-12
         )
 
         no_irr = CascadeTerms(
             a=terms.a, g1=terms.g1, r1=terms.r1, emi1_w=terms.emi1_w, emi2_w=0.0,
             emi_self_factor=terms.emi_self_factor,
-            e=np.zeros_like(terms.e), q_cross=np.zeros_like(terms.q_cross),
+            e=np.zeros_like(terms.e), w21=np.zeros_like(terms.w21), r2=terms.r2,
         )
         np.testing.assert_allclose(
-            sinr_irr(no_irr, **base).sinr, eif.sinr, rtol=1e-12
+            scenario_sinr(no_irr, kind=ScenarioKind.IRR, **base).sinr, eif.sinr, rtol=1e-12
         )
 
         neither = CascadeTerms(
             a=terms.a, g1=terms.g1, r1=terms.r1, emi1_w=0.0, emi2_w=0.0,
             emi_self_factor=terms.emi_self_factor,
-            e=np.zeros_like(terms.e), q_cross=np.zeros_like(terms.q_cross),
+            e=np.zeros_like(terms.e), w21=np.zeros_like(terms.w21), r2=terms.r2,
         )
         np.testing.assert_allclose(
-            sinr_emi_irr(neither, **base).sinr, eif.sinr, rtol=1e-12
+            scenario_sinr(neither, kind=ScenarioKind.EMI_IRR, **base).sinr, eif.sinr, rtol=1e-12
         )
 
 
@@ -162,22 +164,29 @@ def test_interference_only_hurts():
     for _ in range(20):
         terms, theta, powers, _ = _instance(rng)
         base = dict(theta=theta, powers=powers, noise_power_w=NOISE)
-        eif = sinr_eif(terms, **base).sinr
-        assert np.all(sinr_emi(terms, **base).sinr <= eif + 1e-15)
-        assert np.all(sinr_irr(terms, **base).sinr <= eif + 1e-15)
-        assert np.all(sinr_emi_irr(terms, **base).sinr <= eif + 1e-15)
+        sinr = {kind: scenario_sinr(terms, kind=kind, **base).sinr for kind in ScenarioKind}
+        eif = sinr[ScenarioKind.EIF]
+        assert np.all(sinr[ScenarioKind.EMI] <= eif + 1e-15)
+        assert np.all(sinr[ScenarioKind.IRR] <= eif + 1e-15)
+        assert np.all(sinr[ScenarioKind.EMI_IRR] <= eif + 1e-15)
         # the combined scenario never beats either single impairment
-        assert np.all(
-            sinr_emi_irr(terms, **base).sinr <= sinr_irr(terms, **base).sinr + 1e-15
-        )
+        assert np.all(sinr[ScenarioKind.EMI_IRR] <= sinr[ScenarioKind.IRR] + 1e-15)
 
 
 def test_self_factor_scales_emi_in_combined_scenario():
-    rng = np.random.default_rng(3)
-    terms, theta, powers, _ = _instance(rng, factor=4.0)
-    np.testing.assert_allclose(terms.c_mats, 4.0 * terms.b_mats, rtol=1e-14)
-    plain = _instance(np.random.default_rng(3), factor=1.0)[0]
-    np.testing.assert_allclose(plain.c_mats, plain.b_mats, rtol=1e-14)
+    # with no re-reflected EMI and a zero neighbor cascade, the EMI share of
+    # the combined denominator is the serving-RIS EMI scaled by the self factor
+    for factor in (4.0, 1.0):
+        terms, theta, powers, _ = _instance(np.random.default_rng(3), factor=factor, emi2_w=0.0)
+        terms = replace(terms, e=np.zeros_like(terms.e))
+        den = {
+            kind: signal_and_interference(terms, theta, kind, powers, NOISE)[1]
+            for kind in ScenarioKind
+        }
+        emi = den[ScenarioKind.EMI] - den[ScenarioKind.EIF]
+        combined = den[ScenarioKind.EMI_IRR] - den[ScenarioKind.EIF]
+        assert np.all(emi > 0.0)
+        np.testing.assert_allclose(combined, factor * emi, rtol=1e-12)
 
 
 def test_scalar_oracle_single_user_single_element():
@@ -189,12 +198,12 @@ def test_scalar_oracle_single_user_single_element():
     terms = build_cascades(h1, g1, u1, r1, emi1_w=0.25)
     theta = np.array([1.0 + 0j])
     powers = PowerAllocation(np.array([1.0]))
-    eif = sinr_eif(terms, theta, powers, noise_power_w=1.0)
+    eif = scenario_sinr(terms, theta, ScenarioKind.EIF, powers, noise_power_w=1.0)
     # |conj(g) h u|^2 = 1, noise 1 -> SINR 1, rate 1 bit
     assert eif.sinr[0] == pytest.approx(1.0)
     assert eif.rates_bps_hz[0] == pytest.approx(1.0)
     assert eif.sum_rate_bps_hz == pytest.approx(1.0)
-    emi = sinr_emi(terms, theta, powers, noise_power_w=1.0)
+    emi = scenario_sinr(terms, theta, ScenarioKind.EMI, powers, noise_power_w=1.0)
     # EMI adds 0.25 * |g|^2 = 0.0625 to the denominator
     assert emi.sinr[0] == pytest.approx(1.0 / 1.0625)
 
@@ -207,9 +216,10 @@ def test_phase_rotation_changes_nothing_with_one_element():
     u1 = _cn(rng, 2, 2)
     terms = build_cascades(h1, g1, u1, np.eye(1), emi1_w=0.1)
     powers = PowerAllocation(np.ones(2))
-    base = sinr_emi(terms, np.array([1.0 + 0j]), powers, NOISE).sinr
+    base = scenario_sinr(terms, np.array([1.0 + 0j]), ScenarioKind.EMI, powers, NOISE).sinr
     for ang in (0.3, 1.2, -2.0):
-        rot = sinr_emi(terms, np.array([np.exp(1j * ang)]), powers, NOISE).sinr
+        theta = np.array([np.exp(1j * ang)])
+        rot = scenario_sinr(terms, theta, ScenarioKind.EMI, powers, NOISE).sinr
         np.testing.assert_allclose(rot, base, rtol=1e-12)
 
 
@@ -217,12 +227,12 @@ def test_irr_requires_neighbor_terms():
     rng = np.random.default_rng(5)
     terms, theta, powers, _ = _instance(rng, neighbor=False)
     with pytest.raises(ValueError, match="neighbor"):
-        sinr_irr(terms, theta, powers, NOISE)
+        scenario_sinr(terms, theta, ScenarioKind.IRR, powers, NOISE)
     with pytest.raises(ValueError, match="neighbor"):
-        sinr_emi_irr(terms, theta, powers, NOISE)
+        scenario_sinr(terms, theta, ScenarioKind.EMI_IRR, powers, NOISE)
     # EIF and EMI still work without neighbor data
-    sinr_eif(terms, theta, powers, NOISE)
-    sinr_emi(terms, theta, powers, NOISE)
+    scenario_sinr(terms, theta, ScenarioKind.EIF, powers, NOISE)
+    scenario_sinr(terms, theta, ScenarioKind.EMI, powers, NOISE)
 
 
 def test_irr_requires_cluster2_powers():
@@ -230,7 +240,7 @@ def test_irr_requires_cluster2_powers():
     terms, theta, _, _ = _instance(rng)
     powers = PowerAllocation(cluster1=np.ones(2), cluster2=None)
     with pytest.raises(ValueError, match="cluster-2"):
-        sinr_irr(terms, theta, powers, NOISE)
+        scenario_sinr(terms, theta, ScenarioKind.IRR, powers, NOISE)
 
 
 def test_build_cascades_validates_shapes():
@@ -262,7 +272,7 @@ def test_report_fields_consistent():
     rng = np.random.default_rng(17)
     terms, theta, powers, _ = _instance(rng)
     weights = np.array([2.0, 0.5])
-    rep = sinr_emi(terms, theta, powers, NOISE, weights=weights)
+    rep = scenario_sinr(terms, theta, ScenarioKind.EMI, powers, NOISE, weights=weights)
     np.testing.assert_allclose(rep.rates_bps_hz, np.log2(1 + rep.sinr))
     assert rep.sum_rate_bps_hz == pytest.approx(float(weights @ rep.rates_bps_hz))
     assert sum_rate(rep.rates_bps_hz, weights) == pytest.approx(rep.sum_rate_bps_hz)
@@ -283,12 +293,56 @@ def test_weighted_log_utility_matches_report():
         assert util == pytest.approx(float(np.log1p(rep.sinr).sum()), rel=1e-12)
     w = np.array([3.0, 1.0])
     util_w = weighted_log_utility(terms, theta, ScenarioKind.EIF, powers, NOISE, weights=w)
-    rep = sinr_eif(terms, theta, powers, NOISE)
+    rep = scenario_sinr(terms, theta, ScenarioKind.EIF, powers, NOISE)
     assert util_w == pytest.approx(float(w @ np.log1p(rep.sinr)), rel=1e-12)
 
 
-def test_d_mats_requires_neighbor():
+def test_emi_irr_gradient_requires_neighbor():
     rng = np.random.default_rng(23)
-    terms, _, _, _ = _instance(rng, neighbor=False)
-    with pytest.raises(ValueError, match="without a neighbor"):
-        _ = terms.d_mats
+    terms, theta, powers, _ = _instance(rng, neighbor=False)
+    with pytest.raises(ValueError, match="neighbor"):
+        euclid_grad(terms, theta, ScenarioKind.EMI_IRR, powers, NOISE)
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_emi_algebra_on_rank_deficient_sinc_correlation(kind):
+    # production correlations are real sinc matrices over lambda/4 grids; from
+    # 8 x 8 elements on they are numerically rank deficient
+    rng = np.random.default_rng(29)
+    wavelength = 1.0
+    area = (wavelength / 4.0) ** 2
+    r1 = spatial_correlation(ris_element_positions(10, area), wavelength).matrix
+    r2 = spatial_correlation(ris_element_positions(8, area), wavelength).matrix
+    for r in (r1, r2):
+        assert np.isrealobj(r) and np.linalg.matrix_rank(r, tol=1e-10) < r.shape[0]
+    n1, n2 = r1.shape[0], r2.shape[0]
+    for _ in range(3):
+        h1, g1, u1 = _cn(rng, n1, 2), _cn(rng, 2, n1), _cn(rng, 2, 2)
+        kwargs = dict(
+            theta2=np.exp(1j * rng.uniform(0, 2 * np.pi, n2)),
+            u2=_cn(rng, 2, 2),
+            h2=_cn(rng, n2, 2),
+            z21=_cn(rng, n2, n1),
+            r2=r2,
+            emi2_w=0.3,
+        )
+        terms = build_cascades(h1, g1, u1, r1, emi1_w=0.7, emi_self_factor=4.0, **kwargs)
+        theta = np.exp(1j * rng.uniform(0, 2 * np.pi, n1))
+        powers = PowerAllocation(rng.uniform(0.5, 2, 2), rng.uniform(0.5, 2, 2))
+        sig, den = signal_and_interference(terms, theta, kind, powers, NOISE)
+        dsig, dden = _direct_den(terms, theta, kind, powers, kwargs, h1, g1, u1, r1)
+        np.testing.assert_allclose(sig, dsig, rtol=1e-10)
+        np.testing.assert_allclose(den, dden, rtol=1e-10)
+
+        objective, _ = phase_objective(terms, kind, powers, NOISE)
+        egrad = euclid_grad(terms, theta, kind, powers, NOISE)
+        analytic = np.real(np.conj(egrad) * 1j * theta)
+        h = 1e-6
+        numeric = np.array([
+            (objective(theta * np.exp(1j * h * unit)) - objective(theta * np.exp(-1j * h * unit)))
+            / (2 * h)
+            for unit in np.eye(n1)
+        ])
+        np.testing.assert_allclose(
+            analytic, numeric, atol=1e-6 * np.abs(numeric).max(), rtol=1e-5
+        )
