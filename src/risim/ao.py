@@ -1,14 +1,13 @@
-"""Alternating optimization of precoders and RIS phases for one realization."""
+"""Joint ZF precoding and RIS phase optimization for one realization."""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channels import ChannelRealization, ChannelStatistics
-from .precoding import PrecoderSet, effective_channel, zf_precoder
+from .precoding import effective_channel, zf_precoder
 from .rcg import RcgOptions, RcgResult, optimize_phases
 from .sinr import (
     CascadeTerms,
@@ -18,10 +17,6 @@ from .sinr import (
     build_cascades,
     scenario_sinr,
 )
-
-logger = logging.getLogger(__name__)
-
-OUTER_DECREASE_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -49,12 +44,11 @@ class TrialCase:
 
 def build_trial_terms(
     case: TrialCase,
-    u1: np.ndarray,
     include_neighbor: bool,
     emi1_w: float | None = None,
     emi2_w: float | None = None,
 ) -> CascadeTerms:
-    """Cascade terms for the case's realization under the given precoder."""
+    """Cascade terms for the case's realization; cluster 1's ZF follows from theta."""
     real = case.real
     stats = case.stats
     kwargs = {}
@@ -71,7 +65,6 @@ def build_trial_terms(
     return build_cascades(
         real.h1,
         real.g1,
-        u1,
         stats.clusters[0].corr.matrix,
         emi1_w=case.emi1_w if emi1_w is None else emi1_w,
         emi_self_factor=case.emi_self_factor,
@@ -84,109 +77,65 @@ def build_trial_terms(
 class AoOptions:
     scenario: ScenarioKind = ScenarioKind.EIF  # objective targeted when aware
     awareness: str = "aware"  # "unaware" optimizes the interference-free objective
-    eta: float = 1e-3  # stop when the outer objective change falls to this
-    max_outer_iters: int = 10
-    rcg: RcgOptions = RcgOptions(max_iters=20)
+    rcg: RcgOptions = RcgOptions(max_iters=200)
 
     def __post_init__(self):
         if self.awareness not in ("aware", "unaware"):
             raise ValueError("awareness must be 'aware' or 'unaware'")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AoResult:
-    theta: np.ndarray
-    precoder: PrecoderSet
-    objective: float  # optimizer's own utility (weighted natural-log rates)
-    outer_trace: np.ndarray
-    outer_iterations: int
-    converged: bool
-    decreased: bool  # outer objective dipped beyond the allowed slack
-    inner: tuple[RcgResult, ...]
+    rcg: RcgResult  # the single phase-optimization run
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self.rcg.theta
+
+    @property
+    def objective(self) -> float:
+        """Optimizer's own utility (weighted natural-log rates) at theta with ZF."""
+        return self.rcg.objective
+
+    @property
+    def converged(self) -> bool:
+        return self.rcg.converged
 
 
 def alternate_optimize(case: TrialCase, opts: AoOptions = AoOptions()) -> AoResult:
-    """Alternate zero-forcing precoding and conjugate-gradient phase updates.
+    """Jointly optimize cluster-1 phases and ZF precoding with one RCG run.
 
-    Each outer iteration recomputes the ZF precoder at the current phases and
-    then optimizes the phases for that precoder. The outer loop stops when the
-    optimizer's own objective moves by at most eta between iterations. The
-    returned pair is the best (theta, precoder) seen, which protects the
-    caller from a final ZF re-solve that lowered the objective.
+    The paper alternates a ZF precoder update with an RCG phase update. With
+    unit-norm ZF columns the intra-cluster leakage vanishes, so every
+    scenario's SINR is the closed-form function of theta in
+    signal_and_interference: the alternation is block ascent on that one
+    function. One RCG run from theta = 1 maximizes it directly, so there is no
+    outer loop; the name is kept from the alternating scheme. The precoder is
+    ZF at the returned theta (see evaluate_pair).
     """
     kind = ScenarioKind(opts.scenario)
     kind_opt = kind if opts.awareness == "aware" else ScenarioKind.EIF
-    include_neighbor = kind_opt.has_irr
-
-    theta = np.ones(case.real.h1.shape[0], dtype=complex)
-    prev_obj = -np.inf
-    best_obj = -np.inf
-    best: tuple[np.ndarray, PrecoderSet] | None = None
-    outer_trace: list[float] = []
-    inner: list[RcgResult] = []
-    converged = False
-    decreased = False
-
-    for _ in range(opts.max_outer_iters):
-        h_eff = effective_channel(case.real.g1, theta, case.real.h1)
-        prec = zf_precoder(h_eff)
-        terms = build_trial_terms(case, prec.u, include_neighbor=include_neighbor)
-        res = optimize_phases(
-            terms,
-            kind_opt,
-            case.powers,
-            case.noise_power_w,
-            case.weights1,
-            theta0=theta,
-            opts=opts.rcg,
-        )
-        theta = res.theta
-        obj = res.objective
-        inner.append(res)
-        if outer_trace and obj < outer_trace[-1] - OUTER_DECREASE_SLACK:
-            decreased = True
-            logger.warning(
-                "outer objective decreased from %.9g to %.9g on trial %d",
-                outer_trace[-1],
-                obj,
-                case.real.trial,
-            )
-        outer_trace.append(obj)
-        if obj > best_obj:
-            best_obj = obj
-            best = (theta, prec)
-        if abs(obj - prev_obj) <= opts.eta:
-            converged = True
-            break
-        prev_obj = obj
-
-    assert best is not None
-    return AoResult(
-        theta=best[0],
-        precoder=best[1],
-        objective=best_obj,
-        outer_trace=np.array(outer_trace),
-        outer_iterations=len(outer_trace),
-        converged=converged,
-        decreased=decreased,
-        inner=tuple(inner),
+    terms = build_trial_terms(case, include_neighbor=kind_opt.has_irr)
+    res = optimize_phases(
+        terms, kind_opt, case.powers, case.noise_power_w, case.weights1, opts=opts.rcg
     )
+    return AoResult(rcg=res)
 
 
-def evaluate_pair(
-    case: TrialCase, kind: ScenarioKind, theta1: np.ndarray, u1: np.ndarray
-) -> SinrReport:
-    """True-scenario SINR report for a given phase/precoder pair."""
+def evaluate_pair(case: TrialCase, kind: ScenarioKind, theta1: np.ndarray) -> SinrReport:
+    """True-scenario SINR report for the phases theta1 with ZF precoding at theta1.
+
+    Raises ZfDegenerateError when ZF is ill conditioned at theta1.
+    """
     kind = ScenarioKind(kind)
-    terms = build_trial_terms(case, u1, include_neighbor=kind.has_irr)
+    zf_precoder(effective_channel(case.real.g1, theta1, case.real.h1))
+    terms = build_trial_terms(case, include_neighbor=kind.has_irr)
     return scenario_sinr(terms, theta1, kind, case.powers, case.noise_power_w, case.weights1)
 
 
 def evaluate_fixed(case: TrialCase, kind: ScenarioKind) -> SinrReport:
     """Zero-phase baseline: identity reflection plus ZF at those phases."""
-    theta = np.ones(case.real.h1.shape[0], dtype=complex)
-    prec = zf_precoder(effective_channel(case.real.g1, theta, case.real.h1))
-    return evaluate_pair(case, kind, theta, prec.u)
+    return evaluate_pair(case, kind, np.ones(case.real.h1.shape[0], dtype=complex))
 
 
 def _mirror_realization(real: ChannelRealization) -> ChannelRealization:
@@ -199,11 +148,14 @@ def _mirror_statistics(stats: ChannelStatistics) -> ChannelStatistics:
     return replace(stats, clusters=(stats.clusters[1], stats.clusters[0]))
 
 
+def _cluster2_state(real: ChannelRealization, theta2: np.ndarray) -> Cluster2State:
+    """Neighbor phases theta2 with ZF precoding at theta2."""
+    return Cluster2State(theta=theta2, u=zf_precoder(effective_channel(real.g2, theta2, real.h2)).u)
+
+
 def fixed_cluster2(real: ChannelRealization) -> Cluster2State:
     """Zero-phase neighbor: identity reflection and ZF precoding."""
-    theta2 = np.ones(real.h2.shape[0], dtype=complex)
-    prec = zf_precoder(effective_channel(real.g2, theta2, real.h2))
-    return Cluster2State(theta=theta2, u=prec.u)
+    return _cluster2_state(real, np.ones(real.h2.shape[0], dtype=complex))
 
 
 def optimize_cluster2(
@@ -229,4 +181,4 @@ def optimize_cluster2(
         weights1=np.asarray(weights2, dtype=float),
     )
     res = alternate_optimize(mirrored, replace(opts, scenario=ScenarioKind.EIF, awareness="unaware"))
-    return Cluster2State(theta=res.theta, u=res.precoder.u), res
+    return _cluster2_state(real, res.theta), res

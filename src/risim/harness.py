@@ -21,12 +21,12 @@ from .ao import (
     optimize_cluster2,
 )
 from .channels import build_statistics, draw_realization, dump_realization, trial_rng
-from .precoding import ZfDegenerateError, effective_channel, zf_precoder
+from .precoding import ZfDegenerateError
 from .scenario import ConfigError, SystemConfig, dbm_to_watts, validate_config
 from .sinr import PowerAllocation, ScenarioKind, SinrReport
 
 CSV_HEADER = "sweep_value,scenario,mode,mean_sum_rate_bps_hz,outage_user1,trials,skipped"
-TRACE_HEADER = "sweep_value,scenario,mode,trial,stage,outer_iter,inner_iter,objective,grad_norm,step"
+TRACE_HEADER = "sweep_value,scenario,mode,trial,stage,inner_iter,objective,grad_norm,step"
 
 SWEEP_VARIABLES = ("tx_power_dbm", "ris_elements", "emi_dbm")
 
@@ -188,7 +188,10 @@ class TrialEvaluator:
             raise value
         return value
 
-    def _trace_rcg(self, case, mode, stage, outer_iter, res):
+    def _trace(self, case, mode, stage, result: AoResult):
+        if self.trace is None:
+            return
+        res = result.rcg
         objectives = res.trace[1:]
         for i in range(res.iterations):
             obj = objectives[i] if i < objectives.size else res.trace[-1]
@@ -199,19 +202,12 @@ class TrialEvaluator:
                     mode.value,
                     self.real.trial,
                     stage,
-                    outer_iter,
                     i,
                     obj,
                     res.grad_norms[i],
                     res.steps[i],
                 )
             )
-
-    def _trace_ao(self, case, mode, stage, result: AoResult):
-        if self.trace is None:
-            return
-        for outer_iter, res in enumerate(result.inner):
-            self._trace_rcg(case, mode, stage, outer_iter, res)
 
     def _cluster2(self, case, mode) -> Cluster2State:
         if mode is Mode.FIXED:
@@ -221,7 +217,7 @@ class TrialEvaluator:
             state, result = optimize_cluster2(
                 self.real, self.stats, self.powers.cluster2, self.noise, self.w2
             )
-            self._trace_ao(case, mode, "cluster2", result)
+            self._trace(case, mode, "cluster2", result)
             return state
 
         return self._once("c2_opt", compute)
@@ -244,12 +240,7 @@ class TrialEvaluator:
         )
 
         if mode is Mode.FIXED:
-            theta = np.ones(self.real.h1.shape[0], dtype=complex)
-            prec = self._once(
-                "zf_fixed",
-                lambda: zf_precoder(effective_channel(self.real.g1, theta, self.real.h1)),
-            )
-            return evaluate_pair(tcase, kind, theta, prec.u)
+            return evaluate_pair(tcase, kind, np.ones(self.real.h1.shape[0], dtype=complex))
 
         if mode is Mode.UNAWARE or kind is ScenarioKind.EIF:
             stage = "cluster1_unaware"
@@ -262,12 +253,11 @@ class TrialEvaluator:
 
         def compute():
             result = alternate_optimize(tcase, opts)
-            if self.trace is not None:
-                self._trace_ao(case, mode, stage, result)
+            self._trace(case, mode, stage, result)
             return result
 
         ao = self._once(key, compute)
-        return evaluate_pair(tcase, kind, ao.theta, ao.precoder.u)
+        return evaluate_pair(tcase, kind, ao.theta)
 
 
 def _config_at(cfg: SystemConfig, variable: str, value: float) -> SystemConfig:
@@ -423,7 +413,7 @@ def write_csv(records, path) -> None:
 def render_trace(rows) -> str:
     lines = [TRACE_HEADER]
     for row in rows:
-        sweep_value, scenario, mode, trial, stage, outer_i, inner_i, obj, gnorm, step = row
+        sweep_value, scenario, mode, trial, stage, inner_i, obj, gnorm, step = row
         lines.append(
             ",".join(
                 [
@@ -432,7 +422,6 @@ def render_trace(rows) -> str:
                     mode,
                     str(trial),
                     stage,
-                    str(outer_i),
                     str(inner_i),
                     _fmt(obj),
                     _fmt(gnorm),

@@ -10,9 +10,9 @@ from .sinr import (
     CascadeTerms,
     PowerAllocation,
     ScenarioKind,
-    emi_products,
-    signal_and_interference,
+    interference,
     weighted_log_utility,
+    zf_gram_inverse,
 )
 
 
@@ -26,37 +26,30 @@ def euclid_grad(
 ) -> np.ndarray:
     """Euclidean gradient of the weighted log-rate utility, as 2 * df/dtheta*.
 
-    The utility is sum_k w_k * ln(1 + sinr_k) for the given scenario. Every
-    quotient reuses the exact denominators of the SINR evaluation so the
+    The utility is sum_k w_k ln(1 + p_k / (c_k den_k)) with c_k = [A]_kk,
+    A = G^-1 and G = H(theta) H(theta)^H (see signal_and_interference). H
+    depends on conj(theta) only, so dc_k/dtheta* = -[(conj(g1)^T A^T) o
+    (h1 H^H A)][:, k], and den_k contributes the neighbor cascades and M_k theta.
+    Every quotient reuses the exact terms of the SINR evaluation so the
     gradient and the objective always describe the same function.
     """
     kind = ScenarioKind(kind)
-    p1 = np.asarray(powers.cluster1, dtype=float)
-    sig, den = signal_and_interference(terms, theta, kind, powers, noise_power_w)
-    s_tot = den + sig
+    h_eff, g_inv = zf_gram_inverse(terms, theta)
+    c = np.diagonal(g_inv).real
+    sig = np.asarray(powers.cluster1, dtype=float) / c
+    den, ev, mv = interference(terms, theta, kind, powers, noise_power_w)
 
-    t = np.einsum("l,kil->ki", np.conj(theta), terms.a)
-    q_all = np.einsum("ki,kil->kl", p1[None, :] * np.conj(t), terms.a)
-    k_idx = np.arange(terms.num_users)
-    a_diag = terms.a[k_idx, k_idx]
-    diag_pt = p1 * np.conj(np.diagonal(t))
-    q_int = q_all - diag_pt[:, None] * a_diag
-
-    if kind.has_irr:
+    dc = -(np.conj(terms.g1).T @ g_inv.T) * (terms.h1 @ (np.conj(h_eff).T @ g_inv))  # (L, K)
+    dden = np.zeros((terms.num_users, terms.num_elements), dtype=complex)
+    if ev is not None:
         p2 = np.asarray(powers.cluster2, dtype=float)
-        ev = np.einsum("l,kjl->kj", np.conj(theta), terms.e)
-        q_e = np.einsum("kj,kjl->kl", p2[None, :] * np.conj(ev), terms.e)
-        q_all = q_all + q_e
-        q_int = q_int + q_e
-    mv = emi_products(terms, theta, kind)
+        dden = dden + np.einsum("kj,kjl->kl", p2[None, :] * np.conj(ev), terms.e)
     if mv is not None:
-        q_all = q_all + mv
-        q_int = q_int + mv
+        dden = dden + mv
 
     w = np.ones(terms.num_users) if weights is None else np.asarray(weights, dtype=float)
-    return 2.0 * (
-        (w / s_tot)[:, None] * q_all - (w / den)[:, None] * q_int
-    ).sum(axis=0)
+    share = w * sig / (sig + den)  # w_k gamma_k / (1 + gamma_k)
+    return -2.0 * (dc @ (share / c) + (share / den) @ dden)
 
 
 def project_tangent(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -98,9 +91,9 @@ def retract(theta: np.ndarray, step: float, direction: np.ndarray) -> np.ndarray
 
 @dataclass(frozen=True)
 class RcgOptions:
-    epsilon: float = 1e-4  # stop when the objective change falls to this
+    epsilon: float = 1e-9  # stop when |objective change| <= epsilon * |objective|
     max_iters: int = 200
-    armijo_step: float = 1.0
+    armijo_step: float = 1.0  # largest per-element tangent move of the first trial step
     armijo_contraction: float = 0.5
     armijo_slope: float = 1e-4  # sufficient-increase coefficient
     max_backtracks: int = 50
@@ -109,13 +102,16 @@ class RcgOptions:
 def armijo_search(theta, direction, objective, f0, slope, opts: RcgOptions):
     """Backtracking search for a step with sufficient objective increase.
 
-    slope must be the positive tangent inner product Re<rgrad, d>. Returns
+    slope must be the positive tangent inner product Re<rgrad, d>. The first
+    candidate moves the most-moving element by opts.armijo_step along d, so
+    the search does not depend on the scale of the objective (the gradient of
+    a -20 dBm utility is 1e5 times smaller than at 30 dBm). Returns
     (step, theta_new, f_new); step 0.0 signals stagnation (no acceptable step
     within opts.max_backtracks candidates) and leaves theta unchanged.
     """
     if slope <= 0.0:
         raise ValueError("armijo_search requires an ascent direction (slope > 0)")
-    step = opts.armijo_step
+    step = opts.armijo_step / np.abs(direction).max()
     for _ in range(opts.max_backtracks):
         cand = retract(theta, step, direction)
         f_new = objective(cand)
@@ -194,7 +190,7 @@ def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = Rcg
         d_prev = d
         g_prev = rg
         max_dev = max(max_dev, float(np.abs(np.abs(theta) - 1.0).max()))
-        if delta <= opts.epsilon:
+        if delta <= opts.epsilon * abs(f_curr):
             converged = True
             break
 

@@ -7,11 +7,13 @@ from enum import Enum
 
 import numpy as np
 
+from .precoding import effective_channel
+
 
 class ScenarioKind(str, Enum):
     """Which impairments the downlink SINR accounts for."""
 
-    EIF = "eif"  # interference-free baseline: intra-cluster leakage and noise only
+    EIF = "eif"  # interference-free baseline: noise only (ZF nulls intra-cluster leakage)
     EMI = "emi"  # adds electromagnetic interference captured by the serving RIS
     IRR = "irr"  # adds signal reflections arriving via the neighbor RIS
     EMI_IRR = "emi_irr"  # both, including EMI re-reflected by the neighbor RIS
@@ -35,10 +37,12 @@ class PowerAllocation:
 
 @dataclass(frozen=True)
 class CascadeTerms:
-    """Fixed per-(realization, precoder, theta2) quantities the SINR needs.
+    """Fixed per-(realization, theta2) quantities the SINR needs.
 
-    a[k, i] is the serving cascade diag(g_k*) H1 u_i, so theta^H a[k, i] is the
-    symbol-i amplitude at user k. e[k, j] is the neighbor-RIS cascade of the
+    h1 and g1 give cluster 1's effective channel H(theta), whose row k is
+    theta^H diag(g_k*) h1. Cluster 1 is zero-forced with unit-norm columns, so
+    its precoder is a function of theta and is not stored (see
+    signal_and_interference). e[k, j] is the neighbor-RIS cascade of the
     cluster-2 stream j. w21 = Theta2^H Z21 maps serving-RIS element signals to
     the neighbor RIS, so EMI re-reflected by the neighbor has covariance
     w21^H R2 w21 at the serving RIS. EMI terms are evaluated as matrix-vector
@@ -47,7 +51,7 @@ class CascadeTerms:
     EMI PSD integrated over the bandwidth) in watts.
     """
 
-    a: np.ndarray  # (K1, K1, L1^2)
+    h1: np.ndarray  # (L1^2, T1)
     g1: np.ndarray  # (K1, L1^2)
     r1: np.ndarray  # (L1^2, L1^2) serving-RIS correlation
     emi1_w: float = 0.0
@@ -59,17 +63,16 @@ class CascadeTerms:
 
     @property
     def num_users(self) -> int:
-        return self.a.shape[0]
+        return self.g1.shape[0]
 
     @property
     def num_elements(self) -> int:
-        return self.a.shape[2]
+        return self.g1.shape[1]
 
 
 def build_cascades(
     h1: np.ndarray,
     g1: np.ndarray,
-    u1: np.ndarray,
     r1: np.ndarray,
     emi1_w: float = 0.0,
     emi_self_factor: float = 4.0,
@@ -88,17 +91,13 @@ def build_cascades(
     """
     h1 = np.asarray(h1)
     g1 = np.atleast_2d(np.asarray(g1))
-    u1 = np.asarray(u1)
     num_elements, num_antennas = h1.shape
     if g1.shape[1] != num_elements:
         raise ValueError("g1 and h1 disagree on the element count")
-    if u1.shape[0] != num_antennas or u1.shape[1] != g1.shape[0]:
-        raise ValueError("u1 must have shape (antennas, users)")
+    if g1.shape[0] > num_antennas:
+        raise ValueError("ZF infeasible: more users than antennas")
     if r1.shape != (num_elements, num_elements):
         raise ValueError("r1 must be (L^2, L^2) for the serving RIS")
-
-    hu = h1 @ u1  # (L1^2, K1)
-    a = np.einsum("kl,li->kil", np.conj(g1), hu)
 
     neighbor = (theta2, u2, h2, z21, r2)
     if any(x is None for x in neighbor) and any(x is not None for x in neighbor):
@@ -113,7 +112,7 @@ def build_cascades(
         w21 = theta2[:, None] * z21  # Theta2^H Z21
 
     return CascadeTerms(
-        a=a,
+        h1=h1,
         g1=g1,
         r1=np.asarray(r1),
         emi1_w=float(emi1_w),
@@ -123,6 +122,14 @@ def build_cascades(
         w21=w21,
         r2=r2,
     )
+
+
+def _times_transpose(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """v @ m.T; a real m multiplies the real and imaginary parts of v separately,
+    so numpy does not cast the whole matrix to complex on every call."""
+    if np.iscomplexobj(m):
+        return v @ m.T
+    return v.real @ m.T + 1j * (v.imag @ m.T)
 
 
 def emi_products(terms: CascadeTerms, theta: np.ndarray, kind: ScenarioKind) -> np.ndarray | None:
@@ -137,29 +144,38 @@ def emi_products(terms: CascadeTerms, theta: np.ndarray, kind: ScenarioKind) -> 
     if not kind.has_emi:
         return None
     v = terms.g1 * theta  # rows v_k
-    cv = terms.emi1_w * (v @ terms.r1.T)  # rows emi1_w R1 v_k
+    cv = terms.emi1_w * _times_transpose(v, terms.r1)  # rows emi1_w R1 v_k
     if kind is ScenarioKind.EMI_IRR:
         if terms.w21 is None:
             raise ValueError("cascade terms were built without a neighbor RIS")
-        reflected = ((v @ terms.w21.T) @ terms.r2.T) @ np.conj(terms.w21)  # rows w21^H R2 w21 v_k
+        # rows w21^H R2 w21 v_k; x @ conj(w21) is taken as conj(conj(x) @ w21)
+        # so that no conjugated N x N copy of w21 is made per call
+        reflected = np.conj(np.conj(_times_transpose(v @ terms.w21.T, terms.r2)) @ terms.w21)
         cv = terms.emi_self_factor * cv + terms.emi2_w * reflected
     return np.conj(terms.g1) * cv
 
 
-def signal_and_interference(
+def zf_gram_inverse(terms: CascadeTerms, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster 1's effective channel H(theta) (K1, T1) and the inverse of H H^H."""
+    h_eff = effective_channel(terms.g1, theta, terms.h1)
+    return h_eff, np.linalg.inv(h_eff @ np.conj(h_eff).T)
+
+
+def interference(
     terms: CascadeTerms,
     theta: np.ndarray,
     kind: ScenarioKind,
     powers: PowerAllocation,
     noise_power_w: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user received signal power and total interference-plus-noise power."""
-    p1 = np.asarray(powers.cluster1, dtype=float)
-    t = np.einsum("l,kil->ki", np.conj(theta), terms.a)
-    weighted = p1[None, :] * np.abs(t) ** 2
-    sig = np.diagonal(weighted).copy()
-    den = weighted.sum(axis=1) - sig + noise_power_w
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Interference-plus-noise power per user, with the parts its gradient needs.
 
+    Returns (den, ev, mv): ev[k, j] = theta^H e[k, j] are the neighbor-stream
+    amplitudes (None without IRR) and mv the EMI products M_k theta (None
+    without EMI).
+    """
+    den = np.full(terms.num_users, float(noise_power_w))
+    ev = None
     if kind.has_irr:
         if terms.e is None:
             raise ValueError(f"{kind.value} needs cascade terms built with a neighbor RIS")
@@ -172,7 +188,25 @@ def signal_and_interference(
     mv = emi_products(terms, theta, kind)
     if mv is not None:
         den = den + np.maximum((mv @ np.conj(theta)).real, 0.0)  # floored against roundoff
+    return den, ev, mv
 
+
+def signal_and_interference(
+    terms: CascadeTerms,
+    theta: np.ndarray,
+    kind: ScenarioKind,
+    powers: PowerAllocation,
+    noise_power_w: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user received signal power and total interference-plus-noise power.
+
+    Cluster 1 is zero-forced at theta with unit-norm columns, so intra-cluster
+    leakage vanishes and user k receives amplitude 1 / sqrt([G^-1]_kk) with
+    G = H(theta) H(theta)^H: sig_k = p_k / [G^-1]_kk.
+    """
+    _, g_inv = zf_gram_inverse(terms, theta)
+    sig = np.asarray(powers.cluster1, dtype=float) / np.diagonal(g_inv).real
+    den, _, _ = interference(terms, theta, kind, powers, noise_power_w)
     return sig, den
 
 

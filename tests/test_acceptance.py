@@ -24,6 +24,7 @@ from risim import (
     dbm_to_watts,
     default_config,
     draw_realization,
+    effective_channel,
     euclid_grad,
     evaluate_pair,
     make_powers,
@@ -36,6 +37,7 @@ from risim import (
     signal_and_interference,
     spatial_correlation,
     trial_rng,
+    zf_precoder,
 )
 from risim.cli import EXIT_OK, cli_main
 from risim.harness import DEFAULT_CASES, Mode
@@ -64,7 +66,6 @@ def _instance(rng, num_elements, num_users=2, emi1_w=0.5, emi2_w=0.2):
     """Random two-user instance with a neighbor RIS, all scenarios evaluable."""
     h1 = _cn(rng, num_elements, 2)
     g1 = _cn(rng, num_users, num_elements)
-    u1 = _cn(rng, 2, num_users)
     r1 = _unit_diag_psd(rng, num_elements)
     ne = 6
     raw = dict(
@@ -75,11 +76,11 @@ def _instance(rng, num_elements, num_users=2, emi1_w=0.5, emi2_w=0.2):
         r2=_unit_diag_psd(rng, ne),
     )
     terms = build_cascades(
-        h1, g1, u1, r1, emi1_w=emi1_w, emi_self_factor=4.0, emi2_w=emi2_w, **raw
+        h1, g1, r1, emi1_w=emi1_w, emi_self_factor=4.0, emi2_w=emi2_w, **raw
     )
     theta = np.exp(1j * rng.uniform(0, 2 * np.pi, num_elements))
     powers = PowerAllocation(rng.uniform(0.5, 2, num_users), rng.uniform(0.5, 2, num_users))
-    return terms, theta, powers, (h1, g1, u1, r1), raw
+    return terms, theta, powers, (h1, g1, r1), raw
 
 
 def _scaled_cfg(side1, trials=None):
@@ -137,14 +138,14 @@ def test_a2_rcg_matches_exhaustive_phase_grid():
     for _ in range(20):
         h1 = _cn(rng, 2, 2)
         g1 = _cn(rng, 1, 2)
-        u1 = _cn(rng, 2, 1)
-        u1 = u1 / np.linalg.norm(u1)
-        terms = build_cascades(h1, g1, u1, np.eye(2))
+        terms = build_cascades(h1, g1, np.eye(2))
         powers = PowerAllocation(np.ones(1))
-        a = terms.a[0, 0]
-        # |t|^2 over the full 360 x 360 grid of per-element phases
-        t = np.add.outer(rot * a[0], rot * a[1])
-        grid_best = float(np.log1p((np.abs(t) ** 2).max() / NOISE))
+        # ZF with one user is matched filtering, so the SINR is
+        # ||h_eff(theta)||^2 / noise with h_eff = sum_l conj(theta_l) conj(g_l) h1[l];
+        # evaluated over the full 360 x 360 grid of per-element phases
+        rows = np.conj(g1[0])[:, None] * h1
+        h_eff = rot[:, None, None] * rows[0] + rot[None, :, None] * rows[1]
+        grid_best = float(np.log1p((np.abs(h_eff) ** 2).sum(axis=2).max() / NOISE))
         res = optimize_phases(
             terms, ScenarioKind.EIF, powers, NOISE,
             opts=RcgOptions(epsilon=1e-9, max_iters=300),
@@ -171,7 +172,7 @@ def test_a3_reduction_identities():
 
         def rel_gap(kind, **overrides):
             fields = dict(
-                a=terms.a, g1=terms.g1, r1=terms.r1, emi1_w=terms.emi1_w,
+                h1=terms.h1, g1=terms.g1, r1=terms.r1, emi1_w=terms.emi1_w,
                 emi2_w=terms.emi2_w, emi_self_factor=terms.emi_self_factor,
                 e=terms.e, w21=terms.w21, r2=terms.r2,
             )
@@ -201,11 +202,13 @@ def test_a3_reduction_identities():
 # A4 --------------------------------------------------------------------------
 
 def test_a4_cascades_match_direct_matrix_evaluation():
-    """Compact quadratic/rank-one forms equal raw matrix evaluation."""
+    """Closed-form ZF SINR and compact quadratic forms equal raw matrix evaluation."""
     rng = np.random.default_rng(4)
     worst = 0.0
     for _ in range(100):
-        terms, theta, powers, (h1, g1, u1, r1), raw = _instance(rng, 6)
+        terms, theta, powers, (h1, g1, r1), raw = _instance(rng, 6)
+        # the dense oracle zero-forces at theta and sums the leakage it leaves
+        u1 = zf_precoder(effective_channel(g1, theta, h1)).u
         phase1 = np.diag(np.conj(theta))
         phase2 = np.diag(np.conj(raw["theta2"]))
         p1 = np.asarray(powers.cluster1)
@@ -326,15 +329,11 @@ def test_a7_interference_awareness_pays_off():
         for lv in levels:
             e = dbm_to_watts(lv)
             case = replace(base, emi1_w=e, emi2_w=e)
-            plain = evaluate_pair(
-                case, ScenarioKind.EMI, unaware.theta, unaware.precoder.u
-            ).sum_rate_bps_hz
+            plain = evaluate_pair(case, ScenarioKind.EMI, unaware.theta).sum_rate_bps_hz
             aware = alternate_optimize(
                 case, AoOptions(scenario=ScenarioKind.EMI, awareness="aware")
             )
-            tuned = evaluate_pair(
-                case, ScenarioKind.EMI, aware.theta, aware.precoder.u
-            ).sum_rate_bps_hz
+            tuned = evaluate_pair(case, ScenarioKind.EMI, aware.theta).sum_rate_bps_hz
             diffs[lv].append(tuned - plain)
     gaps = {lv: float(np.mean(diffs[lv])) for lv in levels}
     d60 = np.asarray(diffs[-60.0])

@@ -1,4 +1,4 @@
-"""Alternating precoder / phase optimization on single realizations."""
+"""Joint ZF precoding and phase optimization on single realizations."""
 
 from dataclasses import replace
 
@@ -22,6 +22,7 @@ from risim import (
     evaluate_pair,
     fixed_cluster2,
     optimize_cluster2,
+    weighted_log_utility,
 )
 
 
@@ -73,81 +74,88 @@ def test_ao_options_validate_awareness():
 
 def test_build_trial_terms_neighbor_handling():
     case = _case(with_cluster2=True)
-    terms = build_trial_terms(case, case.cluster2.u, include_neighbor=True)
+    terms = build_trial_terms(case, include_neighbor=True)
     assert terms.e is not None and terms.w21 is not None and terms.r2 is not None
-    bare = build_trial_terms(case, case.cluster2.u, include_neighbor=False)
+    bare = build_trial_terms(case, include_neighbor=False)
     assert bare.e is None and bare.w21 is None and bare.r2 is None
     no_c2 = replace(case, cluster2=None)
     with pytest.raises(ValueError, match="cluster-2 state"):
-        build_trial_terms(no_c2, case.cluster2.u, include_neighbor=True)
+        build_trial_terms(no_c2, include_neighbor=True)
 
 
 def test_build_trial_terms_level_overrides():
     case = _case(emi_dbm=-65.0, with_cluster2=True)
-    u1 = case.cluster2.u
-    terms = build_trial_terms(case, u1, include_neighbor=True)
+    terms = build_trial_terms(case, include_neighbor=True)
     assert terms.emi1_w == pytest.approx(dbm_to_watts(-65.0))
-    override = build_trial_terms(case, u1, include_neighbor=True, emi1_w=0.0, emi2_w=0.0)
+    override = build_trial_terms(case, include_neighbor=True, emi1_w=0.0, emi2_w=0.0)
     assert override.emi1_w == 0.0 and override.emi2_w == 0.0
 
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))
 def test_ao_beats_fixed_phases_per_realization(kind):
-    # the first outer iteration starts from the fixed pair and RCG only
-    # ascends, so the returned best pair can never fall below the baseline
+    # RCG starts from the fixed phases and only ascends the scenario's
+    # utility, so the result can never fall below the baseline
     for trial in range(3):
         case = _case(trial=trial, emi_dbm=-65.0, with_cluster2=True)
         opts = AoOptions(scenario=kind, awareness="aware")
         res = alternate_optimize(case, opts)
         fixed = evaluate_fixed(case, kind)
-        tuned = evaluate_pair(case, kind, res.theta, res.precoder.u)
+        tuned = evaluate_pair(case, kind, res.theta)
         assert tuned.sum_rate_bps_hz >= fixed.sum_rate_bps_hz - 1e-9
 
 
-def test_ao_huge_eta_stops_after_two_outer_iterations():
-    # the stop test compares two real objectives, so two outer iterations is
-    # the earliest stop
+def test_ao_huge_epsilon_stops_after_one_iteration():
+    # the optimizer is a single RCG run, so its tolerance is the only stop
+    # besides the iteration cap
     case = _case()
-    res = alternate_optimize(case, AoOptions(eta=1e9))
-    assert res.outer_iterations == 2
+    res = alternate_optimize(case, AoOptions(rcg=RcgOptions(epsilon=1e9)))
+    assert res.rcg.iterations == 1
     assert res.converged
 
 
-def test_ao_low_power_runs_past_first_outer_iteration():
-    # at -20 dBm (50 dB below the default) the first utility is below eta;
-    # compared with a phantom zero objective the loop would stop after one
-    # outer iteration as converged
-    opts = AoOptions(max_outer_iters=3)
+def test_ao_low_power_runs_past_first_iteration():
+    # at -20 dBm (50 dB below the default) the utility is about 3e-5 nats, so
+    # the first step changes it by less than an absolute tolerance of 1e-4;
+    # the relative stop keeps iterating
     for trial in range(3):
         case = _case(trial=trial)
         case = replace(case, powers=PowerAllocation(case.powers.cluster1 * 1e-5))
-        res = alternate_optimize(case, opts)
-        assert res.outer_trace[0] <= opts.eta
-        assert res.outer_iterations >= 2
+        res = alternate_optimize(case, AoOptions())
+        assert res.rcg.trace[1] - res.rcg.trace[0] <= 1e-4
+        assert res.rcg.iterations >= 2
 
 
 def test_ao_objective_is_best_of_trace():
+    # RCG only ascends, so the returned objective is the best of its trace,
+    # and it is the utility of the returned phases with ZF at those phases
     case = _case(trial=1, emi_dbm=-60.0, with_cluster2=True)
-    res = alternate_optimize(case, AoOptions(scenario=ScenarioKind.EMI_IRR))
-    assert res.objective == pytest.approx(res.outer_trace.max())
-    assert res.outer_iterations == len(res.outer_trace)
-    assert len(res.inner) == res.outer_iterations
+    kind = ScenarioKind.EMI_IRR
+    res = alternate_optimize(case, AoOptions(scenario=kind))
+    assert res.objective == res.rcg.trace.max() == res.rcg.trace[-1]
+    terms = build_trial_terms(case, include_neighbor=True)
+    util = weighted_log_utility(
+        terms, res.theta, kind, case.powers, case.noise_power_w, case.weights1
+    )
+    assert res.objective == pytest.approx(util, rel=1e-12)
+    rates = evaluate_pair(case, kind, res.theta).sinr
+    assert res.objective == pytest.approx(float(case.weights1 @ np.log1p(rates)), rel=1e-12)
     np.testing.assert_allclose(np.abs(res.theta), 1.0, atol=1e-12)
 
 
 def test_ao_terminates_within_outer_cap():
-    # either the eta tolerance fires or the loop runs out of iterations
+    # either the RCG tolerance fires or the run reaches its iteration cap
     case = _case(trial=2)
-    res = alternate_optimize(case, AoOptions())
-    assert res.outer_iterations <= 10
-    assert res.converged or res.outer_iterations == 10
+    opts = AoOptions()
+    res = alternate_optimize(case, opts)
+    assert res.rcg.iterations <= opts.rcg.max_iters
+    assert res.converged or res.rcg.iterations == opts.rcg.max_iters
 
 
 def test_ao_respects_outer_cap():
     case = _case(trial=3)
-    opts = AoOptions(eta=0.0, max_outer_iters=2, rcg=RcgOptions(max_iters=5))
+    opts = AoOptions(rcg=RcgOptions(epsilon=0.0, max_iters=5))
     res = alternate_optimize(case, opts)
-    assert res.outer_iterations == 2
+    assert res.rcg.iterations == 5
     assert not res.converged
 
 
@@ -170,12 +178,8 @@ def test_aware_ao_helps_under_strong_emi_on_average():
         case = _case(trial=trial, side=10, emi_dbm=-60.0)
         aw = alternate_optimize(case, AoOptions(scenario=ScenarioKind.EMI, awareness="aware"))
         un = alternate_optimize(case, AoOptions(scenario=ScenarioKind.EMI, awareness="unaware"))
-        aware_rates.append(
-            evaluate_pair(case, ScenarioKind.EMI, aw.theta, aw.precoder.u).sum_rate_bps_hz
-        )
-        unaware_rates.append(
-            evaluate_pair(case, ScenarioKind.EMI, un.theta, un.precoder.u).sum_rate_bps_hz
-        )
+        aware_rates.append(evaluate_pair(case, ScenarioKind.EMI, aw.theta).sum_rate_bps_hz)
+        unaware_rates.append(evaluate_pair(case, ScenarioKind.EMI, un.theta).sum_rate_bps_hz)
     assert np.mean(aware_rates) >= np.mean(unaware_rates)
 
 

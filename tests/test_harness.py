@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import risim.harness as harness
+import risim.ao as ao
 from risim import (
     CSV_HEADER,
     TRACE_HEADER,
@@ -214,7 +214,7 @@ def test_run_sweep_optimized_modes_beat_fixed():
 
 def test_run_sweep_skip_accounting(monkeypatch):
     cfg = _tiny_cfg()
-    real_zf = harness.zf_precoder
+    real_zf = ao.zf_precoder
     fails = {"left": 1}
 
     def flaky(h_eff, *args, **kwargs):
@@ -223,7 +223,7 @@ def test_run_sweep_skip_accounting(monkeypatch):
             raise ZfDegenerateError("forced degenerate draw")
         return real_zf(h_eff, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "zf_precoder", flaky)
+    monkeypatch.setattr(ao, "zf_precoder", flaky)
     spec = SweepSpec(variable="tx_power_dbm", grid=(30.0,),
                      scenarios=(ScenarioCase(ScenarioKind.EIF),),
                      mode=Mode.FIXED, trials=4)
@@ -238,7 +238,7 @@ def test_run_sweep_all_skipped_raises(monkeypatch):
     def broken(h_eff, *args, **kwargs):
         raise ZfDegenerateError("forced degenerate draw")
 
-    monkeypatch.setattr(harness, "zf_precoder", broken)
+    monkeypatch.setattr(ao, "zf_precoder", broken)
     spec = SweepSpec(variable="tx_power_dbm", grid=(30.0,),
                      scenarios=(ScenarioCase(ScenarioKind.EIF),),
                      mode=Mode.FIXED, trials=2)
@@ -254,7 +254,7 @@ def test_run_sweep_trace_rows():
                      mode=Mode.UNAWARE, trials=2)
     run_sweep(cfg, spec, trace=rows)
     assert rows
-    assert all(len(row) == 10 for row in rows)
+    assert all(len(row) == 9 for row in rows)
     stages = {row[4] for row in rows}
     assert "cluster1_unaware" in stages
     text = render_trace(rows)

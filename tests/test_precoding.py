@@ -31,16 +31,20 @@ def test_effective_channel_row_formula():
 
 
 def test_effective_channel_consistent_with_cascades():
-    # (H_eff @ u)[k, i] must equal theta^H a[k, i]: the precoder and the SINR
-    # must see the same map or ZF nulling would not null
+    # the closed-form signal p_k / [G^-1]_kk must equal p_k |(H_eff u)_kk|^2
+    # for the ZF precoder u: the precoder and the SINR must see the same map
     rng = np.random.default_rng(1)
     h = _cn(rng, 6, 2)
     g = _cn(rng, 2, 6)
-    u = _cn(rng, 2, 2)
+    powers = np.array([0.7, 1.9])
     theta = np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
-    terms = build_cascades(h, g, u, np.eye(6))
-    t = np.einsum("l,kil->ki", np.conj(theta), terms.a)
-    np.testing.assert_allclose(effective_channel(g, theta, h) @ u, t, rtol=1e-12)
+    terms = build_cascades(h, g, np.eye(6))
+    sig, _ = signal_and_interference(
+        terms, theta, ScenarioKind.EIF, PowerAllocation(powers), 1e-3
+    )
+    h_eff = effective_channel(g, theta, h)
+    amps = np.diagonal(h_eff @ zf_precoder(h_eff).u)
+    np.testing.assert_allclose(sig, powers * np.abs(amps) ** 2, rtol=1e-12)
 
 
 def test_zf_nulls_intra_cluster_interference():
@@ -77,14 +81,18 @@ def test_zf_interference_term_vanishes_in_sinr():
     h = _cn(rng, 6, 2)
     g = _cn(rng, 2, 6)
     theta = np.ones(6, dtype=complex)
-    prec = zf_precoder(effective_channel(g, theta, h))
-    terms = build_cascades(h, g, prec.u, np.eye(6))
+    h_eff = effective_channel(g, theta, h)
+    prod = h_eff @ zf_precoder(h_eff).u
+    terms = build_cascades(h, g, np.eye(6))
     noise = 1e-6
     sig, den = signal_and_interference(
         terms, theta, ScenarioKind.EIF, PowerAllocation(np.ones(2)), noise
     )
-    # denominator reduces to the noise floor once leakage is nulled
-    np.testing.assert_allclose(den, noise, rtol=1e-6)
+    # the leakage the closed form leaves out is roundoff, far below the noise,
+    # so the interference-free denominator is the noise floor
+    leak = (np.abs(prod) ** 2).sum(axis=1) - np.abs(np.diagonal(prod)) ** 2
+    assert np.all(leak <= 1e-12 * noise)
+    np.testing.assert_allclose(den, noise, rtol=1e-15)
     assert np.all(sig > 0)
 
 

@@ -35,11 +35,10 @@ def _unit_diag_psd(rng, n):
 def _instance(rng, num_elements=4, num_users=2):
     h1 = _cn(rng, num_elements, 2)
     g1 = _cn(rng, num_users, num_elements)
-    u1 = _cn(rng, 2, num_users)
     r1 = _unit_diag_psd(rng, num_elements)
     ne = 5
     terms = build_cascades(
-        h1, g1, u1, r1,
+        h1, g1, r1,
         emi1_w=0.4, emi_self_factor=4.0,
         theta2=np.exp(1j * rng.uniform(0, 2 * np.pi, ne)),
         u2=_cn(rng, 2, num_users),
@@ -174,18 +173,17 @@ def test_armijo_rejects_nonpositive_slope():
 
 
 def test_rcg_single_user_reaches_aligned_optimum():
-    # K = 1: the objective is maximized by co-phasing every cascade entry,
-    # where the amplitude becomes sum_l |c_l|
+    # K = T = 1: the objective is maximized by co-phasing every cascade
+    # entry, where the amplitude becomes sum_l |c_l|
     rng = np.random.default_rng(41)
     for _ in range(5):
         h1 = _cn(rng, 6, 1)
         g1 = _cn(rng, 1, 6)
-        u1 = np.ones((1, 1), dtype=complex)
-        terms = build_cascades(h1, g1, u1, np.eye(6))
+        terms = build_cascades(h1, g1, np.eye(6))
         powers = PowerAllocation(np.ones(1))
         opts = RcgOptions(epsilon=1e-8, max_iters=500)
         res = optimize_phases(terms, ScenarioKind.EIF, powers, NOISE, opts=opts)
-        c = np.conj(g1[0]) * (h1 @ u1)[:, 0]
+        c = np.conj(g1[0]) * h1[:, 0]
         best = np.log1p(np.abs(c).sum() ** 2 / NOISE)
         assert best - 1e-3 <= res.objective <= best + 1e-12
         assert res.converged

@@ -16,9 +16,11 @@ from risim import (
     ris_element_positions,
     scenario_sinr,
     signal_and_interference,
+    effective_channel,
     spatial_correlation,
     sum_rate,
     weighted_log_utility,
+    zf_precoder,
 )
 
 NOISE = 1e-3
@@ -40,7 +42,6 @@ def _instance(rng, num_elements=6, num_users=2, num_antennas=2, neighbor=True,
               emi1_w=0.7, emi2_w=0.3, factor=4.0):
     h1 = _cn(rng, num_elements, num_antennas)
     g1 = _cn(rng, num_users, num_elements)
-    u1 = _cn(rng, num_antennas, num_users)
     r1 = _unit_diag_psd(rng, num_elements)
     kwargs = dict(emi1_w=emi1_w, emi_self_factor=factor)
     if neighbor:
@@ -53,7 +54,7 @@ def _instance(rng, num_elements=6, num_users=2, num_antennas=2, neighbor=True,
             r2=_unit_diag_psd(rng, ne),
             emi2_w=emi2_w,
         )
-    terms = build_cascades(h1, g1, u1, r1, **kwargs)
+    terms = build_cascades(h1, g1, r1, **kwargs)
     theta = np.exp(1j * rng.uniform(0, 2 * np.pi, num_elements))
     powers = PowerAllocation(
         cluster1=rng.uniform(0.5, 2.0, num_users),
@@ -62,8 +63,13 @@ def _instance(rng, num_elements=6, num_users=2, num_antennas=2, neighbor=True,
     return terms, theta, powers, kwargs
 
 
-def _direct_den(terms, theta, kind, powers, kwargs, h1, g1, u1, r1):
-    """Evaluate signal and interference from the raw matrices, no cascades."""
+def _direct_den(terms, theta, kind, powers, kwargs, h1, g1, r1):
+    """Evaluate signal and interference from the raw matrices, no cascades.
+
+    Cluster 1 is zero-forced at theta, and the intra-cluster leakage of that
+    precoder is summed like any other interference.
+    """
+    u1 = zf_precoder(effective_channel(g1, theta, h1)).u
     phase1 = np.diag(np.conj(theta))
     num_users = g1.shape[0]
     p1 = np.asarray(powers.cluster1, float)
@@ -105,7 +111,6 @@ def test_cascades_match_direct_evaluation(kind):
     for _ in range(100):
         h1 = _cn(rng, 6, 2)
         g1 = _cn(rng, 2, 6)
-        u1 = _cn(rng, 2, 2)
         r1 = _unit_diag_psd(rng, 6)
         ne = 5
         kwargs = dict(
@@ -116,11 +121,11 @@ def test_cascades_match_direct_evaluation(kind):
             r2=_unit_diag_psd(rng, ne),
             emi2_w=0.3,
         )
-        terms = build_cascades(h1, g1, u1, r1, emi1_w=0.7, emi_self_factor=4.0, **kwargs)
+        terms = build_cascades(h1, g1, r1, emi1_w=0.7, emi_self_factor=4.0, **kwargs)
         theta = np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
         powers = PowerAllocation(rng.uniform(0.5, 2, 2), rng.uniform(0.5, 2, 2))
         sig, den = signal_and_interference(terms, theta, kind, powers, NOISE)
-        dsig, dden = _direct_den(terms, theta, kind, powers, kwargs, h1, g1, u1, r1)
+        dsig, dden = _direct_den(terms, theta, kind, powers, kwargs, h1, g1, r1)
         np.testing.assert_allclose(sig, dsig, rtol=1e-10)
         np.testing.assert_allclose(den, dden, rtol=1e-10)
 
@@ -133,7 +138,7 @@ def test_reduction_identities():
         eif = scenario_sinr(terms, kind=ScenarioKind.EIF, **base)
 
         no_emi = CascadeTerms(
-            a=terms.a, g1=terms.g1, r1=terms.r1, emi1_w=0.0, emi2_w=0.0,
+            h1=terms.h1, g1=terms.g1, r1=terms.r1, emi1_w=0.0, emi2_w=0.0,
             emi_self_factor=terms.emi_self_factor, e=terms.e, w21=terms.w21, r2=terms.r2,
         )
         np.testing.assert_allclose(
@@ -141,7 +146,7 @@ def test_reduction_identities():
         )
 
         no_irr = CascadeTerms(
-            a=terms.a, g1=terms.g1, r1=terms.r1, emi1_w=terms.emi1_w, emi2_w=0.0,
+            h1=terms.h1, g1=terms.g1, r1=terms.r1, emi1_w=terms.emi1_w, emi2_w=0.0,
             emi_self_factor=terms.emi_self_factor,
             e=np.zeros_like(terms.e), w21=np.zeros_like(terms.w21), r2=terms.r2,
         )
@@ -150,7 +155,7 @@ def test_reduction_identities():
         )
 
         neither = CascadeTerms(
-            a=terms.a, g1=terms.g1, r1=terms.r1, emi1_w=0.0, emi2_w=0.0,
+            h1=terms.h1, g1=terms.g1, r1=terms.r1, emi1_w=0.0, emi2_w=0.0,
             emi_self_factor=terms.emi_self_factor,
             e=np.zeros_like(terms.e), w21=np.zeros_like(terms.w21), r2=terms.r2,
         )
@@ -193,13 +198,12 @@ def test_scalar_oracle_single_user_single_element():
     # one element, one user, one antenna: everything is scalar and closed-form
     h1 = np.array([[2.0 + 0j]])
     g1 = np.array([[0.5 + 0j]])
-    u1 = np.array([[1.0 + 0j]])
     r1 = np.eye(1)
-    terms = build_cascades(h1, g1, u1, r1, emi1_w=0.25)
+    terms = build_cascades(h1, g1, r1, emi1_w=0.25)
     theta = np.array([1.0 + 0j])
     powers = PowerAllocation(np.array([1.0]))
     eif = scenario_sinr(terms, theta, ScenarioKind.EIF, powers, noise_power_w=1.0)
-    # |conj(g) h u|^2 = 1, noise 1 -> SINR 1, rate 1 bit
+    # ZF with one user and one antenna: |conj(g) h|^2 = 1, noise 1 -> SINR 1, rate 1 bit
     assert eif.sinr[0] == pytest.approx(1.0)
     assert eif.rates_bps_hz[0] == pytest.approx(1.0)
     assert eif.sum_rate_bps_hz == pytest.approx(1.0)
@@ -209,13 +213,13 @@ def test_scalar_oracle_single_user_single_element():
 
 
 def test_phase_rotation_changes_nothing_with_one_element():
-    # with L = 1 the common phase cancels in signal and interference
+    # with L = 1 the common phase cancels in signal and interference; one
+    # element gives a rank-one effective channel, so ZF serves one user
     rng = np.random.default_rng(11)
     h1 = _cn(rng, 1, 2)
-    g1 = _cn(rng, 2, 1)
-    u1 = _cn(rng, 2, 2)
-    terms = build_cascades(h1, g1, u1, np.eye(1), emi1_w=0.1)
-    powers = PowerAllocation(np.ones(2))
+    g1 = _cn(rng, 1, 1)
+    terms = build_cascades(h1, g1, np.eye(1), emi1_w=0.1)
+    powers = PowerAllocation(np.ones(1))
     base = scenario_sinr(terms, np.array([1.0 + 0j]), ScenarioKind.EMI, powers, NOISE).sinr
     for ang in (0.3, 1.2, -2.0):
         theta = np.array([np.exp(1j * ang)])
@@ -247,15 +251,14 @@ def test_build_cascades_validates_shapes():
     rng = np.random.default_rng(9)
     h1 = _cn(rng, 4, 2)
     g1 = _cn(rng, 2, 4)
-    u1 = _cn(rng, 2, 2)
     with pytest.raises(ValueError, match="element count"):
-        build_cascades(h1, _cn(rng, 2, 5), u1, np.eye(4))
-    with pytest.raises(ValueError, match="antennas, users"):
-        build_cascades(h1, g1, _cn(rng, 3, 2), np.eye(4))
+        build_cascades(h1, _cn(rng, 2, 5), np.eye(4))
+    with pytest.raises(ValueError, match="more users than antennas"):
+        build_cascades(_cn(rng, 4, 1), g1, np.eye(4))
     with pytest.raises(ValueError, match="r1"):
-        build_cascades(h1, g1, u1, np.eye(5))
+        build_cascades(h1, g1, np.eye(5))
     with pytest.raises(ValueError, match="together"):
-        build_cascades(h1, g1, u1, np.eye(4), theta2=np.ones(3))
+        build_cascades(h1, g1, np.eye(4), theta2=np.ones(3))
 
 
 def test_scenario_sinr_dispatch():
@@ -317,7 +320,7 @@ def test_emi_algebra_on_rank_deficient_sinc_correlation(kind):
         assert np.isrealobj(r) and np.linalg.matrix_rank(r, tol=1e-10) < r.shape[0]
     n1, n2 = r1.shape[0], r2.shape[0]
     for _ in range(3):
-        h1, g1, u1 = _cn(rng, n1, 2), _cn(rng, 2, n1), _cn(rng, 2, 2)
+        h1, g1 = _cn(rng, n1, 2), _cn(rng, 2, n1)
         kwargs = dict(
             theta2=np.exp(1j * rng.uniform(0, 2 * np.pi, n2)),
             u2=_cn(rng, 2, 2),
@@ -326,11 +329,11 @@ def test_emi_algebra_on_rank_deficient_sinc_correlation(kind):
             r2=r2,
             emi2_w=0.3,
         )
-        terms = build_cascades(h1, g1, u1, r1, emi1_w=0.7, emi_self_factor=4.0, **kwargs)
+        terms = build_cascades(h1, g1, r1, emi1_w=0.7, emi_self_factor=4.0, **kwargs)
         theta = np.exp(1j * rng.uniform(0, 2 * np.pi, n1))
         powers = PowerAllocation(rng.uniform(0.5, 2, 2), rng.uniform(0.5, 2, 2))
         sig, den = signal_and_interference(terms, theta, kind, powers, NOISE)
-        dsig, dden = _direct_den(terms, theta, kind, powers, kwargs, h1, g1, u1, r1)
+        dsig, dden = _direct_den(terms, theta, kind, powers, kwargs, h1, g1, r1)
         np.testing.assert_allclose(sig, dsig, rtol=1e-10)
         np.testing.assert_allclose(den, dden, rtol=1e-10)
 
@@ -346,3 +349,24 @@ def test_emi_algebra_on_rank_deficient_sinc_correlation(kind):
         np.testing.assert_allclose(
             analytic, numeric, atol=1e-6 * np.abs(numeric).max(), rtol=1e-5
         )
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_common_phase_leaves_utility_unchanged_and_rotates_gradient(kind):
+    # theta and exp(j phi) theta give the same effective Gram matrix and the
+    # same quadratic forms, so the utility cannot tell them apart and its
+    # gradient turns with theta
+    rng = np.random.default_rng(53)
+    for _ in range(10):
+        terms, theta, powers, _ = _instance(rng)
+        util = weighted_log_utility(terms, theta, kind, powers, NOISE)
+        egrad = euclid_grad(terms, theta, kind, powers, NOISE)
+        for phi in (0.4, 2.5, -1.7):
+            rot = np.exp(1j * phi)
+            assert weighted_log_utility(terms, rot * theta, kind, powers, NOISE) == pytest.approx(
+                util, rel=1e-12
+            )
+            np.testing.assert_allclose(
+                euclid_grad(terms, rot * theta, kind, powers, NOISE), rot * egrad,
+                rtol=1e-12, atol=1e-12 * np.abs(egrad).max(),
+            )
