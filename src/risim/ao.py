@@ -77,7 +77,9 @@ def build_trial_terms(
 class AoOptions:
     scenario: ScenarioKind = ScenarioKind.EIF  # objective targeted when aware
     awareness: str = "aware"  # "unaware" optimizes the interference-free objective
-    rcg: RcgOptions = RcgOptions(max_iters=200)
+    # A fixed budget: with a stop on the objective's change, a run's length
+    # follows its draw and a sweep's cost varies with the seed
+    rcg: RcgOptions = RcgOptions(epsilon=0.0, max_iters=200)
 
     def __post_init__(self):
         if self.awareness not in ("aware", "unaware"):

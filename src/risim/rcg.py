@@ -99,19 +99,22 @@ class RcgOptions:
     max_backtracks: int = 50
 
 
-def armijo_search(theta, direction, objective, f0, slope, opts: RcgOptions):
+def armijo_search(theta, direction, objective, f0, slope, opts: RcgOptions, guess=None):
     """Backtracking search for a step with sufficient objective increase.
 
     slope must be the positive tangent inner product Re<rgrad, d>. The first
-    candidate moves the most-moving element by opts.armijo_step along d, so
-    the search does not depend on the scale of the objective (the gradient of
-    a -20 dBm utility is 1e5 times smaller than at 30 dBm). Returns
+    candidate is guess, but never moves the most-moving element by more than
+    opts.armijo_step along d; without a guess it is that largest move, so the
+    search does not depend on the scale of the objective (the gradient of a
+    -20 dBm utility is 1e5 times smaller than at 30 dBm). Returns
     (step, theta_new, f_new); step 0.0 signals stagnation (no acceptable step
     within opts.max_backtracks candidates) and leaves theta unchanged.
     """
     if slope <= 0.0:
         raise ValueError("armijo_search requires an ascent direction (slope > 0)")
     step = opts.armijo_step / np.abs(direction).max()
+    if guess is not None:
+        step = min(step, guess)
     for _ in range(opts.max_backtracks):
         cand = retract(theta, step, direction)
         f_new = objective(cand)
@@ -178,7 +181,11 @@ def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = Rcg
             stagnated = True
             converged = True
             break
-        step, theta_new, f_new = armijo_search(theta, d, objective, f_curr, slope, opts)
+        # First trial step: the one that would repeat the last iteration's gain
+        # on a quadratic model (Nocedal & Wright, Numerical Optimization, 2006,
+        # eq. 3.60), so most iterations cost one objective call
+        guess = 2.0 * (trace[-1] - trace[-2]) / slope if len(trace) > 1 else None
+        step, theta_new, f_new = armijo_search(theta, d, objective, f_curr, slope, opts, guess)
         steps.append(step)
         if step == 0.0:
             stagnated = True

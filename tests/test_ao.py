@@ -143,12 +143,15 @@ def test_ao_objective_is_best_of_trace():
 
 
 def test_ao_terminates_within_outer_cap():
-    # either the RCG tolerance fires or the run reaches its iteration cap
-    case = _case(trial=2)
+    # the default AO has no tolerance stop, so its cost does not follow the
+    # draw: a run takes its full budget unless a step leaves the utility
+    # exactly unchanged (which counts as converged)
     opts = AoOptions()
-    res = alternate_optimize(case, opts)
-    assert res.rcg.iterations <= opts.rcg.max_iters
-    assert res.converged or res.rcg.iterations == opts.rcg.max_iters
+    for trial in range(3):
+        res = alternate_optimize(_case(trial=trial), opts)
+        trace = res.rcg.trace
+        assert res.rcg.iterations <= opts.rcg.max_iters
+        assert res.rcg.iterations == opts.rcg.max_iters or (res.converged and trace[-1] == trace[-2])
 
 
 def test_ao_respects_outer_cap():

@@ -167,6 +167,21 @@ def test_armijo_exhaustion_returns_zero_step():
     np.testing.assert_array_equal(same, theta)
 
 
+def test_armijo_starts_from_guess_and_caps_it():
+    # f(s) = s / sqrt(1 + s^2) along d = j from theta = 1: a guess below the
+    # largest move (1.0 here) is the first candidate, a larger one is capped
+    opts = RcgOptions(armijo_slope=1e-4)
+    theta = np.array([1.0 + 0j])
+
+    def objective(x):
+        return float(np.imag(x[0]))
+
+    step, _, _ = armijo_search(theta, np.array([1j]), objective, 0.0, 1.0, opts, guess=0.3)
+    assert step == pytest.approx(0.3)
+    step, _, _ = armijo_search(theta, np.array([1j]), objective, 0.0, 1.0, opts, guess=5.0)
+    assert step == pytest.approx(1.0)
+
+
 def test_armijo_rejects_nonpositive_slope():
     with pytest.raises(ValueError, match="ascent"):
         armijo_search(np.ones(1, complex), np.ones(1, complex), lambda x: 0.0, 0.0, 0.0, RcgOptions())
@@ -200,6 +215,24 @@ def test_rcg_trace_monotone_and_on_manifold():
         np.testing.assert_allclose(np.abs(res.theta), 1.0, atol=1e-12)
         assert res.iterations == len(res.steps)
         assert res.trace[-1] == pytest.approx(res.objective)
+
+
+def test_rcg_line_search_mostly_accepts_its_first_step():
+    # the first trial step repeats the last iteration's gain, so an iteration
+    # evaluates the objective less than twice on average (a fixed first step
+    # of one radian took about ten evaluations on these instances)
+    rng = np.random.default_rng(44)
+    for kind in ScenarioKind:
+        terms, powers = _instance(rng, num_elements=16)
+        objective, gradient = phase_objective(terms, kind, powers, NOISE)
+        calls = []
+
+        def counted(theta):
+            calls.append(1)
+            return objective(theta)
+
+        res = rcg_optimize(counted, gradient, np.ones(16, complex), RcgOptions(epsilon=0.0, max_iters=60))
+        assert len(calls) - 1 <= 2 * res.iterations
 
 
 def test_rcg_normalizes_and_validates_theta0():
