@@ -42,12 +42,7 @@ class TrialCase:
     cluster2: Cluster2State | None = None
 
 
-def build_trial_terms(
-    case: TrialCase,
-    include_neighbor: bool,
-    emi1_w: float | None = None,
-    emi2_w: float | None = None,
-) -> CascadeTerms:
+def build_trial_terms(case: TrialCase, include_neighbor: bool) -> CascadeTerms:
     """Cascade terms for the case's realization; cluster 1's ZF follows from theta."""
     real = case.real
     stats = case.stats
@@ -66,46 +61,20 @@ def build_trial_terms(
         real.h1,
         real.g1,
         stats.clusters[0].corr.matrix,
-        emi1_w=case.emi1_w if emi1_w is None else emi1_w,
+        emi1_w=case.emi1_w,
         emi_self_factor=case.emi_self_factor,
-        emi2_w=case.emi2_w if emi2_w is None else emi2_w,
+        emi2_w=case.emi2_w,
         **kwargs,
     )
 
 
-@dataclass(frozen=True)
-class AoOptions:
-    scenario: ScenarioKind = ScenarioKind.EIF  # objective targeted when aware
-    awareness: str = "aware"  # "unaware" optimizes the interference-free objective
-    # A fixed budget: with a stop on the objective's change, a run's length
-    # follows its draw and a sweep's cost varies with the seed
-    rcg: RcgOptions = RcgOptions(epsilon=0.0, max_iters=200)
-
-    def __post_init__(self):
-        if self.awareness not in ("aware", "unaware"):
-            raise ValueError("awareness must be 'aware' or 'unaware'")
+# A fixed budget: with a stop on the objective's change, a run's length
+# follows its draw and a sweep's cost varies with the seed
+AO_RCG = RcgOptions(epsilon=0.0, max_iters=200)
 
 
-@dataclass(frozen=True)
-class AoResult:
-    rcg: RcgResult  # the single phase-optimization run
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self.rcg.theta
-
-    @property
-    def objective(self) -> float:
-        """Optimizer's own utility (weighted natural-log rates) at theta with ZF."""
-        return self.rcg.objective
-
-    @property
-    def converged(self) -> bool:
-        return self.rcg.converged
-
-
-def alternate_optimize(case: TrialCase, opts: AoOptions = AoOptions()) -> AoResult:
-    """Jointly optimize cluster-1 phases and ZF precoding with one RCG run.
+def alternate_optimize(case: TrialCase, kind: ScenarioKind, opts: RcgOptions = AO_RCG) -> RcgResult:
+    """Jointly optimize cluster-1 phases and ZF precoding for kind's utility.
 
     The paper alternates a ZF precoder update with an RCG phase update. With
     unit-norm ZF columns the intra-cluster leakage vanishes, so every
@@ -113,15 +82,12 @@ def alternate_optimize(case: TrialCase, opts: AoOptions = AoOptions()) -> AoResu
     signal_and_interference: the alternation is block ascent on that one
     function. One RCG run from theta = 1 maximizes it directly, so there is no
     outer loop; the name is kept from the alternating scheme. The precoder is
-    ZF at the returned theta (see evaluate_pair).
+    ZF at the returned theta (see evaluate_pair). An interference-unaware
+    optimizer passes ScenarioKind.EIF.
     """
-    kind = ScenarioKind(opts.scenario)
-    kind_opt = kind if opts.awareness == "aware" else ScenarioKind.EIF
-    terms = build_trial_terms(case, include_neighbor=kind_opt.has_irr)
-    res = optimize_phases(
-        terms, kind_opt, case.powers, case.noise_power_w, case.weights1, opts=opts.rcg
-    )
-    return AoResult(rcg=res)
+    kind = ScenarioKind(kind)
+    terms = build_trial_terms(case, include_neighbor=kind.has_irr)
+    return optimize_phases(terms, kind, case.powers, case.noise_power_w, case.weights1, opts=opts)
 
 
 def evaluate_pair(case: TrialCase, kind: ScenarioKind, theta1: np.ndarray) -> SinrReport:
@@ -133,11 +99,6 @@ def evaluate_pair(case: TrialCase, kind: ScenarioKind, theta1: np.ndarray) -> Si
     zf_precoder(effective_channel(case.real.g1, theta1, case.real.h1))
     terms = build_trial_terms(case, include_neighbor=kind.has_irr)
     return scenario_sinr(terms, theta1, kind, case.powers, case.noise_power_w, case.weights1)
-
-
-def evaluate_fixed(case: TrialCase, kind: ScenarioKind) -> SinrReport:
-    """Zero-phase baseline: identity reflection plus ZF at those phases."""
-    return evaluate_pair(case, kind, np.ones(case.real.h1.shape[0], dtype=complex))
 
 
 def _mirror_realization(real: ChannelRealization) -> ChannelRealization:
@@ -166,15 +127,12 @@ def optimize_cluster2(
     powers2: np.ndarray,
     noise_power_w: float,
     weights2: np.ndarray,
-    opts: AoOptions | None = None,
-) -> tuple[Cluster2State, AoResult]:
+) -> tuple[Cluster2State, RcgResult]:
     """Interference-unaware AO for the neighbor cluster on its own links.
 
     The neighbor BS and RIS optimize as if alone, so the result is independent
     of every cluster-1 quantity and of the EMI levels.
     """
-    if opts is None:
-        opts = AoOptions(scenario=ScenarioKind.EIF, awareness="unaware")
     mirrored = TrialCase(
         real=_mirror_realization(real),
         stats=_mirror_statistics(stats),
@@ -182,5 +140,5 @@ def optimize_cluster2(
         noise_power_w=noise_power_w,
         weights1=np.asarray(weights2, dtype=float),
     )
-    res = alternate_optimize(mirrored, replace(opts, scenario=ScenarioKind.EIF, awareness="unaware"))
+    res = alternate_optimize(mirrored, ScenarioKind.EIF)
     return _cluster2_state(real, res.theta), res

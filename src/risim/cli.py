@@ -20,6 +20,7 @@ from .harness import (
     write_trace,
 )
 from .scenario import ConfigError, default_config, load_config
+from .sinr import outage_indicator
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -105,7 +106,7 @@ def _render_single(results, cfg, mode: Mode, trial: int) -> str:
     for case, report in results:
         with np.errstate(divide="ignore"):
             sinr_db = 10.0 * np.log10(report.sinr)
-        outage = (report.rates_bps_hz < threshold).astype(int)
+        outage = outage_indicator(report.rates_bps_hz, threshold)
         lines.append(
             f"{case.label}: sum_rate_bps_hz={_fmt(report.sum_rate_bps_hz)} "
             f"rates={_fmt_vec(report.rates_bps_hz)} sinr_db={_fmt_vec(sinr_db)} "

@@ -11,8 +11,6 @@ from time import perf_counter
 import numpy as np
 
 from .ao import (
-    AoOptions,
-    AoResult,
     Cluster2State,
     TrialCase,
     alternate_optimize,
@@ -22,6 +20,7 @@ from .ao import (
 )
 from .channels import build_statistics, draw_realization, dump_realization, trial_rng
 from .precoding import ZfDegenerateError
+from .rcg import RcgResult
 from .scenario import ConfigError, SystemConfig, dbm_to_watts, validate_config
 from .sinr import PowerAllocation, ScenarioKind, SinrReport
 
@@ -188,10 +187,9 @@ class TrialEvaluator:
             raise value
         return value
 
-    def _trace(self, case, mode, stage, result: AoResult):
+    def _trace(self, case, mode, stage, res: RcgResult):
         if self.trace is None:
             return
-        res = result.rcg
         objectives = res.trace[1:]
         for i in range(res.iterations):
             obj = objectives[i] if i < objectives.size else res.trace[-1]
@@ -244,15 +242,15 @@ class TrialEvaluator:
 
         if mode is Mode.UNAWARE or kind is ScenarioKind.EIF:
             stage = "cluster1_unaware"
-            opts = AoOptions(scenario=ScenarioKind.EIF, awareness="unaware")
+            kind_opt = ScenarioKind.EIF
             key = "ao_unaware"
         else:
             stage = f"cluster1_aware_{kind.value}"
-            opts = AoOptions(scenario=kind, awareness="aware")
+            kind_opt = kind
             key = ("ao_aware", kind.value, emi1_w, emi2_w)
 
         def compute():
-            result = alternate_optimize(tcase, opts)
+            result = alternate_optimize(tcase, kind_opt)
             self._trace(case, mode, stage, result)
             return result
 

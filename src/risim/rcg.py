@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ def euclid_grad(
     The utility is sum_k w_k ln(1 + p_k / (c_k den_k)) with c_k = [A]_kk,
     A = G^-1 and G = H(theta) H(theta)^H (see signal_and_interference). H
     depends on conj(theta) only, so dc_k/dtheta* = -[(conj(g1)^T A^T) o
-    (h1 H^H A)][:, k], and den_k contributes the neighbor cascades and M_k theta.
+    (h1 H^H A)][:, k], and dden_k/dtheta* = M_k theta (see interference).
     Every quotient reuses the exact terms of the SINR evaluation so the
     gradient and the objective always describe the same function.
     """
@@ -37,19 +38,15 @@ def euclid_grad(
     h_eff, g_inv = zf_gram_inverse(terms, theta)
     c = np.diagonal(g_inv).real
     sig = np.asarray(powers.cluster1, dtype=float) / c
-    den, ev, mv = interference(terms, theta, kind, powers, noise_power_w)
+    den, mv = interference(terms, theta, kind, powers, noise_power_w)
 
     dc = -(np.conj(terms.g1).T @ g_inv.T) * (terms.h1 @ (np.conj(h_eff).T @ g_inv))  # (L, K)
-    dden = np.zeros((terms.num_users, terms.num_elements), dtype=complex)
-    if ev is not None:
-        p2 = np.asarray(powers.cluster2, dtype=float)
-        dden = dden + np.einsum("kj,kjl->kl", p2[None, :] * np.conj(ev), terms.e)
-    if mv is not None:
-        dden = dden + mv
-
     w = np.ones(terms.num_users) if weights is None else np.asarray(weights, dtype=float)
     share = w * sig / (sig + den)  # w_k gamma_k / (1 + gamma_k)
-    return -2.0 * (dc @ (share / c) + (share / den) @ dden)
+    grad = dc @ (share / c)
+    if mv is not None:
+        grad = grad + (share / den) @ mv
+    return -2.0 * grad
 
 
 def project_tangent(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -143,7 +140,9 @@ def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = Rcg
 
     objective(theta) -> float and gradient(theta) -> complex ndarray (the
     Euclidean gradient). Directions restart to the projected gradient whenever
-    the conjugate combination stops being an ascent direction.
+    the conjugate combination stops being an ascent direction. A non-finite
+    objective (at the start point or a line-search candidate) or gradient
+    raises ValueError naming the iteration; iteration 0 is the start point.
     """
     theta = np.asarray(theta0, dtype=complex)
     mags = np.abs(theta)
@@ -151,7 +150,15 @@ def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = Rcg
         raise ValueError("theta0 entries must be nonzero")
     theta = theta / mags
 
-    f_curr = float(objective(theta))
+    iteration = 0
+
+    def checked(theta):
+        f = float(objective(theta))
+        if not math.isfinite(f):
+            raise ValueError(f"non-finite objective {f} at RCG iteration {iteration}")
+        return f
+
+    f_curr = checked(theta)
     trace = [f_curr]
     grad_norms: list[float] = []
     steps: list[float] = []
@@ -162,8 +169,10 @@ def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = Rcg
     max_dev = float(np.abs(np.abs(theta) - 1.0).max()) if theta.size else 0.0
     max_tan = 0.0
 
-    for _ in range(opts.max_iters):
+    for iteration in range(1, opts.max_iters + 1):
         egrad = gradient(theta)
+        if not np.isfinite(egrad).all():
+            raise ValueError(f"non-finite gradient at RCG iteration {iteration}")
         rg = project_tangent(egrad, theta)
         if d_prev is None:
             d = rg
@@ -185,7 +194,7 @@ def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = Rcg
         # on a quadratic model (Nocedal & Wright, Numerical Optimization, 2006,
         # eq. 3.60), so most iterations cost one objective call
         guess = 2.0 * (trace[-1] - trace[-2]) / slope if len(trace) > 1 else None
-        step, theta_new, f_new = armijo_search(theta, d, objective, f_curr, slope, opts, guess)
+        step, theta_new, f_new = armijo_search(theta, d, checked, f_curr, slope, opts, guess)
         steps.append(step)
         if step == 0.0:
             stagnated = True

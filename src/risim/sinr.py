@@ -42,13 +42,15 @@ class CascadeTerms:
     h1 and g1 give cluster 1's effective channel H(theta), whose row k is
     theta^H diag(g_k*) h1. Cluster 1 is zero-forced with unit-norm columns, so
     its precoder is a function of theta and is not stored (see
-    signal_and_interference). e[k, j] is the neighbor-RIS cascade of the
-    cluster-2 stream j. w21 = Theta2^H Z21 maps serving-RIS element signals to
-    the neighbor RIS, so EMI re-reflected by the neighbor has covariance
-    w21^H R2 w21 at the serving RIS. EMI terms are evaluated as matrix-vector
-    products with r1, r2 and w21 (see emi_products); no per-user covariance is
-    formed. EMI powers are the aggregate captured levels (element area times
-    EMI PSD integrated over the bandwidth) in watts.
+    signal_and_interference). Column j of s = Z21^H Theta2 H2 u2 is the
+    cluster-2 stream j as it leaves the neighbor RIS towards the serving RIS,
+    so user k receives it with amplitude v_k^H s_j, v_k = g_k o theta.
+    w21 = Theta2^H Z21 maps serving-RIS element signals to the neighbor RIS,
+    so EMI re-reflected by the neighbor has covariance w21^H R2 w21 at the
+    serving RIS. All interference terms are evaluated as matrix-vector
+    products on v_k (see interference); no per-user covariance is formed. EMI
+    powers are the aggregate captured levels (element area times EMI PSD
+    integrated over the bandwidth) in watts.
     """
 
     h1: np.ndarray  # (L1^2, T1)
@@ -57,7 +59,7 @@ class CascadeTerms:
     emi1_w: float = 0.0
     emi2_w: float = 0.0
     emi_self_factor: float = 4.0
-    e: np.ndarray | None = None  # (K1, K2, L1^2)
+    s: np.ndarray | None = None  # (L1^2, K2)
     w21: np.ndarray | None = None  # (L2^2, L1^2)
     r2: np.ndarray | None = None  # (L2^2, L2^2) neighbor-RIS correlation
 
@@ -103,12 +105,10 @@ def build_cascades(
     if any(x is None for x in neighbor) and any(x is not None for x in neighbor):
         raise ValueError("neighbor arguments must be provided together")
 
-    e = None
+    s = None
     w21 = None
     if theta2 is not None:
-        m = np.conj(theta2)[:, None] * (h2 @ u2)  # Theta2 H2 u, columns per stream
-        s = np.conj(z21).T @ m  # (L1^2, K2)
-        e = np.einsum("kl,lj->kjl", np.conj(g1), s)
+        s = np.conj(z21).T @ (np.conj(theta2)[:, None] * (h2 @ u2))
         w21 = theta2[:, None] * z21  # Theta2^H Z21
 
     return CascadeTerms(
@@ -118,7 +118,7 @@ def build_cascades(
         emi1_w=float(emi1_w),
         emi2_w=float(emi2_w),
         emi_self_factor=float(emi_self_factor),
-        e=e,
+        s=s,
         w21=w21,
         r2=r2,
     )
@@ -130,29 +130,6 @@ def _times_transpose(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(m):
         return v @ m.T
     return v.real @ m.T + 1j * (v.imag @ m.T)
-
-
-def emi_products(terms: CascadeTerms, theta: np.ndarray, kind: ScenarioKind) -> np.ndarray | None:
-    """M_k theta for every user as a (K1, L1^2) array, or None without EMI.
-
-    M_k is the EMI covariance seen through user k's channel,
-    diag(g_k*) C diag(g_k), with C = emi1_w R1 for EMI and
-    C = factor emi1_w R1 + emi2_w w21^H R2 w21 for EMI_IRR. With
-    v_k = g_k * theta the product is g_k* (C v_k), so theta^H M_k theta is the
-    EMI power at user k and M_k theta its gradient contribution.
-    """
-    if not kind.has_emi:
-        return None
-    v = terms.g1 * theta  # rows v_k
-    cv = terms.emi1_w * _times_transpose(v, terms.r1)  # rows emi1_w R1 v_k
-    if kind is ScenarioKind.EMI_IRR:
-        if terms.w21 is None:
-            raise ValueError("cascade terms were built without a neighbor RIS")
-        # rows w21^H R2 w21 v_k; x @ conj(w21) is taken as conj(conj(x) @ w21)
-        # so that no conjugated N x N copy of w21 is made per call
-        reflected = np.conj(np.conj(_times_transpose(v @ terms.w21.T, terms.r2)) @ terms.w21)
-        cv = terms.emi_self_factor * cv + terms.emi2_w * reflected
-    return np.conj(terms.g1) * cv
 
 
 def zf_gram_inverse(terms: CascadeTerms, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,28 +144,39 @@ def interference(
     kind: ScenarioKind,
     powers: PowerAllocation,
     noise_power_w: float,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Interference-plus-noise power per user, with the parts its gradient needs.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Interference-plus-noise power per user, with M_k theta for its gradient.
 
-    Returns (den, ev, mv): ev[k, j] = theta^H e[k, j] are the neighbor-stream
-    amplitudes (None without IRR) and mv the EMI products M_k theta (None
-    without EMI).
+    M_k = diag(g_k*) C diag(g_k) is the interference covariance C at the
+    serving RIS seen through user k's channel: C = sum_j p2_j s_j s_j^H with
+    IRR, plus emi1_w R1 with EMI, where EMI_IRR scales that by the self factor
+    and adds the re-reflected emi2_w w21^H R2 w21. With v_k = g_k o theta,
+    M_k theta = g_k* o (C v_k) and den_k = noise + theta^H M_k theta. Returns
+    (den, mv) with mv[k] = M_k theta, or (noise, None) for EIF.
     """
     den = np.full(terms.num_users, float(noise_power_w))
-    ev = None
+    if kind is ScenarioKind.EIF:
+        return den, None
+    v = terms.g1 * theta  # rows v_k
+    cv = 0.0
     if kind.has_irr:
-        if terms.e is None:
+        if terms.s is None:
             raise ValueError(f"{kind.value} needs cascade terms built with a neighbor RIS")
         if powers.cluster2 is None:
             raise ValueError(f"{kind.value} needs cluster-2 transmit powers")
         p2 = np.asarray(powers.cluster2, dtype=float)
-        ev = np.einsum("l,kjl->kj", np.conj(theta), terms.e)
-        den = den + (p2[None, :] * np.abs(ev) ** 2).sum(axis=1)
-
-    mv = emi_products(terms, theta, kind)
-    if mv is not None:
-        den = den + np.maximum((mv @ np.conj(theta)).real, 0.0)  # floored against roundoff
-    return den, ev, mv
+        cv = (p2 * np.conj(np.conj(v) @ terms.s)) @ terms.s.T  # rows sum_j p2_j s_j s_j^H v_k
+    if kind.has_emi:
+        emi = terms.emi1_w * _times_transpose(v, terms.r1)  # rows emi1_w R1 v_k
+        if kind is ScenarioKind.EMI_IRR:
+            # rows w21^H R2 w21 v_k; x @ conj(w21) is taken as conj(conj(x) @ w21)
+            # so that no conjugated N x N copy of w21 is made per call
+            reflected = np.conj(np.conj(_times_transpose(v @ terms.w21.T, terms.r2)) @ terms.w21)
+            emi = terms.emi_self_factor * emi + terms.emi2_w * reflected
+        cv = cv + emi
+    mv = np.conj(terms.g1) * cv
+    den = den + np.maximum((mv @ np.conj(theta)).real, 0.0)  # floored against roundoff
+    return den, mv
 
 
 def signal_and_interference(
@@ -206,7 +194,7 @@ def signal_and_interference(
     """
     _, g_inv = zf_gram_inverse(terms, theta)
     sig = np.asarray(powers.cluster1, dtype=float) / np.diagonal(g_inv).real
-    den, _, _ = interference(terms, theta, kind, powers, noise_power_w)
+    den, _ = interference(terms, theta, kind, powers, noise_power_w)
     return sig, den
 
 

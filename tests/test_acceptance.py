@@ -12,7 +12,6 @@ import numpy as np
 
 import risim
 from risim import (
-    AoOptions,
     PowerAllocation,
     RcgOptions,
     ScenarioKind,
@@ -174,7 +173,7 @@ def test_a3_reduction_identities():
             fields = dict(
                 h1=terms.h1, g1=terms.g1, r1=terms.r1, emi1_w=terms.emi1_w,
                 emi2_w=terms.emi2_w, emi_self_factor=terms.emi_self_factor,
-                e=terms.e, w21=terms.w21, r2=terms.r2,
+                s=terms.s, w21=terms.w21, r2=terms.r2,
             )
             fields.update(overrides)
             quiet = CascadeTerms(**fields)
@@ -184,13 +183,13 @@ def test_a3_reduction_identities():
         worst = max(worst, rel_gap(ScenarioKind.EMI, emi1_w=0.0))
         worst = max(
             worst,
-            rel_gap(ScenarioKind.IRR, e=np.zeros_like(terms.e),
+            rel_gap(ScenarioKind.IRR, s=np.zeros_like(terms.s),
                     w21=np.zeros_like(terms.w21)),
         )
         worst = max(
             worst,
             rel_gap(ScenarioKind.EMI_IRR, emi1_w=0.0, emi2_w=0.0,
-                    e=np.zeros_like(terms.e), w21=np.zeros_like(terms.w21)),
+                    s=np.zeros_like(terms.s), w21=np.zeros_like(terms.w21)),
         )
     _verdict(
         "A3 reduction identities",
@@ -323,16 +322,12 @@ def test_a7_interference_awareness_pays_off():
         base = TrialCase(
             real=real, stats=stats, powers=powers, noise_power_w=noise, weights1=w1
         )
-        unaware = alternate_optimize(
-            base, AoOptions(scenario=ScenarioKind.EIF, awareness="unaware")
-        )
+        unaware = alternate_optimize(base, ScenarioKind.EIF)
         for lv in levels:
             e = dbm_to_watts(lv)
             case = replace(base, emi1_w=e, emi2_w=e)
             plain = evaluate_pair(case, ScenarioKind.EMI, unaware.theta).sum_rate_bps_hz
-            aware = alternate_optimize(
-                case, AoOptions(scenario=ScenarioKind.EMI, awareness="aware")
-            )
+            aware = alternate_optimize(case, ScenarioKind.EMI)
             tuned = evaluate_pair(case, ScenarioKind.EMI, aware.theta).sum_rate_bps_hz
             diffs[lv].append(tuned - plain)
     gaps = {lv: float(np.mean(diffs[lv])) for lv in levels}
@@ -343,7 +338,7 @@ def test_a7_interference_awareness_pays_off():
     seq = [gaps[lv] for lv in levels]
     monotone = all(a <= b + 1e-12 for a, b in zip(seq, seq[1:]))
     _verdict(
-        "A7 interference awareness",
+        "A7 interference-aware gain",
         confident and monotone,
         (
             f"gap at -60 dBm {gap60:.4f} (2SE {2 * se60:.4f}), "

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from risim import (
-    AoOptions,
-    AoResult,
     PowerAllocation,
     RcgOptions,
+    RcgResult,
     ScenarioKind,
     TrialCase,
     alternate_optimize,
@@ -18,12 +17,12 @@ from risim import (
     dbm_to_watts,
     default_config,
     draw_realization,
-    evaluate_fixed,
     evaluate_pair,
     fixed_cluster2,
     optimize_cluster2,
     weighted_log_utility,
 )
+from risim.ao import AO_RCG
 
 
 def _small_cfg(side=5):
@@ -65,30 +64,15 @@ def _case(trial=0, side=5, emi_dbm=None, with_cluster2=False, optimize_c2=False)
     )
 
 
-def test_ao_options_validate_awareness():
-    AoOptions(awareness="aware")
-    AoOptions(awareness="unaware")
-    with pytest.raises(ValueError, match="awareness"):
-        AoOptions(awareness="oblivious")
-
-
 def test_build_trial_terms_neighbor_handling():
     case = _case(with_cluster2=True)
     terms = build_trial_terms(case, include_neighbor=True)
-    assert terms.e is not None and terms.w21 is not None and terms.r2 is not None
+    assert terms.s is not None and terms.w21 is not None and terms.r2 is not None
     bare = build_trial_terms(case, include_neighbor=False)
-    assert bare.e is None and bare.w21 is None and bare.r2 is None
+    assert bare.s is None and bare.w21 is None and bare.r2 is None
     no_c2 = replace(case, cluster2=None)
     with pytest.raises(ValueError, match="cluster-2 state"):
         build_trial_terms(no_c2, include_neighbor=True)
-
-
-def test_build_trial_terms_level_overrides():
-    case = _case(emi_dbm=-65.0, with_cluster2=True)
-    terms = build_trial_terms(case, include_neighbor=True)
-    assert terms.emi1_w == pytest.approx(dbm_to_watts(-65.0))
-    override = build_trial_terms(case, include_neighbor=True, emi1_w=0.0, emi2_w=0.0)
-    assert override.emi1_w == 0.0 and override.emi2_w == 0.0
 
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))
@@ -97,9 +81,8 @@ def test_ao_beats_fixed_phases_per_realization(kind):
     # utility, so the result can never fall below the baseline
     for trial in range(3):
         case = _case(trial=trial, emi_dbm=-65.0, with_cluster2=True)
-        opts = AoOptions(scenario=kind, awareness="aware")
-        res = alternate_optimize(case, opts)
-        fixed = evaluate_fixed(case, kind)
+        res = alternate_optimize(case, kind)
+        fixed = evaluate_pair(case, kind, np.ones(case.real.h1.shape[0], dtype=complex))
         tuned = evaluate_pair(case, kind, res.theta)
         assert tuned.sum_rate_bps_hz >= fixed.sum_rate_bps_hz - 1e-9
 
@@ -108,8 +91,8 @@ def test_ao_huge_epsilon_stops_after_one_iteration():
     # the optimizer is a single RCG run, so its tolerance is the only stop
     # besides the iteration cap
     case = _case()
-    res = alternate_optimize(case, AoOptions(rcg=RcgOptions(epsilon=1e9)))
-    assert res.rcg.iterations == 1
+    res = alternate_optimize(case, ScenarioKind.EIF, RcgOptions(epsilon=1e9))
+    assert res.iterations == 1
     assert res.converged
 
 
@@ -120,9 +103,9 @@ def test_ao_low_power_runs_past_first_iteration():
     for trial in range(3):
         case = _case(trial=trial)
         case = replace(case, powers=PowerAllocation(case.powers.cluster1 * 1e-5))
-        res = alternate_optimize(case, AoOptions())
-        assert res.rcg.trace[1] - res.rcg.trace[0] <= 1e-4
-        assert res.rcg.iterations >= 2
+        res = alternate_optimize(case, ScenarioKind.EIF)
+        assert res.trace[1] - res.trace[0] <= 1e-4
+        assert res.iterations >= 2
 
 
 def test_ao_objective_is_best_of_trace():
@@ -130,8 +113,8 @@ def test_ao_objective_is_best_of_trace():
     # and it is the utility of the returned phases with ZF at those phases
     case = _case(trial=1, emi_dbm=-60.0, with_cluster2=True)
     kind = ScenarioKind.EMI_IRR
-    res = alternate_optimize(case, AoOptions(scenario=kind))
-    assert res.objective == res.rcg.trace.max() == res.rcg.trace[-1]
+    res = alternate_optimize(case, kind)
+    assert res.objective == res.trace.max() == res.trace[-1]
     terms = build_trial_terms(case, include_neighbor=True)
     util = weighted_log_utility(
         terms, res.theta, kind, case.powers, case.noise_power_w, case.weights1
@@ -146,19 +129,17 @@ def test_ao_terminates_within_outer_cap():
     # the default AO has no tolerance stop, so its cost does not follow the
     # draw: a run takes its full budget unless a step leaves the utility
     # exactly unchanged (which counts as converged)
-    opts = AoOptions()
     for trial in range(3):
-        res = alternate_optimize(_case(trial=trial), opts)
-        trace = res.rcg.trace
-        assert res.rcg.iterations <= opts.rcg.max_iters
-        assert res.rcg.iterations == opts.rcg.max_iters or (res.converged and trace[-1] == trace[-2])
+        res = alternate_optimize(_case(trial=trial), ScenarioKind.EIF)
+        trace = res.trace
+        assert res.iterations <= AO_RCG.max_iters
+        assert res.iterations == AO_RCG.max_iters or (res.converged and trace[-1] == trace[-2])
 
 
 def test_ao_respects_outer_cap():
     case = _case(trial=3)
-    opts = AoOptions(rcg=RcgOptions(epsilon=0.0, max_iters=5))
-    res = alternate_optimize(case, opts)
-    assert res.rcg.iterations == 5
+    res = alternate_optimize(case, ScenarioKind.EIF, RcgOptions(epsilon=0.0, max_iters=5))
+    assert res.iterations == 5
     assert not res.converged
 
 
@@ -167,29 +148,29 @@ def test_unaware_ao_ignores_interference_levels():
     # phases cannot depend on the EMI level attached to the case
     quiet = _case(trial=4, emi_dbm=-75.0, with_cluster2=True)
     loud = replace(quiet, emi1_w=dbm_to_watts(-60.0), emi2_w=dbm_to_watts(-60.0))
-    opts = AoOptions(scenario=ScenarioKind.EMI, awareness="unaware")
-    res_quiet = alternate_optimize(quiet, opts)
-    res_loud = alternate_optimize(loud, opts)
+    res_quiet = alternate_optimize(quiet, ScenarioKind.EIF)
+    res_loud = alternate_optimize(loud, ScenarioKind.EIF)
     np.testing.assert_allclose(res_quiet.theta, res_loud.theta, rtol=1e-12)
 
 
 def test_aware_ao_helps_under_strong_emi_on_average():
-    # the awareness payoff needs enough elements for the EMI quadratic to
+    # the payoff of an EMI-aware objective needs enough elements for the EMI quadratic to
     # matter; around a hundred it wins on almost every draw
     aware_rates, unaware_rates = [], []
     for trial in range(8):
         case = _case(trial=trial, side=10, emi_dbm=-60.0)
-        aw = alternate_optimize(case, AoOptions(scenario=ScenarioKind.EMI, awareness="aware"))
-        un = alternate_optimize(case, AoOptions(scenario=ScenarioKind.EMI, awareness="unaware"))
+        aw = alternate_optimize(case, ScenarioKind.EMI)
+        un = alternate_optimize(case, ScenarioKind.EIF)
         aware_rates.append(evaluate_pair(case, ScenarioKind.EMI, aw.theta).sum_rate_bps_hz)
         unaware_rates.append(evaluate_pair(case, ScenarioKind.EMI, un.theta).sum_rate_bps_hz)
     assert np.mean(aware_rates) >= np.mean(unaware_rates)
 
 
-def test_evaluate_fixed_deterministic():
+def test_evaluate_pair_at_unit_phases_deterministic():
     case = _case(trial=5, emi_dbm=-65.0, with_cluster2=True)
-    a = evaluate_fixed(case, ScenarioKind.EMI_IRR)
-    b = evaluate_fixed(case, ScenarioKind.EMI_IRR)
+    ones = np.ones(case.real.h1.shape[0], dtype=complex)
+    a = evaluate_pair(case, ScenarioKind.EMI_IRR, ones)
+    b = evaluate_pair(case, ScenarioKind.EMI_IRR, ones)
     np.testing.assert_array_equal(a.sinr, b.sinr)
     assert a.sum_rate_bps_hz == b.sum_rate_bps_hz
 
@@ -210,7 +191,7 @@ def test_optimize_cluster2_independent_of_cluster1():
     powers2 = make_powers(cfg).cluster2
     args = (stats, powers2, cfg.noise_power_w, cfg.clusters[1].weights())
     state, res = optimize_cluster2(real, *args)
-    assert isinstance(res, AoResult)
+    assert isinstance(res, RcgResult)
     rng = np.random.default_rng(0)
     tampered = replace(
         real,

@@ -246,6 +246,36 @@ def test_rcg_normalizes_and_validates_theta0():
         rcg_optimize(objective, gradient, np.array([1.0, 0.0], dtype=complex))
 
 
+def test_rcg_raises_on_non_finite_values():
+    # a NaN must end the run with an error naming its iteration, not a silent
+    # stall of the line search or a NaN objective
+    rng = np.random.default_rng(46)
+    terms, powers = _instance(rng)
+    objective, gradient = phase_objective(terms, ScenarioKind.EIF, powers, NOISE)
+    theta0 = np.ones(terms.num_elements, complex)
+    with pytest.raises(ValueError, match="objective nan at RCG iteration 0"):
+        rcg_optimize(lambda theta: np.nan, gradient, theta0)
+
+    calls = []
+
+    def nan_candidates(theta):
+        calls.append(1)
+        return objective(theta) if len(calls) == 1 else np.nan
+
+    with pytest.raises(ValueError, match="objective nan at RCG iteration 1"):
+        rcg_optimize(nan_candidates, gradient, theta0)
+    assert len(calls) == 2  # the first candidate raises; nothing is backtracked
+
+    grads = []
+
+    def inf_third_gradient(theta):
+        grads.append(1)
+        return gradient(theta) if len(grads) < 3 else np.full(theta.shape, np.inf + 0j)
+
+    with pytest.raises(ValueError, match="gradient at RCG iteration 3"):
+        rcg_optimize(objective, inf_third_gradient, theta0, RcgOptions(epsilon=0.0))
+
+
 def test_rcg_respects_iteration_cap():
     rng = np.random.default_rng(47)
     terms, powers = _instance(rng, num_elements=8)

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risim import (
     CascadeTerms,
@@ -83,7 +85,7 @@ def _direct_den(terms, theta, kind, powers, kwargs, h1, g1, r1):
         if kind.has_irr:
             phase2 = np.diag(np.conj(kwargs["theta2"]))
             p2 = np.asarray(powers.cluster2, float)
-            for j in range(num_users):
+            for j in range(p2.size):
                 leak = (
                     np.conj(g1[k])
                     @ phase1
@@ -139,7 +141,7 @@ def test_reduction_identities():
 
         no_emi = CascadeTerms(
             h1=terms.h1, g1=terms.g1, r1=terms.r1, emi1_w=0.0, emi2_w=0.0,
-            emi_self_factor=terms.emi_self_factor, e=terms.e, w21=terms.w21, r2=terms.r2,
+            emi_self_factor=terms.emi_self_factor, s=terms.s, w21=terms.w21, r2=terms.r2,
         )
         np.testing.assert_allclose(
             scenario_sinr(no_emi, kind=ScenarioKind.EMI, **base).sinr, eif.sinr, rtol=1e-12
@@ -148,7 +150,7 @@ def test_reduction_identities():
         no_irr = CascadeTerms(
             h1=terms.h1, g1=terms.g1, r1=terms.r1, emi1_w=terms.emi1_w, emi2_w=0.0,
             emi_self_factor=terms.emi_self_factor,
-            e=np.zeros_like(terms.e), w21=np.zeros_like(terms.w21), r2=terms.r2,
+            s=np.zeros_like(terms.s), w21=np.zeros_like(terms.w21), r2=terms.r2,
         )
         np.testing.assert_allclose(
             scenario_sinr(no_irr, kind=ScenarioKind.IRR, **base).sinr, eif.sinr, rtol=1e-12
@@ -157,7 +159,7 @@ def test_reduction_identities():
         neither = CascadeTerms(
             h1=terms.h1, g1=terms.g1, r1=terms.r1, emi1_w=0.0, emi2_w=0.0,
             emi_self_factor=terms.emi_self_factor,
-            e=np.zeros_like(terms.e), w21=np.zeros_like(terms.w21), r2=terms.r2,
+            s=np.zeros_like(terms.s), w21=np.zeros_like(terms.w21), r2=terms.r2,
         )
         np.testing.assert_allclose(
             scenario_sinr(neither, kind=ScenarioKind.EMI_IRR, **base).sinr, eif.sinr, rtol=1e-12
@@ -183,7 +185,7 @@ def test_self_factor_scales_emi_in_combined_scenario():
     # the combined denominator is the serving-RIS EMI scaled by the self factor
     for factor in (4.0, 1.0):
         terms, theta, powers, _ = _instance(np.random.default_rng(3), factor=factor, emi2_w=0.0)
-        terms = replace(terms, e=np.zeros_like(terms.e))
+        terms = replace(terms, s=np.zeros_like(terms.s))
         den = {
             kind: signal_and_interference(terms, theta, kind, powers, NOISE)[1]
             for kind in ScenarioKind
@@ -370,3 +372,55 @@ def test_common_phase_leaves_utility_unchanged_and_rotates_gradient(kind):
                 euclid_grad(terms, rot * theta, kind, powers, NOISE), rot * egrad,
                 rtol=1e-12, atol=1e-12 * np.abs(egrad).max(),
             )
+
+
+@st.composite
+def _unequal_clusters(draw):
+    """Cluster sizes with K1 <= T1, K2 <= T2 and N1 >= K1; the axes may differ."""
+    t1, t2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    k1, k2 = draw(st.integers(1, t1)), draw(st.integers(1, t2))
+    n1, n2 = draw(st.integers(k1, 9)), draw(st.integers(1, 7))
+    return t1, t2, k1, k2, n1, n2, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(_unequal_clusters())
+def test_unequal_cluster_sizes_match_direct_evaluation(sizes):
+    # K1, K2, N1 and N2 all differ in general, so a mix-up between the user
+    # axes of the two clusters (or the element axes of the two surfaces)
+    # cannot cancel out the way it could with K1 = K2
+    t1, t2, k1, k2, n1, n2, seed = sizes
+    rng = np.random.default_rng(seed)
+    h1, g1, r1 = _cn(rng, n1, t1), _cn(rng, k1, n1), _unit_diag_psd(rng, n1)
+    kwargs = dict(
+        theta2=np.exp(1j * rng.uniform(0, 2 * np.pi, n2)),
+        u2=_cn(rng, t2, k2),
+        h2=_cn(rng, n2, t2),
+        z21=_cn(rng, n2, n1),
+        r2=_unit_diag_psd(rng, n2),
+        emi2_w=0.3,
+    )
+    terms = build_cascades(h1, g1, r1, emi1_w=0.7, emi_self_factor=4.0, **kwargs)
+    theta = np.exp(1j * rng.uniform(0, 2 * np.pi, n1))
+    powers = PowerAllocation(rng.uniform(0.5, 2, k1), rng.uniform(0.5, 2, k2))
+    for kind in ScenarioKind:
+        sig, den = signal_and_interference(terms, theta, kind, powers, NOISE)
+        dsig, dden = _direct_den(terms, theta, kind, powers, kwargs, h1, g1, r1)
+        np.testing.assert_allclose(sig, dsig, rtol=1e-10)
+        np.testing.assert_allclose(den, dden, rtol=1e-10)
+
+        objective, _ = phase_objective(terms, kind, powers, NOISE)
+        egrad = euclid_grad(terms, theta, kind, powers, NOISE)
+        analytic = np.real(np.conj(egrad) * 1j * theta)
+        h = 1e-6
+        numeric = np.array([
+            (objective(theta * np.exp(1j * h * unit)) - objective(theta * np.exp(-1j * h * unit)))
+            / (2 * h)
+            for unit in np.eye(n1)
+        ])
+        # the floor covers the roundoff of the differences (about 1e-10 |f|)
+        # where the gradient vanishes, as it does with one element
+        floor = 1e-8 * abs(objective(theta))
+        np.testing.assert_allclose(
+            analytic, numeric, atol=1e-6 * np.abs(numeric).max() + floor, rtol=1e-5
+        )
