@@ -83,7 +83,6 @@ from .sinr import (
     outage_indicator,
     scenario_sinr,
     signal_and_interference,
-    sum_rate,
     weighted_log_utility,
 )
 

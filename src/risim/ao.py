@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import ChannelRealization, ChannelStatistics
-from .precoding import effective_channel, zf_precoder
+from .precoding import check_zf_gram, effective_channel, zf_precoder
 from .rcg import RcgOptions, RcgResult, optimize_phases
 from .sinr import (
     CascadeTerms,
@@ -15,6 +15,7 @@ from .sinr import (
     ScenarioKind,
     SinrReport,
     build_cascades,
+    emi_irr_covariance,
     scenario_sinr,
 )
 
@@ -87,6 +88,10 @@ def alternate_optimize(case: TrialCase, kind: ScenarioKind, opts: RcgOptions = A
     """
     kind = ScenarioKind(kind)
     terms = build_trial_terms(case, include_neighbor=kind.has_irr)
+    if kind is ScenarioKind.EMI_IRR:
+        # the run applies this C hundreds of times: one N^3 build makes each
+        # application one product instead of four (see interference)
+        terms = replace(terms, cov=emi_irr_covariance(terms, case.powers))
     return optimize_phases(terms, kind, case.powers, case.noise_power_w, case.weights1, opts=opts)
 
 
@@ -96,7 +101,8 @@ def evaluate_pair(case: TrialCase, kind: ScenarioKind, theta1: np.ndarray) -> Si
     Raises ZfDegenerateError when ZF is ill conditioned at theta1.
     """
     kind = ScenarioKind(kind)
-    zf_precoder(effective_channel(case.real.g1, theta1, case.real.h1))
+    h_eff = effective_channel(case.real.g1, theta1, case.real.h1)
+    check_zf_gram(h_eff @ np.conj(h_eff).T)
     terms = build_trial_terms(case, include_neighbor=kind.has_irr)
     return scenario_sinr(terms, theta1, kind, case.powers, case.noise_power_w, case.weights1)
 

@@ -27,10 +27,18 @@ def effective_channel(g: np.ndarray, theta: np.ndarray, h: np.ndarray) -> np.nda
 
 @dataclass(frozen=True)
 class PrecoderSet:
-    """Unit-norm precoder columns and the effective channel they were built for."""
+    """Unit-norm precoder columns."""
 
     u: np.ndarray  # (T, K)
-    h_eff: np.ndarray  # (K, T)
+
+
+def check_zf_gram(gram: np.ndarray, cond_limit: float = COND_LIMIT) -> None:
+    """Raise ZfDegenerateError when the Gram matrix H H^H is too ill conditioned for ZF."""
+    cond = np.linalg.cond(gram)
+    if not np.isfinite(cond) or cond > cond_limit:
+        raise ZfDegenerateError(
+            f"ZF degenerate realization: Gram condition number {cond:.3e}"
+        )
 
 
 def zf_precoder(h_eff: np.ndarray, cond_limit: float = COND_LIMIT) -> PrecoderSet:
@@ -46,13 +54,9 @@ def zf_precoder(h_eff: np.ndarray, cond_limit: float = COND_LIMIT) -> PrecoderSe
     if num_users > num_antennas:
         raise ValueError("ZF infeasible: more users than antennas")
     gram = h_eff @ np.conj(h_eff).T
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise ZfDegenerateError(
-            f"ZF degenerate realization: Gram condition number {cond:.3e}"
-        )
+    check_zf_gram(gram, cond_limit)
     raw = np.conj(h_eff).T @ np.linalg.inv(gram)
     norms = np.linalg.norm(raw, axis=0)
     if np.any(norms == 0.0):
         raise ZfDegenerateError("ZF degenerate realization: zero precoder column")
-    return PrecoderSet(u=raw / norms[None, :], h_eff=h_eff)
+    return PrecoderSet(u=raw / norms[None, :])

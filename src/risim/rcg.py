@@ -9,11 +9,11 @@ import numpy as np
 
 from .sinr import (
     CascadeTerms,
+    PhasePoint,
     PowerAllocation,
     ScenarioKind,
-    interference,
+    phase_point,
     weighted_log_utility,
-    zf_gram_inverse,
 )
 
 
@@ -24,23 +24,25 @@ def euclid_grad(
     powers: PowerAllocation,
     noise_power_w: float,
     weights=None,
+    point: PhasePoint | None = None,
 ) -> np.ndarray:
     """Euclidean gradient of the weighted log-rate utility, as 2 * df/dtheta*.
 
     The utility is sum_k w_k ln(1 + p_k / (c_k den_k)) with c_k = [A]_kk,
-    A = G^-1 and G = H(theta) H(theta)^H (see signal_and_interference). H
-    depends on conj(theta) only, so dc_k/dtheta* = -[(conj(g1)^T A^T) o
-    (h1 H^H A)][:, k], and dden_k/dtheta* = M_k theta (see interference).
-    Every quotient reuses the exact terms of the SINR evaluation so the
-    gradient and the objective always describe the same function.
+    A = G^-1 and G = H(theta) H(theta)^H (see PhasePoint). H depends on
+    conj(theta) only, so dc_k/dtheta* = -[(conj(g1)^T A^T) o (h1 H^H A)][:, k],
+    and dden_k/dtheta* = M_k theta (see interference). Every quotient reuses
+    the exact terms of the SINR evaluation, point, so the gradient and the
+    objective always describe the same function; point must be phase_point at
+    this theta, and is computed when not given.
     """
     kind = ScenarioKind(kind)
-    h_eff, g_inv = zf_gram_inverse(terms, theta)
+    if point is None:
+        point = phase_point(terms, theta, kind, powers, noise_power_w)
+    g_inv, sig, den, mv = point.g_inv, point.sig, point.den, point.mv
     c = np.diagonal(g_inv).real
-    sig = np.asarray(powers.cluster1, dtype=float) / c
-    den, mv = interference(terms, theta, kind, powers, noise_power_w)
 
-    dc = -(np.conj(terms.g1).T @ g_inv.T) * (terms.h1 @ (np.conj(h_eff).T @ g_inv))  # (L, K)
+    dc = -(np.conj(terms.g1).T @ g_inv.T) * (terms.h1 @ (np.conj(point.h_eff).T @ g_inv))  # (L, K)
     w = np.ones(terms.num_users) if weights is None else np.asarray(weights, dtype=float)
     share = w * sig / (sig + den)  # w_k gamma_k / (1 + gamma_k)
     grad = dc @ (share / c)
@@ -225,14 +227,23 @@ def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = Rcg
 
 
 def phase_objective(terms, kind, powers, noise_power_w, weights=None):
-    """Objective and gradient callables over theta for one scenario."""
+    """Objective and gradient callables over theta for one scenario.
+
+    The gradient reuses the PhasePoint of the objective's last call when theta
+    equals that call's: rcg_optimize asks for it at the start point and at the
+    accepted line-search candidate, both just evaluated, so an iteration forms
+    the ZF Gram inverse and the interference product once. At any other theta
+    the gradient evaluates afresh.
+    """
     kind = ScenarioKind(kind)
+    last: list[PhasePoint] = []
 
     def objective(theta):
-        return weighted_log_utility(terms, theta, kind, powers, noise_power_w, weights)
+        return weighted_log_utility(terms, theta, kind, powers, noise_power_w, weights, keep=last)
 
     def gradient(theta):
-        return euclid_grad(terms, theta, kind, powers, noise_power_w, weights)
+        point = last[0] if last and np.array_equal(last[0].theta, theta) else None
+        return euclid_grad(terms, theta, kind, powers, noise_power_w, weights, point=point)
 
     return objective, gradient
 

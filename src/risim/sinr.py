@@ -48,7 +48,8 @@ class CascadeTerms:
     w21 = Theta2^H Z21 maps serving-RIS element signals to the neighbor RIS,
     so EMI re-reflected by the neighbor has covariance w21^H R2 w21 at the
     serving RIS. All interference terms are evaluated as matrix-vector
-    products on v_k (see interference); no per-user covariance is formed. EMI
+    products on v_k (see interference); no per-user covariance is formed,
+    except that an optimizer may set cov to the dense EMI_IRR covariance. EMI
     powers are the aggregate captured levels (element area times EMI PSD
     integrated over the bandwidth) in watts.
     """
@@ -62,6 +63,7 @@ class CascadeTerms:
     s: np.ndarray | None = None  # (L1^2, K2)
     w21: np.ndarray | None = None  # (L2^2, L1^2)
     r2: np.ndarray | None = None  # (L2^2, L2^2) neighbor-RIS correlation
+    cov: np.ndarray | None = None  # (L1^2, L1^2) prebuilt EMI_IRR C, see emi_irr_covariance
 
     @property
     def num_users(self) -> int:
@@ -132,10 +134,48 @@ def _times_transpose(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     return v.real @ m.T + 1j * (v.imag @ m.T)
 
 
-def zf_gram_inverse(terms: CascadeTerms, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster 1's effective channel H(theta) (K1, T1) and the inverse of H H^H."""
-    h_eff = effective_channel(terms.g1, theta, terms.h1)
-    return h_eff, np.linalg.inv(h_eff @ np.conj(h_eff).T)
+def _cluster2_powers(terms: CascadeTerms, kind: ScenarioKind, powers: PowerAllocation):
+    if terms.s is None:
+        raise ValueError(f"{kind.value} needs cascade terms built with a neighbor RIS")
+    if powers.cluster2 is None:
+        raise ValueError(f"{kind.value} needs cluster-2 transmit powers")
+    return np.asarray(powers.cluster2, dtype=float)
+
+
+def _covariance_times(
+    terms: CascadeTerms, v: np.ndarray, kind: ScenarioKind, powers: PowerAllocation
+) -> np.ndarray:
+    """Rows C v_k of kind's interference covariance C, from its factors."""
+    cv = 0.0
+    if kind.has_irr:
+        p2 = _cluster2_powers(terms, kind, powers)
+        cv = (p2 * np.conj(np.conj(v) @ terms.s)) @ terms.s.T  # rows sum_j p2_j s_j s_j^H v_k
+    if kind.has_emi:
+        emi = terms.emi1_w * _times_transpose(v, terms.r1)  # rows emi1_w R1 v_k
+        if kind is ScenarioKind.EMI_IRR:
+            # rows w21^H R2 w21 v_k; x @ conj(w21) is taken as conj(conj(x) @ w21)
+            # so that no conjugated N x N copy of w21 is made per call
+            reflected = np.conj(np.conj(_times_transpose(v @ terms.w21.T, terms.r2)) @ terms.w21)
+            emi = terms.emi_self_factor * emi + terms.emi2_w * reflected
+        cv = cv + emi
+    return cv
+
+
+def emi_irr_covariance(terms: CascadeTerms, powers: PowerAllocation) -> np.ndarray:
+    """The EMI_IRR covariance C (see interference) as one dense matrix.
+
+    From its factors C v_k costs four N x N products (R1, w21 twice, R2); an
+    optimizer that applies the same C hundreds of times builds it once here,
+    an N^3 product, and sets it as CascadeTerms.cov for the same powers.
+    """
+    p2 = _cluster2_powers(terms, ScenarioKind.EMI_IRR, powers)
+    w21 = terms.w21
+    r2_w21 = _times_transpose(w21.T, terms.r2).T
+    return (
+        (terms.emi_self_factor * terms.emi1_w) * terms.r1
+        + terms.emi2_w * (np.conj(w21).T @ r2_w21)
+        + (terms.s * p2) @ np.conj(terms.s).T
+    )
 
 
 def interference(
@@ -152,31 +192,54 @@ def interference(
     IRR, plus emi1_w R1 with EMI, where EMI_IRR scales that by the self factor
     and adds the re-reflected emi2_w w21^H R2 w21. With v_k = g_k o theta,
     M_k theta = g_k* o (C v_k) and den_k = noise + theta^H M_k theta. Returns
-    (den, mv) with mv[k] = M_k theta, or (noise, None) for EIF.
+    (den, mv) with mv[k] = M_k theta, or (noise, None) for EIF. C v_k is one
+    product with terms.cov when it is set and kind is EMI_IRR, and is formed
+    from the factors otherwise.
     """
     den = np.full(terms.num_users, float(noise_power_w))
     if kind is ScenarioKind.EIF:
         return den, None
     v = terms.g1 * theta  # rows v_k
-    cv = 0.0
-    if kind.has_irr:
-        if terms.s is None:
-            raise ValueError(f"{kind.value} needs cascade terms built with a neighbor RIS")
-        if powers.cluster2 is None:
-            raise ValueError(f"{kind.value} needs cluster-2 transmit powers")
-        p2 = np.asarray(powers.cluster2, dtype=float)
-        cv = (p2 * np.conj(np.conj(v) @ terms.s)) @ terms.s.T  # rows sum_j p2_j s_j s_j^H v_k
-    if kind.has_emi:
-        emi = terms.emi1_w * _times_transpose(v, terms.r1)  # rows emi1_w R1 v_k
-        if kind is ScenarioKind.EMI_IRR:
-            # rows w21^H R2 w21 v_k; x @ conj(w21) is taken as conj(conj(x) @ w21)
-            # so that no conjugated N x N copy of w21 is made per call
-            reflected = np.conj(np.conj(_times_transpose(v @ terms.w21.T, terms.r2)) @ terms.w21)
-            emi = terms.emi_self_factor * emi + terms.emi2_w * reflected
-        cv = cv + emi
+    if kind is ScenarioKind.EMI_IRR and terms.cov is not None:
+        cv = v @ terms.cov.T
+    else:
+        cv = _covariance_times(terms, v, kind, powers)
     mv = np.conj(terms.g1) * cv
     den = den + np.maximum((mv @ np.conj(theta)).real, 0.0)  # floored against roundoff
     return den, mv
+
+
+@dataclass(frozen=True)
+class PhasePoint:
+    """What the utility and its gradient share at one theta.
+
+    Cluster 1 is zero-forced at theta with unit-norm columns, so intra-cluster
+    leakage vanishes and user k receives amplitude 1 / sqrt([G^-1]_kk) with
+    G = H(theta) H(theta)^H: sig_k = p_k / [G^-1]_kk. den and mv are
+    interference's.
+    """
+
+    theta: np.ndarray  # a copy, so that a caller's later in-place change cannot alias it
+    h_eff: np.ndarray  # (K1, T1) effective channel H(theta)
+    g_inv: np.ndarray  # (K1, K1) G^-1
+    sig: np.ndarray  # (K1,) received signal power
+    den: np.ndarray  # (K1,) interference-plus-noise power
+    mv: np.ndarray | None  # (K1, L1^2) M_k theta; None for EIF
+
+
+def phase_point(
+    terms: CascadeTerms,
+    theta: np.ndarray,
+    kind: ScenarioKind,
+    powers: PowerAllocation,
+    noise_power_w: float,
+) -> PhasePoint:
+    """Evaluate the ZF and interference terms of kind's utility at theta."""
+    h_eff = effective_channel(terms.g1, theta, terms.h1)
+    g_inv = np.linalg.inv(h_eff @ np.conj(h_eff).T)
+    sig = np.asarray(powers.cluster1, dtype=float) / np.diagonal(g_inv).real
+    den, mv = interference(terms, theta, kind, powers, noise_power_w)
+    return PhasePoint(theta=np.array(theta), h_eff=h_eff, g_inv=g_inv, sig=sig, den=den, mv=mv)
 
 
 def signal_and_interference(
@@ -186,16 +249,9 @@ def signal_and_interference(
     powers: PowerAllocation,
     noise_power_w: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user received signal power and total interference-plus-noise power.
-
-    Cluster 1 is zero-forced at theta with unit-norm columns, so intra-cluster
-    leakage vanishes and user k receives amplitude 1 / sqrt([G^-1]_kk) with
-    G = H(theta) H(theta)^H: sig_k = p_k / [G^-1]_kk.
-    """
-    _, g_inv = zf_gram_inverse(terms, theta)
-    sig = np.asarray(powers.cluster1, dtype=float) / np.diagonal(g_inv).real
-    den, _ = interference(terms, theta, kind, powers, noise_power_w)
-    return sig, den
+    """Per-user received signal power and total interference-plus-noise power (see PhasePoint)."""
+    point = phase_point(terms, theta, kind, powers, noise_power_w)
+    return point.sig, point.den
 
 
 @dataclass(frozen=True)
@@ -223,21 +279,23 @@ def scenario_sinr(terms, theta, kind, powers, noise_power_w, weights=None) -> Si
     )
 
 
-def sum_rate(rates: np.ndarray, weights=None) -> float:
-    rates = np.asarray(rates, dtype=float)
-    w = np.ones(rates.size) if weights is None else np.asarray(weights, dtype=float)
-    return float(w @ rates)
-
-
 def outage_indicator(rates: np.ndarray, threshold: float) -> np.ndarray:
     """Per-user 0/1 outage flags; a rate exactly at the threshold is not an outage."""
     return (np.asarray(rates, dtype=float) < threshold).astype(int)
 
 
-def weighted_log_utility(terms, theta, kind, powers, noise_power_w, weights=None) -> float:
-    """Optimizer objective: sum of weighted natural-log rates."""
-    sig, den = signal_and_interference(terms, theta, kind, powers, noise_power_w)
-    vals = np.log1p(sig / den)
+def weighted_log_utility(
+    terms, theta, kind, powers, noise_power_w, weights=None, keep=None
+) -> float:
+    """Optimizer objective: sum of weighted natural-log rates.
+
+    keep, a list, is set to [the PhasePoint at theta], so that a gradient at
+    the same theta can reuse it (see rcg.phase_objective).
+    """
+    point = phase_point(terms, theta, kind, powers, noise_power_w)
+    if keep is not None:
+        keep[:] = [point]
+    vals = np.log1p(point.sig / point.den)
     if weights is None:
         return float(vals.sum())
     return float(np.asarray(weights, dtype=float) @ vals)

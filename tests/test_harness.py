@@ -214,16 +214,16 @@ def test_run_sweep_optimized_modes_beat_fixed():
 
 def test_run_sweep_skip_accounting(monkeypatch):
     cfg = _tiny_cfg()
-    real_zf = ao.zf_precoder
+    real_check = ao.check_zf_gram
     fails = {"left": 1}
 
-    def flaky(h_eff, *args, **kwargs):
+    def flaky(gram, *args, **kwargs):
         if fails["left"] > 0:
             fails["left"] -= 1
             raise ZfDegenerateError("forced degenerate draw")
-        return real_zf(h_eff, *args, **kwargs)
+        return real_check(gram, *args, **kwargs)
 
-    monkeypatch.setattr(ao, "zf_precoder", flaky)
+    monkeypatch.setattr(ao, "check_zf_gram", flaky)
     spec = SweepSpec(variable="tx_power_dbm", grid=(30.0,),
                      scenarios=(ScenarioCase(ScenarioKind.EIF),),
                      mode=Mode.FIXED, trials=4)
@@ -235,10 +235,10 @@ def test_run_sweep_skip_accounting(monkeypatch):
 def test_run_sweep_all_skipped_raises(monkeypatch):
     cfg = _tiny_cfg()
 
-    def broken(h_eff, *args, **kwargs):
+    def broken(gram, *args, **kwargs):
         raise ZfDegenerateError("forced degenerate draw")
 
-    monkeypatch.setattr(ao, "zf_precoder", broken)
+    monkeypatch.setattr(ao, "check_zf_gram", broken)
     spec = SweepSpec(variable="tx_power_dbm", grid=(30.0,),
                      scenarios=(ScenarioCase(ScenarioKind.EIF),),
                      mode=Mode.FIXED, trials=2)

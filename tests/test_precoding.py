@@ -65,7 +65,6 @@ def test_zf_columns_unit_norm():
     h_eff = _cn(rng, 2, 4)
     prec = zf_precoder(h_eff)
     np.testing.assert_allclose(np.linalg.norm(prec.u, axis=0), 1.0, rtol=1e-12)
-    np.testing.assert_array_equal(prec.h_eff, h_eff)
 
 
 def test_zf_single_user_is_matched_filter():

@@ -1,8 +1,11 @@
 """Gradients, manifold operations, line search, and the RCG loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from risim import rcg, sinr
 from risim import (
     PowerAllocation,
     RcgOptions,
@@ -301,3 +304,59 @@ def test_optimize_phases_default_start_is_all_ones():
     res = optimize_phases(terms, ScenarioKind.EIF, powers, NOISE)
     assert res.trace[0] == pytest.approx(objective(np.ones(terms.num_elements, complex)))
     assert res.objective >= res.trace[0]
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_shared_evaluation_gradient_equals_standalone_bitwise(kind):
+    # the gradient right after an objective call at the same theta reuses that
+    # call's evaluation; anywhere else it evaluates afresh; both are exactly
+    # the standalone gradient
+    rng = np.random.default_rng(55)
+    terms, powers = _instance(rng, num_elements=6)
+    if kind is ScenarioKind.EMI_IRR:
+        terms = replace(terms, cov=sinr.emi_irr_covariance(terms, powers))
+    weights = rng.uniform(0.5, 2.0, terms.num_users)
+    objective, gradient = phase_objective(terms, kind, powers, NOISE, weights)
+
+    def standalone(theta):
+        return euclid_grad(terms, theta, kind, powers, NOISE, weights)
+
+    for _ in range(3):
+        theta = np.exp(1j * rng.uniform(0, 2 * np.pi, terms.num_elements))
+        objective(theta)
+        np.testing.assert_array_equal(gradient(theta), standalone(theta))
+        np.testing.assert_array_equal(gradient(theta.copy()), standalone(theta))
+        other = np.exp(1j * rng.uniform(0, 2 * np.pi, terms.num_elements))
+        np.testing.assert_array_equal(gradient(other), standalone(other))
+        objective(theta)
+        theta *= np.exp(0.3j)  # changed in place after the objective saw it
+        np.testing.assert_array_equal(gradient(theta), standalone(theta))
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_rcg_iteration_evaluates_interference_once(kind, monkeypatch):
+    # the gradient at the start point and at each accepted candidate reuses
+    # the objective's evaluation, so interference runs once per objective call
+    calls = {"interference": 0, "objective": 0, "gradient": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for module in (sinr, rcg):  # every binding of the name, whichever module calls it
+        if hasattr(module, "interference"):
+            wrapped = counting("interference", module.interference)
+            monkeypatch.setattr(module, "interference", wrapped)
+    objective = counting("objective", rcg.weighted_log_utility)
+    monkeypatch.setattr(rcg, "weighted_log_utility", objective)
+    monkeypatch.setattr(rcg, "euclid_grad", counting("gradient", rcg.euclid_grad))
+
+    terms, powers = _instance(np.random.default_rng(57), num_elements=8)
+    res = optimize_phases(terms, kind, powers, NOISE, opts=RcgOptions(epsilon=0.0, max_iters=12))
+    assert res.iterations == 12 and not res.stagnated
+    assert calls["gradient"] == 12
+    assert calls["objective"] >= 13  # the start point and 12 accepted candidates
+    assert calls["interference"] == calls["objective"]

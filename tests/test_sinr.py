@@ -20,10 +20,10 @@ from risim import (
     signal_and_interference,
     effective_channel,
     spatial_correlation,
-    sum_rate,
     weighted_log_utility,
     zf_precoder,
 )
+from risim.sinr import emi_irr_covariance, interference
 
 NOISE = 1e-3
 
@@ -280,8 +280,6 @@ def test_report_fields_consistent():
     rep = scenario_sinr(terms, theta, ScenarioKind.EMI, powers, NOISE, weights=weights)
     np.testing.assert_allclose(rep.rates_bps_hz, np.log2(1 + rep.sinr))
     assert rep.sum_rate_bps_hz == pytest.approx(float(weights @ rep.rates_bps_hz))
-    assert sum_rate(rep.rates_bps_hz, weights) == pytest.approx(rep.sum_rate_bps_hz)
-    assert sum_rate(np.array([1.5, 2.5])) == pytest.approx(4.0)
 
 
 def test_outage_indicator_strict():
@@ -383,12 +381,8 @@ def _unequal_clusters(draw):
     return t1, t2, k1, k2, n1, n2, draw(st.integers(0, 2**32 - 1))
 
 
-@settings(derandomize=True, max_examples=40, deadline=None, database=None)
-@given(_unequal_clusters())
-def test_unequal_cluster_sizes_match_direct_evaluation(sizes):
-    # K1, K2, N1 and N2 all differ in general, so a mix-up between the user
-    # axes of the two clusters (or the element axes of the two surfaces)
-    # cannot cancel out the way it could with K1 = K2
+def _sized_instance(sizes):
+    """A random instance with the cluster sizes of _unequal_clusters and its rng."""
     t1, t2, k1, k2, n1, n2, seed = sizes
     rng = np.random.default_rng(seed)
     h1, g1, r1 = _cn(rng, n1, t1), _cn(rng, k1, n1), _unit_diag_psd(rng, n1)
@@ -401,8 +395,24 @@ def test_unequal_cluster_sizes_match_direct_evaluation(sizes):
         emi2_w=0.3,
     )
     terms = build_cascades(h1, g1, r1, emi1_w=0.7, emi_self_factor=4.0, **kwargs)
-    theta = np.exp(1j * rng.uniform(0, 2 * np.pi, n1))
     powers = PowerAllocation(rng.uniform(0.5, 2, k1), rng.uniform(0.5, 2, k2))
+    return terms, powers, kwargs, rng
+
+
+def _random_theta(rng, n):
+    return np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(_unequal_clusters())
+def test_unequal_cluster_sizes_match_direct_evaluation(sizes):
+    # K1, K2, N1 and N2 all differ in general, so a mix-up between the user
+    # axes of the two clusters (or the element axes of the two surfaces)
+    # cannot cancel out the way it could with K1 = K2
+    terms, powers, kwargs, rng = _sized_instance(sizes)
+    h1, g1, r1 = terms.h1, terms.g1, terms.r1
+    n1 = terms.num_elements
+    theta = _random_theta(rng, n1)
     for kind in ScenarioKind:
         sig, den = signal_and_interference(terms, theta, kind, powers, NOISE)
         dsig, dden = _direct_den(terms, theta, kind, powers, kwargs, h1, g1, r1)
@@ -424,3 +434,62 @@ def test_unequal_cluster_sizes_match_direct_evaluation(sizes):
         np.testing.assert_allclose(
             analytic, numeric, atol=1e-6 * np.abs(numeric).max() + floor, rtol=1e-5
         )
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(_unequal_clusters())
+def test_dense_covariance_matches_factored_interference(sizes):
+    # an optimizer applies the prebuilt EMI_IRR covariance as one product;
+    # everything else applies it through its factors, and both must agree
+    terms, powers, _, rng = _sized_instance(sizes)
+    dense = replace(terms, cov=emi_irr_covariance(terms, powers))
+    scale = np.abs(dense.cov).max()
+    np.testing.assert_allclose(dense.cov, np.conj(dense.cov).T, rtol=0, atol=1e-14 * scale)
+    for _ in range(3):
+        theta = _random_theta(rng, terms.num_elements)
+        den, mv = interference(terms, theta, ScenarioKind.EMI_IRR, powers, NOISE)
+        dense_den, dense_mv = interference(dense, theta, ScenarioKind.EMI_IRR, powers, NOISE)
+        np.testing.assert_allclose(dense_den, den, rtol=1e-12)
+        np.testing.assert_allclose(dense_mv, mv, rtol=0, atol=1e-12 * np.abs(mv).max())
+        for kind in (ScenarioKind.EMI, ScenarioKind.IRR):  # C belongs to EMI_IRR only
+            for got, want in zip(interference(dense, theta, kind, powers, NOISE),
+                                 interference(terms, theta, kind, powers, NOISE)):
+                np.testing.assert_array_equal(got, want)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(_unequal_clusters())
+def test_interference_never_lowers_den_below_noise(sizes):
+    terms, powers, _, rng = _sized_instance(sizes)
+    dense = replace(terms, cov=emi_irr_covariance(terms, powers))
+    for _ in range(3):
+        theta = _random_theta(rng, terms.num_elements)
+        for kind in ScenarioKind:
+            for t in (terms, dense):
+                den, _ = interference(t, theta, kind, powers, NOISE)
+                assert np.all(den >= NOISE)
+                assert np.all(signal_and_interference(t, theta, kind, powers, NOISE)[1] >= NOISE)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(_unequal_clusters())
+def test_zero_emi_and_silent_neighbor_reduce_to_eif(sizes):
+    # EMI -> 0 turns EMI into EIF and EMI_IRR into IRR; IRR -> 0 (cluster 2
+    # silent) turns IRR into EIF; with both, every scenario is EIF
+    terms, powers, _, rng = _sized_instance(sizes)
+    theta = _random_theta(rng, terms.num_elements)
+    no_emi = replace(terms, emi1_w=0.0, emi2_w=0.0)
+    silent = PowerAllocation(powers.cluster1, np.zeros_like(powers.cluster2))
+
+    def sinr(t, kind, p):
+        return scenario_sinr(t, theta, kind, p, NOISE).sinr
+
+    eif = sinr(terms, ScenarioKind.EIF, powers)
+    np.testing.assert_allclose(sinr(no_emi, ScenarioKind.EMI, powers), eif, rtol=1e-12)
+    np.testing.assert_allclose(
+        sinr(no_emi, ScenarioKind.EMI_IRR, powers), sinr(terms, ScenarioKind.IRR, powers),
+        rtol=1e-12,
+    )
+    np.testing.assert_allclose(sinr(terms, ScenarioKind.IRR, silent), eif, rtol=1e-12)
+    for kind in ScenarioKind:
+        np.testing.assert_allclose(sinr(no_emi, kind, silent), eif, rtol=1e-12)
