@@ -41,6 +41,7 @@ class TrialCase:
     emi2_w: float = 0.0
     emi_self_factor: float = 4.0
     cluster2: Cluster2State | None = None
+    reflected_emi: np.ndarray | None = None  # sinr.reflected_emi_covariance, when already built
 
 
 def build_trial_terms(case: TrialCase, include_neighbor: bool) -> CascadeTerms:
@@ -72,27 +73,41 @@ def build_trial_terms(case: TrialCase, include_neighbor: bool) -> CascadeTerms:
 # A fixed budget: with a stop on the objective's change, a run's length
 # follows its draw and a sweep's cost varies with the seed
 AO_RCG = RcgOptions(epsilon=0.0, max_iters=200)
+# The budget of an aware run started from the trial's unaware phases. Over
+# trials 0-19 at 10 and 40 dBm (emi and emi_irr at -75 and -65 dBm), it falls
+# short of a 2000-iteration reference by less than an AO_RCG run from
+# theta = 1, in the mean and in the worst case, at both powers; fewer
+# iterations do not (see the README's budget paragraph)
+AO_WARM_RCG = RcgOptions(epsilon=0.0, max_iters=100)
 
 
-def alternate_optimize(case: TrialCase, kind: ScenarioKind, opts: RcgOptions = AO_RCG) -> RcgResult:
+def alternate_optimize(
+    case: TrialCase,
+    kind: ScenarioKind,
+    opts: RcgOptions = AO_RCG,
+    theta0: np.ndarray | None = None,
+) -> RcgResult:
     """Jointly optimize cluster-1 phases and ZF precoding for kind's utility.
 
     The paper alternates a ZF precoder update with an RCG phase update. With
     unit-norm ZF columns the intra-cluster leakage vanishes, so every
     scenario's SINR is the closed-form function of theta in
     signal_and_interference: the alternation is block ascent on that one
-    function. One RCG run from theta = 1 maximizes it directly, so there is no
-    outer loop; the name is kept from the alternating scheme. The precoder is
-    ZF at the returned theta (see evaluate_pair). An interference-unaware
-    optimizer passes ScenarioKind.EIF.
+    function. One RCG run from theta0 (default theta = 1) maximizes it
+    directly, so there is no outer loop; the name is kept from the alternating
+    scheme. The precoder is ZF at the returned theta (see evaluate_pair). An
+    interference-unaware optimizer passes ScenarioKind.EIF.
     """
     kind = ScenarioKind(kind)
     terms = build_trial_terms(case, include_neighbor=kind.has_irr)
     if kind is ScenarioKind.EMI_IRR:
         # the run applies this C hundreds of times: one N^3 build makes each
         # application one product instead of four (see interference)
-        terms = replace(terms, cov=emi_irr_covariance(terms, case.powers))
-    return optimize_phases(terms, kind, case.powers, case.noise_power_w, case.weights1, opts=opts)
+        cov = emi_irr_covariance(terms, case.powers, case.reflected_emi)
+        terms = replace(terms, cov=cov)
+    return optimize_phases(
+        terms, kind, case.powers, case.noise_power_w, case.weights1, theta0=theta0, opts=opts
+    )
 
 
 def evaluate_pair(case: TrialCase, kind: ScenarioKind, theta1: np.ndarray) -> SinrReport:

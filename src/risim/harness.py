@@ -11,9 +11,11 @@ from time import perf_counter
 import numpy as np
 
 from .ao import (
+    AO_WARM_RCG,
     Cluster2State,
     TrialCase,
     alternate_optimize,
+    build_trial_terms,
     evaluate_pair,
     fixed_cluster2,
     optimize_cluster2,
@@ -22,7 +24,7 @@ from .channels import build_statistics, draw_realization, dump_realization, tria
 from .precoding import ZfDegenerateError
 from .rcg import RcgResult
 from .scenario import ConfigError, SystemConfig, dbm_to_watts, validate_config
-from .sinr import PowerAllocation, ScenarioKind, SinrReport
+from .sinr import PowerAllocation, ScenarioKind, SinrReport, reflected_emi_covariance
 
 CSV_HEADER = "sweep_value,scenario,mode,mean_sum_rate_bps_hz,outage_user1,trials,skipped"
 TRACE_HEADER = "sweep_value,scenario,mode,trial,stage,inner_iter,objective,grad_norm,step"
@@ -152,11 +154,18 @@ def _case_levels(case: ScenarioCase, cfg: SystemConfig) -> tuple[float, float]:
 
 
 class TrialEvaluator:
-    """Evaluates scenario cases on one realization, reusing optimizer output.
+    """Evaluates scenario cases on one draw at one grid point, reusing optimizer output.
 
-    Within a trial the interference-unaware AO result and the neighbor
-    cluster's state do not depend on the scenario case, so they are computed
-    once. Aware AO runs once per (scenario, EMI level).
+    Each result is cached per trial under a key that names what it depends on
+    besides the draw: nothing for the neighbor cluster's state and W21^H R2 W21
+    (no sweep changes cluster 2), cluster-1 powers for the interference-unaware
+    phases, and those plus the scenario and EMI levels for an aware run.
+    Evaluators of grid points that share a draw share the cache (start_trial's
+    shared), so a power sweep optimizes cluster 2 once per trial and an EMI
+    sweep also runs the unaware optimizer once per trial. Each evaluator still
+    writes the trace rows of every run it uses, once per trial, as if it had
+    made the run itself. Aware runs start from the unaware phases of the same
+    trial and powers (see AO_WARM_RCG).
     """
 
     def __init__(self, cfg, stats, powers, trace=None, sweep_value=""):
@@ -171,10 +180,14 @@ class TrialEvaluator:
         self.sweep_value = sweep_value
         self.real = None
         self._cache = {}
+        self._traced = set()
+        self._p1 = tuple(powers.cluster1)
 
-    def start_trial(self, real):
+    def start_trial(self, real, shared=None):
+        """Evaluate on real from now on; shared is the trial's cache, if other points use it."""
         self.real = real
-        self._cache = {}
+        self._cache = {} if shared is None else shared
+        self._traced = set()
 
     def _once(self, key, fn):
         if key not in self._cache:
@@ -187,9 +200,11 @@ class TrialEvaluator:
             raise value
         return value
 
-    def _trace(self, case, mode, stage, res: RcgResult):
-        if self.trace is None:
+    def _trace(self, key, case, mode, stage, res: RcgResult):
+        """Write res's rows once per trial, under the first case that uses it."""
+        if self.trace is None or key in self._traced:
             return
+        self._traced.add(key)
         objectives = res.trace[1:]
         for i in range(res.iterations):
             obj = objectives[i] if i < objectives.size else res.trace[-1]
@@ -210,15 +225,37 @@ class TrialEvaluator:
     def _cluster2(self, case, mode) -> Cluster2State:
         if mode is Mode.FIXED:
             return self._once("c2_fixed", lambda: fixed_cluster2(self.real))
+        state, result = self._once(
+            "c2_opt",
+            lambda: optimize_cluster2(self.real, self.stats, self.powers.cluster2, self.noise, self.w2),
+        )
+        self._trace("c2_opt", case, mode, "cluster2", result)
+        return state
+
+    def _unaware(self, case, mode, tcase: TrialCase) -> RcgResult:
+        key = ("ao_unaware", self._p1)
+        result = self._once(key, lambda: alternate_optimize(tcase, ScenarioKind.EIF))
+        self._trace(key, case, mode, "cluster1_unaware", result)
+        return result
+
+    def _aware(self, case, mode, tcase: TrialCase) -> RcgResult:
+        kind = ScenarioKind(case.kind)
+        theta0 = self._unaware(case, mode, tcase).theta
 
         def compute():
-            state, result = optimize_cluster2(
-                self.real, self.stats, self.powers.cluster2, self.noise, self.w2
-            )
-            self._trace(case, mode, "cluster2", result)
-            return state
+            warm = tcase
+            if kind is ScenarioKind.EMI_IRR:
+                reflected = self._once(
+                    "reflected",
+                    lambda: reflected_emi_covariance(build_trial_terms(tcase, include_neighbor=True)),
+                )
+                warm = replace(tcase, reflected_emi=reflected)
+            return alternate_optimize(warm, kind, AO_WARM_RCG, theta0=theta0)
 
-        return self._once("c2_opt", compute)
+        key = ("ao_aware", kind.value, tcase.emi1_w, tcase.emi2_w, self._p1)
+        result = self._once(key, compute)
+        self._trace(key, case, mode, f"cluster1_aware_{kind.value}", result)
+        return result
 
     def evaluate(self, case: ScenarioCase, mode: Mode) -> SinrReport:
         kind = ScenarioKind(case.kind)
@@ -239,23 +276,11 @@ class TrialEvaluator:
 
         if mode is Mode.FIXED:
             return evaluate_pair(tcase, kind, np.ones(self.real.h1.shape[0], dtype=complex))
-
         if mode is Mode.UNAWARE or kind is ScenarioKind.EIF:
-            stage = "cluster1_unaware"
-            kind_opt = ScenarioKind.EIF
-            key = "ao_unaware"
+            result = self._unaware(case, mode, tcase)
         else:
-            stage = f"cluster1_aware_{kind.value}"
-            kind_opt = kind
-            key = ("ao_aware", kind.value, emi1_w, emi2_w)
-
-        def compute():
-            result = alternate_optimize(tcase, kind_opt)
-            self._trace(case, mode, stage, result)
-            return result
-
-        ao = self._once(key, compute)
-        return evaluate_pair(tcase, kind, ao.theta)
+            result = self._aware(case, mode, tcase)
+        return evaluate_pair(tcase, kind, result.theta)
 
 
 def _config_at(cfg: SystemConfig, variable: str, value: float) -> SystemConfig:
@@ -291,54 +316,85 @@ def _validate_spec(spec: SweepSpec) -> None:
     if spec.seed is not None and (not isinstance(spec.seed, int) or spec.seed < 0):
         raise ConfigError("seed must be a non-negative integer")
     Mode(spec.mode)
+    seen = set()
+    for case in spec.scenarios:
+        # an EMI sweep sets every EMI level, so 'emi' and 'emi:-65' collide there
+        label = _case_at(spec.variable, case, spec.grid[0]).label
+        if label in seen:
+            raise ConfigError(f"scenario '{label}' is given more than once")
+        seen.add(label)
 
 
 def run_sweep(cfg: SystemConfig, spec: SweepSpec, trace=None) -> list[MetricRecord]:
     """Run the sweep and return one record per (grid value, scenario case).
 
     All scenario cases at a grid point share each trial's channel draw, so
-    scenario comparisons are paired. Results are deterministic given the
-    config, the spec, and the seed; execution order is the only order used.
+    scenario comparisons are paired. Grid points with the same geometry (every
+    point of a power or EMI sweep; only equal points of an element sweep) share
+    the statistics and the draws too: trials loop outside the points, so each
+    trial draws once and shares its cached optimizer runs between the points
+    (see TrialEvaluator). Records and trace rows come out in grid order, the
+    same as from one single-point sweep per grid value. Results are
+    deterministic given the config, the spec, and the seed.
     """
     cfg = validate_config(cfg)
     _validate_spec(spec)
     mode = Mode(spec.mode)
     seed = cfg.rng_seed if spec.seed is None else spec.seed
 
-    records: list[MetricRecord] = []
-    for value in spec.grid:
-        cfg_pt = _config_at(cfg, spec.variable, value)
-        stats = build_statistics(cfg_pt)
-        powers = make_powers(cfg_pt, spec.unit_power)
-        cases = [_case_at(spec.variable, case, value) for case in spec.scenarios]
-        weights1 = cfg_pt.clusters[0].weights()
+    configs = [_config_at(cfg, spec.variable, value) for value in spec.grid]
+    cases = [[_case_at(spec.variable, case, value) for case in spec.scenarios] for value in spec.grid]
+    rates = [{case: [] for case in pt} for pt in cases]
+    skips = [{case: 0 for case in pt} for pt in cases]
+    times = [{case: 0.0 for case in pt} for pt in cases]
+    rows = [[] if trace is not None else None for _ in spec.grid]
 
-        rates = {case: [] for case in cases}
-        skips = {case: 0 for case in cases}
-        times = {case: 0.0 for case in cases}
-        evaluator = TrialEvaluator(cfg_pt, stats, powers, trace=trace, sweep_value=value)
+    groups: dict[int, list[int]] = {}
+    for i, cfg_pt in enumerate(configs):
+        # the statistics and the draw see the grid value only through cluster 1's size
+        groups.setdefault(cfg_pt.clusters[0].ris_side, []).append(i)
+    for points in groups.values():
+        cfg_geo = configs[points[0]]
+        stats = build_statistics(cfg_geo)
+        evaluators = {
+            i: TrialEvaluator(
+                configs[i],
+                stats,
+                make_powers(configs[i], spec.unit_power),
+                trace=rows[i],
+                sweep_value=spec.grid[i],
+            )
+            for i in points
+        }
         for trial in range(spec.trials):
-            real = draw_realization(cfg_pt, stats, trial, rng=trial_rng(seed, trial))
-            evaluator.start_trial(real)
-            for case in cases:
-                t0 = perf_counter()
-                try:
-                    report = evaluator.evaluate(case, mode)
-                except ZfDegenerateError:
-                    skips[case] += 1
-                else:
-                    rates[case].append(report.rates_bps_hz)
-                finally:
-                    times[case] += perf_counter() - t0
+            real = draw_realization(cfg_geo, stats, trial, rng=trial_rng(seed, trial))
+            shared = {}
+            for i in points:
+                evaluators[i].start_trial(real, shared)
+                for case in cases[i]:
+                    t0 = perf_counter()
+                    try:
+                        report = evaluators[i].evaluate(case, mode)
+                    except ZfDegenerateError:
+                        skips[i][case] += 1
+                    else:
+                        rates[i][case].append(report.rates_bps_hz)
+                    finally:
+                        times[i][case] += perf_counter() - t0
 
-        for case in cases:
-            if not rates[case]:
+    records: list[MetricRecord] = []
+    for i, value in enumerate(spec.grid):
+        if trace is not None:
+            trace.extend(rows[i])
+        weights1 = configs[i].clusters[0].weights()
+        for case in cases[i]:
+            if not rates[i][case]:
                 raise RuntimeError(
                     f"every trial was skipped for scenario '{case.label}' at "
                     f"{spec.variable}={value}"
                 )
-            arr = np.array(rates[case])
-            mean, std, outage = aggregate(arr, weights1, cfg_pt.rate_threshold_bps_hz)
+            arr = np.array(rates[i][case])
+            mean, std, outage = aggregate(arr, weights1, configs[i].rate_threshold_bps_hz)
             samples = tuple(float(s) for s in arr @ weights1) if spec.keep_samples else None
             records.append(
                 MetricRecord(
@@ -347,10 +403,10 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, trace=None) -> list[MetricReco
                     mode=mode.value,
                     mean_sum_rate_bps_hz=mean,
                     outage=tuple(float(o) for o in outage),
-                    trials=len(rates[case]),
-                    skipped=skips[case],
+                    trials=len(rates[i][case]),
+                    skipped=skips[i][case],
                     std_sum_rate_bps_hz=std,
-                    wall_time_s=times[case],
+                    wall_time_s=times[i][case],
                     sum_rate_samples=samples,
                 )
             )

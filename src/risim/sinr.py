@@ -161,19 +161,32 @@ def _covariance_times(
     return cv
 
 
-def emi_irr_covariance(terms: CascadeTerms, powers: PowerAllocation) -> np.ndarray:
+def reflected_emi_covariance(terms: CascadeTerms) -> np.ndarray:
+    """W21^H R2 W21, the serving-RIS covariance of EMI re-reflected by the neighbor.
+
+    One N^3 product; it depends on the draw and the cluster-2 state only.
+    """
+    w21 = terms.w21
+    return np.conj(w21).T @ _times_transpose(w21.T, terms.r2).T
+
+
+def emi_irr_covariance(
+    terms: CascadeTerms, powers: PowerAllocation, reflected: np.ndarray | None = None
+) -> np.ndarray:
     """The EMI_IRR covariance C (see interference) as one dense matrix.
 
     From its factors C v_k costs four N x N products (R1, w21 twice, R2); an
-    optimizer that applies the same C hundreds of times builds it once here,
-    an N^3 product, and sets it as CascadeTerms.cov for the same powers.
+    optimizer that applies the same C hundreds of times builds it once here
+    and sets it as CascadeTerms.cov for the same powers. reflected, when
+    given, must be reflected_emi_covariance(terms), built once for several
+    EMI levels; the result is then the same to the last bit.
     """
     p2 = _cluster2_powers(terms, ScenarioKind.EMI_IRR, powers)
-    w21 = terms.w21
-    r2_w21 = _times_transpose(w21.T, terms.r2).T
+    if reflected is None:
+        reflected = reflected_emi_covariance(terms)
     return (
         (terms.emi_self_factor * terms.emi1_w) * terms.r1
-        + terms.emi2_w * (np.conj(w21).T @ r2_w21)
+        + terms.emi2_w * reflected
         + (terms.s * p2) @ np.conj(terms.s).T
     )
 

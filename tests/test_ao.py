@@ -22,7 +22,8 @@ from risim import (
     optimize_cluster2,
     weighted_log_utility,
 )
-from risim.ao import AO_RCG
+from risim.ao import AO_RCG, AO_WARM_RCG
+from risim.sinr import emi_irr_covariance, reflected_emi_covariance
 
 
 def _small_cfg(side=5):
@@ -200,3 +201,40 @@ def test_optimize_cluster2_independent_of_cluster1():
     state2, _ = optimize_cluster2(tampered, *args)
     np.testing.assert_array_equal(state.theta, state2.theta)
     np.testing.assert_array_equal(state.u, state2.u)
+
+
+@pytest.mark.parametrize("kind", [ScenarioKind.IRR, ScenarioKind.EMI, ScenarioKind.EMI_IRR])
+def test_warm_run_starts_at_unaware_utility_and_never_ends_below(kind):
+    # an aware run from the unaware phases is scored there first, and Armijo
+    # accepts only increases, so it cannot end below the unaware utility
+    for trial in range(3):
+        case = _case(trial=trial, side=6, emi_dbm=-65.0, with_cluster2=True, optimize_c2=True)
+        unaware = alternate_optimize(case, ScenarioKind.EIF)
+        start = weighted_log_utility(
+            build_trial_terms(case, include_neighbor=kind.has_irr), unaware.theta, kind,
+            case.powers, case.noise_power_w, case.weights1,
+        )
+        warm = alternate_optimize(case, kind, AO_WARM_RCG, theta0=unaware.theta)
+        assert warm.trace[0] == pytest.approx(start, rel=1e-12)
+        assert warm.objective >= warm.trace[0]
+        assert warm.iterations <= AO_WARM_RCG.max_iters < AO_RCG.max_iters
+
+
+def test_shared_reflected_emi_gives_the_same_covariance_bits():
+    # one W21^H R2 W21 per trial serves both EMI levels and every cluster-1 power
+    base = _case(trial=2, emi_dbm=-75.0, with_cluster2=True, optimize_c2=True)
+    shared = reflected_emi_covariance(build_trial_terms(base, include_neighbor=True))
+    for emi_dbm in (-75.0, -65.0):
+        for p1 in (0.01, 10.0):
+            level = dbm_to_watts(emi_dbm)
+            powers = PowerAllocation(np.full(2, p1), base.powers.cluster2)
+            case = replace(base, emi1_w=level, emi2_w=level, powers=powers)
+            terms = build_trial_terms(case, include_neighbor=True)
+            np.testing.assert_array_equal(
+                emi_irr_covariance(terms, powers, shared), emi_irr_covariance(terms, powers)
+            )
+            with_shared = alternate_optimize(
+                replace(case, reflected_emi=shared), ScenarioKind.EMI_IRR, AO_WARM_RCG
+            )
+            alone = alternate_optimize(case, ScenarioKind.EMI_IRR, AO_WARM_RCG)
+            np.testing.assert_array_equal(with_shared.trace, alone.trace)

@@ -92,6 +92,15 @@ def test_sweep_elements_rejects_non_square(tiny_config, capsys):
     assert "perfect squares" in capsys.readouterr().err
 
 
+def test_repeated_scenario_is_runtime_error(tiny_config, capsys):
+    # before, eif,eif wrote two eif rows that each pooled both copies' trials
+    args = ["sweep-power", "--config", tiny_config, "--grid", "30", "--trials", "3"]
+    assert cli_main(args + ["--scenarios", "eif,eif"]) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "scenario 'eif' is given more than once" in captured.err
+
+
 def test_bad_grid_and_bad_scenario(tiny_config, capsys):
     assert cli_main(["sweep-power", "--config", tiny_config, "--grid", "10,x"]) == EXIT_RUNTIME
     assert (

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 import risim.ao as ao
+import risim.harness as harness
 from risim import (
     CSV_HEADER,
+    DEFAULT_CASES,
+    EMI_SWEEP_CASES,
     TRACE_HEADER,
     ConfigError,
     MetricRecord,
@@ -196,6 +199,7 @@ def test_run_sweep_validates_spec():
         replace(good, scenarios=()),
         replace(good, trials=0),
         replace(good, seed=-1),
+        replace(good, scenarios=(ScenarioCase(ScenarioKind.EIF),) * 2),
     ):
         with pytest.raises(ConfigError):
             run_sweep(cfg, bad)
@@ -289,3 +293,113 @@ def test_render_csv_format(tmp_path):
     path = tmp_path / "out.csv"
     write_csv([rec], path)
     assert path.read_text(encoding="utf-8") == text
+
+
+def test_run_sweep_rejects_repeated_scenarios():
+    # a repeated case would pool its trials twice into one row
+    cfg = _tiny_cfg()
+    emi = ScenarioCase(ScenarioKind.EMI, -65.0)
+    spec = SweepSpec(variable="tx_power_dbm", grid=(30.0,), scenarios=(emi, emi), trials=1)
+    with pytest.raises(ConfigError, match="'emi_-65' is given more than once"):
+        run_sweep(cfg, spec)
+    # an EMI sweep sets every EMI level, so differing levels still collide
+    bare = ScenarioCase(ScenarioKind.EMI)
+    emi_sweep = replace(spec, variable="emi_dbm", grid=(-70.0,), scenarios=(bare, emi))
+    with pytest.raises(ConfigError, match="'emi_-70' is given more than once"):
+        run_sweep(cfg, emi_sweep)
+
+
+_SWEEP_CASES = {
+    "tx_power_dbm": ((10.0, 25.0, 40.0), DEFAULT_CASES),
+    "emi_dbm": ((-75.0, -65.0, -60.0), (ScenarioCase(ScenarioKind.EIF),) + EMI_SWEEP_CASES),
+    "ris_elements": ((4.0, 16.0, 9.0), DEFAULT_CASES),
+}
+
+
+@pytest.mark.parametrize("mode", [Mode.FIXED, Mode.UNAWARE])
+@pytest.mark.parametrize("variable", sorted(_SWEEP_CASES))
+def test_multi_point_sweep_equals_single_point_sweeps(variable, mode):
+    # sharing a draw's work between grid points must not change a byte of the
+    # CSV or of the trace
+    cfg = _tiny_cfg(side=4)
+    grid, cases = _SWEEP_CASES[variable]
+    spec = SweepSpec(variable=variable, grid=grid, scenarios=cases, mode=mode, trials=2)
+    rows = []
+    csv = render_csv(run_sweep(cfg, spec, trace=rows)).splitlines()
+    trace = render_trace(rows).splitlines()
+    single_csv, single_trace = [], []
+    for value in grid:
+        one_rows = []
+        single_csv += render_csv(run_sweep(cfg, replace(spec, grid=(value,)), trace=one_rows)).splitlines()[1:]
+        single_trace += render_trace(one_rows).splitlines()[1:]
+    assert csv[1:] == single_csv
+    assert trace[1:] == single_trace
+    traced = {(row[0], row[3]) for row in rows if row[4] == "cluster1_unaware"}
+    assert traced == ({(v, t) for v in grid for t in range(2)} if mode is Mode.UNAWARE else set())
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", [Mode.UNAWARE, Mode.AWARE])
+def test_power_sweep_draws_and_runs_cluster2_once_per_trial(mode, monkeypatch):
+    counts = {
+        name: _count_calls(monkeypatch, harness, name)
+        for name in ("build_statistics", "draw_realization", "optimize_cluster2", "alternate_optimize")
+    }
+    trials = 3
+    cases = (ScenarioCase(ScenarioKind.EIF), ScenarioCase(ScenarioKind.EMI_IRR, -65.0))
+    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0, 20.0, 30.0), scenarios=cases,
+                     mode=mode, trials=trials)
+    run_sweep(_tiny_cfg(), spec)
+    assert len(counts["build_statistics"]) == 1
+    assert len(counts["draw_realization"]) == trials
+    assert len(counts["optimize_cluster2"]) == trials
+    # per point and trial: the unaware run, and in aware mode one warm EMI_IRR run
+    runs = counts["alternate_optimize"]
+    warm = [kw for kw in runs if kw.get("theta0") is not None]
+    assert len(runs) == 3 * trials * (2 if mode is Mode.AWARE else 1)
+    assert len(warm) == (3 * trials if mode is Mode.AWARE else 0)
+
+
+def test_emi_sweep_runs_the_unaware_optimizer_once_per_trial(monkeypatch):
+    runs = _count_calls(monkeypatch, harness, "alternate_optimize")
+    cluster2 = _count_calls(monkeypatch, harness, "optimize_cluster2")
+    spec = SweepSpec(variable="emi_dbm", grid=(-75.0, -70.0, -65.0), scenarios=EMI_SWEEP_CASES,
+                     mode=Mode.UNAWARE, trials=2)
+    run_sweep(_tiny_cfg(), spec)
+    assert len(runs) == 2
+    assert len(cluster2) == 2
+
+
+def test_elements_sweep_draws_per_point(monkeypatch):
+    stats = _count_calls(monkeypatch, harness, "build_statistics")
+    draws = _count_calls(monkeypatch, harness, "draw_realization")
+    spec = SweepSpec(variable="ris_elements", grid=(4.0, 9.0, 16.0),
+                     scenarios=(ScenarioCase(ScenarioKind.IRR),), mode=Mode.FIXED, trials=3)
+    run_sweep(_tiny_cfg(), spec)
+    assert len(stats) == 3
+    assert len(draws) == 3 * 3
+
+
+def test_aware_never_below_unaware_per_trial():
+    # aware runs start from the unaware phases and only ascend the true utility
+    cfg = _tiny_cfg(side=4)
+    cases = tuple(c for c in DEFAULT_CASES if c.kind is not ScenarioKind.EIF)
+    kw = dict(variable="tx_power_dbm", grid=(10.0, 40.0), scenarios=cases, trials=3,
+              keep_samples=True)
+    unaware = run_sweep(cfg, SweepSpec(mode=Mode.UNAWARE, **kw))
+    aware = run_sweep(cfg, SweepSpec(mode=Mode.AWARE, **kw))
+    for u, a in zip(unaware, aware):
+        assert (u.sweep_value, u.scenario) == (a.sweep_value, a.scenario)
+        for su, sa in zip(u.sum_rate_samples, a.sum_rate_samples):
+            assert sa >= su - 1e-12 * abs(su)
