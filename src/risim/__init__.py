@@ -2,9 +2,7 @@
 
 from .ao import (
     Cluster2State,
-    TrialCase,
     alternate_optimize,
-    build_trial_terms,
     evaluate_pair,
     fixed_cluster2,
     optimize_cluster2,
@@ -44,7 +42,7 @@ from .harness import (
     write_csv,
     write_trace,
 )
-from .precoding import PrecoderSet, ZfDegenerateError, effective_channel, zf_precoder
+from .precoding import ZfDegenerateError, effective_channel, zf_precoder
 from .rcg import (
     RcgOptions,
     RcgResult,

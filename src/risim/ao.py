@@ -28,48 +28,6 @@ class Cluster2State:
     u: np.ndarray  # (T2, K2) unit-norm columns
 
 
-@dataclass(frozen=True)
-class TrialCase:
-    """Everything fixed while cluster-1 phases and precoders are chosen."""
-
-    real: ChannelRealization
-    stats: ChannelStatistics
-    powers: PowerAllocation
-    noise_power_w: float
-    weights1: np.ndarray
-    emi1_w: float = 0.0
-    emi2_w: float = 0.0
-    emi_self_factor: float = 4.0
-    cluster2: Cluster2State | None = None
-    reflected_emi: np.ndarray | None = None  # sinr.reflected_emi_covariance, when already built
-
-
-def build_trial_terms(case: TrialCase, include_neighbor: bool) -> CascadeTerms:
-    """Cascade terms for the case's realization; cluster 1's ZF follows from theta."""
-    real = case.real
-    stats = case.stats
-    kwargs = {}
-    if include_neighbor:
-        if case.cluster2 is None:
-            raise ValueError("cluster-2 state is required for IRR scenarios")
-        kwargs = dict(
-            theta2=case.cluster2.theta,
-            u2=case.cluster2.u,
-            h2=real.h2,
-            z21=real.z21,
-            r2=stats.clusters[1].corr.matrix,
-        )
-    return build_cascades(
-        real.h1,
-        real.g1,
-        stats.clusters[0].corr.matrix,
-        emi1_w=case.emi1_w,
-        emi_self_factor=case.emi_self_factor,
-        emi2_w=case.emi2_w,
-        **kwargs,
-    )
-
-
 # A fixed budget: with a stop on the objective's change, a run's length
 # follows its draw and a sweep's cost varies with the seed
 AO_RCG = RcgOptions(epsilon=0.0, max_iters=200)
@@ -82,10 +40,13 @@ AO_WARM_RCG = RcgOptions(epsilon=0.0, max_iters=100)
 
 
 def alternate_optimize(
-    case: TrialCase,
+    terms: CascadeTerms,
     kind: ScenarioKind,
-    opts: RcgOptions = AO_RCG,
+    powers: PowerAllocation,
+    noise_power_w: float,
+    weights=None,
     theta0: np.ndarray | None = None,
+    opts: RcgOptions = AO_RCG,
 ) -> RcgResult:
     """Jointly optimize cluster-1 phases and ZF precoding for kind's utility.
 
@@ -96,45 +57,37 @@ def alternate_optimize(
     function. One RCG run from theta0 (default theta = 1) maximizes it
     directly, so there is no outer loop; the name is kept from the alternating
     scheme. The precoder is ZF at the returned theta (see evaluate_pair). An
-    interference-unaware optimizer passes ScenarioKind.EIF.
+    interference-unaware optimizer passes ScenarioKind.EIF; IRR kinds need
+    terms built with the neighbor RIS.
     """
     kind = ScenarioKind(kind)
-    terms = build_trial_terms(case, include_neighbor=kind.has_irr)
     if kind is ScenarioKind.EMI_IRR:
         # the run applies this C hundreds of times: one N^3 build makes each
         # application one product instead of four (see interference)
-        cov = emi_irr_covariance(terms, case.powers, case.reflected_emi)
-        terms = replace(terms, cov=cov)
-    return optimize_phases(
-        terms, kind, case.powers, case.noise_power_w, case.weights1, theta0=theta0, opts=opts
-    )
+        terms = replace(terms, cov=emi_irr_covariance(terms, powers))
+    return optimize_phases(terms, kind, powers, noise_power_w, weights, theta0=theta0, opts=opts)
 
 
-def evaluate_pair(case: TrialCase, kind: ScenarioKind, theta1: np.ndarray) -> SinrReport:
+def evaluate_pair(
+    terms: CascadeTerms,
+    theta1: np.ndarray,
+    kind: ScenarioKind,
+    powers: PowerAllocation,
+    noise_power_w: float,
+    weights=None,
+) -> SinrReport:
     """True-scenario SINR report for the phases theta1 with ZF precoding at theta1.
 
     Raises ZfDegenerateError when ZF is ill conditioned at theta1.
     """
-    kind = ScenarioKind(kind)
-    h_eff = effective_channel(case.real.g1, theta1, case.real.h1)
+    h_eff = effective_channel(terms.g1, theta1, terms.h1)
     check_zf_gram(h_eff @ np.conj(h_eff).T)
-    terms = build_trial_terms(case, include_neighbor=kind.has_irr)
-    return scenario_sinr(terms, theta1, kind, case.powers, case.noise_power_w, case.weights1)
-
-
-def _mirror_realization(real: ChannelRealization) -> ChannelRealization:
-    return ChannelRealization(
-        trial=real.trial, h1=real.h2, h2=real.h1, g1=real.g2, g2=real.g1, z21=real.z21
-    )
-
-
-def _mirror_statistics(stats: ChannelStatistics) -> ChannelStatistics:
-    return replace(stats, clusters=(stats.clusters[1], stats.clusters[0]))
+    return scenario_sinr(terms, theta1, kind, powers, noise_power_w, weights)
 
 
 def _cluster2_state(real: ChannelRealization, theta2: np.ndarray) -> Cluster2State:
     """Neighbor phases theta2 with ZF precoding at theta2."""
-    return Cluster2State(theta=theta2, u=zf_precoder(effective_channel(real.g2, theta2, real.h2)).u)
+    return Cluster2State(theta=theta2, u=zf_precoder(effective_channel(real.g2, theta2, real.h2)))
 
 
 def fixed_cluster2(real: ChannelRealization) -> Cluster2State:
@@ -154,12 +107,9 @@ def optimize_cluster2(
     The neighbor BS and RIS optimize as if alone, so the result is independent
     of every cluster-1 quantity and of the EMI levels.
     """
-    mirrored = TrialCase(
-        real=_mirror_realization(real),
-        stats=_mirror_statistics(stats),
-        powers=PowerAllocation(cluster1=np.asarray(powers2, dtype=float)),
-        noise_power_w=noise_power_w,
-        weights1=np.asarray(weights2, dtype=float),
+    terms = build_cascades(real.h2, real.g2, stats.clusters[1].corr.matrix)
+    powers = PowerAllocation(cluster1=np.asarray(powers2, dtype=float))
+    res = alternate_optimize(
+        terms, ScenarioKind.EIF, powers, noise_power_w, np.asarray(weights2, dtype=float)
     )
-    res = alternate_optimize(mirrored, ScenarioKind.EIF)
     return _cluster2_state(real, res.theta), res

@@ -13,9 +13,7 @@ import numpy as np
 from .ao import (
     AO_WARM_RCG,
     Cluster2State,
-    TrialCase,
     alternate_optimize,
-    build_trial_terms,
     evaluate_pair,
     fixed_cluster2,
     optimize_cluster2,
@@ -24,7 +22,7 @@ from .channels import build_statistics, draw_realization, dump_realization, tria
 from .precoding import ZfDegenerateError
 from .rcg import RcgResult
 from .scenario import ConfigError, SystemConfig, dbm_to_watts, validate_config
-from .sinr import PowerAllocation, ScenarioKind, SinrReport, reflected_emi_covariance
+from .sinr import PowerAllocation, ScenarioKind, SinrReport, build_cascades, reflected_emi_covariance
 
 CSV_HEADER = "sweep_value,scenario,mode,mean_sum_rate_bps_hz,outage_user1,trials,skipped"
 TRACE_HEADER = "sweep_value,scenario,mode,trial,stage,inner_iter,objective,grad_norm,step"
@@ -157,15 +155,17 @@ class TrialEvaluator:
     """Evaluates scenario cases on one draw at one grid point, reusing optimizer output.
 
     Each result is cached per trial under a key that names what it depends on
-    besides the draw: nothing for the neighbor cluster's state and W21^H R2 W21
-    (no sweep changes cluster 2), cluster-1 powers for the interference-unaware
-    phases, and those plus the scenario and EMI levels for an aware run.
-    Evaluators of grid points that share a draw share the cache (start_trial's
-    shared), so a power sweep optimizes cluster 2 once per trial and an EMI
-    sweep also runs the unaware optimizer once per trial. Each evaluator still
-    writes the trace rows of every run it uses, once per trial, as if it had
-    made the run itself. Aware runs start from the unaware phases of the same
-    trial and powers (see AO_WARM_RCG).
+    besides the draw: nothing for the neighbor cluster's state, the cascade
+    terms with and without the neighbor RIS, and W21^H R2 W21 (no sweep
+    changes cluster 2, and the terms hold no powers; each case sets its EMI
+    levels on them), cluster-1 powers for the interference-unaware phases,
+    and those plus the scenario and EMI levels for an aware run. Evaluators
+    of grid points that share a draw share the cache (start_trial's shared),
+    so a power sweep builds the cascades and optimizes cluster 2 once per
+    trial and an EMI sweep also runs the unaware optimizer once per trial.
+    Each evaluator still writes the trace rows of every run it uses, once per
+    trial, as if it had made the run itself. Aware runs start from the
+    unaware phases of the same trial and powers (see AO_WARM_RCG).
     """
 
     def __init__(self, cfg, stats, powers, trace=None, sweep_value=""):
@@ -176,6 +176,8 @@ class TrialEvaluator:
         self.w1 = cfg.clusters[0].weights()
         self.w2 = cfg.clusters[1].weights()
         self.factor = cfg.emi_self_factor
+        self.r1 = stats.clusters[0].corr.matrix
+        self.r2 = stats.clusters[1].corr.matrix
         self.trace = trace
         self.sweep_value = sweep_value
         self.real = None
@@ -232,28 +234,41 @@ class TrialEvaluator:
         self._trace("c2_opt", case, mode, "cluster2", result)
         return state
 
-    def _unaware(self, case, mode, tcase: TrialCase) -> RcgResult:
+    def _terms(self, case, mode, neighbor: bool):
+        """The draw's cascade terms, with the neighbor RIS when neighbor is set."""
+        real = self.real
+        extra = {}
+        if neighbor:
+            c2 = self._cluster2(case, mode)
+            extra = dict(theta2=c2.theta, u2=c2.u, h2=real.h2, z21=real.z21, r2=self.r2)
+        return self._once(
+            ("terms", neighbor),
+            lambda: build_cascades(real.h1, real.g1, self.r1, emi_self_factor=self.factor, **extra),
+        )
+
+    def _unaware(self, case, mode) -> RcgResult:
         key = ("ao_unaware", self._p1)
-        result = self._once(key, lambda: alternate_optimize(tcase, ScenarioKind.EIF))
+        own = self._terms(case, mode, neighbor=False)
+        result = self._once(
+            key, lambda: alternate_optimize(own, ScenarioKind.EIF, self.powers, self.noise, self.w1)
+        )
         self._trace(key, case, mode, "cluster1_unaware", result)
         return result
 
-    def _aware(self, case, mode, tcase: TrialCase) -> RcgResult:
+    def _aware(self, case, mode, terms) -> RcgResult:
         kind = ScenarioKind(case.kind)
-        theta0 = self._unaware(case, mode, tcase).theta
-
-        def compute():
-            warm = tcase
-            if kind is ScenarioKind.EMI_IRR:
-                reflected = self._once(
-                    "reflected",
-                    lambda: reflected_emi_covariance(build_trial_terms(tcase, include_neighbor=True)),
-                )
-                warm = replace(tcase, reflected_emi=reflected)
-            return alternate_optimize(warm, kind, AO_WARM_RCG, theta0=theta0)
-
-        key = ("ao_aware", kind.value, tcase.emi1_w, tcase.emi2_w, self._p1)
-        result = self._once(key, compute)
+        theta0 = self._unaware(case, mode).theta
+        if kind is ScenarioKind.EMI_IRR:
+            # every aware EMI_IRR run of the draw builds its C from the same W21^H R2 W21
+            reflected = self._once("reflected", lambda: reflected_emi_covariance(terms))
+            terms = replace(terms, reflected=reflected)
+        key = ("ao_aware", kind.value, terms.emi1_w, terms.emi2_w, self._p1)
+        result = self._once(
+            key,
+            lambda: alternate_optimize(
+                terms, kind, self.powers, self.noise, self.w1, theta0=theta0, opts=AO_WARM_RCG
+            ),
+        )
         self._trace(key, case, mode, f"cluster1_aware_{kind.value}", result)
         return result
 
@@ -261,26 +276,14 @@ class TrialEvaluator:
         kind = ScenarioKind(case.kind)
         mode = Mode(mode)
         emi1_w, emi2_w = _case_levels(case, self.cfg)
-        cluster2 = self._cluster2(case, mode) if kind.has_irr else None
-        tcase = TrialCase(
-            real=self.real,
-            stats=self.stats,
-            powers=self.powers,
-            noise_power_w=self.noise,
-            weights1=self.w1,
-            emi1_w=emi1_w,
-            emi2_w=emi2_w,
-            emi_self_factor=self.factor,
-            cluster2=cluster2,
-        )
-
+        terms = replace(self._terms(case, mode, kind.has_irr), emi1_w=emi1_w, emi2_w=emi2_w)
         if mode is Mode.FIXED:
-            return evaluate_pair(tcase, kind, np.ones(self.real.h1.shape[0], dtype=complex))
-        if mode is Mode.UNAWARE or kind is ScenarioKind.EIF:
-            result = self._unaware(case, mode, tcase)
+            theta = np.ones(terms.num_elements, dtype=complex)
+        elif mode is Mode.UNAWARE or kind is ScenarioKind.EIF:
+            theta = self._unaware(case, mode).theta
         else:
-            result = self._aware(case, mode, tcase)
-        return evaluate_pair(tcase, kind, result.theta)
+            theta = self._aware(case, mode, terms).theta
+        return evaluate_pair(terms, theta, kind, self.powers, self.noise, self.w1)
 
 
 def _config_at(cfg: SystemConfig, variable: str, value: float) -> SystemConfig:
@@ -304,6 +307,12 @@ def _case_at(variable: str, case: ScenarioCase, value: float) -> ScenarioCase:
     return case
 
 
+def _check_levels(cases) -> None:
+    for case in cases:
+        if case.emi_dbm is not None and not math.isfinite(case.emi_dbm):
+            raise ConfigError(f"scenario '{case.label}' needs a finite EMI level")
+
+
 def _validate_spec(spec: SweepSpec) -> None:
     if spec.variable not in SWEEP_VARIABLES:
         raise ConfigError(f"unknown sweep variable '{spec.variable}'")
@@ -316,6 +325,9 @@ def _validate_spec(spec: SweepSpec) -> None:
     if spec.seed is not None and (not isinstance(spec.seed, int) or spec.seed < 0):
         raise ConfigError("seed must be a non-negative integer")
     Mode(spec.mode)
+    if not all(math.isfinite(v) for v in spec.grid):
+        raise ConfigError("sweep grid values must be finite")
+    _check_levels(spec.scenarios)
     seen = set()
     for case in spec.scenarios:
         # an EMI sweep sets every EMI level, so 'emi' and 'emi:-65' collide there
@@ -425,6 +437,7 @@ def run_single_trial(
 ) -> list[tuple[ScenarioCase, SinrReport]]:
     """Evaluate the given scenario cases on a single channel draw."""
     cfg = validate_config(cfg)
+    _check_levels(cases)
     stats = build_statistics(cfg)
     powers = make_powers(cfg, unit_power)
     use_seed = cfg.rng_seed if seed is None else seed

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 COND_LIMIT = 1e12  # Gram matrices worse than this are treated as degenerate
@@ -25,13 +23,6 @@ def effective_channel(g: np.ndarray, theta: np.ndarray, h: np.ndarray) -> np.nda
     return (np.conj(theta)[None, :] * np.conj(g)) @ h
 
 
-@dataclass(frozen=True)
-class PrecoderSet:
-    """Unit-norm precoder columns."""
-
-    u: np.ndarray  # (T, K)
-
-
 def check_zf_gram(gram: np.ndarray, cond_limit: float = COND_LIMIT) -> None:
     """Raise ZfDegenerateError when the Gram matrix H H^H is too ill conditioned for ZF."""
     cond = np.linalg.cond(gram)
@@ -41,8 +32,8 @@ def check_zf_gram(gram: np.ndarray, cond_limit: float = COND_LIMIT) -> None:
         )
 
 
-def zf_precoder(h_eff: np.ndarray, cond_limit: float = COND_LIMIT) -> PrecoderSet:
-    """Zero-forcing precoder with individually normalized columns.
+def zf_precoder(h_eff: np.ndarray, cond_limit: float = COND_LIMIT) -> np.ndarray:
+    """Zero-forcing precoder (T, K) with individually normalized columns.
 
     Columns of the raw pseudo-inverse H^H (H H^H)^-1 are scaled to unit norm,
     which keeps per-user power at its allocation but leaves a per-user gain
@@ -59,4 +50,4 @@ def zf_precoder(h_eff: np.ndarray, cond_limit: float = COND_LIMIT) -> PrecoderSe
     norms = np.linalg.norm(raw, axis=0)
     if np.any(norms == 0.0):
         raise ZfDegenerateError("ZF degenerate realization: zero precoder column")
-    return PrecoderSet(u=raw / norms[None, :])
+    return raw / norms[None, :]

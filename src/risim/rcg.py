@@ -92,34 +92,36 @@ def retract(theta: np.ndarray, step: float, direction: np.ndarray) -> np.ndarray
 class RcgOptions:
     epsilon: float = 1e-9  # stop when |objective change| <= epsilon * |objective|
     max_iters: int = 200
-    armijo_step: float = 1.0  # largest per-element tangent move of the first trial step
-    armijo_contraction: float = 0.5
-    armijo_slope: float = 1e-4  # sufficient-increase coefficient
-    max_backtracks: int = 50
 
 
-def armijo_search(theta, direction, objective, f0, slope, opts: RcgOptions, guess=None):
+ARMIJO_STEP = 1.0  # largest per-element tangent move of the first trial step
+ARMIJO_CONTRACTION = 0.5
+ARMIJO_SLOPE = 1e-4  # sufficient-increase coefficient
+MAX_BACKTRACKS = 50
+
+
+def armijo_search(theta, direction, objective, f0, slope, guess=None):
     """Backtracking search for a step with sufficient objective increase.
 
     slope must be the positive tangent inner product Re<rgrad, d>. The first
     candidate is guess, but never moves the most-moving element by more than
-    opts.armijo_step along d; without a guess it is that largest move, so the
+    ARMIJO_STEP along d; without a guess it is that largest move, so the
     search does not depend on the scale of the objective (the gradient of a
     -20 dBm utility is 1e5 times smaller than at 30 dBm). Returns
     (step, theta_new, f_new); step 0.0 signals stagnation (no acceptable step
-    within opts.max_backtracks candidates) and leaves theta unchanged.
+    within MAX_BACKTRACKS candidates) and leaves theta unchanged.
     """
     if slope <= 0.0:
         raise ValueError("armijo_search requires an ascent direction (slope > 0)")
-    step = opts.armijo_step / np.abs(direction).max()
+    step = ARMIJO_STEP / np.abs(direction).max()
     if guess is not None:
         step = min(step, guess)
-    for _ in range(opts.max_backtracks):
+    for _ in range(MAX_BACKTRACKS):
         cand = retract(theta, step, direction)
         f_new = objective(cand)
-        if f_new >= f0 + opts.armijo_slope * step * slope:
+        if f_new >= f0 + ARMIJO_SLOPE * step * slope:
             return step, cand, f_new
-        step *= opts.armijo_contraction
+        step *= ARMIJO_CONTRACTION
     return 0.0, theta, f0
 
 
@@ -196,7 +198,7 @@ def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = Rcg
         # on a quadratic model (Nocedal & Wright, Numerical Optimization, 2006,
         # eq. 3.60), so most iterations cost one objective call
         guess = 2.0 * (trace[-1] - trace[-2]) / slope if len(trace) > 1 else None
-        step, theta_new, f_new = armijo_search(theta, d, checked, f_curr, slope, opts, guess)
+        step, theta_new, f_new = armijo_search(theta, d, checked, f_curr, slope, guess)
         steps.append(step)
         if step == 0.0:
             stagnated = True

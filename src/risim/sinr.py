@@ -49,9 +49,12 @@ class CascadeTerms:
     so EMI re-reflected by the neighbor has covariance w21^H R2 w21 at the
     serving RIS. All interference terms are evaluated as matrix-vector
     products on v_k (see interference); no per-user covariance is formed,
-    except that an optimizer may set cov to the dense EMI_IRR covariance. EMI
-    powers are the aggregate captured levels (element area times EMI PSD
-    integrated over the bandwidth) in watts.
+    except that an optimizer may set cov to the dense EMI_IRR covariance, and
+    reflected to W21^H R2 W21 so that building cov at several EMI levels and
+    powers pays for that product once. EMI powers are the aggregate captured
+    levels (element area times EMI PSD integrated over the bandwidth) in
+    watts. The terms do not depend on the transmit powers, so one set serves
+    every power of a draw; a scenario's EMI levels are set with replace.
     """
 
     h1: np.ndarray  # (L1^2, T1)
@@ -63,6 +66,7 @@ class CascadeTerms:
     s: np.ndarray | None = None  # (L1^2, K2)
     w21: np.ndarray | None = None  # (L2^2, L1^2)
     r2: np.ndarray | None = None  # (L2^2, L2^2) neighbor-RIS correlation
+    reflected: np.ndarray | None = None  # (L1^2, L1^2) reflected_emi_covariance, when prebuilt
     cov: np.ndarray | None = None  # (L1^2, L1^2) prebuilt EMI_IRR C, see emi_irr_covariance
 
     @property
@@ -170,18 +174,17 @@ def reflected_emi_covariance(terms: CascadeTerms) -> np.ndarray:
     return np.conj(w21).T @ _times_transpose(w21.T, terms.r2).T
 
 
-def emi_irr_covariance(
-    terms: CascadeTerms, powers: PowerAllocation, reflected: np.ndarray | None = None
-) -> np.ndarray:
+def emi_irr_covariance(terms: CascadeTerms, powers: PowerAllocation) -> np.ndarray:
     """The EMI_IRR covariance C (see interference) as one dense matrix.
 
     From its factors C v_k costs four N x N products (R1, w21 twice, R2); an
     optimizer that applies the same C hundreds of times builds it once here
-    and sets it as CascadeTerms.cov for the same powers. reflected, when
-    given, must be reflected_emi_covariance(terms), built once for several
-    EMI levels; the result is then the same to the last bit.
+    and sets it as CascadeTerms.cov for the same powers. W21^H R2 W21 is
+    terms.reflected when set, and is built here otherwise; the result is the
+    same to the last bit.
     """
     p2 = _cluster2_powers(terms, ScenarioKind.EMI_IRR, powers)
+    reflected = terms.reflected
     if reflected is None:
         reflected = reflected_emi_covariance(terms)
     return (

@@ -16,7 +16,6 @@ from risim import (
     RcgOptions,
     ScenarioKind,
     SweepSpec,
-    TrialCase,
     alternate_optimize,
     build_cascades,
     build_statistics,
@@ -208,7 +207,7 @@ def test_a4_cascades_match_direct_matrix_evaluation():
     for _ in range(100):
         terms, theta, powers, (h1, g1, r1), raw = _instance(rng, 6)
         # the dense oracle zero-forces at theta and sums the leakage it leaves
-        u1 = zf_precoder(effective_channel(g1, theta, h1)).u
+        u1 = zf_precoder(effective_channel(g1, theta, h1))
         phase1 = np.diag(np.conj(theta))
         phase2 = np.diag(np.conj(raw["theta2"]))
         p1 = np.asarray(powers.cluster1)
@@ -318,19 +317,20 @@ def test_a7_interference_awareness_pays_off():
     levels = (-75.0, -70.0, -65.0, -60.0)
     trials = 200
     diffs = {lv: [] for lv in levels}
+    ctx = (powers, noise, w1)
     for t in range(trials):
         real = draw_realization(cfg, stats, t, rng=trial_rng(cfg.rng_seed, t))
-        base = TrialCase(
-            real=real, stats=stats, powers=powers, noise_power_w=noise, weights1=w1
-        )
-        unaware = alternate_optimize(base, ScenarioKind.EIF)
+        base = build_cascades(real.h1, real.g1, stats.clusters[0].corr.matrix)
+        unaware = alternate_optimize(base, ScenarioKind.EIF, *ctx)
         for lv in levels:
             e = dbm_to_watts(lv)
-            case = replace(base, emi1_w=e, emi2_w=e)
-            plain = evaluate_pair(case, ScenarioKind.EMI, unaware.theta).sum_rate_bps_hz
+            terms = replace(base, emi1_w=e, emi2_w=e)
+            plain = evaluate_pair(terms, unaware.theta, ScenarioKind.EMI, *ctx).sum_rate_bps_hz
             # started from the unaware phases with the warm budget, as the harness does
-            aware = alternate_optimize(case, ScenarioKind.EMI, AO_WARM_RCG, theta0=unaware.theta)
-            tuned = evaluate_pair(case, ScenarioKind.EMI, aware.theta).sum_rate_bps_hz
+            aware = alternate_optimize(
+                terms, ScenarioKind.EMI, *ctx, theta0=unaware.theta, opts=AO_WARM_RCG
+            )
+            tuned = evaluate_pair(terms, aware.theta, ScenarioKind.EMI, *ctx).sum_rate_bps_hz
             diffs[lv].append(tuned - plain)
     gaps = {lv: float(np.mean(diffs[lv])) for lv in levels}
     d60 = np.asarray(diffs[-60.0])

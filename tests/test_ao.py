@@ -10,15 +10,15 @@ from risim import (
     RcgOptions,
     RcgResult,
     ScenarioKind,
-    TrialCase,
     alternate_optimize,
+    build_cascades,
     build_statistics,
-    build_trial_terms,
     dbm_to_watts,
     default_config,
     draw_realization,
     evaluate_pair,
     fixed_cluster2,
+    make_powers,
     optimize_cluster2,
     weighted_log_utility,
 )
@@ -38,42 +38,32 @@ def _small_cfg(side=5):
 
 
 def _case(trial=0, side=5, emi_dbm=None, with_cluster2=False, optimize_c2=False):
+    """One draw's cascade terms, and the (powers, noise, weights) that go with them."""
     cfg = _small_cfg(side)
     stats = build_statistics(cfg)
     real = draw_realization(cfg, stats, trial)
+    powers = make_powers(cfg)
     emi_w = 0.0 if emi_dbm is None else dbm_to_watts(emi_dbm)
-    from risim.harness import make_powers
-
-    cluster2 = None
+    neighbor = {}
     if with_cluster2:
         if optimize_c2:
             cluster2, _ = optimize_cluster2(
-                real, stats, make_powers(cfg).cluster2, cfg.noise_power_w,
-                cfg.clusters[1].weights(),
+                real, stats, powers.cluster2, cfg.noise_power_w, cfg.clusters[1].weights()
             )
         else:
             cluster2 = fixed_cluster2(real)
-    return TrialCase(
-        real=real,
-        stats=stats,
-        powers=make_powers(cfg),
-        noise_power_w=cfg.noise_power_w,
-        weights1=cfg.clusters[0].weights(),
-        emi1_w=emi_w,
-        emi2_w=emi_w,
-        cluster2=cluster2,
+        neighbor = dict(
+            theta2=cluster2.theta, u2=cluster2.u, h2=real.h2, z21=real.z21,
+            r2=stats.clusters[1].corr.matrix,
+        )
+    terms = build_cascades(
+        real.h1, real.g1, stats.clusters[0].corr.matrix, emi1_w=emi_w, emi2_w=emi_w, **neighbor
     )
+    return terms, (powers, cfg.noise_power_w, cfg.clusters[0].weights())
 
 
-def test_build_trial_terms_neighbor_handling():
-    case = _case(with_cluster2=True)
-    terms = build_trial_terms(case, include_neighbor=True)
-    assert terms.s is not None and terms.w21 is not None and terms.r2 is not None
-    bare = build_trial_terms(case, include_neighbor=False)
-    assert bare.s is None and bare.w21 is None and bare.r2 is None
-    no_c2 = replace(case, cluster2=None)
-    with pytest.raises(ValueError, match="cluster-2 state"):
-        build_trial_terms(no_c2, include_neighbor=True)
+def _ones(terms):
+    return np.ones(terms.num_elements, dtype=complex)
 
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))
@@ -81,18 +71,18 @@ def test_ao_beats_fixed_phases_per_realization(kind):
     # RCG starts from the fixed phases and only ascends the scenario's
     # utility, so the result can never fall below the baseline
     for trial in range(3):
-        case = _case(trial=trial, emi_dbm=-65.0, with_cluster2=True)
-        res = alternate_optimize(case, kind)
-        fixed = evaluate_pair(case, kind, np.ones(case.real.h1.shape[0], dtype=complex))
-        tuned = evaluate_pair(case, kind, res.theta)
+        terms, ctx = _case(trial=trial, emi_dbm=-65.0, with_cluster2=True)
+        res = alternate_optimize(terms, kind, *ctx)
+        fixed = evaluate_pair(terms, _ones(terms), kind, *ctx)
+        tuned = evaluate_pair(terms, res.theta, kind, *ctx)
         assert tuned.sum_rate_bps_hz >= fixed.sum_rate_bps_hz - 1e-9
 
 
 def test_ao_huge_epsilon_stops_after_one_iteration():
     # the optimizer is a single RCG run, so its tolerance is the only stop
     # besides the iteration cap
-    case = _case()
-    res = alternate_optimize(case, ScenarioKind.EIF, RcgOptions(epsilon=1e9))
+    terms, ctx = _case()
+    res = alternate_optimize(terms, ScenarioKind.EIF, *ctx, opts=RcgOptions(epsilon=1e9))
     assert res.iterations == 1
     assert res.converged
 
@@ -102,9 +92,9 @@ def test_ao_low_power_runs_past_first_iteration():
     # the first step changes it by less than an absolute tolerance of 1e-4;
     # the relative stop keeps iterating
     for trial in range(3):
-        case = _case(trial=trial)
-        case = replace(case, powers=PowerAllocation(case.powers.cluster1 * 1e-5))
-        res = alternate_optimize(case, ScenarioKind.EIF)
+        terms, (powers, noise, weights) = _case(trial=trial)
+        quiet = PowerAllocation(powers.cluster1 * 1e-5)
+        res = alternate_optimize(terms, ScenarioKind.EIF, quiet, noise, weights)
         assert res.trace[1] - res.trace[0] <= 1e-4
         assert res.iterations >= 2
 
@@ -112,17 +102,15 @@ def test_ao_low_power_runs_past_first_iteration():
 def test_ao_objective_is_best_of_trace():
     # RCG only ascends, so the returned objective is the best of its trace,
     # and it is the utility of the returned phases with ZF at those phases
-    case = _case(trial=1, emi_dbm=-60.0, with_cluster2=True)
+    terms, ctx = _case(trial=1, emi_dbm=-60.0, with_cluster2=True)
+    weights = ctx[2]
     kind = ScenarioKind.EMI_IRR
-    res = alternate_optimize(case, kind)
+    res = alternate_optimize(terms, kind, *ctx)
     assert res.objective == res.trace.max() == res.trace[-1]
-    terms = build_trial_terms(case, include_neighbor=True)
-    util = weighted_log_utility(
-        terms, res.theta, kind, case.powers, case.noise_power_w, case.weights1
-    )
+    util = weighted_log_utility(terms, res.theta, kind, *ctx)
     assert res.objective == pytest.approx(util, rel=1e-12)
-    rates = evaluate_pair(case, kind, res.theta).sinr
-    assert res.objective == pytest.approx(float(case.weights1 @ np.log1p(rates)), rel=1e-12)
+    rates = evaluate_pair(terms, res.theta, kind, *ctx).sinr
+    assert res.objective == pytest.approx(float(weights @ np.log1p(rates)), rel=1e-12)
     np.testing.assert_allclose(np.abs(res.theta), 1.0, atol=1e-12)
 
 
@@ -131,26 +119,29 @@ def test_ao_terminates_within_outer_cap():
     # draw: a run takes its full budget unless a step leaves the utility
     # exactly unchanged (which counts as converged)
     for trial in range(3):
-        res = alternate_optimize(_case(trial=trial), ScenarioKind.EIF)
+        terms, ctx = _case(trial=trial)
+        res = alternate_optimize(terms, ScenarioKind.EIF, *ctx)
         trace = res.trace
         assert res.iterations <= AO_RCG.max_iters
         assert res.iterations == AO_RCG.max_iters or (res.converged and trace[-1] == trace[-2])
 
 
 def test_ao_respects_outer_cap():
-    case = _case(trial=3)
-    res = alternate_optimize(case, ScenarioKind.EIF, RcgOptions(epsilon=0.0, max_iters=5))
+    terms, ctx = _case(trial=3)
+    res = alternate_optimize(
+        terms, ScenarioKind.EIF, *ctx, opts=RcgOptions(epsilon=0.0, max_iters=5)
+    )
     assert res.iterations == 5
     assert not res.converged
 
 
 def test_unaware_ao_ignores_interference_levels():
     # the unaware optimizer targets the interference-free objective, so its
-    # phases cannot depend on the EMI level attached to the case
-    quiet = _case(trial=4, emi_dbm=-75.0, with_cluster2=True)
+    # phases cannot depend on the EMI level set on the terms
+    quiet, ctx = _case(trial=4, emi_dbm=-75.0, with_cluster2=True)
     loud = replace(quiet, emi1_w=dbm_to_watts(-60.0), emi2_w=dbm_to_watts(-60.0))
-    res_quiet = alternate_optimize(quiet, ScenarioKind.EIF)
-    res_loud = alternate_optimize(loud, ScenarioKind.EIF)
+    res_quiet = alternate_optimize(quiet, ScenarioKind.EIF, *ctx)
+    res_loud = alternate_optimize(loud, ScenarioKind.EIF, *ctx)
     np.testing.assert_allclose(res_quiet.theta, res_loud.theta, rtol=1e-12)
 
 
@@ -159,36 +150,37 @@ def test_aware_ao_helps_under_strong_emi_on_average():
     # matter; around a hundred it wins on almost every draw
     aware_rates, unaware_rates = [], []
     for trial in range(8):
-        case = _case(trial=trial, side=10, emi_dbm=-60.0)
-        aw = alternate_optimize(case, ScenarioKind.EMI)
-        un = alternate_optimize(case, ScenarioKind.EIF)
-        aware_rates.append(evaluate_pair(case, ScenarioKind.EMI, aw.theta).sum_rate_bps_hz)
-        unaware_rates.append(evaluate_pair(case, ScenarioKind.EMI, un.theta).sum_rate_bps_hz)
+        terms, ctx = _case(trial=trial, side=10, emi_dbm=-60.0)
+        aw = alternate_optimize(terms, ScenarioKind.EMI, *ctx)
+        un = alternate_optimize(terms, ScenarioKind.EIF, *ctx)
+        aware_rates.append(evaluate_pair(terms, aw.theta, ScenarioKind.EMI, *ctx).sum_rate_bps_hz)
+        unaware_rates.append(evaluate_pair(terms, un.theta, ScenarioKind.EMI, *ctx).sum_rate_bps_hz)
     assert np.mean(aware_rates) >= np.mean(unaware_rates)
 
 
 def test_evaluate_pair_at_unit_phases_deterministic():
-    case = _case(trial=5, emi_dbm=-65.0, with_cluster2=True)
-    ones = np.ones(case.real.h1.shape[0], dtype=complex)
-    a = evaluate_pair(case, ScenarioKind.EMI_IRR, ones)
-    b = evaluate_pair(case, ScenarioKind.EMI_IRR, ones)
+    terms, ctx = _case(trial=5, emi_dbm=-65.0, with_cluster2=True)
+    a = evaluate_pair(terms, _ones(terms), ScenarioKind.EMI_IRR, *ctx)
+    b = evaluate_pair(terms, _ones(terms), ScenarioKind.EMI_IRR, *ctx)
     np.testing.assert_array_equal(a.sinr, b.sinr)
     assert a.sum_rate_bps_hz == b.sum_rate_bps_hz
 
 
+def _draw(trial, side=5):
+    cfg = _small_cfg(side)
+    stats = build_statistics(cfg)
+    return cfg, stats, draw_realization(cfg, stats, trial)
+
+
 def test_fixed_cluster2_zero_phases():
-    case = _case(with_cluster2=True)
-    state = fixed_cluster2(case.real)
-    np.testing.assert_array_equal(state.theta, np.ones(case.real.h2.shape[0]))
+    _, _, real = _draw(0)
+    state = fixed_cluster2(real)
+    np.testing.assert_array_equal(state.theta, np.ones(real.h2.shape[0]))
     np.testing.assert_allclose(np.linalg.norm(state.u, axis=0), 1.0, rtol=1e-12)
 
 
 def test_optimize_cluster2_independent_of_cluster1():
-    cfg = _small_cfg()
-    stats = build_statistics(cfg)
-    real = draw_realization(cfg, stats, 6)
-    from risim.harness import make_powers
-
+    cfg, stats, real = _draw(6)
     powers2 = make_powers(cfg).cluster2
     args = (stats, powers2, cfg.noise_power_w, cfg.clusters[1].weights())
     state, res = optimize_cluster2(real, *args)
@@ -208,13 +200,10 @@ def test_warm_run_starts_at_unaware_utility_and_never_ends_below(kind):
     # an aware run from the unaware phases is scored there first, and Armijo
     # accepts only increases, so it cannot end below the unaware utility
     for trial in range(3):
-        case = _case(trial=trial, side=6, emi_dbm=-65.0, with_cluster2=True, optimize_c2=True)
-        unaware = alternate_optimize(case, ScenarioKind.EIF)
-        start = weighted_log_utility(
-            build_trial_terms(case, include_neighbor=kind.has_irr), unaware.theta, kind,
-            case.powers, case.noise_power_w, case.weights1,
-        )
-        warm = alternate_optimize(case, kind, AO_WARM_RCG, theta0=unaware.theta)
+        terms, ctx = _case(trial=trial, side=6, emi_dbm=-65.0, with_cluster2=True, optimize_c2=True)
+        unaware = alternate_optimize(terms, ScenarioKind.EIF, *ctx)
+        start = weighted_log_utility(terms, unaware.theta, kind, *ctx)
+        warm = alternate_optimize(terms, kind, *ctx, theta0=unaware.theta, opts=AO_WARM_RCG)
         assert warm.trace[0] == pytest.approx(start, rel=1e-12)
         assert warm.objective >= warm.trace[0]
         assert warm.iterations <= AO_WARM_RCG.max_iters < AO_RCG.max_iters
@@ -222,19 +211,20 @@ def test_warm_run_starts_at_unaware_utility_and_never_ends_below(kind):
 
 def test_shared_reflected_emi_gives_the_same_covariance_bits():
     # one W21^H R2 W21 per trial serves both EMI levels and every cluster-1 power
-    base = _case(trial=2, emi_dbm=-75.0, with_cluster2=True, optimize_c2=True)
-    shared = reflected_emi_covariance(build_trial_terms(base, include_neighbor=True))
+    base, (powers0, noise, weights) = _case(
+        trial=2, emi_dbm=-75.0, with_cluster2=True, optimize_c2=True
+    )
+    shared = replace(base, reflected=reflected_emi_covariance(base))
     for emi_dbm in (-75.0, -65.0):
         for p1 in (0.01, 10.0):
             level = dbm_to_watts(emi_dbm)
-            powers = PowerAllocation(np.full(2, p1), base.powers.cluster2)
-            case = replace(base, emi1_w=level, emi2_w=level, powers=powers)
-            terms = build_trial_terms(case, include_neighbor=True)
+            powers = PowerAllocation(np.full(2, p1), powers0.cluster2)
+            terms = replace(base, emi1_w=level, emi2_w=level)
+            with_shared = replace(shared, emi1_w=level, emi2_w=level)
             np.testing.assert_array_equal(
-                emi_irr_covariance(terms, powers, shared), emi_irr_covariance(terms, powers)
+                emi_irr_covariance(with_shared, powers), emi_irr_covariance(terms, powers)
             )
-            with_shared = alternate_optimize(
-                replace(case, reflected_emi=shared), ScenarioKind.EMI_IRR, AO_WARM_RCG
-            )
-            alone = alternate_optimize(case, ScenarioKind.EMI_IRR, AO_WARM_RCG)
-            np.testing.assert_array_equal(with_shared.trace, alone.trace)
+            ctx = (powers, noise, weights)
+            fast = alternate_optimize(with_shared, ScenarioKind.EMI_IRR, *ctx, opts=AO_WARM_RCG)
+            alone = alternate_optimize(terms, ScenarioKind.EMI_IRR, *ctx, opts=AO_WARM_RCG)
+            np.testing.assert_array_equal(fast.trace, alone.trace)

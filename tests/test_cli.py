@@ -101,6 +101,27 @@ def test_repeated_scenario_is_runtime_error(tiny_config, capsys):
     assert "scenario 'eif' is given more than once" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-power", "--scenarios", "emi:nan"],
+        ["sweep-power", "--scenarios", "emi:inf"],
+        ["sweep-emi", "--grid", "nan"],
+        ["sweep-emi", "--grid", "inf"],
+        ["sweep-emi", "--scenarios", "eif", "--grid", "nan"],
+        ["single-trial", "--scenarios", "emi_irr:-inf"],
+    ],
+    ids=" ".join,
+)
+def test_non_finite_emi_level_is_runtime_error(tiny_config, tmp_path, capsys, argv):
+    # a nan or infinite level or grid value would end in a nan mean, rate or sweep value
+    out = tmp_path / "out.csv"
+    args = argv + ["--config", tiny_config, "--mode", "fixed", "--trials", "1", "--out", str(out)]
+    assert cli_main(args) == EXIT_RUNTIME
+    assert not out.exists()
+    assert "finite" in capsys.readouterr().err
+
+
 def test_bad_grid_and_bad_scenario(tiny_config, capsys):
     assert cli_main(["sweep-power", "--config", tiny_config, "--grid", "10,x"]) == EXIT_RUNTIME
     assert (

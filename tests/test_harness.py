@@ -200,6 +200,8 @@ def test_run_sweep_validates_spec():
         replace(good, trials=0),
         replace(good, seed=-1),
         replace(good, scenarios=(ScenarioCase(ScenarioKind.EIF),) * 2),
+        replace(good, variable="emi_dbm", grid=(float("nan"),)),
+        replace(good, scenarios=(ScenarioCase(ScenarioKind.EMI, float("inf")),)),
     ):
         with pytest.raises(ConfigError):
             run_sweep(cfg, bad)
@@ -316,7 +318,7 @@ _SWEEP_CASES = {
 }
 
 
-@pytest.mark.parametrize("mode", [Mode.FIXED, Mode.UNAWARE])
+@pytest.mark.parametrize("mode", list(Mode))
 @pytest.mark.parametrize("variable", sorted(_SWEEP_CASES))
 def test_multi_point_sweep_equals_single_point_sweeps(variable, mode):
     # sharing a draw's work between grid points must not change a byte of the
@@ -335,7 +337,7 @@ def test_multi_point_sweep_equals_single_point_sweeps(variable, mode):
     assert csv[1:] == single_csv
     assert trace[1:] == single_trace
     traced = {(row[0], row[3]) for row in rows if row[4] == "cluster1_unaware"}
-    assert traced == ({(v, t) for v in grid for t in range(2)} if mode is Mode.UNAWARE else set())
+    assert traced == ({(v, t) for v in grid for t in range(2)} if mode is not Mode.FIXED else set())
 
 
 def _count_calls(monkeypatch, module, name):
@@ -350,11 +352,14 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("mode", [Mode.UNAWARE, Mode.AWARE])
+@pytest.mark.parametrize("mode", list(Mode))
 def test_power_sweep_draws_and_runs_cluster2_once_per_trial(mode, monkeypatch):
     counts = {
         name: _count_calls(monkeypatch, harness, name)
-        for name in ("build_statistics", "draw_realization", "optimize_cluster2", "alternate_optimize")
+        for name in (
+            "build_statistics", "draw_realization", "build_cascades", "optimize_cluster2",
+            "alternate_optimize",
+        )
     }
     trials = 3
     cases = (ScenarioCase(ScenarioKind.EIF), ScenarioCase(ScenarioKind.EMI_IRR, -65.0))
@@ -363,12 +368,36 @@ def test_power_sweep_draws_and_runs_cluster2_once_per_trial(mode, monkeypatch):
     run_sweep(_tiny_cfg(), spec)
     assert len(counts["build_statistics"]) == 1
     assert len(counts["draw_realization"]) == trials
-    assert len(counts["optimize_cluster2"]) == trials
+    # per draw: one build for cluster 1 alone and one with the neighbor RIS
+    builds = counts["build_cascades"]
+    assert len(builds) == 2 * trials
+    assert sum(kw.get("theta2") is not None for kw in builds) == trials
+    assert len(counts["optimize_cluster2"]) == (0 if mode is Mode.FIXED else trials)
     # per point and trial: the unaware run, and in aware mode one warm EMI_IRR run
     runs = counts["alternate_optimize"]
     warm = [kw for kw in runs if kw.get("theta0") is not None]
-    assert len(runs) == 3 * trials * (2 if mode is Mode.AWARE else 1)
+    assert len(runs) == 3 * trials * {Mode.FIXED: 0, Mode.UNAWARE: 1, Mode.AWARE: 2}[mode]
     assert len(warm) == (3 * trials if mode is Mode.AWARE else 0)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_degenerate_cluster2_skips_only_the_irr_cases(mode, monkeypatch):
+    # the neighbor's ZF fails on draw 0: the cases that need the neighbor
+    # terms skip that draw at every grid point, and the others keep it
+    def failing(fn):
+        def wrapped(real, *args):
+            if real.trial == 0:
+                raise ZfDegenerateError("forced degenerate neighbor")
+            return fn(real, *args)
+
+        return wrapped
+
+    for name in ("fixed_cluster2", "optimize_cluster2"):
+        monkeypatch.setattr(harness, name, failing(getattr(harness, name)))
+    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0, 30.0), scenarios=DEFAULT_CASES,
+                     mode=mode, trials=3)
+    for rec in run_sweep(_tiny_cfg(), spec):
+        assert (rec.skipped, rec.trials) == ((1, 2) if "irr" in rec.scenario else (0, 3))
 
 
 def test_emi_sweep_runs_the_unaware_optimizer_once_per_trial(monkeypatch):

@@ -129,65 +129,67 @@ def test_retract_halves_step_at_zero_crossing():
     np.testing.assert_allclose(out, [1.0 + 0j], rtol=1e-12)
 
 
-def test_armijo_hand_case():
+def test_armijo_hand_case(monkeypatch):
     # f(theta) = Im(theta_0) after retraction from theta = 1 along d = j:
     # f(s) = s / sqrt(1 + s^2). With c = 0.9 and slope 1, steps 1 and 0.5
     # fail the sufficient-increase test and 0.25 is the first accepted step.
-    opts = RcgOptions(armijo_step=1.0, armijo_contraction=0.5, armijo_slope=0.9)
+    monkeypatch.setattr(rcg, "ARMIJO_STEP", 1.0)
+    monkeypatch.setattr(rcg, "ARMIJO_CONTRACTION", 0.5)
+    monkeypatch.setattr(rcg, "ARMIJO_SLOPE", 0.9)
     theta = np.array([1.0 + 0j])
     direction = np.array([1j])
 
     def objective(x):
         return float(np.imag(x[0]))
 
-    step, new, f_new = armijo_search(theta, direction, objective, 0.0, 1.0, opts)
+    step, new, f_new = armijo_search(theta, direction, objective, 0.0, 1.0)
     assert step == pytest.approx(0.25)
     assert f_new == pytest.approx(0.25 / np.sqrt(1.0625))
     np.testing.assert_allclose(np.abs(new), 1.0)
 
 
-def test_armijo_accepts_full_step_with_small_slope_coefficient():
-    opts = RcgOptions(armijo_slope=1e-4)
+def test_armijo_accepts_full_step_with_small_slope_coefficient(monkeypatch):
+    monkeypatch.setattr(rcg, "ARMIJO_SLOPE", 1e-4)
     theta = np.array([1.0 + 0j])
 
     def objective(x):
         return float(np.imag(x[0]))
 
-    step, _, _ = armijo_search(theta, np.array([1j]), objective, 0.0, 1.0, opts)
+    step, _, _ = armijo_search(theta, np.array([1j]), objective, 0.0, 1.0)
     assert step == pytest.approx(1.0)
 
 
-def test_armijo_exhaustion_returns_zero_step():
-    opts = RcgOptions(max_backtracks=8)
+def test_armijo_exhaustion_returns_zero_step(monkeypatch):
+    monkeypatch.setattr(rcg, "MAX_BACKTRACKS", 8)
     theta = np.array([1.0 + 0j])
 
     def objective(x):
         return -1.0  # any move looks worse than f0 = 0
 
-    step, same, f = armijo_search(theta, np.array([1j]), objective, 0.0, 1.0, opts)
+    step, same, f = armijo_search(theta, np.array([1j]), objective, 0.0, 1.0)
     assert step == 0.0
     assert f == 0.0
     np.testing.assert_array_equal(same, theta)
 
 
-def test_armijo_starts_from_guess_and_caps_it():
+def test_armijo_starts_from_guess_and_caps_it(monkeypatch):
     # f(s) = s / sqrt(1 + s^2) along d = j from theta = 1: a guess below the
     # largest move (1.0 here) is the first candidate, a larger one is capped
-    opts = RcgOptions(armijo_slope=1e-4)
+    monkeypatch.setattr(rcg, "ARMIJO_SLOPE", 1e-4)
     theta = np.array([1.0 + 0j])
 
     def objective(x):
         return float(np.imag(x[0]))
 
-    step, _, _ = armijo_search(theta, np.array([1j]), objective, 0.0, 1.0, opts, guess=0.3)
+    step, _, _ = armijo_search(theta, np.array([1j]), objective, 0.0, 1.0, guess=0.3)
     assert step == pytest.approx(0.3)
-    step, _, _ = armijo_search(theta, np.array([1j]), objective, 0.0, 1.0, opts, guess=5.0)
+    step, _, _ = armijo_search(theta, np.array([1j]), objective, 0.0, 1.0, guess=5.0)
     assert step == pytest.approx(1.0)
 
 
 def test_armijo_rejects_nonpositive_slope():
     with pytest.raises(ValueError, match="ascent"):
-        armijo_search(np.ones(1, complex), np.ones(1, complex), lambda x: 0.0, 0.0, 0.0, RcgOptions())
+        armijo_search(np.ones(1, complex), np.ones(1, complex), lambda x: 0.0, 0.0, 0.0)
 
 
 def test_rcg_single_user_reaches_aligned_optimum():

@@ -71,7 +71,7 @@ def _direct_den(terms, theta, kind, powers, kwargs, h1, g1, r1):
     Cluster 1 is zero-forced at theta, and the intra-cluster leakage of that
     precoder is summed like any other interference.
     """
-    u1 = zf_precoder(effective_channel(g1, theta, h1)).u
+    u1 = zf_precoder(effective_channel(g1, theta, h1))
     phase1 = np.diag(np.conj(theta))
     num_users = g1.shape[0]
     p1 = np.asarray(powers.cluster1, float)
