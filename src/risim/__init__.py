@@ -27,6 +27,7 @@ from .harness import (
     DEFAULT_CASES,
     EMI_SWEEP_CASES,
     TRACE_HEADER,
+    GridPoint,
     MetricRecord,
     Mode,
     ScenarioCase,
@@ -80,7 +81,6 @@ from .sinr import (
     build_cascades,
     outage_indicator,
     scenario_sinr,
-    signal_and_interference,
     weighted_log_utility,
 )
 

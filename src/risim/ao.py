@@ -52,11 +52,10 @@ def alternate_optimize(
 
     The paper alternates a ZF precoder update with an RCG phase update. With
     unit-norm ZF columns the intra-cluster leakage vanishes, so every
-    scenario's SINR is the closed-form function of theta in
-    signal_and_interference: the alternation is block ascent on that one
-    function. One RCG run from theta0 (default theta = 1) maximizes it
-    directly, so there is no outer loop; the name is kept from the alternating
-    scheme. The precoder is ZF at the returned theta (see evaluate_pair). An
+    scenario's SINR is the closed-form function of theta in phase_point:
+    the alternation is block ascent on that one function. One RCG run from
+    theta0 (default theta = 1) maximizes it directly, so there is no outer
+    loop; the name is kept from the alternating scheme. The precoder is ZF at the returned theta (see evaluate_pair). An
     interference-unaware optimizer passes ScenarioKind.EIF; IRR kinds need
     terms built with the neighbor RIS.
     """

@@ -13,6 +13,7 @@ from .harness import (
     EMI_SWEEP_CASES,
     Mode,
     SweepSpec,
+    _fmt,
     parse_scenario_token,
     render_csv,
     run_single_trial,
@@ -92,10 +93,6 @@ def _parse_cases(text: str | None, default):
     return tuple(parse_scenario_token(tok) for tok in text.split(",") if tok.strip() != "")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".10g")
-
-
 def _fmt_vec(values) -> str:
     return "[" + ",".join(_fmt(v) for v in np.asarray(values).ravel()) + "]"
 
@@ -134,10 +131,6 @@ def _dispatch(args) -> int:
             dump_dir=args.dump_channels,
         )
         text = _render_single(results, cfg, mode, args.trial)
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
     else:
         variable, _, default_cases, _ = _SWEEPS[args.command]
         spec = SweepSpec(
@@ -149,13 +142,11 @@ def _dispatch(args) -> int:
             seed=args.seed,
             unit_power=args.unit_power,
         )
-        records = run_sweep(cfg, spec, trace=trace_rows)
-        text = render_csv(records)
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
-
+        text = render_csv(run_sweep(cfg, spec, trace=trace_rows))
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
     if args.trace:
         write_trace(trace_rows, args.trace)
     return EXIT_OK
@@ -169,9 +160,6 @@ def cli_main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return _dispatch(args)
-    except ConfigError as exc:
-        print(f"risim: error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except (OSError, RuntimeError, ValueError) as exc:
         print(f"risim: error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

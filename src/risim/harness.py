@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from time import perf_counter
 
 import numpy as np
 
@@ -22,7 +21,14 @@ from .channels import build_statistics, draw_realization, dump_realization, tria
 from .precoding import ZfDegenerateError
 from .rcg import RcgResult
 from .scenario import ConfigError, SystemConfig, dbm_to_watts, validate_config
-from .sinr import PowerAllocation, ScenarioKind, SinrReport, build_cascades, reflected_emi_covariance
+from .sinr import (
+    PowerAllocation,
+    ScenarioKind,
+    SinrReport,
+    build_cascades,
+    outage_indicator,
+    reflected_emi_covariance,
+)
 
 CSV_HEADER = "sweep_value,scenario,mode,mean_sum_rate_bps_hz,outage_user1,trials,skipped"
 TRACE_HEADER = "sweep_value,scenario,mode,trial,stage,inner_iter,objective,grad_norm,step"
@@ -94,7 +100,6 @@ class SweepSpec:
     trials: int = 500
     seed: int | None = None  # None uses the config seed
     unit_power: bool = False  # 1 W per user instead of splitting the BS budget
-    keep_samples: bool = False  # retain per-trial sum rates on each record
 
 
 @dataclass(frozen=True)
@@ -107,8 +112,7 @@ class MetricRecord:
     trials: int  # valid trials aggregated
     skipped: int
     std_sum_rate_bps_hz: float = 0.0
-    wall_time_s: float = 0.0
-    sum_rate_samples: tuple[float, ...] | None = None
+    sum_rate_samples: tuple[float, ...] = ()  # each valid trial's weighted sum rate
 
 
 def aggregate(trial_rates, weights, threshold: float):
@@ -120,7 +124,7 @@ def aggregate(trial_rates, weights, threshold: float):
     sums = arr @ w
     mean = float(sums.mean())
     std = float(sums.std(ddof=1)) if sums.size > 1 else 0.0
-    outage = (arr < threshold).mean(axis=0)
+    outage = outage_indicator(arr, threshold).mean(axis=0)
     return mean, std, outage
 
 
@@ -151,44 +155,43 @@ def _case_levels(case: ScenarioCase, cfg: SystemConfig) -> tuple[float, float]:
     return cfg.clusters[0].emi_power_w, cfg.clusters[1].emi_power_w
 
 
-class TrialEvaluator:
-    """Evaluates scenario cases on one draw at one grid point, reusing optimizer output.
+@dataclass(frozen=True, eq=False)
+class GridPoint:
+    """What one grid point adds to a draw: its powers, trace rows and sweep value.
 
-    Each result is cached per trial under a key that names what it depends on
-    besides the draw: nothing for the neighbor cluster's state, the cascade
-    terms with and without the neighbor RIS, and W21^H R2 W21 (no sweep
-    changes cluster 2, and the terms hold no powers; each case sets its EMI
-    levels on them), cluster-1 powers for the interference-unaware phases,
-    and those plus the scenario and EMI levels for an aware run. Evaluators
-    of grid points that share a draw share the cache (start_trial's shared),
-    so a power sweep builds the cascades and optimizes cluster 2 once per
-    trial and an EMI sweep also runs the unaware optimizer once per trial.
-    Each evaluator still writes the trace rows of every run it uses, once per
-    trial, as if it had made the run itself. Aware runs start from the
-    unaware phases of the same trial and powers (see AO_WARM_RCG).
+    Points compare and hash by identity, so two points with the same sweep
+    value keep their own trace rows. trace None writes no rows.
     """
 
-    def __init__(self, cfg, stats, powers, trace=None, sweep_value=""):
+    powers: PowerAllocation
+    trace: list | None = None
+    value: float | str = ""
+
+
+class TrialEvaluator:
+    """Evaluates scenario cases on one channel draw, reusing optimizer output.
+
+    Each result is cached under a key that names what it depends on besides
+    the draw: nothing for the neighbor cluster's state, the cascade terms with
+    and without the neighbor RIS, and W21^H R2 W21 (no sweep changes cluster
+    2, and the terms hold no powers; each case sets its EMI levels on them),
+    cluster-1 powers for the interference-unaware phases, and those plus the
+    scenario and EMI levels for an aware run. Every grid point of a draw goes
+    through the same evaluator, so a power sweep builds the cascades and
+    optimizes cluster 2 once per draw and an EMI sweep also runs the unaware
+    optimizer once per draw. Each point still gets the trace rows of every
+    run it uses, once, as if it had made the run itself. Aware runs start
+    from the unaware phases of the same draw and powers (see AO_WARM_RCG).
+    """
+
+    def __init__(self, cfg: SystemConfig, stats, real, mode: Mode):
         self.cfg = cfg
         self.stats = stats
-        self.powers = powers
+        self.real = real
+        self.mode = Mode(mode)
         self.noise = cfg.noise_power_w
         self.w1 = cfg.clusters[0].weights()
-        self.w2 = cfg.clusters[1].weights()
-        self.factor = cfg.emi_self_factor
-        self.r1 = stats.clusters[0].corr.matrix
-        self.r2 = stats.clusters[1].corr.matrix
-        self.trace = trace
-        self.sweep_value = sweep_value
-        self.real = None
         self._cache = {}
-        self._traced = set()
-        self._p1 = tuple(powers.cluster1)
-
-    def start_trial(self, real, shared=None):
-        """Evaluate on real from now on; shared is the trial's cache, if other points use it."""
-        self.real = real
-        self._cache = {} if shared is None else shared
         self._traced = set()
 
     def _once(self, key, fn):
@@ -202,88 +205,78 @@ class TrialEvaluator:
             raise value
         return value
 
-    def _trace(self, key, case, mode, stage, res: RcgResult):
-        """Write res's rows once per trial, under the first case that uses it."""
-        if self.trace is None or key in self._traced:
+    def _trace(self, point: GridPoint, case, key, stage, res: RcgResult):
+        """Write res's rows once per point, under the first case that uses it."""
+        if point.trace is None or (point, key) in self._traced:
             return
-        self._traced.add(key)
+        self._traced.add((point, key))
         objectives = res.trace[1:]
         for i in range(res.iterations):
             obj = objectives[i] if i < objectives.size else res.trace[-1]
-            self.trace.append(
-                (
-                    self.sweep_value,
-                    case.label,
-                    mode.value,
-                    self.real.trial,
-                    stage,
-                    i,
-                    obj,
-                    res.grad_norms[i],
-                    res.steps[i],
-                )
-            )
+            row = (point.value, case.label, self.mode.value, self.real.trial, stage, i, obj)
+            point.trace.append(row + (res.grad_norms[i], res.steps[i]))
 
-    def _cluster2(self, case, mode) -> Cluster2State:
-        if mode is Mode.FIXED:
-            return self._once("c2_fixed", lambda: fixed_cluster2(self.real))
+    def _cluster2(self, point, case) -> Cluster2State:
+        if self.mode is Mode.FIXED:
+            return self._once("cluster2", lambda: fixed_cluster2(self.real))
+        w2 = self.cfg.clusters[1].weights()
         state, result = self._once(
-            "c2_opt",
-            lambda: optimize_cluster2(self.real, self.stats, self.powers.cluster2, self.noise, self.w2),
+            "cluster2",
+            lambda: optimize_cluster2(self.real, self.stats, point.powers.cluster2, self.noise, w2),
         )
-        self._trace("c2_opt", case, mode, "cluster2", result)
+        self._trace(point, case, "cluster2", "cluster2", result)
         return state
 
-    def _terms(self, case, mode, neighbor: bool):
+    def _terms(self, point, case, neighbor: bool):
         """The draw's cascade terms, with the neighbor RIS when neighbor is set."""
         real = self.real
         extra = {}
         if neighbor:
-            c2 = self._cluster2(case, mode)
-            extra = dict(theta2=c2.theta, u2=c2.u, h2=real.h2, z21=real.z21, r2=self.r2)
+            c2 = self._cluster2(point, case)
+            r2 = self.stats.clusters[1].corr.matrix
+            extra = dict(theta2=c2.theta, u2=c2.u, h2=real.h2, z21=real.z21, r2=r2)
+        r1 = self.stats.clusters[0].corr.matrix
+        factor = self.cfg.emi_self_factor
         return self._once(
             ("terms", neighbor),
-            lambda: build_cascades(real.h1, real.g1, self.r1, emi_self_factor=self.factor, **extra),
+            lambda: build_cascades(real.h1, real.g1, r1, emi_self_factor=factor, **extra),
         )
 
-    def _unaware(self, case, mode) -> RcgResult:
-        key = ("ao_unaware", self._p1)
-        own = self._terms(case, mode, neighbor=False)
-        result = self._once(
-            key, lambda: alternate_optimize(own, ScenarioKind.EIF, self.powers, self.noise, self.w1)
-        )
-        self._trace(key, case, mode, "cluster1_unaware", result)
-        return result
+    def _run(self, point, case, kind: ScenarioKind, terms=None) -> RcgResult:
+        """Cluster 1's phases at point: the unaware run for EIF, else kind's aware run on terms.
 
-    def _aware(self, case, mode, terms) -> RcgResult:
-        kind = ScenarioKind(case.kind)
-        theta0 = self._unaware(case, mode).theta
-        if kind is ScenarioKind.EMI_IRR:
-            # every aware EMI_IRR run of the draw builds its C from the same W21^H R2 W21
-            reflected = self._once("reflected", lambda: reflected_emi_covariance(terms))
-            terms = replace(terms, reflected=reflected)
-        key = ("ao_aware", kind.value, terms.emi1_w, terms.emi2_w, self._p1)
-        result = self._once(
-            key,
-            lambda: alternate_optimize(
-                terms, kind, self.powers, self.noise, self.w1, theta0=theta0, opts=AO_WARM_RCG
-            ),
-        )
-        self._trace(key, case, mode, f"cluster1_aware_{kind.value}", result)
-        return result
-
-    def evaluate(self, case: ScenarioCase, mode: Mode) -> SinrReport:
-        kind = ScenarioKind(case.kind)
-        mode = Mode(mode)
-        emi1_w, emi2_w = _case_levels(case, self.cfg)
-        terms = replace(self._terms(case, mode, kind.has_irr), emi1_w=emi1_w, emi2_w=emi2_w)
-        if mode is Mode.FIXED:
-            theta = np.ones(terms.num_elements, dtype=complex)
-        elif mode is Mode.UNAWARE or kind is ScenarioKind.EIF:
-            theta = self._unaware(case, mode).theta
+        An aware run starts from the unaware phases, so it makes that run first.
+        """
+        p1 = tuple(point.powers.cluster1)
+        extra = {}
+        if kind is ScenarioKind.EIF:
+            terms = self._terms(point, case, neighbor=False)
+            key, stage = ("ao_unaware", p1), "cluster1_unaware"
         else:
-            theta = self._aware(case, mode, terms).theta
-        return evaluate_pair(terms, theta, kind, self.powers, self.noise, self.w1)
+            theta0 = self._run(point, case, ScenarioKind.EIF).theta
+            if kind is ScenarioKind.EMI_IRR:
+                # every aware EMI_IRR run of the draw builds its C from the same W21^H R2 W21
+                reflected = self._once("reflected", lambda: reflected_emi_covariance(terms))
+                terms = replace(terms, reflected=reflected)
+            key = ("ao_aware", kind.value, terms.emi1_w, terms.emi2_w, p1)
+            stage = f"cluster1_aware_{kind.value}"
+            extra = dict(theta0=theta0, opts=AO_WARM_RCG)
+        result = self._once(
+            key, lambda: alternate_optimize(terms, kind, point.powers, self.noise, self.w1, **extra)
+        )
+        self._trace(point, case, key, stage, result)
+        return result
+
+    def evaluate(self, case: ScenarioCase, point: GridPoint) -> SinrReport:
+        kind = ScenarioKind(case.kind)
+        emi1_w, emi2_w = _case_levels(case, self.cfg)
+        terms = replace(self._terms(point, case, kind.has_irr), emi1_w=emi1_w, emi2_w=emi2_w)
+        if self.mode is Mode.FIXED:
+            theta = np.ones(terms.num_elements, dtype=complex)
+        else:
+            run_kind = kind if self.mode is Mode.AWARE else ScenarioKind.EIF
+            theta = self._run(point, case, run_kind, terms).theta
+        return evaluate_pair(terms, theta, kind, point.powers, self.noise, self.w1)
 
 
 def _config_at(cfg: SystemConfig, variable: str, value: float) -> SystemConfig:
@@ -344,10 +337,11 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, trace=None) -> list[MetricReco
     scenario comparisons are paired. Grid points with the same geometry (every
     point of a power or EMI sweep; only equal points of an element sweep) share
     the statistics and the draws too: trials loop outside the points, so each
-    trial draws once and shares its cached optimizer runs between the points
-    (see TrialEvaluator). Records and trace rows come out in grid order, the
-    same as from one single-point sweep per grid value. Results are
-    deterministic given the config, the spec, and the seed.
+    trial draws once, and one TrialEvaluator per draw shares its cached
+    optimizer runs between the points. Records and trace rows come out in grid
+    order, the same as from one single-point sweep per grid value. Records
+    carry each trial's weighted sum rate, so runs can be compared per draw.
+    Results are deterministic given the config, the spec, and the seed.
     """
     cfg = validate_config(cfg)
     _validate_spec(spec)
@@ -356,48 +350,36 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, trace=None) -> list[MetricReco
 
     configs = [_config_at(cfg, spec.variable, value) for value in spec.grid]
     cases = [[_case_at(spec.variable, case, value) for case in spec.scenarios] for value in spec.grid]
+    points = [
+        GridPoint(make_powers(cfg_pt, spec.unit_power), [] if trace is not None else None, value)
+        for cfg_pt, value in zip(configs, spec.grid)
+    ]
     rates = [{case: [] for case in pt} for pt in cases]
     skips = [{case: 0 for case in pt} for pt in cases]
-    times = [{case: 0.0 for case in pt} for pt in cases]
-    rows = [[] if trace is not None else None for _ in spec.grid]
 
     groups: dict[int, list[int]] = {}
     for i, cfg_pt in enumerate(configs):
         # the statistics and the draw see the grid value only through cluster 1's size
         groups.setdefault(cfg_pt.clusters[0].ris_side, []).append(i)
-    for points in groups.values():
-        cfg_geo = configs[points[0]]
+    for members in groups.values():
+        cfg_geo = configs[members[0]]
         stats = build_statistics(cfg_geo)
-        evaluators = {
-            i: TrialEvaluator(
-                configs[i],
-                stats,
-                make_powers(configs[i], spec.unit_power),
-                trace=rows[i],
-                sweep_value=spec.grid[i],
-            )
-            for i in points
-        }
         for trial in range(spec.trials):
             real = draw_realization(cfg_geo, stats, trial, rng=trial_rng(seed, trial))
-            shared = {}
-            for i in points:
-                evaluators[i].start_trial(real, shared)
+            evaluator = TrialEvaluator(cfg_geo, stats, real, mode)
+            for i in members:
                 for case in cases[i]:
-                    t0 = perf_counter()
                     try:
-                        report = evaluators[i].evaluate(case, mode)
+                        report = evaluator.evaluate(case, points[i])
                     except ZfDegenerateError:
                         skips[i][case] += 1
                     else:
                         rates[i][case].append(report.rates_bps_hz)
-                    finally:
-                        times[i][case] += perf_counter() - t0
 
     records: list[MetricRecord] = []
     for i, value in enumerate(spec.grid):
         if trace is not None:
-            trace.extend(rows[i])
+            trace.extend(points[i].trace)
         weights1 = configs[i].clusters[0].weights()
         for case in cases[i]:
             if not rates[i][case]:
@@ -407,7 +389,6 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, trace=None) -> list[MetricReco
                 )
             arr = np.array(rates[i][case])
             mean, std, outage = aggregate(arr, weights1, configs[i].rate_threshold_bps_hz)
-            samples = tuple(float(s) for s in arr @ weights1) if spec.keep_samples else None
             records.append(
                 MetricRecord(
                     sweep_value=float(value),
@@ -418,8 +399,7 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, trace=None) -> list[MetricReco
                     trials=len(rates[i][case]),
                     skipped=skips[i][case],
                     std_sum_rate_bps_hz=std,
-                    wall_time_s=times[i][case],
-                    sum_rate_samples=samples,
+                    sum_rate_samples=tuple(float(s) for s in arr @ weights1),
                 )
             )
     return records
@@ -439,14 +419,13 @@ def run_single_trial(
     cfg = validate_config(cfg)
     _check_levels(cases)
     stats = build_statistics(cfg)
-    powers = make_powers(cfg, unit_power)
     use_seed = cfg.rng_seed if seed is None else seed
     real = draw_realization(cfg, stats, trial, rng=trial_rng(use_seed, trial))
     if dump_dir is not None:
         dump_realization(real, dump_dir)
-    evaluator = TrialEvaluator(cfg, stats, powers, trace=trace, sweep_value="")
-    evaluator.start_trial(real)
-    return [(case, evaluator.evaluate(case, mode)) for case in cases]
+    evaluator = TrialEvaluator(cfg, stats, real, mode)
+    point = GridPoint(make_powers(cfg, unit_power), trace)
+    return [(case, evaluator.evaluate(case, point)) for case in cases]
 
 
 def _fmt(x: float) -> str:
@@ -479,23 +458,10 @@ def write_csv(records, path) -> None:
 
 def render_trace(rows) -> str:
     lines = [TRACE_HEADER]
-    for row in rows:
-        sweep_value, scenario, mode, trial, stage, inner_i, obj, gnorm, step = row
-        lines.append(
-            ",".join(
-                [
-                    _fmt(sweep_value) if sweep_value != "" else "",
-                    scenario,
-                    mode,
-                    str(trial),
-                    stage,
-                    str(inner_i),
-                    _fmt(obj),
-                    _fmt(gnorm),
-                    _fmt(step),
-                ]
-            )
-        )
+    for sweep_value, scenario, mode, trial, stage, inner_i, *numbers in rows:
+        value = _fmt(sweep_value) if sweep_value != "" else ""
+        fields = [value, scenario, mode, str(trial), stage, str(inner_i)]
+        lines.append(",".join(fields + [_fmt(x) for x in numbers]))  # objective, grad norm, step
     return "\n".join(lines) + "\n"
 
 

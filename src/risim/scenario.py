@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -131,8 +132,20 @@ def _check_position(name: str, pos) -> tuple[float, float, float]:
     return (x, y, z)
 
 
+def _check_number(name: str, value, integer: bool = False) -> None:
+    """Reject anything but a finite real number (an int when integer is set); bools too."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be {'an integer' if integer else 'a finite number'}")
+
+
 def _validate_cluster(cfg: SystemConfig, cluster: ClusterConfig, n: int) -> ClusterConfig:
     tag = f"cluster {n}"
+    for name in ("num_antennas", "ris_side"):
+        _check_number(f"{tag}: {name}", getattr(cluster, name), integer=True)
+    for name in ("tx_power_dbm", "element_area_m2", "emi_power_dbm"):
+        if getattr(cluster, name) is not None:
+            _check_number(f"{tag}: {name}", getattr(cluster, name))
     if cluster.num_antennas < 1:
         raise ConfigError(f"{tag}: num_antennas must be >= 1")
     if cluster.ris_side < 1:
@@ -144,10 +157,6 @@ def _validate_cluster(cfg: SystemConfig, cluster: ClusterConfig, n: int) -> Clus
             f"ZF infeasible: {tag} serves {cluster.num_users} users "
             f"with {cluster.num_antennas} antennas"
         )
-    if not math.isfinite(cluster.tx_power_dbm):
-        raise ConfigError(f"{tag}: tx_power_dbm must be finite")
-    if cluster.emi_power_dbm is not None and not math.isfinite(cluster.emi_power_dbm):
-        raise ConfigError(f"{tag}: emi_power_dbm must be finite or null")
 
     bs = _check_position(f"{tag} bs_position", cluster.bs_position)
     ris = _check_position(f"{tag} ris_position", cluster.ris_position)
@@ -194,6 +203,9 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
     """
     if len(cfg.clusters) != 2:
         raise ConfigError("exactly two clusters are required")
+    reals = ("carrier_frequency_ghz", "bandwidth_hz", "noise_psd_dbm_hz", "rate_threshold_bps_hz")
+    for name in reals:
+        _check_number(name, getattr(cfg, name))
     if cfg.carrier_frequency_ghz <= 0.0:
         raise ConfigError("carrier_frequency_ghz must be positive")
     if cfg.bandwidth_hz <= 0.0:

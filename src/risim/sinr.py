@@ -41,10 +41,10 @@ class CascadeTerms:
 
     h1 and g1 give cluster 1's effective channel H(theta), whose row k is
     theta^H diag(g_k*) h1. Cluster 1 is zero-forced with unit-norm columns, so
-    its precoder is a function of theta and is not stored (see
-    signal_and_interference). Column j of s = Z21^H Theta2 H2 u2 is the
-    cluster-2 stream j as it leaves the neighbor RIS towards the serving RIS,
-    so user k receives it with amplitude v_k^H s_j, v_k = g_k o theta.
+    its precoder is a function of theta and is not stored (see PhasePoint).
+    Column j of s = Z21^H Theta2 H2 u2 is the cluster-2 stream j as it
+    leaves the neighbor RIS towards the serving RIS, so user k receives it
+    with amplitude v_k^H s_j, v_k = g_k o theta.
     w21 = Theta2^H Z21 maps serving-RIS element signals to the neighbor RIS,
     so EMI re-reflected by the neighbor has covariance w21^H R2 w21 at the
     serving RIS. All interference terms are evaluated as matrix-vector
@@ -258,18 +258,6 @@ def phase_point(
     return PhasePoint(theta=np.array(theta), h_eff=h_eff, g_inv=g_inv, sig=sig, den=den, mv=mv)
 
 
-def signal_and_interference(
-    terms: CascadeTerms,
-    theta: np.ndarray,
-    kind: ScenarioKind,
-    powers: PowerAllocation,
-    noise_power_w: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user received signal power and total interference-plus-noise power (see PhasePoint)."""
-    point = phase_point(terms, theta, kind, powers, noise_power_w)
-    return point.sig, point.den
-
-
 @dataclass(frozen=True)
 class SinrReport:
     scenario: ScenarioKind
@@ -282,8 +270,8 @@ class SinrReport:
 def scenario_sinr(terms, theta, kind, powers, noise_power_w, weights=None) -> SinrReport:
     """Per-user SINR, rates and weighted sum rate for one scenario."""
     kind = ScenarioKind(kind)
-    sig, den = signal_and_interference(terms, theta, kind, powers, noise_power_w)
-    gamma = sig / den
+    point = phase_point(terms, theta, kind, powers, noise_power_w)
+    gamma = point.sig / point.den
     rates = np.log2(1.0 + gamma)
     w = np.ones(gamma.size) if weights is None else np.asarray(weights, dtype=float)
     return SinrReport(

@@ -32,7 +32,6 @@ from risim import (
     run_sweep,
     sample_correlated_rayleigh,
     scenario_sinr,
-    signal_and_interference,
     spatial_correlation,
     trial_rng,
     zf_precoder,
@@ -40,7 +39,7 @@ from risim import (
 from risim.ao import AO_WARM_RCG
 from risim.cli import EXIT_OK, cli_main
 from risim.harness import DEFAULT_CASES, Mode
-from risim.sinr import CascadeTerms
+from risim.sinr import CascadeTerms, phase_point
 
 NOISE = 1e-3
 
@@ -213,7 +212,8 @@ def test_a4_cascades_match_direct_matrix_evaluation():
         p1 = np.asarray(powers.cluster1)
         p2 = np.asarray(powers.cluster2)
         for kind in ScenarioKind:
-            sig, den = signal_and_interference(terms, theta, kind, powers, NOISE)
+            point = phase_point(terms, theta, kind, powers, NOISE)
+            sig, den = point.sig, point.den
             dsig = np.zeros(2)
             dden = np.full(2, NOISE)
             for k in range(2):

@@ -1,11 +1,12 @@
 """Command line behavior: exit codes, output formats, determinism."""
 
+import json
 import subprocess
 from dataclasses import replace
 
 import pytest
 
-from risim import default_config, save_config
+from risim import config_to_dict, default_config, save_config
 from risim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, cli_main
 from risim.harness import CSV_HEADER, TRACE_HEADER
 
@@ -120,6 +121,18 @@ def test_non_finite_emi_level_is_runtime_error(tiny_config, tmp_path, capsys, ar
     assert cli_main(args) == EXIT_RUNTIME
     assert not out.exists()
     assert "finite" in capsys.readouterr().err
+
+
+def test_malformed_config_number_is_runtime_error(tmp_path, capsys):
+    data = config_to_dict(default_config())
+    data["noise_psd_dbm_hz"] = float("nan")
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    args = ["sweep-power", "--config", str(config), "--grid", "30", "--trials", "2"]
+    assert cli_main(args + ["--out", str(out)]) == EXIT_RUNTIME
+    assert not out.exists()
+    assert "noise_psd_dbm_hz" in capsys.readouterr().err
 
 
 def test_bad_grid_and_bad_scenario(tiny_config, capsys):

@@ -108,7 +108,6 @@ def test_run_sweep_record_layout():
         assert r.trials == 3
         assert r.skipped == 0
         assert len(r.outage) == 2
-        assert r.wall_time_s >= 0.0
 
 
 def test_run_sweep_deterministic_bytes():
@@ -128,13 +127,14 @@ def test_run_sweep_seed_changes_results():
     assert a[0].mean_sum_rate_bps_hz != b[0].mean_sum_rate_bps_hz
 
 
-def test_run_sweep_keep_samples_and_pairing():
+def test_run_sweep_samples_and_pairing():
     cfg = _tiny_cfg()
     cases = (ScenarioCase(ScenarioKind.EIF), ScenarioCase(ScenarioKind.IRR))
-    spec = SweepSpec(variable="tx_power_dbm", grid=(30.0,), scenarios=cases,
-                     mode=Mode.FIXED, trials=5, keep_samples=True)
-    eif, irr = run_sweep(cfg, spec)
-    assert len(eif.sum_rate_samples) == 5
+    spec = SweepSpec(variable="tx_power_dbm", grid=(20.0, 30.0), scenarios=cases,
+                     mode=Mode.FIXED, trials=5)
+    records = run_sweep(cfg, spec)
+    assert all(len(r.sum_rate_samples) == r.trials == 5 for r in records)
+    eif, irr = records[2:]
     assert eif.mean_sum_rate_bps_hz == pytest.approx(np.mean(eif.sum_rate_samples))
     # scenarios share channel draws, and extra interference cannot help
     for a, b in zip(eif.sum_rate_samples, irr.sum_rate_samples):
@@ -312,19 +312,24 @@ def test_run_sweep_rejects_repeated_scenarios():
 
 
 _SWEEP_CASES = {
-    "tx_power_dbm": ((10.0, 25.0, 40.0), DEFAULT_CASES),
-    "emi_dbm": ((-75.0, -65.0, -60.0), (ScenarioCase(ScenarioKind.EIF),) + EMI_SWEEP_CASES),
-    "ris_elements": ((4.0, 16.0, 9.0), DEFAULT_CASES),
+    "tx_power_dbm": ("tx_power_dbm", (10.0, 25.0, 40.0), DEFAULT_CASES),
+    "emi_dbm": (
+        "emi_dbm", (-75.0, -65.0, -60.0), (ScenarioCase(ScenarioKind.EIF),) + EMI_SWEEP_CASES
+    ),
+    "ris_elements": ("ris_elements", (4.0, 16.0, 9.0), DEFAULT_CASES),
+    # a repeated value is its own grid point, with its own trace rows
+    "tx_power_dbm_repeated": ("tx_power_dbm", (10.0, 10.0, 25.0), DEFAULT_CASES),
+    "ris_elements_repeated": ("ris_elements", (4.0, 9.0, 4.0), DEFAULT_CASES),
 }
 
 
 @pytest.mark.parametrize("mode", list(Mode))
-@pytest.mark.parametrize("variable", sorted(_SWEEP_CASES))
-def test_multi_point_sweep_equals_single_point_sweeps(variable, mode):
+@pytest.mark.parametrize("sweep", sorted(_SWEEP_CASES))
+def test_multi_point_sweep_equals_single_point_sweeps(sweep, mode):
     # sharing a draw's work between grid points must not change a byte of the
     # CSV or of the trace
     cfg = _tiny_cfg(side=4)
-    grid, cases = _SWEEP_CASES[variable]
+    variable, grid, cases = _SWEEP_CASES[sweep]
     spec = SweepSpec(variable=variable, grid=grid, scenarios=cases, mode=mode, trials=2)
     rows = []
     csv = render_csv(run_sweep(cfg, spec, trace=rows)).splitlines()
@@ -424,8 +429,7 @@ def test_aware_never_below_unaware_per_trial():
     # aware runs start from the unaware phases and only ascend the true utility
     cfg = _tiny_cfg(side=4)
     cases = tuple(c for c in DEFAULT_CASES if c.kind is not ScenarioKind.EIF)
-    kw = dict(variable="tx_power_dbm", grid=(10.0, 40.0), scenarios=cases, trials=3,
-              keep_samples=True)
+    kw = dict(variable="tx_power_dbm", grid=(10.0, 40.0), scenarios=cases, trials=3)
     unaware = run_sweep(cfg, SweepSpec(mode=Mode.UNAWARE, **kw))
     aware = run_sweep(cfg, SweepSpec(mode=Mode.AWARE, **kw))
     for u, a in zip(unaware, aware):

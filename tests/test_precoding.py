@@ -8,10 +8,9 @@ from risim import (
     ZfDegenerateError,
     build_cascades,
     effective_channel,
-    signal_and_interference,
     zf_precoder,
 )
-from risim.sinr import ScenarioKind
+from risim.sinr import ScenarioKind, phase_point
 
 
 def _cn(rng, *shape):
@@ -39,9 +38,7 @@ def test_effective_channel_consistent_with_cascades():
     powers = np.array([0.7, 1.9])
     theta = np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
     terms = build_cascades(h, g, np.eye(6))
-    sig, _ = signal_and_interference(
-        terms, theta, ScenarioKind.EIF, PowerAllocation(powers), 1e-3
-    )
+    sig = phase_point(terms, theta, ScenarioKind.EIF, PowerAllocation(powers), 1e-3).sig
     h_eff = effective_channel(g, theta, h)
     amps = np.diagonal(h_eff @ zf_precoder(h_eff))
     np.testing.assert_allclose(sig, powers * np.abs(amps) ** 2, rtol=1e-12)
@@ -83,9 +80,8 @@ def test_zf_interference_term_vanishes_in_sinr():
     prod = h_eff @ zf_precoder(h_eff)
     terms = build_cascades(h, g, np.eye(6))
     noise = 1e-6
-    sig, den = signal_and_interference(
-        terms, theta, ScenarioKind.EIF, PowerAllocation(np.ones(2)), noise
-    )
+    point = phase_point(terms, theta, ScenarioKind.EIF, PowerAllocation(np.ones(2)), noise)
+    sig, den = point.sig, point.den
     # the leakage the closed form leaves out is roundoff, far below the noise,
     # so the interference-free denominator is the noise floor
     leak = (np.abs(prod) ** 2).sum(axis=1) - np.abs(np.diagonal(prod)) ** 2

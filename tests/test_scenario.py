@@ -216,6 +216,31 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "cluster, field, value",
+    [
+        (None, "noise_psd_dbm_hz", float("nan")),
+        (None, "noise_psd_dbm_hz", -float("inf")),
+        (None, "bandwidth_hz", float("inf")),
+        (None, "rate_threshold_bps_hz", float("nan")),
+        (None, "rate_threshold_bps_hz", float("inf")),
+        (None, "carrier_frequency_ghz", float("inf")),
+        (0, "element_area_m2", float("nan")),
+        (1, "element_area_m2", float("inf")),
+        (0, "num_antennas", 2.5),
+        (1, "ris_side", 3.5),
+        (0, "num_antennas", "2"),
+        (0, "tx_power_dbm", "30"),
+    ],
+)
+def test_config_from_dict_rejects_malformed_numbers(cluster, field, value):
+    # unchecked, each ends in a nan or infinite row, a numpy error or a TypeError
+    data = config_to_dict(default_config())
+    (data if cluster is None else data["clusters"][cluster])[field] = value
+    with pytest.raises(ConfigError, match=field):
+        config_from_dict(data)
+
+
 def test_config_from_dict_requires_clusters():
     with pytest.raises(ConfigError, match="clusters"):
         config_from_dict({"carrier_frequency_ghz": 3.0})

@@ -17,13 +17,12 @@ from risim import (
     phase_objective,
     ris_element_positions,
     scenario_sinr,
-    signal_and_interference,
     effective_channel,
     spatial_correlation,
     weighted_log_utility,
     zf_precoder,
 )
-from risim.sinr import emi_irr_covariance, interference
+from risim.sinr import emi_irr_covariance, interference, phase_point
 
 NOISE = 1e-3
 
@@ -126,7 +125,8 @@ def test_cascades_match_direct_evaluation(kind):
         terms = build_cascades(h1, g1, r1, emi1_w=0.7, emi_self_factor=4.0, **kwargs)
         theta = np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
         powers = PowerAllocation(rng.uniform(0.5, 2, 2), rng.uniform(0.5, 2, 2))
-        sig, den = signal_and_interference(terms, theta, kind, powers, NOISE)
+        point = phase_point(terms, theta, kind, powers, NOISE)
+        sig, den = point.sig, point.den
         dsig, dden = _direct_den(terms, theta, kind, powers, kwargs, h1, g1, r1)
         np.testing.assert_allclose(sig, dsig, rtol=1e-10)
         np.testing.assert_allclose(den, dden, rtol=1e-10)
@@ -187,7 +187,7 @@ def test_self_factor_scales_emi_in_combined_scenario():
         terms, theta, powers, _ = _instance(np.random.default_rng(3), factor=factor, emi2_w=0.0)
         terms = replace(terms, s=np.zeros_like(terms.s))
         den = {
-            kind: signal_and_interference(terms, theta, kind, powers, NOISE)[1]
+            kind: phase_point(terms, theta, kind, powers, NOISE).den
             for kind in ScenarioKind
         }
         emi = den[ScenarioKind.EMI] - den[ScenarioKind.EIF]
@@ -332,7 +332,8 @@ def test_emi_algebra_on_rank_deficient_sinc_correlation(kind):
         terms = build_cascades(h1, g1, r1, emi1_w=0.7, emi_self_factor=4.0, **kwargs)
         theta = np.exp(1j * rng.uniform(0, 2 * np.pi, n1))
         powers = PowerAllocation(rng.uniform(0.5, 2, 2), rng.uniform(0.5, 2, 2))
-        sig, den = signal_and_interference(terms, theta, kind, powers, NOISE)
+        point = phase_point(terms, theta, kind, powers, NOISE)
+        sig, den = point.sig, point.den
         dsig, dden = _direct_den(terms, theta, kind, powers, kwargs, h1, g1, r1)
         np.testing.assert_allclose(sig, dsig, rtol=1e-10)
         np.testing.assert_allclose(den, dden, rtol=1e-10)
@@ -414,7 +415,8 @@ def test_unequal_cluster_sizes_match_direct_evaluation(sizes):
     n1 = terms.num_elements
     theta = _random_theta(rng, n1)
     for kind in ScenarioKind:
-        sig, den = signal_and_interference(terms, theta, kind, powers, NOISE)
+        point = phase_point(terms, theta, kind, powers, NOISE)
+        sig, den = point.sig, point.den
         dsig, dden = _direct_den(terms, theta, kind, powers, kwargs, h1, g1, r1)
         np.testing.assert_allclose(sig, dsig, rtol=1e-10)
         np.testing.assert_allclose(den, dden, rtol=1e-10)
@@ -468,7 +470,7 @@ def test_interference_never_lowers_den_below_noise(sizes):
             for t in (terms, dense):
                 den, _ = interference(t, theta, kind, powers, NOISE)
                 assert np.all(den >= NOISE)
-                assert np.all(signal_and_interference(t, theta, kind, powers, NOISE)[1] >= NOISE)
+                assert np.all(phase_point(t, theta, kind, powers, NOISE).den >= NOISE)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
