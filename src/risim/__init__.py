@@ -40,7 +40,6 @@ from .harness import (
     render_trace,
     run_single_trial,
     run_sweep,
-    write_csv,
     write_trace,
 )
 from .precoding import ZfDegenerateError, effective_channel, zf_precoder
@@ -59,19 +58,16 @@ from .rcg import (
 from .scenario import (
     ClusterConfig,
     ConfigError,
-    GeometryDerived,
     SystemConfig,
     config_from_dict,
     config_to_dict,
     dbm_to_watts,
     default_config,
-    derive_geometry,
     distance_3d,
     load_config,
     ris_element_positions,
     save_config,
     validate_config,
-    watts_to_dbm,
 )
 from .sinr import (
     CascadeTerms,

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .scenario import SystemConfig, derive_geometry, validate_config
+from .scenario import SystemConfig, distance_3d, ris_element_positions, validate_config
 
 # Indoor factory line-of-sight path loss coefficients
 _PL_OFFSET_DB = 31.84
@@ -116,22 +116,23 @@ class ChannelStatistics:
 def build_statistics(cfg: SystemConfig) -> ChannelStatistics:
     """Correlation models and link gains; compute once per config."""
     cfg = validate_config(cfg)
-    geom = derive_geometry(cfg)
     fc = cfg.carrier_frequency_ghz
     per_cluster = []
-    for n, cluster in enumerate(cfg.clusters):
-        corr = spatial_correlation(geom.element_positions[n], geom.wavelength_m)
+    for cluster in cfg.clusters:
         area = cluster.element_area_m2
-        bs_gain = area * path_loss_linear(geom.bs_ris_m[n], fc)
+        positions = ris_element_positions(cluster.ris_side, area)
+        corr = spatial_correlation(positions, cfg.wavelength_m)
+        ris = cluster.ris_position
+        bs_gain = area * path_loss_linear(distance_3d(cluster.bs_position, ris), fc)
         ue_gain = area * np.array(
-            [path_loss_linear(d, fc) for d in geom.ris_ue_m[n]]
+            [path_loss_linear(distance_3d(ris, ue), fc) for ue in cluster.ue_positions]
         )
         per_cluster.append(
             ClusterStatistics(corr=corr, bs_ris_gain=bs_gain, ris_ue_gain=ue_gain)
         )
-    a1 = cfg.clusters[0].element_area_m2
-    a2 = cfg.clusters[1].element_area_m2
-    inter = np.sqrt(a1 * a2) * path_loss_linear(geom.ris_ris_m, fc)
+    c1, c2 = cfg.clusters
+    ris_ris = distance_3d(c1.ris_position, c2.ris_position)
+    inter = np.sqrt(c1.element_area_m2 * c2.element_area_m2) * path_loss_linear(ris_ris, fc)
     return ChannelStatistics(clusters=tuple(per_cluster), inter_ris_gain=inter)
 
 

@@ -79,12 +79,9 @@ def _build_parser() -> _Parser:
 
 def _parse_grid(text: str) -> tuple[float, ...]:
     try:
-        grid = tuple(float(v) for v in text.split(",") if v.strip() != "")
+        return tuple(float(v) for v in text.split(",") if v.strip() != "")
     except ValueError as exc:
         raise ConfigError(f"bad grid value in '{text}'") from exc
-    if not grid:
-        raise ConfigError("the sweep grid is empty")
-    return grid
 
 
 def _parse_cases(text: str | None, default):

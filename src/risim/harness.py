@@ -20,7 +20,7 @@ from .ao import (
 from .channels import build_statistics, draw_realization, dump_realization, trial_rng
 from .precoding import ZfDegenerateError
 from .rcg import RcgResult
-from .scenario import ConfigError, SystemConfig, dbm_to_watts, validate_config
+from .scenario import ConfigError, SystemConfig, _check_number, dbm_to_watts, validate_config
 from .sinr import (
     PowerAllocation,
     ScenarioKind,
@@ -289,8 +289,6 @@ def _config_at(cfg: SystemConfig, variable: str, value: float) -> SystemConfig:
         if count != value or side * side != count or count < 1:
             raise ConfigError(f"ris_elements grid values must be perfect squares, got {value}")
         cluster1 = replace(cluster1, ris_side=side)
-    elif variable != "emi_dbm":
-        raise ConfigError(f"unknown sweep variable '{variable}'")
     return validate_config(replace(cfg, clusters=(cluster1, cfg.clusters[1])))
 
 
@@ -313,10 +311,9 @@ def _validate_spec(spec: SweepSpec) -> None:
         raise ConfigError("sweep grid must not be empty")
     if len(spec.scenarios) == 0:
         raise ConfigError("at least one scenario case is required")
-    if spec.trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if spec.seed is not None and (not isinstance(spec.seed, int) or spec.seed < 0):
-        raise ConfigError("seed must be a non-negative integer")
+    _check_number("trials", spec.trials, integer=True, minimum=1)
+    if spec.seed is not None:
+        _check_number("seed", spec.seed, integer=True, minimum=0)
     Mode(spec.mode)
     if not all(math.isfinite(v) for v in spec.grid):
         raise ConfigError("sweep grid values must be finite")
@@ -417,6 +414,9 @@ def run_single_trial(
 ) -> list[tuple[ScenarioCase, SinrReport]]:
     """Evaluate the given scenario cases on a single channel draw."""
     cfg = validate_config(cfg)
+    _check_number("trial", trial, integer=True, minimum=0)
+    if seed is not None:
+        _check_number("seed", seed, integer=True, minimum=0)
     _check_levels(cases)
     stats = build_statistics(cfg)
     use_seed = cfg.rng_seed if seed is None else seed
@@ -450,10 +450,6 @@ def render_csv(records) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def write_csv(records, path) -> None:
-    Path(path).write_text(render_csv(records), encoding="utf-8")
 
 
 def render_trace(rows) -> str:

@@ -21,12 +21,6 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((float(dbm) - 30.0) / 10.0)
 
 
-def watts_to_dbm(watts: float) -> float:
-    if watts <= 0.0:
-        raise ValueError("power must be positive to express in dBm")
-    return 10.0 * math.log10(watts) + 30.0
-
-
 def distance_3d(p, q) -> float:
     """Euclidean distance between two (x, y, z) points in meters."""
     a = np.asarray(p, dtype=float)
@@ -122,48 +116,56 @@ class SystemConfig:
         return (self.wavelength_m / 4.0) ** 2
 
 
-def _check_position(name: str, pos) -> tuple[float, float, float]:
-    try:
-        x, y, z = (float(v) for v in pos)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be an (x, y, z) triple") from exc
-    if not all(math.isfinite(v) for v in (x, y, z)):
-        raise ConfigError(f"{name} must be finite")
-    return (x, y, z)
+def _check_number(name: str, value, integer: bool = False, minimum=None) -> None:
+    """Reject anything but a finite real number (an int when integer is set); bools too.
 
-
-def _check_number(name: str, value, integer: bool = False) -> None:
-    """Reject anything but a finite real number (an int when integer is set); bools too."""
-    kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+    With minimum set, values below it are rejected as well.
+    """
+    if integer:
+        ok = isinstance(value, numbers.Integral)  # no isfinite: it overflows on huge ints
+    else:
+        ok = isinstance(value, numbers.Real) and math.isfinite(value)
+    if isinstance(value, bool) or not ok:
         raise ConfigError(f"{name} must be {'an integer' if integer else 'a finite number'}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}")
+
+
+def _check_list(name: str, value) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list")
+    return tuple(value)
+
+
+def _check_position(name: str, pos) -> tuple[float, float, float]:
+    if not isinstance(pos, (list, tuple)) or len(pos) != 3:
+        raise ConfigError(f"{name} must be an (x, y, z) triple")
+    for v in pos:
+        _check_number(name, v)
+    return tuple(float(v) for v in pos)
 
 
 def _validate_cluster(cfg: SystemConfig, cluster: ClusterConfig, n: int) -> ClusterConfig:
     tag = f"cluster {n}"
     for name in ("num_antennas", "ris_side"):
-        _check_number(f"{tag}: {name}", getattr(cluster, name), integer=True)
+        _check_number(f"{tag}: {name}", getattr(cluster, name), integer=True, minimum=1)
     for name in ("tx_power_dbm", "element_area_m2", "emi_power_dbm"):
         if getattr(cluster, name) is not None:
             _check_number(f"{tag}: {name}", getattr(cluster, name))
-    if cluster.num_antennas < 1:
-        raise ConfigError(f"{tag}: num_antennas must be >= 1")
-    if cluster.ris_side < 1:
-        raise ConfigError(f"{tag}: ris_side must be >= 1")
-    if cluster.num_users < 1:
-        raise ConfigError(f"{tag}: at least one user required")
-    if cluster.num_users > cluster.num_antennas:
-        raise ConfigError(
-            f"ZF infeasible: {tag} serves {cluster.num_users} users "
-            f"with {cluster.num_antennas} antennas"
-        )
 
     bs = _check_position(f"{tag} bs_position", cluster.bs_position)
     ris = _check_position(f"{tag} ris_position", cluster.ris_position)
     ues = tuple(
         _check_position(f"{tag} ue_positions[{k}]", p)
-        for k, p in enumerate(cluster.ue_positions)
+        for k, p in enumerate(_check_list(f"{tag} ue_positions", cluster.ue_positions))
     )
+    if not ues:
+        raise ConfigError(f"{tag}: at least one user required")
+    if len(ues) > cluster.num_antennas:
+        raise ConfigError(
+            f"ZF infeasible: {tag} serves {len(ues)} users "
+            f"with {cluster.num_antennas} antennas"
+        )
     if distance_3d(bs, ris) <= 0.0:
         raise ConfigError(f"{tag}: BS and RIS must not coincide")
     for k, ue in enumerate(ues):
@@ -178,13 +180,16 @@ def _validate_cluster(cfg: SystemConfig, cluster: ClusterConfig, n: int) -> Clus
 
     weights = cluster.user_weights
     if weights is None:
-        weights = tuple(1.0 for _ in range(cluster.num_users))
+        weights = (1.0,) * len(ues)
     else:
-        weights = tuple(float(w) for w in weights)
-        if len(weights) != cluster.num_users:
+        weights = _check_list(f"{tag}: user_weights", weights)
+        if len(weights) != len(ues):
             raise ConfigError(f"{tag}: user_weights length must equal the user count")
-        if any(w <= 0.0 or not math.isfinite(w) for w in weights):
-            raise ConfigError(f"{tag}: user_weights must be positive and finite")
+        for k, w in enumerate(weights):
+            _check_number(f"{tag}: user_weights[{k}]", w)
+            if w <= 0.0:
+                raise ConfigError(f"{tag}: user_weights must be positive")
+        weights = tuple(float(w) for w in weights)
 
     return replace(
         cluster,
@@ -197,25 +202,22 @@ def _validate_cluster(cfg: SystemConfig, cluster: ClusterConfig, n: int) -> Clus
 
 
 def validate_config(cfg: SystemConfig) -> SystemConfig:
-    """Check all structural invariants and resolve defaulted fields.
+    """Check every field and resolve defaulted ones; the one place a config is checked.
 
-    Idempotent: validating an already validated config returns an equal one.
+    Positions and weights come back as tuples of floats. Idempotent: validating
+    an already validated config returns an equal one.
     """
     if len(cfg.clusters) != 2:
         raise ConfigError("exactly two clusters are required")
-    reals = ("carrier_frequency_ghz", "bandwidth_hz", "noise_psd_dbm_hz", "rate_threshold_bps_hz")
-    for name in reals:
+    for name in ("carrier_frequency_ghz", "bandwidth_hz", "noise_psd_dbm_hz", "emi_self_factor"):
         _check_number(name, getattr(cfg, name))
+    _check_number("rate_threshold_bps_hz", cfg.rate_threshold_bps_hz, minimum=0)
+    _check_number("mc_trials", cfg.mc_trials, integer=True, minimum=1)
+    _check_number("rng_seed", cfg.rng_seed, integer=True, minimum=0)
     if cfg.carrier_frequency_ghz <= 0.0:
         raise ConfigError("carrier_frequency_ghz must be positive")
     if cfg.bandwidth_hz <= 0.0:
         raise ConfigError("bandwidth_hz must be positive")
-    if cfg.rate_threshold_bps_hz < 0.0:
-        raise ConfigError("rate_threshold_bps_hz must be >= 0")
-    if cfg.mc_trials < 1:
-        raise ConfigError("mc_trials must be >= 1")
-    if not isinstance(cfg.rng_seed, int) or cfg.rng_seed < 0:
-        raise ConfigError("rng_seed must be a non-negative integer")
     if cfg.emi_self_factor not in (1.0, 4.0):
         raise ConfigError("emi_self_factor must be 1.0 or 4.0")
 
@@ -228,43 +230,27 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
     return replace(cfg, clusters=clusters)
 
 
-@dataclass(frozen=True)
-class GeometryDerived:
-    """Distances and local element layouts implied by a validated config."""
-
-    wavelength_m: float
-    element_positions: tuple[np.ndarray, np.ndarray]  # (L_n^2, 3) per RIS
-    bs_ris_m: tuple[float, float]
-    ris_ue_m: tuple[np.ndarray, np.ndarray]  # (K_n,) per cluster
-    ris_ris_m: float
-
-
-def derive_geometry(cfg: SystemConfig) -> GeometryDerived:
-    cfg = validate_config(cfg)
-    elements = tuple(
-        ris_element_positions(c.ris_side, c.element_area_m2) for c in cfg.clusters
-    )
-    bs_ris = tuple(distance_3d(c.bs_position, c.ris_position) for c in cfg.clusters)
-    ris_ue = tuple(
-        np.array([distance_3d(c.ris_position, ue) for ue in c.ue_positions])
-        for c in cfg.clusters
-    )
-    ris_ris = distance_3d(cfg.clusters[0].ris_position, cfg.clusters[1].ris_position)
-    return GeometryDerived(
-        wavelength_m=cfg.wavelength_m,
-        element_positions=elements,
-        bs_ris_m=bs_ris,
-        ris_ue_m=ris_ue,
-        ris_ris_m=ris_ris,
-    )
-
-
 def config_to_dict(cfg: SystemConfig) -> dict:
     return asdict(cfg)
 
 
+def _from_fields(cls, raw: dict, tag: str):
+    """cls(**raw), with unknown or missing keys as ConfigErrors; no value is checked."""
+    unknown = set(raw) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"{tag} has unknown keys: {sorted(unknown)}")
+    try:
+        return cls(**raw)
+    except TypeError as exc:
+        raise ConfigError(f"{tag}: {exc}") from exc
+
+
 def config_from_dict(data: dict) -> SystemConfig:
-    """Build a validated SystemConfig from plain dict data (parsed JSON)."""
+    """Build a validated SystemConfig from plain dict data (parsed JSON).
+
+    Keys map onto the dataclass fields as they are; validate_config checks
+    and normalises every value.
+    """
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     try:
@@ -273,44 +259,12 @@ def config_from_dict(data: dict) -> SystemConfig:
         raise ConfigError("config is missing the 'clusters' list") from exc
     if not isinstance(raw_clusters, (list, tuple)):
         raise ConfigError("'clusters' must be a list")
-
-    cluster_fields = set(ClusterConfig.__dataclass_fields__)
     clusters = []
     for n, raw in enumerate(raw_clusters, start=1):
         if not isinstance(raw, dict):
             raise ConfigError(f"cluster {n} must be an object")
-        unknown = set(raw) - cluster_fields
-        if unknown:
-            raise ConfigError(f"cluster {n} has unknown keys: {sorted(unknown)}")
-        kwargs = dict(raw)
-        for key in ("bs_position", "ris_position"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        if "ue_positions" in kwargs:
-            kwargs["ue_positions"] = tuple(tuple(p) for p in kwargs["ue_positions"])
-        if kwargs.get("user_weights") is not None:
-            kwargs["user_weights"] = tuple(kwargs["user_weights"])
-        try:
-            clusters.append(ClusterConfig(**kwargs))
-        except TypeError as exc:
-            raise ConfigError(f"cluster {n}: {exc}") from exc
-
-    system_fields = set(SystemConfig.__dataclass_fields__) - {"clusters"}
-    unknown = set(data) - system_fields - {"clusters"}
-    if unknown:
-        raise ConfigError(f"config has unknown keys: {sorted(unknown)}")
-    kwargs = {k: data[k] for k in system_fields if k in data}
-    if "rng_seed" in kwargs:
-        if isinstance(kwargs["rng_seed"], float) and not kwargs["rng_seed"].is_integer():
-            raise ConfigError("rng_seed must be an integer")
-        kwargs["rng_seed"] = int(kwargs["rng_seed"])
-    if "mc_trials" in kwargs:
-        kwargs["mc_trials"] = int(kwargs["mc_trials"])
-    try:
-        cfg = SystemConfig(clusters=tuple(clusters), **kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return validate_config(cfg)
+        clusters.append(_from_fields(ClusterConfig, raw, f"cluster {n}"))
+    return validate_config(_from_fields(SystemConfig, {**data, "clusters": clusters}, "config"))
 
 
 def load_config(path) -> SystemConfig:

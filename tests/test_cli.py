@@ -124,15 +124,16 @@ def test_non_finite_emi_level_is_runtime_error(tiny_config, tmp_path, capsys, ar
 
 
 def test_malformed_config_number_is_runtime_error(tmp_path, capsys):
-    data = config_to_dict(default_config())
-    data["noise_psd_dbm_hz"] = float("nan")
-    config = tmp_path / "bad.json"
-    config.write_text(json.dumps(data), encoding="utf-8")
-    out = tmp_path / "out.csv"
-    args = ["sweep-power", "--config", str(config), "--grid", "30", "--trials", "2"]
-    assert cli_main(args + ["--out", str(out)]) == EXIT_RUNTIME
-    assert not out.exists()
-    assert "noise_psd_dbm_hz" in capsys.readouterr().err
+    for field, value in (("noise_psd_dbm_hz", float("nan")), ("ue_positions", 5)):
+        data = config_to_dict(default_config())
+        (data if field == "noise_psd_dbm_hz" else data["clusters"][0])[field] = value
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        args = ["sweep-power", "--config", str(config), "--grid", "30", "--trials", "2"]
+        assert cli_main(args + ["--out", str(out)]) == EXIT_RUNTIME
+        assert not out.exists()
+        assert field in capsys.readouterr().err
 
 
 def test_bad_grid_and_bad_scenario(tiny_config, capsys):
@@ -142,7 +143,10 @@ def test_bad_grid_and_bad_scenario(tiny_config, capsys):
         == EXIT_RUNTIME
     )
     assert cli_main(["sweep-power", "--config", tiny_config, "--trials", "0"]) == EXIT_RUNTIME
-    capsys.readouterr()
+    assert cli_main(["sweep-power", "--config", tiny_config, "--grid", ","]) == EXIT_RUNTIME
+    assert "sweep grid must not be empty" in capsys.readouterr().err
+    assert cli_main(["single-trial", "--config", tiny_config, "--trial", "-1"]) == EXIT_RUNTIME
+    assert "trial must be >= 0" in capsys.readouterr().err
 
 
 def test_single_trial_runs_without_config(tiny_config, capsys):

@@ -27,7 +27,6 @@ from risim import (
     render_trace,
     run_single_trial,
     run_sweep,
-    write_csv,
 )
 
 
@@ -199,6 +198,10 @@ def test_run_sweep_validates_spec():
         replace(good, scenarios=()),
         replace(good, trials=0),
         replace(good, seed=-1),
+        replace(good, seed=True),
+        replace(good, seed=7.0),
+        replace(good, trials=True),
+        replace(good, trials=2.5),
         replace(good, scenarios=(ScenarioCase(ScenarioKind.EIF),) * 2),
         replace(good, variable="emi_dbm", grid=(float("nan"),)),
         replace(good, scenarios=(ScenarioCase(ScenarioKind.EMI, float("inf")),)),
@@ -280,7 +283,15 @@ def test_run_single_trial_deterministic(tmp_path):
     assert not np.array_equal(a[0][1].sinr, c[0][1].sinr)
 
 
-def test_render_csv_format(tmp_path):
+def test_run_single_trial_rejects_bad_indices():
+    cfg = _tiny_cfg()
+    cases = (ScenarioCase(ScenarioKind.EIF),)
+    for name, value in (("trial", -1), ("trial", 1.5), ("seed", -1), ("seed", True)):
+        with pytest.raises(ConfigError, match=name):
+            run_single_trial(cfg, cases, Mode.FIXED, **{name: value})
+
+
+def test_render_csv_format():
     rec = MetricRecord(
         sweep_value=30.0,
         scenario="eif",
@@ -292,9 +303,6 @@ def test_render_csv_format(tmp_path):
     )
     text = render_csv([rec])
     assert text == CSV_HEADER + "\n30,eif,fixed,0.3333333333,0.25,8,1\n"
-    path = tmp_path / "out.csv"
-    write_csv([rec], path)
-    assert path.read_text(encoding="utf-8") == text
 
 
 def test_run_sweep_rejects_repeated_scenarios():

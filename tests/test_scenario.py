@@ -11,17 +11,17 @@ from risim import (
     ClusterConfig,
     ConfigError,
     SystemConfig,
+    build_statistics,
     config_from_dict,
     config_to_dict,
     dbm_to_watts,
     default_config,
-    derive_geometry,
     distance_3d,
     load_config,
+    path_loss_linear,
     ris_element_positions,
     save_config,
     validate_config,
-    watts_to_dbm,
 )
 
 
@@ -29,15 +29,6 @@ def test_dbm_watts_round_trip():
     assert dbm_to_watts(30.0) == pytest.approx(1.0)
     assert dbm_to_watts(0.0) == pytest.approx(1e-3)
     assert dbm_to_watts(-75.0) == pytest.approx(3.1622776601683794e-11)
-    for dbm in (-75.0, -10.0, 0.0, 17.5, 40.0):
-        assert watts_to_dbm(dbm_to_watts(dbm)) == pytest.approx(dbm)
-
-
-def test_watts_to_dbm_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        watts_to_dbm(0.0)
-    with pytest.raises(ValueError):
-        watts_to_dbm(-1.0)
 
 
 def test_distance_3d():
@@ -188,15 +179,21 @@ def test_validate_rejects_bad_weights():
             validate_config(bad)
 
 
-def test_derive_geometry_default_layout():
-    geo = derive_geometry(default_config())
-    assert geo.bs_ris_m == pytest.approx((3.0, 3.0))
-    assert geo.ris_ris_m == pytest.approx(10.0)
+def test_build_statistics_default_layout():
+    cfg = default_config()
+    stats = build_statistics(cfg)
+    area = cfg.clusters[0].element_area_m2
+    fc = cfg.carrier_frequency_ghz
+    # each BS sits 3 m from its RIS, and the two RIS are 10 m apart
+    for cs in stats.clusters:
+        assert cs.bs_ris_gain == pytest.approx(area * path_loss_linear(3.0, fc))
+        assert cs.corr.matrix.shape == (400, 400)
+    assert stats.inter_ris_gain == pytest.approx(area * path_loss_linear(10.0, fc))
     # both clusters mirror each other: same RIS-user slant ranges
-    np.testing.assert_allclose(geo.ris_ue_m[0], geo.ris_ue_m[1], atol=1e-12)
-    expect = math.sqrt(0.8**2 + 0.9**2 + 2.5**2)
-    assert geo.ris_ue_m[0][0] == pytest.approx(expect)
-    assert geo.element_positions[0].shape == (400, 3)
+    gains = [cs.ris_ue_gain for cs in stats.clusters]
+    np.testing.assert_allclose(gains[0], gains[1], rtol=1e-12)
+    slant = math.sqrt(0.8**2 + 0.9**2 + 2.5**2)
+    assert gains[0][0] == pytest.approx(area * path_loss_linear(slant, fc))
 
 
 def test_config_dict_round_trip():
@@ -231,10 +228,24 @@ def test_config_from_dict_rejects_unknown_keys():
         (1, "ris_side", 3.5),
         (0, "num_antennas", "2"),
         (0, "tx_power_dbm", "30"),
+        (0, "bs_position", 5),
+        (0, "ue_positions", 5),
+        (0, "ue_positions", [5, 6]),
+        (0, "user_weights", 5),
+        (0, "user_weights", "ab"),
+        (1, "user_weights", ["2", True]),
+        (None, "mc_trials", 2.5),
+        (None, "mc_trials", "x"),
+        (None, "mc_trials", True),
+        (None, "rng_seed", "5"),
+        (None, "rng_seed", True),
+        (None, "rng_seed", 12345.0),
+        (None, "emi_self_factor", True),
     ],
 )
 def test_config_from_dict_rejects_malformed_numbers(cluster, field, value):
-    # unchecked, each ends in a nan or infinite row, a numpy error or a TypeError
+    # unchecked, each ends in a nan or infinite row, a numpy error, a TypeError
+    # or a silently coerced value (2.5 trials run as 2, seed true as 1)
     data = config_to_dict(default_config())
     (data if cluster is None else data["clusters"][cluster])[field] = value
     with pytest.raises(ConfigError, match=field):
