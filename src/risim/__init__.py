@@ -74,9 +74,13 @@ from .sinr import (
     PowerAllocation,
     ScenarioKind,
     SinrReport,
+    UserParts,
     build_cascades,
+    neighbor_parts,
     outage_indicator,
+    parts_sinr,
     scenario_sinr,
+    user_parts,
     weighted_log_utility,
 )
 

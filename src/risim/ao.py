@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import ChannelRealization, ChannelStatistics
-from .precoding import check_zf_gram, effective_channel, zf_precoder
+from .precoding import effective_channel, zf_precoder
 from .rcg import RcgOptions, RcgResult, optimize_phases
 from .sinr import (
     CascadeTerms,
@@ -16,7 +16,9 @@ from .sinr import (
     SinrReport,
     build_cascades,
     emi_irr_covariance,
-    scenario_sinr,
+    neighbor_parts,
+    parts_sinr,
+    user_parts,
 )
 
 
@@ -77,11 +79,15 @@ def evaluate_pair(
 ) -> SinrReport:
     """True-scenario SINR report for the phases theta1 with ZF precoding at theta1.
 
-    Raises ZfDegenerateError when ZF is ill conditioned at theta1.
+    Raises ZfDegenerateError when ZF is ill conditioned at theta1. Mixed from
+    the per-user parts at theta1, which a caller evaluating several cases,
+    powers or EMI levels at one theta builds once (see TrialEvaluator).
     """
-    h_eff = effective_channel(terms.g1, theta1, terms.h1)
-    check_zf_gram(h_eff @ np.conj(h_eff).T)
-    return scenario_sinr(terms, theta1, kind, powers, noise_power_w, weights)
+    kind = ScenarioKind(kind)
+    parts = user_parts(terms, theta1)
+    if kind.has_irr:
+        parts = neighbor_parts(parts, terms, theta1)
+    return parts_sinr(parts, terms, kind, powers, noise_power_w, weights)
 
 
 def _cluster2_state(real: ChannelRealization, theta2: np.ndarray) -> Cluster2State:

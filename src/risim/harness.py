@@ -13,21 +13,30 @@ from .ao import (
     AO_WARM_RCG,
     Cluster2State,
     alternate_optimize,
-    evaluate_pair,
     fixed_cluster2,
     optimize_cluster2,
 )
 from .channels import build_statistics, draw_realization, dump_realization, trial_rng
 from .precoding import ZfDegenerateError
 from .rcg import RcgResult
-from .scenario import ConfigError, SystemConfig, _check_number, dbm_to_watts, validate_config
+from .scenario import (
+    ConfigError,
+    SystemConfig,
+    _check_dbm,
+    _check_number,
+    dbm_to_watts,
+    validate_config,
+)
 from .sinr import (
     PowerAllocation,
     ScenarioKind,
     SinrReport,
     build_cascades,
+    neighbor_parts,
     outage_indicator,
+    parts_sinr,
     reflected_emi_covariance,
+    user_parts,
 )
 
 CSV_HEADER = "sweep_value,scenario,mode,mean_sum_rate_bps_hz,outage_user1,trials,skipped"
@@ -182,6 +191,11 @@ class TrialEvaluator:
     optimizer once per draw. Each point still gets the trace rows of every
     run it uses, once, as if it had made the run itself. Aware runs start
     from the unaware phases of the same draw and powers (see AO_WARM_RCG).
+    Every case is mixed from the per-user parts at its phases (see
+    sinr.UserParts), cached under the key of the run that made those phases,
+    or "fixed" for theta = 1: a fixed power sweep builds them once per draw,
+    an unaware one once per (draw, power). The neighbor parts are built only
+    when an IRR case asks for them.
     """
 
     def __init__(self, cfg: SystemConfig, stats, real, mode: Mode):
@@ -242,8 +256,9 @@ class TrialEvaluator:
             lambda: build_cascades(real.h1, real.g1, r1, emi_self_factor=factor, **extra),
         )
 
-    def _run(self, point, case, kind: ScenarioKind, terms=None) -> RcgResult:
-        """Cluster 1's phases at point: the unaware run for EIF, else kind's aware run on terms.
+    def _run(self, point, case, kind: ScenarioKind, terms=None) -> tuple[object, RcgResult]:
+        """Cluster 1's run at point, with its cache key: the unaware run for
+        EIF, else kind's aware run on terms.
 
         An aware run starts from the unaware phases, so it makes that run first.
         """
@@ -253,7 +268,7 @@ class TrialEvaluator:
             terms = self._terms(point, case, neighbor=False)
             key, stage = ("ao_unaware", p1), "cluster1_unaware"
         else:
-            theta0 = self._run(point, case, ScenarioKind.EIF).theta
+            theta0 = self._run(point, case, ScenarioKind.EIF)[1].theta
             if kind is ScenarioKind.EMI_IRR:
                 # every aware EMI_IRR run of the draw builds its C from the same W21^H R2 W21
                 reflected = self._once("reflected", lambda: reflected_emi_covariance(terms))
@@ -265,18 +280,23 @@ class TrialEvaluator:
             key, lambda: alternate_optimize(terms, kind, point.powers, self.noise, self.w1, **extra)
         )
         self._trace(point, case, key, stage, result)
-        return result
+        return key, result
 
     def evaluate(self, case: ScenarioCase, point: GridPoint) -> SinrReport:
         kind = ScenarioKind(case.kind)
         emi1_w, emi2_w = _case_levels(case, self.cfg)
         terms = replace(self._terms(point, case, kind.has_irr), emi1_w=emi1_w, emi2_w=emi2_w)
         if self.mode is Mode.FIXED:
-            theta = np.ones(terms.num_elements, dtype=complex)
+            key, theta = "fixed", np.ones(terms.num_elements, dtype=complex)
         else:
             run_kind = kind if self.mode is Mode.AWARE else ScenarioKind.EIF
-            theta = self._run(point, case, run_kind, terms).theta
-        return evaluate_pair(terms, theta, kind, point.powers, self.noise, self.w1)
+            key, result = self._run(point, case, run_kind, terms)
+            theta = result.theta
+        # the parts at theta serve every case, power and EMI level evaluated there
+        parts = self._once(("parts", key), lambda: user_parts(terms, theta))
+        if kind.has_irr:
+            parts = self._once(("neighbor_parts", key), lambda: neighbor_parts(parts, terms, theta))
+        return parts_sinr(parts, terms, kind, point.powers, self.noise, self.w1)
 
 
 def _config_at(cfg: SystemConfig, variable: str, value: float) -> SystemConfig:
@@ -300,8 +320,8 @@ def _case_at(variable: str, case: ScenarioCase, value: float) -> ScenarioCase:
 
 def _check_levels(cases) -> None:
     for case in cases:
-        if case.emi_dbm is not None and not math.isfinite(case.emi_dbm):
-            raise ConfigError(f"scenario '{case.label}' needs a finite EMI level")
+        if case.emi_dbm is not None:
+            _check_dbm(f"scenario '{case.label}' EMI level", case.emi_dbm)
 
 
 def _validate_spec(spec: SweepSpec) -> None:
@@ -317,6 +337,9 @@ def _validate_spec(spec: SweepSpec) -> None:
     Mode(spec.mode)
     if not all(math.isfinite(v) for v in spec.grid):
         raise ConfigError("sweep grid values must be finite")
+    if spec.variable != "ris_elements":
+        for value in spec.grid:  # a power level in dBm
+            _check_dbm(f"{spec.variable} grid value", value)
     _check_levels(spec.scenarios)
     seen = set()
     for case in spec.scenarios:

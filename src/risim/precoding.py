@@ -24,8 +24,18 @@ def effective_channel(g: np.ndarray, theta: np.ndarray, h: np.ndarray) -> np.nda
 
 
 def check_zf_gram(gram: np.ndarray, cond_limit: float = COND_LIMIT) -> None:
-    """Raise ZfDegenerateError when the Gram matrix H H^H is too ill conditioned for ZF."""
-    cond = np.linalg.cond(gram)
+    """Raise ZfDegenerateError when the Gram matrix H H^H is too ill conditioned for ZF.
+
+    The Gram matrix is Hermitian positive semidefinite, so its 2-norm
+    condition number is its largest over its smallest eigenvalue (eigvalsh,
+    no SVD). A non-finite entry, or a smallest eigenvalue that is zero or a
+    negative roundoff, counts as infinitely ill conditioned.
+    """
+    cond = np.inf
+    if np.isfinite(gram).all():  # on a NaN, eigvalsh returns zeros or fails to converge
+        lam = np.linalg.eigvalsh(gram)  # ascending
+        if lam[0] > 0.0:
+            cond = lam[-1] / lam[0]
     if not np.isfinite(cond) or cond > cond_limit:
         raise ZfDegenerateError(
             f"ZF degenerate realization: Gram condition number {cond:.3e}"

@@ -131,6 +131,15 @@ def _check_number(name: str, value, integer: bool = False, minimum=None) -> None
         raise ConfigError(f"{name} must be >= {minimum}")
 
 
+def _check_dbm(name: str, value) -> None:
+    """_check_number for a power level in dBm, which must also be finite in watts."""
+    _check_number(name, value)
+    try:
+        dbm_to_watts(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must be finite in watts, got {value:g} dBm") from None
+
+
 def _check_list(name: str, value) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{name} must be a list")
@@ -150,8 +159,10 @@ def _validate_cluster(cfg: SystemConfig, cluster: ClusterConfig, n: int) -> Clus
     for name in ("num_antennas", "ris_side"):
         _check_number(f"{tag}: {name}", getattr(cluster, name), integer=True, minimum=1)
     for name in ("tx_power_dbm", "element_area_m2", "emi_power_dbm"):
-        if getattr(cluster, name) is not None:
-            _check_number(f"{tag}: {name}", getattr(cluster, name))
+        value = getattr(cluster, name)
+        if value is not None:
+            check = _check_number if name == "element_area_m2" else _check_dbm
+            check(f"{tag}: {name}", value)
 
     bs = _check_position(f"{tag} bs_position", cluster.bs_position)
     ris = _check_position(f"{tag} ris_position", cluster.ris_position)

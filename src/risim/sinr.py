@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .precoding import effective_channel
+from .precoding import check_zf_gram, effective_channel
 
 
 class ScenarioKind(str, Enum):
@@ -267,11 +267,8 @@ class SinrReport:
     weights: np.ndarray
 
 
-def scenario_sinr(terms, theta, kind, powers, noise_power_w, weights=None) -> SinrReport:
-    """Per-user SINR, rates and weighted sum rate for one scenario."""
-    kind = ScenarioKind(kind)
-    point = phase_point(terms, theta, kind, powers, noise_power_w)
-    gamma = point.sig / point.den
+def _report(kind: ScenarioKind, sig: np.ndarray, den: np.ndarray, weights) -> SinrReport:
+    gamma = sig / den
     rates = np.log2(1.0 + gamma)
     w = np.ones(gamma.size) if weights is None else np.asarray(weights, dtype=float)
     return SinrReport(
@@ -281,6 +278,79 @@ def scenario_sinr(terms, theta, kind, powers, noise_power_w, weights=None) -> Si
         sum_rate_bps_hz=float(w @ rates),
         weights=w,
     )
+
+
+def scenario_sinr(terms, theta, kind, powers, noise_power_w, weights=None) -> SinrReport:
+    """Per-user SINR, rates and weighted sum rate for one scenario."""
+    kind = ScenarioKind(kind)
+    point = phase_point(terms, theta, kind, powers, noise_power_w)
+    return _report(kind, point.sig, point.den, weights)
+
+
+@dataclass(frozen=True)
+class UserParts:
+    """Per-user scalars at one theta from which every scenario's SINR is mixed.
+
+    c_k = [G^-1]_kk for the ZF Gram G = H(theta) H(theta)^H, so sig_k =
+    p_k / c_k (see PhasePoint). With v_k = g_k o theta, q1_k = v_k^H R1 v_k is
+    the serving-RIS EMI user k receives per watt of emi1_w, qr_k =
+    v_k^H W21^H R2 W21 v_k the EMI re-reflected by the neighbor per watt of
+    emi2_w, and a[k, j] = |s_j^H v_k|^2 the inter-RIS reflection of cluster-2
+    stream j per watt. No part depends on a power or an EMI level, so one set
+    serves every case, power and EMI level evaluated at the same theta (see
+    parts_sinr). qr and a need the neighbor RIS; they are None until
+    neighbor_parts adds them.
+    """
+
+    c: np.ndarray  # (K1,)
+    q1: np.ndarray  # (K1,)
+    qr: np.ndarray | None = None  # (K1,)
+    a: np.ndarray | None = None  # (K1, K2)
+
+
+def _quadratic(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Re(x_k^H M x_k) for every row x_k of x."""
+    return (np.conj(x) * _times_transpose(x, m)).sum(axis=1).real
+
+
+def user_parts(terms: CascadeTerms, theta: np.ndarray) -> UserParts:
+    """The ZF check, c and q1 at theta (see UserParts).
+
+    Raises ZfDegenerateError when ZF is ill conditioned at theta.
+    """
+    h_eff = effective_channel(terms.g1, theta, terms.h1)
+    gram = h_eff @ np.conj(h_eff).T
+    check_zf_gram(gram)
+    c = np.diagonal(np.linalg.inv(gram)).real
+    return UserParts(c=c, q1=_quadratic(terms.g1 * theta, terms.r1))
+
+
+def neighbor_parts(parts: UserParts, terms: CascadeTerms, theta: np.ndarray) -> UserParts:
+    """parts, which must be user_parts at theta, with qr and a from the neighbor RIS terms."""
+    if terms.s is None:
+        raise ValueError("neighbor parts need cascade terms built with a neighbor RIS")
+    v = terms.g1 * theta  # rows v_k
+    qr = _quadratic(v @ terms.w21.T, terms.r2)  # rows W21 v_k through R2
+    return replace(parts, qr=qr, a=np.abs(v @ np.conj(terms.s)) ** 2)
+
+
+def parts_sinr(parts, terms, kind, powers, noise_power_w, weights=None) -> SinrReport:
+    """kind's SinrReport from parts, at the EMI levels and self factor of terms.
+
+    For EMI_IRR, den_k = noise + max(f e1 q1_k + e2 qr_k + sum_j p2_j a[k, j], 0);
+    EMI keeps e1 q1_k, IRR the sum over j, and EIF is noise alone. This is
+    scenario_sinr at the parts' theta, up to roundoff.
+    """
+    kind = ScenarioKind(kind)
+    inner = np.zeros(parts.c.size)
+    if kind.has_emi:
+        inner = terms.emi1_w * parts.q1
+        if kind is ScenarioKind.EMI_IRR:
+            inner = terms.emi_self_factor * inner + terms.emi2_w * parts.qr
+    if kind.has_irr:
+        inner = inner + parts.a @ _cluster2_powers(terms, kind, powers)
+    den = float(noise_power_w) + np.maximum(inner, 0.0)  # floored as in interference
+    return _report(kind, np.asarray(powers.cluster1, dtype=float) / parts.c, den, weights)
 
 
 def outage_indicator(rates: np.ndarray, threshold: float) -> np.ndarray:

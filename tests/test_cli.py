@@ -111,6 +111,7 @@ def test_repeated_scenario_is_runtime_error(tiny_config, capsys):
         ["sweep-emi", "--grid", "inf"],
         ["sweep-emi", "--scenarios", "eif", "--grid", "nan"],
         ["single-trial", "--scenarios", "emi_irr:-inf"],
+        ["single-trial", "--scenarios", "emi:1e308"],  # finite, but overflows in watts
     ],
     ids=" ".join,
 )
@@ -124,16 +125,31 @@ def test_non_finite_emi_level_is_runtime_error(tiny_config, tmp_path, capsys, ar
 
 
 def test_malformed_config_number_is_runtime_error(tmp_path, capsys):
-    for field, value in (("noise_psd_dbm_hz", float("nan")), ("ue_positions", 5)):
+    malformed = (
+        ("noise_psd_dbm_hz", float("nan")),
+        ("ue_positions", 5),
+        ("tx_power_dbm", 1e308),  # finite, but overflows in watts
+        ("emi_power_dbm", 1e308),
+    )
+    out = tmp_path / "out.csv"
+    for field, value in malformed:
         data = config_to_dict(default_config())
         (data if field == "noise_psd_dbm_hz" else data["clusters"][0])[field] = value
         config = tmp_path / "bad.json"
         config.write_text(json.dumps(data), encoding="utf-8")
-        out = tmp_path / "out.csv"
         args = ["sweep-power", "--config", str(config), "--grid", "30", "--trials", "2"]
         assert cli_main(args + ["--out", str(out)]) == EXIT_RUNTIME
         assert not out.exists()
         assert field in capsys.readouterr().err
+    # the same power as a grid value is named with it
+    config = tmp_path / "good.json"
+    config.write_text(json.dumps(config_to_dict(default_config())), encoding="utf-8")
+    for command, variable in (("sweep-power", "tx_power_dbm"), ("sweep-emi", "emi_dbm")):
+        args = [command, "--config", str(config), "--grid", "1e308", "--trials", "2"]
+        assert cli_main(args + ["--out", str(out)]) == EXIT_RUNTIME
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"{variable} grid value" in err and "1e+308" in err
 
 
 def test_bad_grid_and_bad_scenario(tiny_config, capsys):

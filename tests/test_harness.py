@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import risim.ao as ao
 import risim.harness as harness
+import risim.sinr as sinr
 from risim import (
     CSV_HEADER,
     DEFAULT_CASES,
@@ -223,7 +223,7 @@ def test_run_sweep_optimized_modes_beat_fixed():
 
 def test_run_sweep_skip_accounting(monkeypatch):
     cfg = _tiny_cfg()
-    real_check = ao.check_zf_gram
+    real_check = sinr.check_zf_gram
     fails = {"left": 1}
 
     def flaky(gram, *args, **kwargs):
@@ -232,7 +232,7 @@ def test_run_sweep_skip_accounting(monkeypatch):
             raise ZfDegenerateError("forced degenerate draw")
         return real_check(gram, *args, **kwargs)
 
-    monkeypatch.setattr(ao, "check_zf_gram", flaky)
+    monkeypatch.setattr(sinr, "check_zf_gram", flaky)
     spec = SweepSpec(variable="tx_power_dbm", grid=(30.0,),
                      scenarios=(ScenarioCase(ScenarioKind.EIF),),
                      mode=Mode.FIXED, trials=4)
@@ -247,7 +247,7 @@ def test_run_sweep_all_skipped_raises(monkeypatch):
     def broken(gram, *args, **kwargs):
         raise ZfDegenerateError("forced degenerate draw")
 
-    monkeypatch.setattr(ao, "check_zf_gram", broken)
+    monkeypatch.setattr(sinr, "check_zf_gram", broken)
     spec = SweepSpec(variable="tx_power_dbm", grid=(30.0,),
                      scenarios=(ScenarioCase(ScenarioKind.EIF),),
                      mode=Mode.FIXED, trials=2)
@@ -421,6 +421,39 @@ def test_emi_sweep_runs_the_unaware_optimizer_once_per_trial(monkeypatch):
     run_sweep(_tiny_cfg(), spec)
     assert len(runs) == 2
     assert len(cluster2) == 2
+
+
+def test_each_theta_builds_its_parts_once(monkeypatch):
+    # every case, power and EMI level evaluated at one theta is mixed from the
+    # same parts: theta = 1 serves a whole fixed draw, an unaware theta one
+    # (draw, power) and an aware theta its own case
+    parts = _count_calls(monkeypatch, harness, "user_parts")
+    neighbor = _count_calls(monkeypatch, harness, "neighbor_parts")
+    cluster2 = _count_calls(monkeypatch, harness, "optimize_cluster2")
+    trials, grid = 2, (10.0, 25.0, 40.0)
+    kw = dict(variable="tx_power_dbm", grid=grid, scenarios=DEFAULT_CASES, trials=trials)
+    points = trials * len(grid)
+    aware = sum(case.kind is not ScenarioKind.EIF for case in DEFAULT_CASES)
+    irr = sum(case.kind.has_irr for case in DEFAULT_CASES)
+    expected = {
+        Mode.FIXED: (trials, trials),
+        Mode.UNAWARE: (points, points),
+        # the eif case reads the unaware theta; each aware theta serves one case
+        Mode.AWARE: (points * (1 + aware), points * irr),
+    }
+    for mode, (builds, neighbor_builds) in expected.items():
+        parts.clear()
+        neighbor.clear()
+        run_sweep(_tiny_cfg(), SweepSpec(mode=mode, **kw))
+        assert (len(parts), len(neighbor)) == (builds, neighbor_builds)
+    # without an IRR case the neighbor cluster is never optimized or evaluated
+    parts.clear()
+    neighbor.clear()
+    cluster2.clear()
+    cases = (ScenarioCase(ScenarioKind.EIF), ScenarioCase(ScenarioKind.EMI, -65.0))
+    run_sweep(_tiny_cfg(), SweepSpec(mode=Mode.UNAWARE, **{**kw, "scenarios": cases}))
+    assert len(parts) == points
+    assert neighbor == [] and cluster2 == []
 
 
 def test_elements_sweep_draws_per_point(monkeypatch):

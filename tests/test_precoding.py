@@ -10,6 +10,7 @@ from risim import (
     effective_channel,
     zf_precoder,
 )
+from risim.precoding import COND_LIMIT, check_zf_gram
 from risim.sinr import ScenarioKind, phase_point
 
 
@@ -112,3 +113,60 @@ def test_zf_condition_limit_configurable():
     with pytest.raises(ZfDegenerateError):
         zf_precoder(h_eff, cond_limit=1.0 - 1e-9)
     zf_precoder(h_eff, cond_limit=1e12)
+
+
+def _gram_with_condition(rng, k, cond, scale):
+    """A random Hermitian K x K Gram matrix with eigenvalues from scale down to scale / cond."""
+    q, _ = np.linalg.qr(_cn(rng, k, k))
+    return (q * (scale * np.geomspace(1.0, 1.0 / cond, k))) @ np.conj(q).T
+
+
+def _rejects(gram):
+    try:
+        check_zf_gram(gram)
+    except ZfDegenerateError:
+        return True
+    return False
+
+
+def test_gram_check_agrees_with_svd_condition_number():
+    # the eigvalsh rule accepts and rejects exactly what np.linalg.cond (an
+    # SVD) accepts and rejects, on random, nearly parallel and boundary Grams
+    rng = np.random.default_rng(8)
+    grams = []
+    for k in (1, 2, 3, 4):
+        for _ in range(25):
+            h = _cn(rng, k, k + int(rng.integers(0, 3)))
+            grams.append(h @ np.conj(h).T)
+        for eps in np.geomspace(1e-3, 1e-9, 13):  # a second user nearly parallel to the first
+            if k > 1:
+                h = _cn(rng, k, k)
+                h[1] = h[0] + eps * _cn(rng, k)
+                grams.append(h @ np.conj(h).T)
+    for k in (2, 3):
+        for scale in (1e-20, 1.0, 1e15):
+            below = _gram_with_condition(rng, k, COND_LIMIT * (1 - 1e-3), scale)
+            above = _gram_with_condition(rng, k, COND_LIMIT * (1 + 1e-3), scale)
+            assert not _rejects(below) and _rejects(above)
+            grams += [below, above]
+    rejected = 0
+    for gram in grams:
+        assert _rejects(gram) == (np.linalg.cond(gram) > COND_LIMIT)
+        rejected += _rejects(gram)
+    assert 10 < rejected < len(grams) - 10  # both outcomes are exercised
+
+
+@pytest.mark.filterwarnings("error")  # and silently: no division by a zero eigenvalue
+def test_gram_check_rejects_non_finite_and_singular_grams():
+    good = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
+    check_zf_gram(good)
+    for bad in (
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),  # eigvalsh would return [0, 0] here
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        good * np.array([[1.0, np.nan], [np.nan, 1.0]]),
+        np.diag([2.0, 1.0, 3.0]) + np.diag([np.nan], -2),  # eigvalsh would not converge
+        np.zeros((2, 2)),
+        np.diag([1.0, 0.0]),  # an exactly zero eigenvalue
+    ):
+        with pytest.raises(ZfDegenerateError, match="degenerate"):
+            check_zf_gram(bad)

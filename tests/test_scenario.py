@@ -241,6 +241,11 @@ def test_config_from_dict_rejects_unknown_keys():
         (None, "rng_seed", True),
         (None, "rng_seed", 12345.0),
         (None, "emi_self_factor", True),
+        # finite, but 10^(x / 10) overflows: before, an OverflowError traceback
+        (0, "tx_power_dbm", 1e308),
+        (1, "tx_power_dbm", 1e308),
+        (0, "emi_power_dbm", 1e308),
+        (1, "emi_power_dbm", 1e308),
     ],
 )
 def test_config_from_dict_rejects_malformed_numbers(cluster, field, value):

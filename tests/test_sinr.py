@@ -22,7 +22,14 @@ from risim import (
     weighted_log_utility,
     zf_precoder,
 )
-from risim.sinr import emi_irr_covariance, interference, phase_point
+from risim.sinr import (
+    emi_irr_covariance,
+    interference,
+    neighbor_parts,
+    parts_sinr,
+    phase_point,
+    user_parts,
+)
 
 NOISE = 1e-3
 
@@ -495,3 +502,31 @@ def test_zero_emi_and_silent_neighbor_reduce_to_eif(sizes):
     np.testing.assert_allclose(sinr(terms, ScenarioKind.IRR, silent), eif, rtol=1e-12)
     for kind in ScenarioKind:
         np.testing.assert_allclose(sinr(no_emi, kind, silent), eif, rtol=1e-12)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    _unequal_clusters(),
+    st.sampled_from([1.0, 2.5, 4.0]),
+    st.floats(-4.0, 1.0),
+    st.floats(-4.0, 1.0),
+    st.floats(-3.0, 3.0),
+)
+def test_parts_mix_matches_phase_point(sizes, factor, log_e1, log_e2, log_p):
+    # every case, power and EMI level at one theta is mixed from the same
+    # per-user parts; the mix must be the reference phase_point evaluation
+    terms, powers, _, rng = _sized_instance(sizes)
+    terms = replace(terms, emi1_w=10.0**log_e1, emi2_w=10.0**log_e2, emi_self_factor=factor)
+    scale = 10.0**log_p
+    powers = PowerAllocation(scale * powers.cluster1, scale * powers.cluster2)
+    theta = _random_theta(rng, terms.num_elements)
+    parts = neighbor_parts(user_parts(terms, theta), terms, theta)
+    for kind in ScenarioKind:
+        point = phase_point(terms, theta, kind, powers, NOISE)
+        sig = powers.cluster1 / parts.c
+        np.testing.assert_allclose(sig, point.sig, rtol=1e-12)
+        # at an equal sig, an equal SINR is an equal den
+        report = parts_sinr(parts, terms, kind, powers, NOISE)
+        np.testing.assert_allclose(sig / report.sinr, point.den, rtol=1e-12)
+        reference = scenario_sinr(terms, theta, kind, powers, NOISE)
+        np.testing.assert_allclose(report.rates_bps_hz, reference.rates_bps_hz, rtol=1e-12)
