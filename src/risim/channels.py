@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -136,13 +138,16 @@ def build_statistics(cfg: SystemConfig) -> ChannelStatistics:
     return ChannelStatistics(clusters=tuple(per_cluster), inter_ris_gain=inter)
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, eq=False)
 class ChannelRealization:
     """One Monte Carlo draw of every small-scale channel in the system.
 
     h_n is the BS_n -> RIS_n channel (L_n^2, T_n); g_n stacks the RIS_n -> UE
     rows (K_n, L_n^2); z21 is the RIS_1 -> RIS_2 link with shape (L_2^2, L_1^2),
-    rows indexed by RIS-2 elements.
+    rows indexed by RIS-2 elements. z21 is given, or is what draw_z21 returns
+    (the same array on every call) when first read: draw_realization draws
+    it last from the trial's stream, so deferring it changes no number, and
+    a draw whose cases never read it never pays for it.
     """
 
     trial: int
@@ -150,7 +155,17 @@ class ChannelRealization:
     h2: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
-    z21: np.ndarray
+    draw_z21: Callable[[], np.ndarray]
+
+    def __init__(self, trial: int, h1, h2, g1, g2, z21=None, draw_z21=None):
+        if (z21 is None) == (draw_z21 is None):
+            raise ValueError("give z21 or the function that draws it")
+        self.trial, self.h1, self.h2, self.g1, self.g2 = trial, h1, h2, g1, g2
+        self.draw_z21 = (lambda: z21) if draw_z21 is None else draw_z21
+
+    @property
+    def z21(self) -> np.ndarray:
+        return self.draw_z21()
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -167,7 +182,8 @@ def draw_realization(
     """Draw all channels for one trial.
 
     Deterministic given (cfg.rng_seed, trial) when rng is not supplied. The
-    draw order is fixed: h1, g1 users in index order, h2, g2 users, z21.
+    draw order is fixed: h1, g1 users in index order, h2, g2 users, z21; the
+    realization keeps rng after the links and draws z21 when it is first read.
     """
     if rng is None:
         rng = trial_rng(cfg.rng_seed, trial)
@@ -182,10 +198,9 @@ def draw_realization(
         )
         channels[f"h{n}"] = h
         channels[f"g{n}"] = g
-    z21 = sample_inter_ris(
-        cfg.clusters[1].ris_side, cfg.clusters[0].ris_side, stats.inter_ris_gain, rng
-    )
-    return ChannelRealization(trial=trial, z21=z21, **channels)
+    sides = (cfg.clusters[1].ris_side, cfg.clusters[0].ris_side)
+    draw_z21 = functools.cache(lambda: sample_inter_ris(*sides, stats.inter_ris_gain, rng))
+    return ChannelRealization(trial, draw_z21=draw_z21, **channels)
 
 
 def dump_realization(real: ChannelRealization, directory) -> Path:

@@ -11,10 +11,12 @@ import numpy as np
 
 from .ao import (
     AO_WARM_RCG,
+    STACK_ROWS,
     Cluster2State,
     alternate_optimize,
     fixed_cluster2,
     optimize_cluster2,
+    optimize_eif_stack,
 )
 from .channels import build_statistics, draw_realization, dump_realization, trial_rng
 from .precoding import ZfDegenerateError
@@ -195,16 +197,20 @@ class TrialEvaluator:
     sinr.UserParts), cached under the key of the run that made those phases,
     or "fixed" for theta = 1: a fixed power sweep builds them once per draw,
     an unaware one once per (draw, power). The neighbor parts are built only
-    when an IRR case asks for them.
+    when an IRR case asks for them. runs holds optimizer runs already made
+    for this draw (its rows of a sweep's lockstep stacks, see
+    _lockstep_runs) under their cache keys, "cluster2" and
+    ("ao_unaware", p1); a run found there is used instead of being made.
     """
 
-    def __init__(self, cfg: SystemConfig, stats, real, mode: Mode):
+    def __init__(self, cfg: SystemConfig, stats, real, mode: Mode, runs=None):
         self.cfg = cfg
         self.stats = stats
         self.real = real
         self.mode = Mode(mode)
         self.noise = cfg.noise_power_w
         self.w1 = cfg.clusters[0].weights()
+        self.runs = {} if runs is None else runs
         self._cache = {}
         self._traced = set()
 
@@ -234,9 +240,10 @@ class TrialEvaluator:
         if self.mode is Mode.FIXED:
             return self._once("cluster2", lambda: fixed_cluster2(self.real))
         w2 = self.cfg.clusters[1].weights()
+        made = self.runs.get("cluster2")
         state, result = self._once(
             "cluster2",
-            lambda: optimize_cluster2(self.real, self.stats, point.powers.cluster2, self.noise, w2),
+            lambda: optimize_cluster2(self.real, self.stats, point.powers.cluster2, self.noise, w2, made),
         )
         self._trace(point, case, "cluster2", "cluster2", result)
         return state
@@ -277,7 +284,9 @@ class TrialEvaluator:
             stage = f"cluster1_aware_{kind.value}"
             extra = dict(theta0=theta0, opts=AO_WARM_RCG)
         result = self._once(
-            key, lambda: alternate_optimize(terms, kind, point.powers, self.noise, self.w1, **extra)
+            key,
+            lambda: self.runs[key] if key in self.runs
+            else alternate_optimize(terms, kind, point.powers, self.noise, self.w1, **extra),
         )
         self._trace(point, case, key, stage, result)
         return key, result
@@ -318,10 +327,20 @@ def _case_at(variable: str, case: ScenarioCase, value: float) -> ScenarioCase:
     return case
 
 
-def _check_levels(cases) -> None:
+def _check_cases(cases, variable: str = "", value: float = 0.0) -> None:
+    """A non-empty list of cases with valid EMI levels and distinct labels at
+    the grid value value of variable."""
+    if len(cases) == 0:
+        raise ConfigError("at least one scenario case is required")
+    seen = set()
     for case in cases:
         if case.emi_dbm is not None:
             _check_dbm(f"scenario '{case.label}' EMI level", case.emi_dbm)
+        # an EMI sweep sets every EMI level, so 'emi' and 'emi:-65' collide there
+        label = _case_at(variable, case, value).label
+        if label in seen:
+            raise ConfigError(f"scenario '{label}' is given more than once")
+        seen.add(label)
 
 
 def _validate_spec(spec: SweepSpec) -> None:
@@ -329,8 +348,6 @@ def _validate_spec(spec: SweepSpec) -> None:
         raise ConfigError(f"unknown sweep variable '{spec.variable}'")
     if len(spec.grid) == 0:
         raise ConfigError("sweep grid must not be empty")
-    if len(spec.scenarios) == 0:
-        raise ConfigError("at least one scenario case is required")
     _check_number("trials", spec.trials, integer=True, minimum=1)
     if spec.seed is not None:
         _check_number("seed", spec.seed, integer=True, minimum=0)
@@ -340,14 +357,37 @@ def _validate_spec(spec: SweepSpec) -> None:
     if spec.variable != "ris_elements":
         for value in spec.grid:  # a power level in dBm
             _check_dbm(f"{spec.variable} grid value", value)
-    _check_levels(spec.scenarios)
-    seen = set()
-    for case in spec.scenarios:
-        # an EMI sweep sets every EMI level, so 'emi' and 'emi:-65' collide there
-        label = _case_at(spec.variable, case, spec.grid[0]).label
-        if label in seen:
-            raise ConfigError(f"scenario '{label}' is given more than once")
-        seen.add(label)
+    _check_cases(spec.scenarios, spec.variable, spec.grid[0])
+
+
+def _lockstep_runs(cfg: SystemConfig, reals, points, mode: Mode, neighbor: bool) -> list[dict]:
+    """The runs from theta = 1 of each draw in reals, for TrialEvaluator's runs.
+
+    These are the interference-unaware runs: cluster 2's (when neighbor is
+    set, i.e. some case needs the neighbor RIS) and cluster 1's at each
+    distinct cluster-1 power of points. Each kind is made as one lockstep
+    stack across the draws (ao.optimize_eif_stack), whose rows equal the
+    runs that TrialEvaluator would make, bit for bit.
+    """
+    runs = [{} for _ in reals]
+    if mode is Mode.FIXED:
+        return runs
+    noise = cfg.noise_power_w
+    if neighbor:
+        w2 = cfg.clusters[1].weights()
+        p2 = points[0].powers.cluster2  # no sweep changes cluster 2
+        links = [(real.g2, real.h2) for real in reals]
+        made = optimize_eif_stack(links, [p2] * len(reals), [w2] * len(reals), noise)
+        for ready, result in zip(runs, made):
+            ready["cluster2"] = result
+    w1 = cfg.clusters[0].weights()
+    powers1 = dict.fromkeys(tuple(pt.powers.cluster1) for pt in points)
+    rows = [(j, p1) for j in range(len(reals)) for p1 in powers1]
+    links = [(reals[j].g1, reals[j].h1) for j, _ in rows]
+    made = optimize_eif_stack(links, [p1 for _, p1 in rows], [w1] * len(rows), noise)
+    for (j, p1), result in zip(rows, made):
+        runs[j][("ao_unaware", p1)] = result
+    return runs
 
 
 def run_sweep(cfg: SystemConfig, spec: SweepSpec, trace=None) -> list[MetricRecord]:
@@ -358,10 +398,16 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, trace=None) -> list[MetricReco
     point of a power or EMI sweep; only equal points of an element sweep) share
     the statistics and the draws too: trials loop outside the points, so each
     trial draws once, and one TrialEvaluator per draw shares its cached
-    optimizer runs between the points. Records and trace rows come out in grid
-    order, the same as from one single-point sweep per grid value. Records
-    carry each trial's weighted sum rate, so runs can be compared per draw.
-    Results are deterministic given the config, the spec, and the seed.
+    optimizer runs between the points. The trials go in blocks of STACK_ROWS
+    draws: a block first draws its links, then makes every run from
+    theta = 1 (cluster 2's, and cluster 1's unaware run per power) in
+    lockstep stacks across its draws (see _lockstep_runs), and then
+    evaluates draw by draw. A stacked run equals the single run bit for bit,
+    so no result depends on the block or its size. Records and trace rows
+    come out in grid order, the same as from one single-point sweep per grid
+    value. Records carry each trial's weighted sum rate, so runs can be
+    compared per draw. Results are deterministic given the config, the spec,
+    and the seed.
     """
     cfg = validate_config(cfg)
     _validate_spec(spec)
@@ -384,17 +430,21 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, trace=None) -> list[MetricReco
     for members in groups.values():
         cfg_geo = configs[members[0]]
         stats = build_statistics(cfg_geo)
-        for trial in range(spec.trials):
-            real = draw_realization(cfg_geo, stats, trial, rng=trial_rng(seed, trial))
-            evaluator = TrialEvaluator(cfg_geo, stats, real, mode)
-            for i in members:
-                for case in cases[i]:
-                    try:
-                        report = evaluator.evaluate(case, points[i])
-                    except ZfDegenerateError:
-                        skips[i][case] += 1
-                    else:
-                        rates[i][case].append(report.rates_bps_hz)
+        neighbor = any(ScenarioKind(case.kind).has_irr for i in members for case in cases[i])
+        for first in range(0, spec.trials, STACK_ROWS):
+            block = range(first, min(first + STACK_ROWS, spec.trials))
+            reals = [draw_realization(cfg_geo, stats, t, rng=trial_rng(seed, t)) for t in block]
+            runs = _lockstep_runs(cfg_geo, reals, [points[i] for i in members], mode, neighbor)
+            while reals:  # popped, so that each draw (and its z21) is freed once evaluated
+                evaluator = TrialEvaluator(cfg_geo, stats, reals.pop(0), mode, runs.pop(0))
+                for i in members:
+                    for case in cases[i]:
+                        try:
+                            report = evaluator.evaluate(case, points[i])
+                        except ZfDegenerateError:
+                            skips[i][case] += 1
+                        else:
+                            rates[i][case].append(report.rates_bps_hz)
 
     records: list[MetricRecord] = []
     for i, value in enumerate(spec.grid):
@@ -440,7 +490,7 @@ def run_single_trial(
     _check_number("trial", trial, integer=True, minimum=0)
     if seed is not None:
         _check_number("seed", seed, integer=True, minimum=0)
-    _check_levels(cases)
+    _check_cases(cases)
     stats = build_statistics(cfg)
     use_seed = cfg.rng_seed if seed is None else seed
     real = draw_realization(cfg, stats, trial, rng=trial_rng(use_seed, trial))

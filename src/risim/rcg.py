@@ -228,6 +228,168 @@ def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = Rcg
     )
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.vdot(a[r], b[r]).real for every row r, bit for bit."""
+    return (np.conj(a)[:, None, :] @ b[:, :, None])[:, 0, 0].real
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x[r]) for every row r, bit for bit: the same two real dots."""
+    re, im = x.real, x.imag
+    return np.sqrt((re[:, None, :] @ re[:, :, None])[:, 0, 0] + (im[:, None, :] @ im[:, :, None])[:, 0, 0])
+
+
+def _retract_rows(theta: np.ndarray, step: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """retract for every row, each with its own step and its own halvings."""
+    moved = theta + step[:, None] * direction
+    mags = np.abs(moved)
+    low = mags.min(axis=1) < 1e-12
+    while low.any():
+        step = np.where(low, 0.5 * step, step)
+        moved[low] = theta[low] + step[low, None] * direction[low]
+        mags[low] = np.abs(moved[low])
+        low = mags.min(axis=1) < 1e-12
+    return moved / mags
+
+
+def rcg_lockstep(problem, theta0: np.ndarray, opts: RcgOptions = RcgOptions()) -> list[RcgResult]:
+    """rcg_optimize for a stack of B runs that advance together.
+
+    problem holds one objective per row of theta0 (B, N) (see sinr.EifStack):
+    problem.objective(theta, rows) returns the values of rows (an index
+    array; None is every row) at theta, one row of theta per row;
+    problem.gradient(theta) the Euclidean gradients of every row at theta,
+    where each row's last objective call was made; problem.take(keep) the
+    problem of rows keep, which is how rows that stop leave the stack. Each
+    row keeps its own line search (accept mask, first-step guess, restart,
+    retraction halving) and its own stopping rules, and every step is the
+    scalar one written per row. So row b's RcgResult equals rcg_optimize on
+    row b's objective from theta0[b] bit for bit, whatever its stack-mates.
+    A non-finite value in any row raises ValueError naming the iteration.
+    """
+    theta = np.array(theta0, dtype=complex)
+    mags = np.abs(theta)
+    if np.any(mags == 0.0):
+        raise ValueError("theta0 entries must be nonzero")
+    theta = theta / mags
+    num_rows = theta.shape[0]
+    iteration = 0
+
+    def checked(theta, rows=None):
+        f = problem.objective(theta, rows)
+        bad = ~np.isfinite(f)
+        if bad.any():
+            raise ValueError(f"non-finite objective {float(f[bad][0])} at RCG iteration {iteration}")
+        return f
+
+    f = checked(theta)
+    trace = np.zeros((num_rows, opts.max_iters + 1))
+    trace[:, 0] = f
+    grad_norms = np.zeros((num_rows, opts.max_iters))
+    steps = np.zeros((num_rows, opts.max_iters))
+    lengths = np.ones(num_rows, dtype=int)  # of each row's trace
+    iterations = np.zeros(num_rows, dtype=int)
+    converged = np.zeros(num_rows, dtype=bool)
+    stagnated = np.zeros(num_rows, dtype=bool)
+    final_theta = np.empty_like(theta)
+    final_f = np.empty(num_rows)
+    max_dev = np.abs(np.abs(theta) - 1.0).max(axis=1)
+    max_tan = np.zeros(num_rows)
+    out_dev, out_tan = np.empty(num_rows), np.empty(num_rows)
+    ids = np.arange(num_rows)  # the stack rows still running
+
+    d_prev = g_prev = f_prev = None
+    for iteration in range(1, opts.max_iters + 1):
+        egrad = problem.gradient(theta)
+        if not np.isfinite(egrad).all():
+            raise ValueError(f"non-finite gradient at RCG iteration {iteration}")
+        rg = project_tangent(egrad, theta)
+        if d_prev is None:
+            d = rg
+            slope = _row_dots(rg, d)
+        else:
+            prev = _row_dots(g_prev, g_prev)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tau = np.where(prev == 0.0, 0.0, _row_dots(rg, rg - g_prev) / prev)
+            tau = np.where(0.0 > tau, 0.0, tau)  # max(tau, 0.0)
+            d = rg + tau[:, None] * project_tangent(d_prev, theta)
+            slope = _row_dots(rg, d)
+            restart = slope <= 0.0  # the conjugate direction lost ascent
+            if restart.any():
+                d[restart] = rg[restart]
+                slope[restart] = _row_dots(rg[restart], rg[restart])
+        grad_norms[ids, iteration - 1] = _row_norms(rg)
+        tan = np.abs((d * np.conj(theta)).real).max(axis=1)
+        max_tan = np.where(tan > max_tan, tan, max_tan)
+        iterations[ids] = iteration
+
+        # Armijo backtracking, each row from its own first step (see armijo_search)
+        flat = slope <= 0.0  # stationary rows
+        with np.errstate(divide="ignore", invalid="ignore"):
+            trial = ARMIJO_STEP / np.abs(d).max(axis=1)
+            if f_prev is not None:
+                guess = 2.0 * (f - f_prev) / slope
+                trial = np.where(guess < trial, guess, trial)  # min(trial, guess)
+        step = np.zeros(ids.size)  # 0.0 where no step is accepted
+        f_new = f.copy()
+        searching = np.flatnonzero(~flat)
+        for _ in range(MAX_BACKTRACKS):
+            if searching.size == 0:
+                break
+            cand = _retract_rows(theta[searching], trial[searching], d[searching])
+            f_cand = checked(cand, None if searching.size == ids.size else searching)
+            ok = f_cand >= f[searching] + ARMIJO_SLOPE * trial[searching] * slope[searching]
+            done = searching[ok]
+            step[done] = trial[done]
+            moving = step[done] != 0.0
+            theta[done[moving]] = cand[ok][moving]
+            f_new[done] = f_cand[ok]
+            searching = searching[~ok]
+            trial[searching] *= ARMIJO_CONTRACTION
+        steps[ids, iteration - 1] = step
+
+        moved = step != 0.0
+        delta = np.abs(f_new - f)
+        f_prev, f = f, np.where(moved, f_new, f)
+        trace[ids[moved], iteration] = f[moved]
+        lengths[ids[moved]] += 1
+        dev = np.abs(np.abs(theta) - 1.0).max(axis=1)
+        max_dev = np.where(moved & (dev > max_dev), dev, max_dev)
+        tol = moved & (delta <= opts.epsilon * np.abs(f))
+        stagnated[ids] = ~moved
+        converged[ids] = flat | tol
+        stop = ~moved | tol
+        if stop.any():
+            gone = ids[stop]
+            final_theta[gone], final_f[gone] = theta[stop], f[stop]
+            out_dev[gone], out_tan[gone] = max_dev[stop], max_tan[stop]
+            keep = ~stop
+            ids, theta, f, f_prev = ids[keep], theta[keep], f[keep], f_prev[keep]
+            d, rg, max_dev, max_tan = d[keep], rg[keep], max_dev[keep], max_tan[keep]
+            if ids.size == 0:
+                break
+            problem = problem.take(keep)
+        d_prev, g_prev = d, rg
+    final_theta[ids], final_f[ids] = theta, f  # the rows that ran to the cap
+    out_dev[ids], out_tan[ids] = max_dev, max_tan
+
+    return [
+        RcgResult(
+            theta=final_theta[b].copy(),
+            objective=float(final_f[b]),
+            trace=trace[b, : lengths[b]].copy(),
+            grad_norms=grad_norms[b, : iterations[b]].copy(),
+            steps=steps[b, : iterations[b]].copy(),
+            iterations=int(iterations[b]),
+            converged=bool(converged[b]),
+            stagnated=bool(stagnated[b]),
+            max_unit_deviation=float(out_dev[b]),
+            max_tangency_residual=float(out_tan[b]),
+        )
+        for b in range(num_rows)
+    ]
+
+
 def phase_objective(terms, kind, powers, noise_power_w, weights=None):
     """Objective and gradient callables over theta for one scenario.
 

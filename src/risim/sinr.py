@@ -353,6 +353,57 @@ def parts_sinr(parts, terms, kind, powers, noise_power_w, weights=None) -> SinrR
     return _report(kind, np.asarray(powers.cluster1, dtype=float) / parts.c, den, weights)
 
 
+class EifStack:
+    """B interference-free utilities over (B, N) phases, one cluster per row.
+
+    Row b is a cluster with channels g[b] (K, N) and h[b] (N, T), powers[b]
+    and weights[b], all at one noise power. objective and gradient are
+    weighted_log_utility and rcg.euclid_grad for kind EIF, row by row, and
+    equal them bit for bit: every product is a batched @ or np.linalg.inv,
+    which run the 2-D call's routine on each slice, and the rest is
+    elementwise. This is the problem protocol of rcg.rcg_lockstep.
+    """
+
+    def __init__(self, g, h, powers, weights, noise_power_w: float):
+        self.g_conj = np.conj(g)  # (B, K, N)
+        self.h = h  # (B, N, T)
+        self.powers = powers  # (B, K)
+        self.weights = weights  # (B, K)
+        self.noise = float(noise_power_w)
+        # each row's ZF terms at its last objective call, for the gradient
+        self.h_eff = np.empty(self.g_conj.shape[:2] + h.shape[2:], dtype=complex)
+        self.g_inv = np.empty(self.g_conj.shape[:2] + self.g_conj.shape[1:2], dtype=complex)
+        self.sig = np.empty(powers.shape)
+
+    def objective(self, theta: np.ndarray, rows=None) -> np.ndarray:
+        """The utilities of rows (default: all) at theta, one row of theta each."""
+        at = slice(None) if rows is None else rows
+        h_eff = (np.conj(theta)[:, None, :] * self.g_conj[at]) @ self.h[at]
+        g_inv = np.linalg.inv(h_eff @ np.conj(h_eff).swapaxes(1, 2))
+        sig = self.powers[at] / np.diagonal(g_inv, axis1=1, axis2=2).real
+        self.h_eff[at], self.g_inv[at], self.sig[at] = h_eff, g_inv, sig
+        vals = np.log1p(sig / self.noise)
+        return (self.weights[at][:, None, :] @ vals[:, :, None])[:, 0, 0]
+
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
+        """Every row's Euclidean gradient at theta, where each row's last
+        objective call was made (the ZF terms of that call are reused)."""
+        g_inv = self.g_inv
+        c = np.diagonal(g_inv, axis1=1, axis2=2).real
+        rows_h = np.conj(self.h_eff).swapaxes(1, 2) @ g_inv
+        dc = -(self.g_conj.swapaxes(1, 2) @ g_inv.swapaxes(1, 2)) * (self.h @ rows_h)  # (B, N, K)
+        share = self.weights * self.sig / (self.sig + self.noise)
+        return -2.0 * (dc @ (share / c)[..., None])[..., 0]
+
+    def take(self, keep) -> EifStack:
+        """The stack of rows keep, with their ZF terms."""
+        sub = EifStack.__new__(EifStack)
+        sub.noise = self.noise
+        for name in ("g_conj", "h", "powers", "weights", "h_eff", "g_inv", "sig"):
+            setattr(sub, name, getattr(self, name)[keep])
+        return sub
+
+
 def outage_indicator(rates: np.ndarray, threshold: float) -> np.ndarray:
     """Per-user 0/1 outage flags; a rate exactly at the threshold is not an outage."""
     return (np.asarray(rates, dtype=float) < threshold).astype(int)

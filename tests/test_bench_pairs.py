@@ -1,0 +1,54 @@
+"""Summary math of tools/bench_pairs.py on canned bench/run.py output."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def _result(trials_per_s, peak_rss_mb):
+    metrics = {"trials_per_s": trials_per_s, "peak_rss_mb": peak_rss_mb}
+    return {"correct": True, "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()}}
+
+
+def test_parse_run_reads_the_last_line_and_the_env_line():
+    out = "\n".join([
+        'env {"nproc": 2, "commit": "abc"}',
+        "workload unaware-elements: sweep-elements ...",
+        "metric trials_per_s = 13.9 trials/s",
+        json.dumps(_result(13.9, 64.5)),
+        "",
+    ])
+    result, env = bench_pairs.parse_run(out)
+    assert result["metrics"]["trials_per_s"]["value"] == 13.9
+    assert env == {"nproc": 2, "commit": "abc"}
+    with pytest.raises(ValueError):
+        bench_pairs.parse_run("\n")
+
+
+def test_quartiles_inclusive():
+    assert bench_pairs.quartiles([1, 2, 3, 4, 5]) == (2.0, 3.0, 4.0)
+    assert bench_pairs.quartiles([4, 1, 3, 2]) == (1.75, 2.5, 3.25)
+    assert bench_pairs.quartiles([7]) == (7.0, 7.0, 7.0)
+
+
+def test_summarize_counts_wins_in_each_direction():
+    parent = [(10.0, 60.0), (12.0, 61.0), (11.0, 60.0), (13.0, 62.0), (14.0, 60.0)]
+    change = [(20.0, 63.0), (21.0, 61.0), (11.0, 59.0), (25.0, 64.0), (12.0, 60.0)]
+    pairs = [{"parent": _result(*p), "change": _result(*c)} for p, c in zip(parent, change)]
+    s = bench_pairs.summarize(pairs, {"trials_per_s": "higher", "peak_rss_mb": "lower"})
+    rate = s["trials_per_s"]
+    assert (rate["pairs"], rate["wins"], rate["losses"]) == (5, 3, 1)  # one tie
+    assert (rate["parent_q1"], rate["parent_median"], rate["parent_q3"]) == (11.0, 12.0, 13.0)
+    assert (rate["change_q1"], rate["change_median"], rate["change_q3"]) == (12.0, 20.0, 21.0)
+    assert rate["median_diff"] == 8.0 and rate["median_ratio"] == pytest.approx(20.0 / 12.0)
+    assert rate["parent_iqr"] == 2.0 and rate["resolved"]
+    rss = s["peak_rss_mb"]  # lower is better: 59 < 60 wins, 63 and 64 lose
+    assert (rss["wins"], rss["losses"]) == (1, 2)
+    assert rss["parent_iqr"] == 1.0 and rss["median_diff"] == 1.0 and not rss["resolved"]

@@ -102,6 +102,21 @@ def test_repeated_scenario_is_runtime_error(tiny_config, capsys):
     assert "scenario 'eif' is given more than once" in captured.err
 
 
+@pytest.mark.parametrize("command", ["sweep-power", "single-trial"])
+@pytest.mark.parametrize(
+    "scenarios, message",
+    [("", "at least one scenario case is required"), ("eif,eif", "scenario 'eif' is given more than once")],
+    ids=["empty", "repeated"],
+)
+def test_bad_scenario_list_is_runtime_error(tiny_config, tmp_path, capsys, command, scenarios, message):
+    # single-trial used to print a header without rows, or the same case twice
+    out = tmp_path / "out.txt"
+    args = [command, "--config", tiny_config, "--scenarios", scenarios, "--trials", "1", "--out", str(out)]
+    assert cli_main(args) == EXIT_RUNTIME
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,10 +1,13 @@
 """Monte Carlo sweeps, aggregation, and CSV rendering."""
 
+import inspect
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import risim.ao as ao
+import risim.channels as channels
 import risim.harness as harness
 import risim.sinr as sinr
 from risim import (
@@ -20,14 +23,19 @@ from risim import (
     SweepSpec,
     ZfDegenerateError,
     aggregate,
+    build_statistics,
     default_config,
+    draw_realization,
     make_powers,
     parse_scenario_token,
     render_csv,
     render_trace,
     run_single_trial,
     run_sweep,
+    save_config,
+    trial_rng,
 )
+from risim.cli import cli_main
 
 
 def _tiny_cfg(side=3, trials=4):
@@ -354,11 +362,13 @@ def test_multi_point_sweep_equals_single_point_sweeps(sweep, mode):
 
 
 def _count_calls(monkeypatch, module, name):
+    """Record each call's arguments, by parameter name, as module.name runs."""
     calls = []
     real = getattr(module, name)
+    signature = inspect.signature(real)
 
     def counted(*args, **kwargs):
-        calls.append(kwargs)
+        calls.append(signature.bind(*args, **kwargs).arguments)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -371,7 +381,7 @@ def test_power_sweep_draws_and_runs_cluster2_once_per_trial(mode, monkeypatch):
         name: _count_calls(monkeypatch, harness, name)
         for name in (
             "build_statistics", "draw_realization", "build_cascades", "optimize_cluster2",
-            "alternate_optimize",
+            "alternate_optimize", "optimize_eif_stack",
         )
     }
     trials = 3
@@ -385,12 +395,18 @@ def test_power_sweep_draws_and_runs_cluster2_once_per_trial(mode, monkeypatch):
     builds = counts["build_cascades"]
     assert len(builds) == 2 * trials
     assert sum(kw.get("theta2") is not None for kw in builds) == trials
-    assert len(counts["optimize_cluster2"]) == (0 if mode is Mode.FIXED else trials)
-    # per point and trial: the unaware run, and in aware mode one warm EMI_IRR run
+    # the runs from theta = 1 are two lockstep stacks: cluster 2, one row per
+    # draw, and cluster 1's unaware runs, one row per (draw, power)
+    stacks = [len(call["links"]) for call in counts["optimize_eif_stack"]]
+    assert stacks == ([] if mode is Mode.FIXED else [trials, 3 * trials])
+    # the neighbor's precoder is built once per draw, from its stacked row
+    cluster2 = counts["optimize_cluster2"]
+    assert len(cluster2) == (0 if mode is Mode.FIXED else trials)
+    assert all(call["run"] is not None for call in cluster2)
+    # no scalar EIF run: per point and trial only aware mode's warm EMI_IRR run
     runs = counts["alternate_optimize"]
-    warm = [kw for kw in runs if kw.get("theta0") is not None]
-    assert len(runs) == 3 * trials * {Mode.FIXED: 0, Mode.UNAWARE: 1, Mode.AWARE: 2}[mode]
-    assert len(warm) == (3 * trials if mode is Mode.AWARE else 0)
+    assert len(runs) == (3 * trials if mode is Mode.AWARE else 0)
+    assert all(call["kind"] is ScenarioKind.EMI_IRR and "theta0" in call for call in runs)
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -415,11 +431,14 @@ def test_degenerate_cluster2_skips_only_the_irr_cases(mode, monkeypatch):
 
 def test_emi_sweep_runs_the_unaware_optimizer_once_per_trial(monkeypatch):
     runs = _count_calls(monkeypatch, harness, "alternate_optimize")
+    stacks = _count_calls(monkeypatch, harness, "optimize_eif_stack")
     cluster2 = _count_calls(monkeypatch, harness, "optimize_cluster2")
     spec = SweepSpec(variable="emi_dbm", grid=(-75.0, -70.0, -65.0), scenarios=EMI_SWEEP_CASES,
                      mode=Mode.UNAWARE, trials=2)
     run_sweep(_tiny_cfg(), spec)
-    assert len(runs) == 2
+    # one row per trial in each stack (cluster 2, then cluster 1), none per EMI level
+    assert [len(call["links"]) for call in stacks] == [2, 2]
+    assert len(runs) == 0
     assert len(cluster2) == 2
 
 
@@ -430,6 +449,7 @@ def test_each_theta_builds_its_parts_once(monkeypatch):
     parts = _count_calls(monkeypatch, harness, "user_parts")
     neighbor = _count_calls(monkeypatch, harness, "neighbor_parts")
     cluster2 = _count_calls(monkeypatch, harness, "optimize_cluster2")
+    stacks = _count_calls(monkeypatch, harness, "optimize_eif_stack")
     trials, grid = 2, (10.0, 25.0, 40.0)
     kw = dict(variable="tx_power_dbm", grid=grid, scenarios=DEFAULT_CASES, trials=trials)
     points = trials * len(grid)
@@ -444,16 +464,22 @@ def test_each_theta_builds_its_parts_once(monkeypatch):
     for mode, (builds, neighbor_builds) in expected.items():
         parts.clear()
         neighbor.clear()
+        stacks.clear()
         run_sweep(_tiny_cfg(), SweepSpec(mode=mode, **kw))
         assert (len(parts), len(neighbor)) == (builds, neighbor_builds)
+        # the cluster-2 rows, then the unaware rows: one per draw and per (draw, power)
+        rows = [len(call["links"]) for call in stacks]
+        assert rows == ([] if mode is Mode.FIXED else [trials, points])
     # without an IRR case the neighbor cluster is never optimized or evaluated
     parts.clear()
     neighbor.clear()
     cluster2.clear()
+    stacks.clear()
     cases = (ScenarioCase(ScenarioKind.EIF), ScenarioCase(ScenarioKind.EMI, -65.0))
     run_sweep(_tiny_cfg(), SweepSpec(mode=Mode.UNAWARE, **{**kw, "scenarios": cases}))
     assert len(parts) == points
     assert neighbor == [] and cluster2 == []
+    assert [len(call["links"]) for call in stacks] == [points]  # no cluster-2 rows
 
 
 def test_elements_sweep_draws_per_point(monkeypatch):
@@ -477,3 +503,45 @@ def test_aware_never_below_unaware_per_trial():
         assert (u.sweep_value, u.scenario) == (a.sweep_value, a.scenario)
         for su, sa in zip(u.sum_rate_samples, a.sum_rate_samples):
             assert sa >= su - 1e-12 * abs(su)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_z21_is_drawn_only_for_neighbor_cases(mode, monkeypatch, tmp_path):
+    # z21 is the last draw of a trial's stream and only the neighbor terms
+    # read it: a sweep without an IRR case never draws it, and its rows are
+    # those of the same cases in a sweep that does
+    draws = _count_calls(monkeypatch, channels, "sample_inter_ris")
+    cfg = _tiny_cfg()
+    cases = (ScenarioCase(ScenarioKind.EIF), ScenarioCase(ScenarioKind.EMI, -65.0))
+    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0, 40.0), scenarios=cases, mode=mode, trials=3)
+    rows = render_csv(run_sweep(cfg, spec)).splitlines()
+    assert draws == []
+    full = render_csv(run_sweep(cfg, replace(spec, scenarios=cases + (ScenarioCase(ScenarioKind.IRR),))))
+    assert len(draws) == 3  # once per draw, shared by both grid points
+    assert rows[1:] == [row for row in full.splitlines()[1:] if ",irr," not in row]
+    # a dump reads z21, which is then the draw's own
+    path = tmp_path / "cfg.json"
+    save_config(cfg, path)
+    argv = ["single-trial", "--config", str(path), "--trial", "2", "--scenarios", "eif",
+            "--dump-channels", str(tmp_path), "--out", str(tmp_path / "out.txt")]
+    assert cli_main(argv) == 0
+    dumped = np.load(tmp_path / "channels_trial00002.npz")
+    real = draw_realization(cfg, build_statistics(cfg), 2, rng=trial_rng(cfg.rng_seed, 2))
+    for name in ("h1", "h2", "g1", "g2", "z21"):
+        np.testing.assert_array_equal(dumped[name], getattr(real, name))
+
+
+@pytest.mark.parametrize("mode", [Mode.UNAWARE, Mode.AWARE])
+def test_results_do_not_depend_on_the_block_size(mode, monkeypatch):
+    # a stacked run equals the single run, so blocks of 2 draws and stacks of
+    # 3 rows (the unaware stack of a block spans two) change no byte
+    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0, 30.0), scenarios=DEFAULT_CASES,
+                     mode=mode, trials=5)
+    outputs = []
+    for rows in (None, 3):
+        if rows is not None:
+            monkeypatch.setattr(harness, "STACK_ROWS", 2)
+            monkeypatch.setattr(ao, "STACK_ROWS", rows)
+        trace = []
+        outputs.append((render_csv(run_sweep(_tiny_cfg(), spec, trace=trace)), render_trace(trace)))
+    assert outputs[0] == outputs[1]

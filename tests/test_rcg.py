@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risim import rcg, sinr
 from risim import (
@@ -20,6 +22,8 @@ from risim import (
     project_tangent,
     retract,
 )
+from risim.rcg import rcg_lockstep
+from risim.sinr import EifStack
 
 NOISE = 1e-3
 
@@ -362,3 +366,172 @@ def test_rcg_iteration_evaluates_interference_once(kind, monkeypatch):
     assert calls["gradient"] == 12
     assert calls["objective"] >= 13  # the start point and 12 accepted candidates
     assert calls["interference"] == calls["objective"]
+
+
+_RESULT_FIELDS = (
+    "theta", "objective", "trace", "grad_norms", "steps", "iterations", "converged",
+    "stagnated", "max_unit_deviation", "max_tangency_residual",
+)
+
+
+def _assert_same_result(got, want):
+    for name in _RESULT_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b), name
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert a == b, name
+
+
+@st.composite
+def _stacks(draw):
+    """B clusters of one shape, powers 1e-3 to 1e3 W, random starts and a budget."""
+    rows = draw(st.integers(1, 6))
+    antennas = draw(st.integers(1, 4))
+    users = draw(st.integers(1, antennas))
+    elements = draw(st.integers(users, 12))  # fewer elements than users make G singular
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = _cn(rng, rows, users, elements)
+    h = _cn(rng, rows, elements, antennas)
+    powers = 10.0 ** rng.uniform(-3, 3, (rows, 1)) * rng.uniform(0.5, 2.0, (rows, users))
+    weights = rng.uniform(0.2, 3.0, (rows, users))
+    theta0 = rng.uniform(0.5, 2.0, (rows, elements)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (rows, elements)))
+    opts = RcgOptions(epsilon=draw(st.sampled_from([0.0, 1e-6])), max_iters=draw(st.integers(0, 60)))
+    return g, h, powers, weights, theta0, opts
+
+
+def _single_runs(g, h, powers, weights, theta0, opts):
+    return [
+        optimize_phases(
+            build_cascades(h[b], g[b], np.eye(g.shape[2])), ScenarioKind.EIF,
+            PowerAllocation(powers[b]), NOISE, weights[b], theta0=theta0[b], opts=opts,
+        )
+        for b in range(g.shape[0])
+    ]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_stacks())
+def test_lockstep_rows_equal_single_runs_bitwise(stack):
+    # rows stop at different iterations (the epsilon rule, a flat slope, an
+    # exhausted line search, the cap), and each still reproduces its own run
+    g, h, powers, weights, theta0, opts = stack
+    results = rcg_lockstep(EifStack(g, h, powers, weights, NOISE), theta0, opts)
+    for got, want in zip(results, _single_runs(g, h, powers, weights, theta0, opts), strict=True):
+        _assert_same_result(got, want)
+    # a row's result does not depend on its stack-mates or its place in the stack
+    flip = slice(None, None, -1)
+    flipped = rcg_lockstep(EifStack(g[flip], h[flip], powers[flip], weights[flip], NOISE), theta0[flip], opts)
+    for got, want in zip(flipped[::-1], results, strict=True):
+        _assert_same_result(got, want)
+    alone = rcg_lockstep(EifStack(g[:1], h[:1], powers[:1], weights[:1], NOISE), theta0[:1], opts)
+    _assert_same_result(alone[0], results[0])
+
+
+def test_lockstep_rows_stop_at_different_iterations():
+    # the property test's stops are real: with a tolerance rows leave the stack
+    # one by one, and the rows that stay keep matching their single runs
+    rng = np.random.default_rng(61)
+    rows, users, elements = 6, 2, 8
+    g, h = _cn(rng, rows, users, elements), _cn(rng, rows, elements, 2)
+    powers = 10.0 ** rng.uniform(-3, 3, (rows, 1)) * np.ones((rows, users))
+    weights = rng.uniform(0.5, 2.0, (rows, users))
+    theta0 = np.ones((rows, elements), dtype=complex)
+    opts = RcgOptions(epsilon=1e-6, max_iters=200)
+    results = rcg_lockstep(EifStack(g, h, powers, weights, NOISE), theta0, opts)
+    assert len({r.iterations for r in results}) > 1
+    for got, want in zip(results, _single_runs(g, h, powers, weights, theta0, opts), strict=True):
+        _assert_same_result(got, want)
+
+
+class _Poisoned(EifStack):
+    """An EifStack whose row 1 turns non-finite: its objective from call
+    objective_at on, or its gradient at call gradient_at."""
+
+    def __init__(self, *args, objective_at=None, gradient_at=None):
+        super().__init__(*args)
+        self.calls = {"objective": 0, "gradient": 0}
+        self.at = {"objective": objective_at, "gradient": gradient_at}
+
+    def _poison(self, name, values, rows=None):
+        self.calls[name] += 1
+        if self.at[name] is not None and self.calls[name] >= self.at[name]:
+            where = np.arange(self.g_conj.shape[0]) if rows is None else rows
+            values[where == 1] = np.nan
+        return values
+
+    def objective(self, theta, rows=None):
+        return self._poison("objective", super().objective(theta, rows), rows)
+
+    def gradient(self, theta):
+        return self._poison("gradient", super().gradient(theta))
+
+    def take(self, keep):
+        raise AssertionError("no row stops before the poisoned call")
+
+
+def test_lockstep_raises_on_non_finite_values_in_one_row():
+    rng = np.random.default_rng(62)
+    rows, users, elements = 3, 2, 6
+    args = (
+        _cn(rng, rows, users, elements), _cn(rng, rows, elements, 2),
+        np.ones((rows, users)), np.ones((rows, users)), NOISE,
+    )
+    theta0 = np.ones((rows, elements), dtype=complex)
+    opts = RcgOptions(epsilon=0.0, max_iters=20)
+    with pytest.raises(ValueError, match="objective nan at RCG iteration 0"):
+        rcg_lockstep(_Poisoned(*args, objective_at=1), theta0, opts)
+    with pytest.raises(ValueError, match="objective nan at RCG iteration 1"):
+        rcg_lockstep(_Poisoned(*args, objective_at=2), theta0, opts)
+    with pytest.raises(ValueError, match="non-finite gradient at RCG iteration 3"):
+        rcg_lockstep(_Poisoned(*args, gradient_at=3), theta0, opts)
+    # a NaN channel in one row is caught at the start point, as in a single run
+    g = args[0].copy()
+    g[2, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="objective nan at RCG iteration 0"):
+        rcg_lockstep(EifStack(g, *args[1:]), theta0, opts)
+    zero = theta0.copy()
+    zero[1, 3] = 0.0
+    with pytest.raises(ValueError, match="nonzero"):
+        rcg_lockstep(EifStack(*args), zero, opts)
+
+
+class _LinearRows:
+    """Row r maximizes Re<a_r, theta>, and is handed sign_r * a_r as its
+    Euclidean gradient: a sign of -1 points every line search downhill."""
+
+    def __init__(self, a, sign):
+        self.a, self.sign = a, sign
+
+    def objective(self, theta, rows=None):
+        at = slice(None) if rows is None else rows
+        return (np.conj(self.a[at])[:, None, :] @ theta[:, :, None])[:, 0, 0].real
+
+    def gradient(self, theta):
+        return self.sign[:, None] * self.a
+
+    def take(self, keep):
+        return _LinearRows(self.a[keep], self.sign[keep])
+
+
+def test_lockstep_exhausted_line_search_stops_only_its_row():
+    # a row whose every Armijo candidate fails stagnates without converging,
+    # as in a single run, and its stack-mates go on to the cap
+    rng = np.random.default_rng(63)
+    a = _cn(rng, 3, 5)
+    sign = np.array([1.0, -1.0, 1.0])
+    theta0 = np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 5)))
+    opts = RcgOptions(epsilon=0.0, max_iters=15)
+    results = rcg_lockstep(_LinearRows(a, sign), theta0, opts)
+    for r, got in enumerate(results):
+        want = rcg_optimize(
+            lambda theta, r=r: np.vdot(a[r], theta).real,
+            lambda theta, r=r: sign[r] * a[r],
+            theta0[r],
+            opts,
+        )
+        _assert_same_result(got, want)
+    assert (results[1].stagnated, results[1].converged, results[1].iterations) == (True, False, 1)
+    assert results[1].steps.tolist() == [0.0]
+    assert results[0].iterations == results[2].iterations == 15
