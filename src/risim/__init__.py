@@ -45,17 +45,15 @@ from .harness import (
 )
 from .precoding import ZfDegenerateError, effective_channel, zf_precoder
 from .rcg import (
+    PairStack,
     RcgOptions,
     RcgResult,
-    armijo_search,
     euclid_grad,
     optimize_phases,
     phase_objective,
-    polak_ribiere,
     project_tangent,
     rcg_lockstep,
     rcg_optimize,
-    retract,
 )
 from .scenario import (
     ClusterConfig,

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import ChannelRealization, ChannelStatistics
+from .channels import ChannelRealization
 from .precoding import effective_channel, zf_precoder
 from .rcg import RcgOptions, RcgResult, optimize_phases, rcg_lockstep
 from .sinr import (
@@ -15,7 +15,6 @@ from .sinr import (
     PowerAllocation,
     ScenarioKind,
     SinrReport,
-    build_cascades,
     emi_irr_covariance,
     neighbor_parts,
     parts_sinr,
@@ -66,9 +65,10 @@ def alternate_optimize(
     scenario's SINR is the closed-form function of theta in phase_point:
     the alternation is block ascent on that one function. One RCG run from
     theta0 (default theta = 1) maximizes it directly, so there is no outer
-    loop; the name is kept from the alternating scheme. The precoder is ZF at the returned theta (see evaluate_pair). An
-    interference-unaware optimizer passes ScenarioKind.EIF; IRR kinds need
-    terms built with the neighbor RIS.
+    loop; the name is kept from the alternating scheme. The precoder is ZF
+    at the returned theta (see evaluate_pair). An interference-unaware
+    optimizer passes ScenarioKind.EIF; IRR kinds need terms built with the
+    neighbor RIS.
     """
     kind = ScenarioKind(kind)
     if kind is ScenarioKind.EMI_IRR:
@@ -134,25 +134,12 @@ def fixed_cluster2(real: ChannelRealization) -> Cluster2State:
     return _cluster2_state(real, np.ones(real.h2.shape[0], dtype=complex))
 
 
-def optimize_cluster2(
-    real: ChannelRealization,
-    stats: ChannelStatistics,
-    powers2: np.ndarray,
-    noise_power_w: float,
-    weights2: np.ndarray,
-    run: RcgResult | None = None,
-) -> tuple[Cluster2State, RcgResult]:
-    """Interference-unaware AO for the neighbor cluster on its own links.
+def optimize_cluster2(real: ChannelRealization, run: RcgResult) -> Cluster2State:
+    """The neighbor cluster after its interference-unaware AO on its own links.
 
-    The neighbor BS and RIS optimize as if alone, so the result is independent
-    of every cluster-1 quantity and of the EMI levels. run, when given, is
-    that optimization already made (a row of optimize_eif_stack), and only
-    the precoder is built.
+    run is that optimization (a row of optimize_eif_stack): the neighbor BS
+    and RIS optimize as if alone, so it is independent of every cluster-1
+    quantity and of the EMI levels. Returns its phases with ZF precoding at
+    them.
     """
-    if run is None:
-        terms = build_cascades(real.h2, real.g2, stats.clusters[1].corr.matrix)
-        powers = PowerAllocation(cluster1=np.asarray(powers2, dtype=float))
-        run = alternate_optimize(
-            terms, ScenarioKind.EIF, powers, noise_power_w, np.asarray(weights2, dtype=float)
-        )
-    return _cluster2_state(real, run.theta), run
+    return _cluster2_state(real, run.theta)

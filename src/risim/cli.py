@@ -49,7 +49,6 @@ def _add_common(p: argparse.ArgumentParser, config_required: bool) -> None:
         required=config_required,
         help="scenario config JSON" + ("" if config_required else " (built-in default if omitted)"),
     )
-    p.add_argument("--trials", type=int, help="Monte Carlo trials (default: config mc_trials)")
     p.add_argument("--seed", type=int, help="root RNG seed (default: config rng_seed)")
     p.add_argument("--mode", choices=[m.value for m in Mode], help="precoding/phase mode")
     p.add_argument(
@@ -67,6 +66,7 @@ def _build_parser() -> _Parser:
     for name, (variable, default_grid, _, default_mode) in _SWEEPS.items():
         p = sub.add_parser(name, help=f"sweep {variable}")
         _add_common(p, config_required=True)
+        p.add_argument("--trials", type=int, help="Monte Carlo trials (default: config mc_trials)")
         p.add_argument("--grid", default=default_grid, help=f"comma list (default: {default_grid})")
         p.set_defaults(default_mode=default_mode)
     p = sub.add_parser("single-trial", help="evaluate scenarios on one channel draw")
@@ -111,7 +111,6 @@ def _render_single(results, cfg, mode: Mode, trial: int) -> str:
 
 def _dispatch(args) -> int:
     cfg = load_config(args.config) if args.config else default_config()
-    trials = args.trials if args.trials is not None else cfg.mc_trials
     mode = Mode(args.mode) if args.mode else args.default_mode
     trace_rows = [] if args.trace else None
 
@@ -135,7 +134,7 @@ def _dispatch(args) -> int:
             grid=_parse_grid(args.grid),
             scenarios=_parse_cases(args.scenarios, default_cases),
             mode=mode,
-            trials=trials,
+            trials=args.trials if args.trials is not None else cfg.mc_trials,
             seed=args.seed,
             unit_power=args.unit_power,
         )

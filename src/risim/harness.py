@@ -13,14 +13,13 @@ from .ao import (
     AO_WARM_RCG,
     STACK_ROWS,
     Cluster2State,
-    alternate_optimize,
     fixed_cluster2,
     optimize_cluster2,
     optimize_eif_stack,
 )
 from .channels import build_statistics, draw_realization, dump_realization, trial_rng
 from .precoding import ZfDegenerateError
-from .rcg import RcgResult
+from .rcg import PairStack, phase_objective, rcg_lockstep
 from .scenario import (
     ConfigError,
     SystemConfig,
@@ -34,6 +33,7 @@ from .sinr import (
     ScenarioKind,
     SinrReport,
     build_cascades,
+    emi_irr_covariance,
     neighbor_parts,
     outage_indicator,
     parts_sinr,
@@ -179,38 +179,39 @@ class GridPoint:
     value: float | str = ""
 
 
-class TrialEvaluator:
-    """Evaluates scenario cases on one channel draw, reusing optimizer output.
+def _aware_key(kind: ScenarioKind, emi1_w: float, emi2_w: float, p1: tuple) -> tuple:
+    """The cache key of kind's aware run at EMI levels (emi1_w, emi2_w) and cluster-1 powers p1."""
+    return ("ao_aware", kind.value, emi1_w, emi2_w, p1)
 
-    Each result is cached under a key that names what it depends on besides
-    the draw: nothing for the neighbor cluster's state, the cascade terms with
-    and without the neighbor RIS, and W21^H R2 W21 (no sweep changes cluster
-    2, and the terms hold no powers; each case sets its EMI levels on them),
-    cluster-1 powers for the interference-unaware phases, and those plus the
-    scenario and EMI levels for an aware run. Every grid point of a draw goes
-    through the same evaluator, so a power sweep builds the cascades and
-    optimizes cluster 2 once per draw and an EMI sweep also runs the unaware
-    optimizer once per draw. Each point still gets the trace rows of every
-    run it uses, once, as if it had made the run itself. Aware runs start
-    from the unaware phases of the same draw and powers (see AO_WARM_RCG).
-    Every case is mixed from the per-user parts at its phases (see
-    sinr.UserParts), cached under the key of the run that made those phases,
-    or "fixed" for theta = 1: a fixed power sweep builds them once per draw,
-    an unaware one once per (draw, power). The neighbor parts are built only
-    when an IRR case asks for them. runs holds optimizer runs already made
-    for this draw (its rows of a sweep's lockstep stacks, see
-    _lockstep_runs) under their cache keys, "cluster2" and
-    ("ao_unaware", p1); a run found there is used instead of being made.
+
+class TrialEvaluator:
+    """Evaluates scenario cases on one channel draw from optimizer runs already made.
+
+    runs holds every run the cases need, under its cache key: "cluster2" for
+    the neighbor cluster's, ("ao_unaware", p1) for cluster 1's
+    interference-unaware run at cluster-1 powers p1, and _aware_key for an
+    aware run (see _evaluate_block, which makes them). What the evaluator
+    builds is cached under a key that names what it depends on besides the
+    draw: nothing for the neighbor cluster's state and for the cascade terms
+    with and without the neighbor RIS (no sweep changes cluster 2, and the
+    terms hold no powers; each case sets its EMI levels on them). Every case
+    is mixed from the per-user parts at its phases (see sinr.UserParts),
+    cached under the key of the run that made those phases, or "fixed" for
+    theta = 1: a fixed power sweep builds them once per draw, an unaware one
+    once per (draw, power). The neighbor parts are built only when an IRR
+    case asks for them. Every grid point of a draw goes through the same
+    evaluator, and each point gets the trace rows of every run it uses,
+    once, as if it had made the run itself.
     """
 
-    def __init__(self, cfg: SystemConfig, stats, real, mode: Mode, runs=None):
+    def __init__(self, cfg: SystemConfig, stats, real, mode: Mode, runs: dict):
         self.cfg = cfg
         self.stats = stats
         self.real = real
         self.mode = Mode(mode)
         self.noise = cfg.noise_power_w
         self.w1 = cfg.clusters[0].weights()
-        self.runs = {} if runs is None else runs
+        self.runs = runs
         self._cache = {}
         self._traced = set()
 
@@ -225,35 +226,29 @@ class TrialEvaluator:
             raise value
         return value
 
-    def _trace(self, point: GridPoint, case, key, stage, res: RcgResult):
-        """Write res's rows once per point, under the first case that uses it."""
+    def _trace(self, point: GridPoint, case, key, stage):
+        """Write the rows of run key once per point, under the first case that uses it."""
         if point.trace is None or (point, key) in self._traced:
             return
         self._traced.add((point, key))
+        res = self.runs[key]
         objectives = res.trace[1:]
         for i in range(res.iterations):
             obj = objectives[i] if i < objectives.size else res.trace[-1]
             row = (point.value, case.label, self.mode.value, self.real.trial, stage, i, obj)
             point.trace.append(row + (res.grad_norms[i], res.steps[i]))
 
-    def _cluster2(self, point, case) -> Cluster2State:
+    def _cluster2(self) -> Cluster2State:
         if self.mode is Mode.FIXED:
-            return self._once("cluster2", lambda: fixed_cluster2(self.real))
-        w2 = self.cfg.clusters[1].weights()
-        made = self.runs.get("cluster2")
-        state, result = self._once(
-            "cluster2",
-            lambda: optimize_cluster2(self.real, self.stats, point.powers.cluster2, self.noise, w2, made),
-        )
-        self._trace(point, case, "cluster2", "cluster2", result)
-        return state
+            return fixed_cluster2(self.real)
+        return optimize_cluster2(self.real, self.runs["cluster2"])
 
-    def _terms(self, point, case, neighbor: bool):
+    def _terms(self, neighbor: bool):
         """The draw's cascade terms, with the neighbor RIS when neighbor is set."""
         real = self.real
         extra = {}
         if neighbor:
-            c2 = self._cluster2(point, case)
+            c2 = self._once("cluster2", self._cluster2)
             r2 = self.stats.clusters[1].corr.matrix
             extra = dict(theta2=c2.theta, u2=c2.u, h2=real.h2, z21=real.z21, r2=r2)
         r1 = self.stats.clusters[0].corr.matrix
@@ -263,44 +258,22 @@ class TrialEvaluator:
             lambda: build_cascades(real.h1, real.g1, r1, emi_self_factor=factor, **extra),
         )
 
-    def _run(self, point, case, kind: ScenarioKind, terms=None) -> tuple[object, RcgResult]:
-        """Cluster 1's run at point, with its cache key: the unaware run for
-        EIF, else kind's aware run on terms.
-
-        An aware run starts from the unaware phases, so it makes that run first.
-        """
-        p1 = tuple(point.powers.cluster1)
-        extra = {}
-        if kind is ScenarioKind.EIF:
-            terms = self._terms(point, case, neighbor=False)
-            key, stage = ("ao_unaware", p1), "cluster1_unaware"
-        else:
-            theta0 = self._run(point, case, ScenarioKind.EIF)[1].theta
-            if kind is ScenarioKind.EMI_IRR:
-                # every aware EMI_IRR run of the draw builds its C from the same W21^H R2 W21
-                reflected = self._once("reflected", lambda: reflected_emi_covariance(terms))
-                terms = replace(terms, reflected=reflected)
-            key = ("ao_aware", kind.value, terms.emi1_w, terms.emi2_w, p1)
-            stage = f"cluster1_aware_{kind.value}"
-            extra = dict(theta0=theta0, opts=AO_WARM_RCG)
-        result = self._once(
-            key,
-            lambda: self.runs[key] if key in self.runs
-            else alternate_optimize(terms, kind, point.powers, self.noise, self.w1, **extra),
-        )
-        self._trace(point, case, key, stage, result)
-        return key, result
-
     def evaluate(self, case: ScenarioCase, point: GridPoint) -> SinrReport:
         kind = ScenarioKind(case.kind)
         emi1_w, emi2_w = _case_levels(case, self.cfg)
-        terms = replace(self._terms(point, case, kind.has_irr), emi1_w=emi1_w, emi2_w=emi2_w)
+        terms = replace(self._terms(kind.has_irr), emi1_w=emi1_w, emi2_w=emi2_w)
         if self.mode is Mode.FIXED:
             key, theta = "fixed", np.ones(terms.num_elements, dtype=complex)
         else:
-            run_kind = kind if self.mode is Mode.AWARE else ScenarioKind.EIF
-            key, result = self._run(point, case, run_kind, terms)
-            theta = result.theta
+            if kind.has_irr:
+                self._trace(point, case, "cluster2", "cluster2")
+            p1 = tuple(point.powers.cluster1)
+            key = ("ao_unaware", p1)
+            self._trace(point, case, key, "cluster1_unaware")
+            if self.mode is Mode.AWARE and kind is not ScenarioKind.EIF:
+                key = _aware_key(kind, emi1_w, emi2_w, p1)
+                self._trace(point, case, key, f"cluster1_aware_{kind.value}")
+            theta = self.runs[key].theta
         # the parts at theta serve every case, power and EMI level evaluated there
         parts = self._once(("parts", key), lambda: user_parts(terms, theta))
         if kind.has_irr:
@@ -360,34 +333,95 @@ def _validate_spec(spec: SweepSpec) -> None:
     _check_cases(spec.scenarios, spec.variable, spec.grid[0])
 
 
-def _lockstep_runs(cfg: SystemConfig, reals, points, mode: Mode, neighbor: bool) -> list[dict]:
-    """The runs from theta = 1 of each draw in reals, for TrialEvaluator's runs.
+def _lockstep_runs(cfg: SystemConfig, reals, pairs, mode: Mode) -> list[dict]:
+    """The runs from theta = 1 of each draw in reals, for its TrialEvaluator.
 
-    These are the interference-unaware runs: cluster 2's (when neighbor is
-    set, i.e. some case needs the neighbor RIS) and cluster 1's at each
-    distinct cluster-1 power of points. Each kind is made as one lockstep
-    stack across the draws (ao.optimize_eif_stack), whose rows equal the
-    runs that TrialEvaluator would make, bit for bit.
+    These are the interference-unaware runs: cluster 2's when some case of
+    pairs needs the neighbor RIS, and cluster 1's at each distinct cluster-1
+    power of pairs. Each kind is made as one lockstep stack across the draws
+    (ao.optimize_eif_stack).
     """
     runs = [{} for _ in reals]
     if mode is Mode.FIXED:
         return runs
     noise = cfg.noise_power_w
-    if neighbor:
+    if any(ScenarioKind(case.kind).has_irr for _, case in pairs):
         w2 = cfg.clusters[1].weights()
-        p2 = points[0].powers.cluster2  # no sweep changes cluster 2
+        p2 = pairs[0][0].powers.cluster2  # no sweep changes cluster 2
         links = [(real.g2, real.h2) for real in reals]
         made = optimize_eif_stack(links, [p2] * len(reals), [w2] * len(reals), noise)
         for ready, result in zip(runs, made):
             ready["cluster2"] = result
     w1 = cfg.clusters[0].weights()
-    powers1 = dict.fromkeys(tuple(pt.powers.cluster1) for pt in points)
+    powers1 = dict.fromkeys(tuple(pt.powers.cluster1) for pt, _ in pairs)
     rows = [(j, p1) for j in range(len(reals)) for p1 in powers1]
     links = [(reals[j].g1, reals[j].h1) for j, _ in rows]
     made = optimize_eif_stack(links, [p1 for _, p1 in rows], [w1] * len(rows), noise)
     for (j, p1), result in zip(rows, made):
         runs[j][("ao_unaware", p1)] = result
     return runs
+
+
+def _aware_runs(evaluator: TrialEvaluator, pairs) -> dict:
+    """The aware runs of one draw, made as one lockstep stack, under their cache keys.
+
+    There is a row per distinct (kind, EMI levels, cluster-1 power) among the
+    non-EIF cases of pairs: kind's utility on the case's terms
+    (rcg.phase_objective), from the unaware phases at that power, with the
+    AO_WARM_RCG budget. EMI_IRR rows apply the dense covariance C (see
+    sinr.emi_irr_covariance), built once per pair of EMI levels from one
+    W21^H R2 W21 per draw: neither depends on cluster 1's power. A case whose
+    neighbor ZF is degenerate gets no row; it is skipped when evaluated.
+    """
+    rows, theta0, covs, reflected = {}, [], {}, None
+    for point, case in pairs:
+        kind = ScenarioKind(case.kind)
+        emi1_w, emi2_w = _case_levels(case, evaluator.cfg)
+        p1 = tuple(point.powers.cluster1)
+        key = _aware_key(kind, emi1_w, emi2_w, p1)
+        if kind is ScenarioKind.EIF or key in rows:
+            continue
+        try:
+            terms = replace(evaluator._terms(kind.has_irr), emi1_w=emi1_w, emi2_w=emi2_w)
+        except ZfDegenerateError:
+            continue
+        if kind is ScenarioKind.EMI_IRR:
+            if (emi1_w, emi2_w) not in covs:
+                if reflected is None:
+                    reflected = reflected_emi_covariance(terms)
+                covs[emi1_w, emi2_w] = emi_irr_covariance(replace(terms, reflected=reflected), point.powers)
+            terms = replace(terms, cov=covs[emi1_w, emi2_w])
+        rows[key] = phase_objective(terms, kind, point.powers, evaluator.noise, evaluator.w1)
+        theta0.append(evaluator.runs[("ao_unaware", p1)].theta)
+    if not rows:
+        return {}
+    reflected = None  # only the rows' C are needed while the stack runs
+    return dict(zip(rows, rcg_lockstep(PairStack(rows.values()), np.array(theta0), AO_WARM_RCG)))
+
+
+def _evaluate_block(cfg: SystemConfig, stats, reals, pairs, mode: Mode):
+    """Evaluate each draw of reals at every (grid point, case) of pairs.
+
+    Yields one list per draw, in order: the pair's SinrReport, or the
+    ZfDegenerateError that skips it. The runs from theta = 1 are made first,
+    stacked across the draws (see _lockstep_runs); in aware mode each draw's
+    aware runs are then one stack of their own (see _aware_runs). A stacked
+    run equals the single run bit for bit, so no result depends on the
+    block. reals is emptied as the draws are evaluated, so that each draw
+    (and its z21) is freed once done.
+    """
+    runs = _lockstep_runs(cfg, reals, pairs, mode)
+    while reals:
+        evaluator = TrialEvaluator(cfg, stats, reals.pop(0), mode, runs.pop(0))
+        if mode is Mode.AWARE:
+            evaluator.runs.update(_aware_runs(evaluator, pairs))
+        reports = []
+        for point, case in pairs:
+            try:
+                reports.append(evaluator.evaluate(case, point))
+            except ZfDegenerateError as exc:
+                reports.append(exc)
+        yield reports
 
 
 def run_sweep(cfg: SystemConfig, spec: SweepSpec, trace=None) -> list[MetricRecord]:
@@ -401,9 +435,10 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, trace=None) -> list[MetricReco
     optimizer runs between the points. The trials go in blocks of STACK_ROWS
     draws: a block first draws its links, then makes every run from
     theta = 1 (cluster 2's, and cluster 1's unaware run per power) in
-    lockstep stacks across its draws (see _lockstep_runs), and then
-    evaluates draw by draw. A stacked run equals the single run bit for bit,
-    so no result depends on the block or its size. Records and trace rows
+    lockstep stacks across its draws, and then evaluates draw by draw, an
+    aware sweep after one stack of the draw's aware runs (see
+    _evaluate_block). A stacked run equals the single run bit for bit, so no
+    result depends on the block or its size. Records and trace rows
     come out in grid order, the same as from one single-point sweep per grid
     value. Records carry each trial's weighted sum rate, so runs can be
     compared per draw. Results are deterministic given the config, the spec,
@@ -430,21 +465,17 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, trace=None) -> list[MetricReco
     for members in groups.values():
         cfg_geo = configs[members[0]]
         stats = build_statistics(cfg_geo)
-        neighbor = any(ScenarioKind(case.kind).has_irr for i in members for case in cases[i])
+        slots = [(i, case) for i in members for case in cases[i]]
+        pairs = [(points[i], case) for i, case in slots]
         for first in range(0, spec.trials, STACK_ROWS):
             block = range(first, min(first + STACK_ROWS, spec.trials))
             reals = [draw_realization(cfg_geo, stats, t, rng=trial_rng(seed, t)) for t in block]
-            runs = _lockstep_runs(cfg_geo, reals, [points[i] for i in members], mode, neighbor)
-            while reals:  # popped, so that each draw (and its z21) is freed once evaluated
-                evaluator = TrialEvaluator(cfg_geo, stats, reals.pop(0), mode, runs.pop(0))
-                for i in members:
-                    for case in cases[i]:
-                        try:
-                            report = evaluator.evaluate(case, points[i])
-                        except ZfDegenerateError:
-                            skips[i][case] += 1
-                        else:
-                            rates[i][case].append(report.rates_bps_hz)
+            for reports in _evaluate_block(cfg_geo, stats, reals, pairs, mode):
+                for (i, case), report in zip(slots, reports):
+                    if isinstance(report, ZfDegenerateError):
+                        skips[i][case] += 1
+                    else:
+                        rates[i][case].append(report.rates_bps_hz)
 
     records: list[MetricRecord] = []
     for i, value in enumerate(spec.grid):
@@ -485,8 +516,14 @@ def run_single_trial(
     trace=None,
     dump_dir=None,
 ) -> list[tuple[ScenarioCase, SinrReport]]:
-    """Evaluate the given scenario cases on a single channel draw."""
+    """Evaluate the given scenario cases on a single channel draw.
+
+    The draw is a block of one (see _evaluate_block), so its results and
+    trace rows are those of the same trial of a sweep at the same seed. A
+    case whose ZF is degenerate raises ZfDegenerateError.
+    """
     cfg = validate_config(cfg)
+    mode = Mode(mode)
     _check_number("trial", trial, integer=True, minimum=0)
     if seed is not None:
         _check_number("seed", seed, integer=True, minimum=0)
@@ -496,9 +533,12 @@ def run_single_trial(
     real = draw_realization(cfg, stats, trial, rng=trial_rng(use_seed, trial))
     if dump_dir is not None:
         dump_realization(real, dump_dir)
-    evaluator = TrialEvaluator(cfg, stats, real, mode)
     point = GridPoint(make_powers(cfg, unit_power), trace)
-    return [(case, evaluator.evaluate(case, point)) for case in cases]
+    (reports,) = _evaluate_block(cfg, stats, [real], [(point, case) for case in cases], mode)
+    for report in reports:
+        if isinstance(report, ZfDegenerateError):
+            raise report
+    return list(zip(cases, reports))
 
 
 def _fmt(x: float) -> str:

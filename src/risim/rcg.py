@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,34 +59,6 @@ def project_tangent(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return x - (x * np.conj(theta)).real * theta
 
 
-def polak_ribiere(rgrad_now: np.ndarray, rgrad_prev: np.ndarray) -> float:
-    """Conjugacy coefficient Re<g_now, g_now - g_prev> / ||g_prev||^2.
-
-    Returns the raw value; callers clamp at zero for the restart rule. A zero
-    previous gradient yields 0.
-    """
-    denom = np.vdot(rgrad_prev, rgrad_prev).real
-    if denom == 0.0:
-        return 0.0
-    return float(np.vdot(rgrad_now, rgrad_now - rgrad_prev).real / denom)
-
-
-def retract(theta: np.ndarray, step: float, direction: np.ndarray) -> np.ndarray:
-    """Move along the direction and renormalize each entry to unit modulus.
-
-    If any entry of theta + step * d lands at (numerical) zero, the step is
-    halved until every entry has positive magnitude; with |theta_l| = 1 this
-    always terminates.
-    """
-    moved = theta + step * direction
-    mags = np.abs(moved)
-    while mags.min() < 1e-12:
-        step *= 0.5
-        moved = theta + step * direction
-        mags = np.abs(moved)
-    return moved / mags
-
-
 @dataclass(frozen=True)
 class RcgOptions:
     epsilon: float = 1e-9  # stop when |objective change| <= epsilon * |objective|
@@ -98,31 +69,6 @@ ARMIJO_STEP = 1.0  # largest per-element tangent move of the first trial step
 ARMIJO_CONTRACTION = 0.5
 ARMIJO_SLOPE = 1e-4  # sufficient-increase coefficient
 MAX_BACKTRACKS = 50
-
-
-def armijo_search(theta, direction, objective, f0, slope, guess=None):
-    """Backtracking search for a step with sufficient objective increase.
-
-    slope must be the positive tangent inner product Re<rgrad, d>. The first
-    candidate is guess, but never moves the most-moving element by more than
-    ARMIJO_STEP along d; without a guess it is that largest move, so the
-    search does not depend on the scale of the objective (the gradient of a
-    -20 dBm utility is 1e5 times smaller than at 30 dBm). Returns
-    (step, theta_new, f_new); step 0.0 signals stagnation (no acceptable step
-    within MAX_BACKTRACKS candidates) and leaves theta unchanged.
-    """
-    if slope <= 0.0:
-        raise ValueError("armijo_search requires an ascent direction (slope > 0)")
-    step = ARMIJO_STEP / np.abs(direction).max()
-    if guess is not None:
-        step = min(step, guess)
-    for _ in range(MAX_BACKTRACKS):
-        cand = retract(theta, step, direction)
-        f_new = objective(cand)
-        if f_new >= f0 + ARMIJO_SLOPE * step * slope:
-            return step, cand, f_new
-        step *= ARMIJO_CONTRACTION
-    return 0.0, theta, f0
 
 
 @dataclass
@@ -139,95 +85,6 @@ class RcgResult:
     max_tangency_residual: float
 
 
-def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = RcgOptions()) -> RcgResult:
-    """Maximize a smooth objective over unit-modulus phase vectors.
-
-    objective(theta) -> float and gradient(theta) -> complex ndarray (the
-    Euclidean gradient). Directions restart to the projected gradient whenever
-    the conjugate combination stops being an ascent direction. A non-finite
-    objective (at the start point or a line-search candidate) or gradient
-    raises ValueError naming the iteration; iteration 0 is the start point.
-    """
-    theta = np.asarray(theta0, dtype=complex)
-    mags = np.abs(theta)
-    if np.any(mags == 0.0):
-        raise ValueError("theta0 entries must be nonzero")
-    theta = theta / mags
-
-    iteration = 0
-
-    def checked(theta):
-        f = float(objective(theta))
-        if not math.isfinite(f):
-            raise ValueError(f"non-finite objective {f} at RCG iteration {iteration}")
-        return f
-
-    f_curr = checked(theta)
-    trace = [f_curr]
-    grad_norms: list[float] = []
-    steps: list[float] = []
-    d_prev = None
-    g_prev = None
-    converged = False
-    stagnated = False
-    max_dev = float(np.abs(np.abs(theta) - 1.0).max()) if theta.size else 0.0
-    max_tan = 0.0
-
-    for iteration in range(1, opts.max_iters + 1):
-        egrad = gradient(theta)
-        if not np.isfinite(egrad).all():
-            raise ValueError(f"non-finite gradient at RCG iteration {iteration}")
-        rg = project_tangent(egrad, theta)
-        if d_prev is None:
-            d = rg
-        else:
-            tau1 = max(polak_ribiere(rg, g_prev), 0.0)
-            d = rg + tau1 * project_tangent(d_prev, theta)
-            if np.vdot(rg, d).real <= 0.0:
-                d = rg  # restart: conjugate direction lost ascent
-        slope = float(np.vdot(rg, d).real)
-        grad_norms.append(float(np.linalg.norm(rg)))
-        if d.size:
-            max_tan = max(max_tan, float(np.abs((d * np.conj(theta)).real).max()))
-        if slope <= 0.0:  # stationary point
-            steps.append(0.0)
-            stagnated = True
-            converged = True
-            break
-        # First trial step: the one that would repeat the last iteration's gain
-        # on a quadratic model (Nocedal & Wright, Numerical Optimization, 2006,
-        # eq. 3.60), so most iterations cost one objective call
-        guess = 2.0 * (trace[-1] - trace[-2]) / slope if len(trace) > 1 else None
-        step, theta_new, f_new = armijo_search(theta, d, checked, f_curr, slope, guess)
-        steps.append(step)
-        if step == 0.0:
-            stagnated = True
-            break
-        delta = abs(f_new - f_curr)
-        theta = theta_new
-        f_curr = f_new
-        trace.append(f_curr)
-        d_prev = d
-        g_prev = rg
-        max_dev = max(max_dev, float(np.abs(np.abs(theta) - 1.0).max()))
-        if delta <= opts.epsilon * abs(f_curr):
-            converged = True
-            break
-
-    return RcgResult(
-        theta=theta,
-        objective=f_curr,
-        trace=np.array(trace),
-        grad_norms=np.array(grad_norms),
-        steps=np.array(steps),
-        iterations=len(steps),
-        converged=converged,
-        stagnated=stagnated,
-        max_unit_deviation=max_dev,
-        max_tangency_residual=max_tan,
-    )
-
-
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.vdot(a[r], b[r]).real for every row r, bit for bit."""
     return (np.conj(a)[:, None, :] @ b[:, :, None])[:, 0, 0].real
@@ -240,7 +97,13 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _retract_rows(theta: np.ndarray, step: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """retract for every row, each with its own step and its own halvings."""
+    """Move each row along its direction by its step and renormalize every
+    entry to unit modulus.
+
+    A row in which some entry of theta + step * d lands at (numerical) zero
+    halves its own step until every entry has positive magnitude; with
+    |theta_l| = 1 this always terminates, and the other rows keep their step.
+    """
     moved = theta + step[:, None] * direction
     mags = np.abs(moved)
     low = mags.min(axis=1) < 1e-12
@@ -253,19 +116,33 @@ def _retract_rows(theta: np.ndarray, step: np.ndarray, direction: np.ndarray) ->
 
 
 def rcg_lockstep(problem, theta0: np.ndarray, opts: RcgOptions = RcgOptions()) -> list[RcgResult]:
-    """rcg_optimize for a stack of B runs that advance together.
+    """Maximize B smooth objectives over unit-modulus phase vectors, in lockstep.
 
-    problem holds one objective per row of theta0 (B, N) (see sinr.EifStack):
+    Row b is one Riemannian conjugate-gradient run (Absil, Mahony and
+    Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 8)
+    from theta0[b], theta0 (B, N). Its direction is the projected gradient
+    plus the Polak-Ribiere multiple (clamped at zero) of the transported
+    last direction, and restarts at the projected gradient whenever that
+    stops being an ascent direction. A backtracking Armijo search starts
+    from the step that would repeat the last iteration's gain on a quadratic
+    model (Nocedal and Wright, Numerical Optimization, 2006, eq. 3.60), so
+    most iterations cost one objective call, capped so that no element moves
+    by more than ARMIJO_STEP; the search does not depend on the scale of the
+    objective. A row stops when no step within MAX_BACKTRACKS candidates is
+    accepted (stagnated), at a stationary point (stagnated and converged),
+    when its objective changes by at most epsilon times its value
+    (converged), or at max_iters.
+
+    problem holds the B objectives (see sinr.EifStack and PairStack):
     problem.objective(theta, rows) returns the values of rows (an index
     array; None is every row) at theta, one row of theta per row;
     problem.gradient(theta) the Euclidean gradients of every row at theta,
     where each row's last objective call was made; problem.take(keep) the
-    problem of rows keep, which is how rows that stop leave the stack. Each
-    row keeps its own line search (accept mask, first-step guess, restart,
-    retraction halving) and its own stopping rules, and every step is the
-    scalar one written per row. So row b's RcgResult equals rcg_optimize on
-    row b's objective from theta0[b] bit for bit, whatever its stack-mates.
-    A non-finite value in any row raises ValueError naming the iteration.
+    problem of rows keep, which is how rows that stop leave the stack. Every
+    step is written per row, so row b's RcgResult does not depend on its
+    stack-mates or its place, bit for bit. A non-finite objective (at the
+    start point, iteration 0, or a line-search candidate) or gradient in any
+    row raises ValueError naming the iteration.
     """
     theta = np.array(theta0, dtype=complex)
     mags = np.abs(theta)
@@ -323,7 +200,7 @@ def rcg_lockstep(problem, theta0: np.ndarray, opts: RcgOptions = RcgOptions()) -
         max_tan = np.where(tan > max_tan, tan, max_tan)
         iterations[ids] = iteration
 
-        # Armijo backtracking, each row from its own first step (see armijo_search)
+        # Armijo backtracking, each row from its own first step
         flat = slope <= 0.0  # stationary rows
         with np.errstate(divide="ignore", invalid="ignore"):
             trial = ARMIJO_STEP / np.abs(d).max(axis=1)
@@ -390,11 +267,43 @@ def rcg_lockstep(problem, theta0: np.ndarray, opts: RcgOptions = RcgOptions()) -
     ]
 
 
+class PairStack:
+    """Independent runs as one rcg_lockstep problem, evaluated row by row.
+
+    Row r is pairs[r] = (objective, gradient): objective(theta) -> float and
+    gradient(theta) -> the complex Euclidean gradient, over one (N,) theta
+    (see phase_objective). Each pair sees exactly the calls a run of its own
+    would make, so the gradient may reuse its objective's last evaluation.
+    """
+
+    def __init__(self, pairs):
+        self.pairs = list(pairs)
+
+    def objective(self, theta: np.ndarray, rows=None) -> np.ndarray:
+        at = range(len(self.pairs)) if rows is None else rows
+        return np.array([float(self.pairs[r][0](x)) for r, x in zip(at, theta)])
+
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
+        return np.array([gradient(x) for (_, gradient), x in zip(self.pairs, theta)])
+
+    def take(self, keep) -> PairStack:
+        return PairStack(pair for pair, kept in zip(self.pairs, keep) if kept)
+
+
+def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = RcgOptions()) -> RcgResult:
+    """Maximize one smooth objective over unit-modulus phase vectors from theta0.
+
+    objective(theta) -> float and gradient(theta) -> complex ndarray (the
+    Euclidean gradient); the run is a stack of one row (see rcg_lockstep).
+    """
+    return rcg_lockstep(PairStack([(objective, gradient)]), np.asarray(theta0)[None], opts)[0]
+
+
 def phase_objective(terms, kind, powers, noise_power_w, weights=None):
     """Objective and gradient callables over theta for one scenario.
 
     The gradient reuses the PhasePoint of the objective's last call when theta
-    equals that call's: rcg_optimize asks for it at the start point and at the
+    equals that call's: rcg_lockstep asks for it at the start point and at the
     accepted line-search candidate, both just evaluated, so an iteration forms
     the ZF Gram inverse and the interference product once. At any other theta
     the gradient evaluates afresh.

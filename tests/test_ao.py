@@ -20,6 +20,7 @@ from risim import (
     fixed_cluster2,
     make_powers,
     optimize_cluster2,
+    optimize_eif_stack,
     weighted_log_utility,
 )
 from risim.ao import AO_RCG, AO_WARM_RCG
@@ -37,6 +38,12 @@ def _small_cfg(side=5):
     )
 
 
+def _cluster2_run(real, powers2, cfg):
+    """The neighbor cluster's interference-unaware run on its own links, as a sweep makes it."""
+    weights2 = cfg.clusters[1].weights()
+    return optimize_eif_stack([(real.g2, real.h2)], [powers2], [weights2], cfg.noise_power_w)[0]
+
+
 def _case(trial=0, side=5, emi_dbm=None, with_cluster2=False, optimize_c2=False):
     """One draw's cascade terms, and the (powers, noise, weights) that go with them."""
     cfg = _small_cfg(side)
@@ -47,9 +54,8 @@ def _case(trial=0, side=5, emi_dbm=None, with_cluster2=False, optimize_c2=False)
     neighbor = {}
     if with_cluster2:
         if optimize_c2:
-            cluster2, _ = optimize_cluster2(
-                real, stats, powers.cluster2, cfg.noise_power_w, cfg.clusters[1].weights()
-            )
+            run = _cluster2_run(real, powers.cluster2, cfg)
+            cluster2 = optimize_cluster2(real, run)
         else:
             cluster2 = fixed_cluster2(real)
         neighbor = dict(
@@ -182,15 +188,16 @@ def test_fixed_cluster2_zero_phases():
 def test_optimize_cluster2_independent_of_cluster1():
     cfg, stats, real = _draw(6)
     powers2 = make_powers(cfg).cluster2
-    args = (stats, powers2, cfg.noise_power_w, cfg.clusters[1].weights())
-    state, res = optimize_cluster2(real, *args)
+    res = _cluster2_run(real, powers2, cfg)
     assert isinstance(res, RcgResult)
+    state = optimize_cluster2(real, res)
+    np.testing.assert_array_equal(state.theta, res.theta)
     rng = np.random.default_rng(0)
     tampered = replace(
         real,
         h1=rng.standard_normal(real.h1.shape) + 1j * rng.standard_normal(real.h1.shape),
     )
-    state2, _ = optimize_cluster2(tampered, *args)
+    state2 = optimize_cluster2(tampered, _cluster2_run(tampered, powers2, cfg))
     np.testing.assert_array_equal(state.theta, state2.theta)
     np.testing.assert_array_equal(state.u, state2.u)
 

@@ -52,3 +52,21 @@ def test_summarize_counts_wins_in_each_direction():
     rss = s["peak_rss_mb"]  # lower is better: 59 < 60 wins, 63 and 64 lose
     assert (rss["wins"], rss["losses"]) == (1, 2)
     assert rss["parent_iqr"] == 1.0 and rss["median_diff"] == 1.0 and not rss["resolved"]
+
+
+def test_within_bound_is_the_relative_gate_in_each_direction():
+    # medians: trials_per_s 12 -> 9, exactly 25% worse, which the bound allows;
+    # peak_rss_mb 60 -> 66.5, 10.8% worse, past its 10% bound
+    parent = [(11.0, 59.0), (12.0, 60.0), (13.0, 61.0)]
+    change = [(8.0, 66.0), (9.0, 66.5), (10.0, 67.0)]
+    pairs = [{"parent": _result(*p), "change": _result(*c)} for p, c in zip(parent, change)]
+    better = {"trials_per_s": "higher", "peak_rss_mb": "lower"}
+    s = bench_pairs.summarize(pairs, better, {"trials_per_s": 0.25, "peak_rss_mb": 0.1})
+    assert s["trials_per_s"]["within_bound"] and not s["peak_rss_mb"]["within_bound"]
+    s = bench_pairs.summarize(pairs, better, {"trials_per_s": 0.2, "peak_rss_mb": 0.11})
+    assert not s["trials_per_s"]["within_bound"] and s["peak_rss_mb"]["within_bound"]
+    # a better median is always within the bound
+    flipped = [{"parent": p["change"], "change": p["parent"]} for p in pairs]
+    s = bench_pairs.summarize(flipped, better, {"trials_per_s": 0.0, "peak_rss_mb": 0.0})
+    assert s["trials_per_s"]["within_bound"] and s["peak_rss_mb"]["within_bound"]
+    assert "within_bound" not in bench_pairs.summarize(pairs, better)["trials_per_s"]

@@ -111,7 +111,8 @@ def test_repeated_scenario_is_runtime_error(tiny_config, capsys):
 def test_bad_scenario_list_is_runtime_error(tiny_config, tmp_path, capsys, command, scenarios, message):
     # single-trial used to print a header without rows, or the same case twice
     out = tmp_path / "out.txt"
-    args = [command, "--config", tiny_config, "--scenarios", scenarios, "--trials", "1", "--out", str(out)]
+    trials = [] if command == "single-trial" else ["--trials", "1"]  # single-trial has no --trials
+    args = [command, "--config", tiny_config, "--scenarios", scenarios, *trials, "--out", str(out)]
     assert cli_main(args) == EXIT_RUNTIME
     assert not out.exists()
     assert message in capsys.readouterr().err
@@ -133,7 +134,8 @@ def test_bad_scenario_list_is_runtime_error(tiny_config, tmp_path, capsys, comma
 def test_non_finite_emi_level_is_runtime_error(tiny_config, tmp_path, capsys, argv):
     # a nan or infinite level or grid value would end in a nan mean, rate or sweep value
     out = tmp_path / "out.csv"
-    args = argv + ["--config", tiny_config, "--mode", "fixed", "--trials", "1", "--out", str(out)]
+    trials = [] if argv[0] == "single-trial" else ["--trials", "1"]  # single-trial has no --trials
+    args = argv + ["--config", tiny_config, "--mode", "fixed", *trials, "--out", str(out)]
     assert cli_main(args) == EXIT_RUNTIME
     assert not out.exists()
     assert "finite" in capsys.readouterr().err
@@ -187,6 +189,15 @@ def test_single_trial_runs_without_config(tiny_config, capsys):
     out = capsys.readouterr().out
     assert out.startswith("trial 1 mode fixed\n")
     assert "eif: sum_rate_bps_hz=" in out
+
+
+def test_single_trial_rejects_trials(tiny_config, capsys):
+    # one draw has no trial count: the flag is a usage error, not silently ignored
+    code = cli_main(["single-trial", "--config", tiny_config, "--scenarios", "eif", "--trials", "5"])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --trials 5" in captured.err
+    assert captured.out == ""
 
 
 def test_single_trial_deterministic(tiny_config, capsys):

@@ -381,7 +381,7 @@ def test_power_sweep_draws_and_runs_cluster2_once_per_trial(mode, monkeypatch):
         name: _count_calls(monkeypatch, harness, name)
         for name in (
             "build_statistics", "draw_realization", "build_cascades", "optimize_cluster2",
-            "alternate_optimize", "optimize_eif_stack",
+            "rcg_lockstep", "optimize_eif_stack",
         )
     }
     trials = 3
@@ -403,10 +403,13 @@ def test_power_sweep_draws_and_runs_cluster2_once_per_trial(mode, monkeypatch):
     cluster2 = counts["optimize_cluster2"]
     assert len(cluster2) == (0 if mode is Mode.FIXED else trials)
     assert all(call["run"] is not None for call in cluster2)
-    # no scalar EIF run: per point and trial only aware mode's warm EMI_IRR run
-    runs = counts["alternate_optimize"]
-    assert len(runs) == (3 * trials if mode is Mode.AWARE else 0)
-    assert all(call["kind"] is ScenarioKind.EMI_IRR and "theta0" in call for call in runs)
+    # besides those, only aware mode runs: one stack per draw, a warm EMI_IRR
+    # row per point, each started from its point's unaware phases
+    runs = counts["rcg_lockstep"]
+    assert len(runs) == (trials if mode is Mode.AWARE else 0)
+    for call in runs:
+        assert len(call["problem"].pairs) == call["theta0"].shape[0] == 3
+        assert call["opts"] is ao.AO_WARM_RCG
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -430,7 +433,7 @@ def test_degenerate_cluster2_skips_only_the_irr_cases(mode, monkeypatch):
 
 
 def test_emi_sweep_runs_the_unaware_optimizer_once_per_trial(monkeypatch):
-    runs = _count_calls(monkeypatch, harness, "alternate_optimize")
+    runs = _count_calls(monkeypatch, harness, "rcg_lockstep")
     stacks = _count_calls(monkeypatch, harness, "optimize_eif_stack")
     cluster2 = _count_calls(monkeypatch, harness, "optimize_cluster2")
     spec = SweepSpec(variable="emi_dbm", grid=(-75.0, -70.0, -65.0), scenarios=EMI_SWEEP_CASES,
@@ -545,3 +548,21 @@ def test_results_do_not_depend_on_the_block_size(mode, monkeypatch):
         trace = []
         outputs.append((render_csv(run_sweep(_tiny_cfg(), spec, trace=trace)), render_trace(trace)))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("mode", [Mode.UNAWARE, Mode.AWARE])
+def test_single_trial_equals_its_trial_of_a_sweep(mode):
+    # a single trial is a block of one draw on the sweep's path, so trial t
+    # of a one-point sweep at the same seed has its sum rates and trace rows
+    cfg = _tiny_cfg(side=4)
+    seed, trial = 5, 2
+    spec = SweepSpec(variable="tx_power_dbm", grid=(cfg.clusters[0].tx_power_dbm,),
+                     scenarios=DEFAULT_CASES, mode=mode, trials=3, seed=seed)
+    rows, single_rows = [], []
+    records = run_sweep(cfg, spec, trace=rows)
+    results = run_single_trial(cfg, DEFAULT_CASES, mode, trial=trial, seed=seed, trace=single_rows)
+    for (case, report), record in zip(results, records, strict=True):
+        assert (record.scenario, record.trials) == (case.label, 3)
+        assert report.sum_rate_bps_hz == record.sum_rate_samples[trial]
+    assert single_rows
+    assert single_rows == [("",) + row[1:] for row in rows if row[3] == trial]

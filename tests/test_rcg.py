@@ -7,20 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_rcg as reference
+from reference_rcg import armijo_search, polak_ribiere, retract
 from risim import rcg, sinr
 from risim import (
+    PairStack,
     PowerAllocation,
     RcgOptions,
     ScenarioKind,
-    armijo_search,
     build_cascades,
     euclid_grad,
     optimize_phases,
     phase_objective,
-    polak_ribiere,
     rcg_optimize,
     project_tangent,
-    retract,
 )
 from risim.rcg import rcg_lockstep
 from risim.sinr import EifStack
@@ -137,9 +137,9 @@ def test_armijo_hand_case(monkeypatch):
     # f(theta) = Im(theta_0) after retraction from theta = 1 along d = j:
     # f(s) = s / sqrt(1 + s^2). With c = 0.9 and slope 1, steps 1 and 0.5
     # fail the sufficient-increase test and 0.25 is the first accepted step.
-    monkeypatch.setattr(rcg, "ARMIJO_STEP", 1.0)
-    monkeypatch.setattr(rcg, "ARMIJO_CONTRACTION", 0.5)
-    monkeypatch.setattr(rcg, "ARMIJO_SLOPE", 0.9)
+    monkeypatch.setattr(reference, "ARMIJO_STEP", 1.0)
+    monkeypatch.setattr(reference, "ARMIJO_CONTRACTION", 0.5)
+    monkeypatch.setattr(reference, "ARMIJO_SLOPE", 0.9)
     theta = np.array([1.0 + 0j])
     direction = np.array([1j])
 
@@ -153,7 +153,7 @@ def test_armijo_hand_case(monkeypatch):
 
 
 def test_armijo_accepts_full_step_with_small_slope_coefficient(monkeypatch):
-    monkeypatch.setattr(rcg, "ARMIJO_SLOPE", 1e-4)
+    monkeypatch.setattr(reference, "ARMIJO_SLOPE", 1e-4)
     theta = np.array([1.0 + 0j])
 
     def objective(x):
@@ -164,7 +164,7 @@ def test_armijo_accepts_full_step_with_small_slope_coefficient(monkeypatch):
 
 
 def test_armijo_exhaustion_returns_zero_step(monkeypatch):
-    monkeypatch.setattr(rcg, "MAX_BACKTRACKS", 8)
+    monkeypatch.setattr(reference, "MAX_BACKTRACKS", 8)
     theta = np.array([1.0 + 0j])
 
     def objective(x):
@@ -179,7 +179,7 @@ def test_armijo_exhaustion_returns_zero_step(monkeypatch):
 def test_armijo_starts_from_guess_and_caps_it(monkeypatch):
     # f(s) = s / sqrt(1 + s^2) along d = j from theta = 1: a guess below the
     # largest move (1.0 here) is the first candidate, a larger one is capped
-    monkeypatch.setattr(rcg, "ARMIJO_SLOPE", 1e-4)
+    monkeypatch.setattr(reference, "ARMIJO_SLOPE", 1e-4)
     theta = np.array([1.0 + 0j])
 
     def objective(x):
@@ -402,10 +402,15 @@ def _stacks(draw):
 
 
 def _single_runs(g, h, powers, weights, theta0, opts):
+    """Each row of an EifStack as a run of the reference scalar loop."""
     return [
-        optimize_phases(
-            build_cascades(h[b], g[b], np.eye(g.shape[2])), ScenarioKind.EIF,
-            PowerAllocation(powers[b]), NOISE, weights[b], theta0=theta0[b], opts=opts,
+        reference.rcg_optimize(
+            *phase_objective(
+                build_cascades(h[b], g[b], np.eye(g.shape[2])), ScenarioKind.EIF,
+                PowerAllocation(powers[b]), NOISE, weights[b],
+            ),
+            theta0[b],
+            opts,
         )
         for b in range(g.shape[0])
     ]
@@ -525,7 +530,7 @@ def test_lockstep_exhausted_line_search_stops_only_its_row():
     opts = RcgOptions(epsilon=0.0, max_iters=15)
     results = rcg_lockstep(_LinearRows(a, sign), theta0, opts)
     for r, got in enumerate(results):
-        want = rcg_optimize(
+        want = reference.rcg_optimize(
             lambda theta, r=r: np.vdot(a[r], theta).real,
             lambda theta, r=r: sign[r] * a[r],
             theta0[r],
@@ -535,3 +540,66 @@ def test_lockstep_exhausted_line_search_stops_only_its_row():
     assert (results[1].stagnated, results[1].converged, results[1].iterations) == (True, False, 1)
     assert results[1].steps.tolist() == [0.0]
     assert results[0].iterations == results[2].iterations == 15
+
+
+def test_retraction_halves_only_the_row_that_lands_on_zero():
+    # row 1's full step takes its first entry to exactly 0, so that row alone
+    # halves its step; rows 0 and 2 keep theirs, and every row is the
+    # reference retract of its own (theta, step, direction)
+    rng = np.random.default_rng(64)
+    theta = np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 4)))
+    direction = _cn(rng, 3, 4)
+    theta[1, 0], direction[1, 0] = 1.0, -2.0
+    step = np.array([0.7, 0.5, 1.3])
+    got = rcg._retract_rows(theta.copy(), step.copy(), direction.copy())
+    for r in range(3):
+        np.testing.assert_array_equal(got[r], retract(theta[r], step[r], direction[r]))
+
+    def moved(r, s):
+        x = theta[r] + s * direction[r]
+        return x / np.abs(x)
+
+    np.testing.assert_array_equal(got[1], moved(1, 0.25))  # halved once
+    np.testing.assert_array_equal(got[0], moved(0, 0.7))
+    np.testing.assert_array_equal(got[2], moved(2, 1.3))
+
+
+@st.composite
+def _phase_rows(draw):
+    """Rows of EMI, IRR and EMI_IRR utilities (EMI_IRR with its dense C) over
+    one element count, with random starts and a budget."""
+    elements = draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from([ScenarioKind.EMI, ScenarioKind.IRR, ScenarioKind.EMI_IRR]),
+                              min_size=1, max_size=5)):
+        terms, powers = _instance(rng, num_elements=elements, num_users=int(rng.integers(1, 3)))
+        if kind is ScenarioKind.EMI_IRR:
+            terms = replace(terms, cov=sinr.emi_irr_covariance(terms, powers))
+        rows.append((terms, kind, powers, rng.uniform(0.5, 2.0, terms.num_users)))
+    shape = (len(rows), elements)
+    theta0 = rng.uniform(0.5, 2.0, shape) * np.exp(1j * rng.uniform(0, 2 * np.pi, shape))
+    opts = RcgOptions(epsilon=draw(st.sampled_from([0.0, 1e-6])), max_iters=draw(st.integers(0, 60)))
+    return rows, theta0, opts
+
+
+def _pair_stack(rows):
+    """A PairStack of fresh phase_objective closures, one per row."""
+    return PairStack(phase_objective(terms, kind, powers, NOISE, w) for terms, kind, powers, w in rows)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(_phase_rows())
+def test_phase_objective_rows_equal_the_reference_bitwise(stack):
+    # the aware runs of a draw are stacked like this: each row is its own
+    # scalar run, whatever its kind, its stack-mates or its place
+    rows, theta0, opts = stack
+    results = rcg_lockstep(_pair_stack(rows), theta0, opts)
+    for b, got in enumerate(results):
+        objective, gradient = phase_objective(*rows[b][:3], NOISE, rows[b][3])
+        _assert_same_result(got, reference.rcg_optimize(objective, gradient, theta0[b], opts))
+    flipped = rcg_lockstep(_pair_stack(rows[::-1]), theta0[::-1], opts)
+    for got, want in zip(flipped[::-1], results, strict=True):
+        _assert_same_result(got, want)
+    alone = rcg_lockstep(_pair_stack(rows[-1:]), theta0[-1:], opts)
+    _assert_same_result(alone[0], results[-1])

@@ -13,8 +13,10 @@ the change first on odd ones. The last line of each run (the benchmark's JSON
 result) and its ``env`` line are kept. For every end-to-end metric named in
 the change tree's ``BENCHMARK.json`` the summary gives both sides' median and
 quartiles, the pairs the change wins and loses (in the metric's ``better``
-direction), the ratio and difference of the medians, and whether that
-difference exceeds the parent's quartile spread. Several workloads go into one
+direction), the ratio and difference of the medians, whether that
+difference exceeds the parent's quartile spread (``resolved``), and whether
+the change's median is worse than the parent's by no more than the metric's
+relative ``bound`` (``within_bound``). Several workloads go into one
 file by running the script once per workload with the same ``--out``: each run
 replaces only its workload's entry.
 """
@@ -49,12 +51,14 @@ def quartiles(values) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(pairs, better: dict[str, str]) -> dict[str, dict]:
+def summarize(pairs, better: dict[str, str], bounds: dict[str, float] | None = None) -> dict[str, dict]:
     """Per-metric summary of pairs, a list of {"parent": result, "change": result}.
 
     better maps a metric name to "higher" or "lower". A pair is a win when
     the change's value is strictly better than the parent's, a loss when it
-    is strictly worse.
+    is strictly worse. bounds, when given, maps a metric name to its bound
+    from BENCHMARK.json: within_bound is true when the change's median is
+    worse than the parent's by at most bound times the parent's median.
     """
     out = {}
     for name, direction in better.items():
@@ -78,6 +82,8 @@ def summarize(pairs, better: dict[str, str]) -> dict[str, dict]:
             "parent_iqr": p3 - p1,
             "resolved": abs(cm - pm) > p3 - p1,
         }
+        if bounds is not None:
+            out[name]["within_bound"] = sign * (cm - pm) >= -bounds[name] * abs(pm)
     return out
 
 
@@ -102,6 +108,7 @@ def main(argv=None) -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     pairs, runs = [], []
     for i, seed in enumerate(int(s) for s in args.seeds.split(",")):
@@ -120,7 +127,7 @@ def main(argv=None) -> int:
         "seeds": [int(s) for s in args.seeds.split(",")],
         "seconds": args.seconds,
         "correct": {side: all(p[side]["correct"] for p in pairs) for side in SIDES},
-        "summary": summarize(pairs, better),
+        "summary": summarize(pairs, better, bounds),
         "runs": runs,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
