@@ -45,15 +45,12 @@ from .harness import (
 )
 from .precoding import ZfDegenerateError, effective_channel, zf_precoder
 from .rcg import (
-    PairStack,
     RcgOptions,
     RcgResult,
     euclid_grad,
     optimize_phases,
-    phase_objective,
     project_tangent,
     rcg_lockstep,
-    rcg_optimize,
 )
 from .scenario import (
     ClusterConfig,
@@ -71,11 +68,11 @@ from .scenario import (
 )
 from .sinr import (
     CascadeTerms,
-    EifStack,
     PowerAllocation,
     ScenarioKind,
     SinrReport,
     UserParts,
+    UtilityStack,
     build_cascades,
     neighbor_parts,
     outage_indicator,

@@ -11,10 +11,10 @@ from .precoding import effective_channel, zf_precoder
 from .rcg import RcgOptions, RcgResult, optimize_phases, rcg_lockstep
 from .sinr import (
     CascadeTerms,
-    EifStack,
     PowerAllocation,
     ScenarioKind,
     SinrReport,
+    UtilityStack,
     emi_irr_covariance,
     neighbor_parts,
     parts_sinr,
@@ -91,7 +91,7 @@ def optimize_eif_stack(links, powers, weights, noise_power_w: float, opts: RcgOp
     results = []
     for start in range(0, len(links), STACK_ROWS):
         rows = slice(start, start + STACK_ROWS)
-        problem = EifStack(
+        problem = UtilityStack(
             np.stack([g for g, _ in links[rows]]),
             np.stack([h for _, h in links[rows]]),
             np.array(powers[rows], dtype=float),

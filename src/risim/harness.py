@@ -19,7 +19,7 @@ from .ao import (
 )
 from .channels import build_statistics, draw_realization, dump_realization, trial_rng
 from .precoding import ZfDegenerateError
-from .rcg import PairStack, phase_objective, rcg_lockstep
+from .rcg import rcg_lockstep
 from .scenario import (
     ConfigError,
     SystemConfig,
@@ -32,6 +32,7 @@ from .sinr import (
     PowerAllocation,
     ScenarioKind,
     SinrReport,
+    UtilityStack,
     build_cascades,
     emi_irr_covariance,
     neighbor_parts,
@@ -366,8 +367,8 @@ def _aware_runs(evaluator: TrialEvaluator, pairs) -> dict:
     """The aware runs of one draw, made as one lockstep stack, under their cache keys.
 
     There is a row per distinct (kind, EMI levels, cluster-1 power) among the
-    non-EIF cases of pairs: kind's utility on the case's terms
-    (rcg.phase_objective), from the unaware phases at that power, with the
+    non-EIF cases of pairs: kind's utility on the case's terms (a row of
+    sinr.UtilityStack), from the unaware phases at that power, with the
     AO_WARM_RCG budget. EMI_IRR rows apply the dense covariance C (see
     sinr.emi_irr_covariance), built once per pair of EMI levels from one
     W21^H R2 W21 per draw: neither depends on cluster 1's power. A case whose
@@ -391,12 +392,13 @@ def _aware_runs(evaluator: TrialEvaluator, pairs) -> dict:
                     reflected = reflected_emi_covariance(terms)
                 covs[emi1_w, emi2_w] = emi_irr_covariance(replace(terms, reflected=reflected), point.powers)
             terms = replace(terms, cov=covs[emi1_w, emi2_w])
-        rows[key] = phase_objective(terms, kind, point.powers, evaluator.noise, evaluator.w1)
+        rows[key] = (terms, kind, point.powers, evaluator.w1)
         theta0.append(evaluator.runs[("ao_unaware", p1)].theta)
     if not rows:
         return {}
     reflected = None  # only the rows' C are needed while the stack runs
-    return dict(zip(rows, rcg_lockstep(PairStack(rows.values()), np.array(theta0), AO_WARM_RCG)))
+    problem = UtilityStack.of(rows.values(), evaluator.noise)
+    return dict(zip(rows, rcg_lockstep(problem, np.array(theta0), AO_WARM_RCG)))
 
 
 def _evaluate_block(cfg: SystemConfig, stats, reals, pairs, mode: Mode):

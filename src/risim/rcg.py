@@ -6,13 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .scenario import _check_number
 from .sinr import (
     CascadeTerms,
-    PhasePoint,
     PowerAllocation,
     ScenarioKind,
+    UtilityStack,
     phase_point,
-    weighted_log_utility,
 )
 
 
@@ -23,7 +23,6 @@ def euclid_grad(
     powers: PowerAllocation,
     noise_power_w: float,
     weights=None,
-    point: PhasePoint | None = None,
 ) -> np.ndarray:
     """Euclidean gradient of the weighted log-rate utility, as 2 * df/dtheta*.
 
@@ -31,13 +30,11 @@ def euclid_grad(
     A = G^-1 and G = H(theta) H(theta)^H (see PhasePoint). H depends on
     conj(theta) only, so dc_k/dtheta* = -[(conj(g1)^T A^T) o (h1 H^H A)][:, k],
     and dden_k/dtheta* = M_k theta (see interference). Every quotient reuses
-    the exact terms of the SINR evaluation, point, so the gradient and the
-    objective always describe the same function; point must be phase_point at
-    this theta, and is computed when not given.
+    the exact terms of the SINR evaluation at theta (phase_point), so the
+    gradient and the objective always describe the same function.
     """
     kind = ScenarioKind(kind)
-    if point is None:
-        point = phase_point(terms, theta, kind, powers, noise_power_w)
+    point = phase_point(terms, theta, kind, powers, noise_power_w)
     g_inv, sig, den, mv = point.g_inv, point.sig, point.den, point.mv
     c = np.diagonal(g_inv).real
 
@@ -63,6 +60,10 @@ def project_tangent(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
 class RcgOptions:
     epsilon: float = 1e-9  # stop when |objective change| <= epsilon * |objective|
     max_iters: int = 200
+
+    def __post_init__(self):
+        _check_number("RcgOptions.epsilon", self.epsilon, minimum=0.0)
+        _check_number("RcgOptions.max_iters", self.max_iters, integer=True, minimum=0)
 
 
 ARMIJO_STEP = 1.0  # largest per-element tangent move of the first trial step
@@ -133,7 +134,7 @@ def rcg_lockstep(problem, theta0: np.ndarray, opts: RcgOptions = RcgOptions()) -
     when its objective changes by at most epsilon times its value
     (converged), or at max_iters.
 
-    problem holds the B objectives (see sinr.EifStack and PairStack):
+    problem holds the B objectives (see sinr.UtilityStack):
     problem.objective(theta, rows) returns the values of rows (an index
     array; None is every row) at theta, one row of theta per row;
     problem.gradient(theta) the Euclidean gradients of every row at theta,
@@ -267,60 +268,6 @@ def rcg_lockstep(problem, theta0: np.ndarray, opts: RcgOptions = RcgOptions()) -
     ]
 
 
-class PairStack:
-    """Independent runs as one rcg_lockstep problem, evaluated row by row.
-
-    Row r is pairs[r] = (objective, gradient): objective(theta) -> float and
-    gradient(theta) -> the complex Euclidean gradient, over one (N,) theta
-    (see phase_objective). Each pair sees exactly the calls a run of its own
-    would make, so the gradient may reuse its objective's last evaluation.
-    """
-
-    def __init__(self, pairs):
-        self.pairs = list(pairs)
-
-    def objective(self, theta: np.ndarray, rows=None) -> np.ndarray:
-        at = range(len(self.pairs)) if rows is None else rows
-        return np.array([float(self.pairs[r][0](x)) for r, x in zip(at, theta)])
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        return np.array([gradient(x) for (_, gradient), x in zip(self.pairs, theta)])
-
-    def take(self, keep) -> PairStack:
-        return PairStack(pair for pair, kept in zip(self.pairs, keep) if kept)
-
-
-def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = RcgOptions()) -> RcgResult:
-    """Maximize one smooth objective over unit-modulus phase vectors from theta0.
-
-    objective(theta) -> float and gradient(theta) -> complex ndarray (the
-    Euclidean gradient); the run is a stack of one row (see rcg_lockstep).
-    """
-    return rcg_lockstep(PairStack([(objective, gradient)]), np.asarray(theta0)[None], opts)[0]
-
-
-def phase_objective(terms, kind, powers, noise_power_w, weights=None):
-    """Objective and gradient callables over theta for one scenario.
-
-    The gradient reuses the PhasePoint of the objective's last call when theta
-    equals that call's: rcg_lockstep asks for it at the start point and at the
-    accepted line-search candidate, both just evaluated, so an iteration forms
-    the ZF Gram inverse and the interference product once. At any other theta
-    the gradient evaluates afresh.
-    """
-    kind = ScenarioKind(kind)
-    last: list[PhasePoint] = []
-
-    def objective(theta):
-        return weighted_log_utility(terms, theta, kind, powers, noise_power_w, weights, keep=last)
-
-    def gradient(theta):
-        point = last[0] if last and np.array_equal(last[0].theta, theta) else None
-        return euclid_grad(terms, theta, kind, powers, noise_power_w, weights, point=point)
-
-    return objective, gradient
-
-
 def optimize_phases(
     terms: CascadeTerms,
     kind: ScenarioKind,
@@ -330,8 +277,10 @@ def optimize_phases(
     theta0: np.ndarray | None = None,
     opts: RcgOptions = RcgOptions(),
 ) -> RcgResult:
-    """Run the conjugate-gradient phase optimizer for one scenario objective."""
-    objective, gradient = phase_objective(terms, kind, powers, noise_power_w, weights)
+    """Maximize kind's utility over unit-modulus phases from theta0 (default
+    theta = 1): a one-row UtilityStack under rcg_lockstep."""
     if theta0 is None:
         theta0 = np.ones(terms.num_elements, dtype=complex)
-    return rcg_optimize(objective, gradient, theta0, opts)
+    w = np.ones(terms.num_users) if weights is None else weights
+    problem = UtilityStack.of([(terms, kind, powers, w)], noise_power_w)
+    return rcg_lockstep(problem, np.asarray(theta0)[None], opts)[0]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import compress
 
 import numpy as np
 
@@ -235,7 +236,6 @@ class PhasePoint:
     interference's.
     """
 
-    theta: np.ndarray  # a copy, so that a caller's later in-place change cannot alias it
     h_eff: np.ndarray  # (K1, T1) effective channel H(theta)
     g_inv: np.ndarray  # (K1, K1) G^-1
     sig: np.ndarray  # (K1,) received signal power
@@ -255,7 +255,7 @@ def phase_point(
     g_inv = np.linalg.inv(h_eff @ np.conj(h_eff).T)
     sig = np.asarray(powers.cluster1, dtype=float) / np.diagonal(g_inv).real
     den, mv = interference(terms, theta, kind, powers, noise_power_w)
-    return PhasePoint(theta=np.array(theta), h_eff=h_eff, g_inv=g_inv, sig=sig, den=den, mv=mv)
+    return PhasePoint(h_eff=h_eff, g_inv=g_inv, sig=sig, den=den, mv=mv)
 
 
 @dataclass(frozen=True)
@@ -281,8 +281,14 @@ def _report(kind: ScenarioKind, sig: np.ndarray, den: np.ndarray, weights) -> Si
 
 
 def scenario_sinr(terms, theta, kind, powers, noise_power_w, weights=None) -> SinrReport:
-    """Per-user SINR, rates and weighted sum rate for one scenario."""
+    """Per-user SINR, rates and weighted sum rate for one scenario.
+
+    Raises ZfDegenerateError when ZF is ill conditioned at theta, as
+    evaluate_pair does.
+    """
     kind = ScenarioKind(kind)
+    h_eff = effective_channel(terms.g1, theta, terms.h1)
+    check_zf_gram(h_eff @ np.conj(h_eff).T)
     point = phase_point(terms, theta, kind, powers, noise_power_w)
     return _report(kind, point.sig, point.den, weights)
 
@@ -353,27 +359,52 @@ def parts_sinr(parts, terms, kind, powers, noise_power_w, weights=None) -> SinrR
     return _report(kind, np.asarray(powers.cluster1, dtype=float) / parts.c, den, weights)
 
 
-class EifStack:
-    """B interference-free utilities over (B, N) phases, one cluster per row.
+class UtilityStack:
+    """B weighted log-rate utilities over (B, N) phases, one cluster per row.
 
     Row b is a cluster with channels g[b] (K, N) and h[b] (N, T), powers[b]
-    and weights[b], all at one noise power. objective and gradient are
-    weighted_log_utility and rcg.euclid_grad for kind EIF, row by row, and
-    equal them bit for bit: every product is a batched @ or np.linalg.inv,
-    which run the 2-D call's routine on each slice, and the rest is
-    elementwise. This is the problem protocol of rcg.rcg_lockstep.
+    and weights[b], all at one noise power. interference[b] is None for the
+    interference-free utility (kind EIF), or the row's (terms, kind, powers)
+    for kind's interference on those terms (see interference); interference
+    None makes every row EIF. objective and gradient are weighted_log_utility
+    and rcg.euclid_grad row by row, and equal them bit for bit: the ZF half
+    of every row is a batched @ or np.linalg.inv, which run the 2-D call's
+    routine on each slice, the rest is elementwise, and a non-EIF row adds
+    the den and M_k theta of one interference call per objective call. A
+    stack of EIF rows only makes no call per row. This is the problem
+    protocol of rcg.rcg_lockstep.
     """
 
-    def __init__(self, g, h, powers, weights, noise_power_w: float):
+    def __init__(self, g, h, powers, weights, noise_power_w: float, interference=None):
         self.g_conj = np.conj(g)  # (B, K, N)
         self.h = h  # (B, N, T)
         self.powers = powers  # (B, K)
         self.weights = weights  # (B, K)
         self.noise = float(noise_power_w)
-        # each row's ZF terms at its last objective call, for the gradient
+        if interference is not None and all(row is None for row in interference):
+            interference = None
+        self.interference = None if interference is None else list(interference)
+        # each row's terms at its last objective call, for the gradient
         self.h_eff = np.empty(self.g_conj.shape[:2] + h.shape[2:], dtype=complex)
         self.g_inv = np.empty(self.g_conj.shape[:2] + self.g_conj.shape[1:2], dtype=complex)
         self.sig = np.empty(powers.shape)
+        self.den = np.full(powers.shape, self.noise)
+        self.mv = [None] * len(powers)  # M_k theta of the non-EIF rows
+
+    @classmethod
+    def of(cls, rows, noise_power_w: float) -> UtilityStack:
+        """The stack of rows (terms, kind, powers, weights): kind's utility on
+        terms' cluster-1 channels, with weights an array. Every row needs the
+        same shapes."""
+        rows = [(terms, ScenarioKind(kind), powers, weights) for terms, kind, powers, weights in rows]
+        return cls(
+            np.stack([terms.g1 for terms, *_ in rows]),
+            np.stack([terms.h1 for terms, *_ in rows]),
+            np.array([powers.cluster1 for _, _, powers, _ in rows], dtype=float),
+            np.array([weights for *_, weights in rows], dtype=float),
+            noise_power_w,
+            [None if kind is ScenarioKind.EIF else (terms, kind, powers) for terms, kind, powers, _ in rows],
+        )
 
     def objective(self, theta: np.ndarray, rows=None) -> np.ndarray:
         """The utilities of rows (default: all) at theta, one row of theta each."""
@@ -382,25 +413,41 @@ class EifStack:
         g_inv = np.linalg.inv(h_eff @ np.conj(h_eff).swapaxes(1, 2))
         sig = self.powers[at] / np.diagonal(g_inv, axis1=1, axis2=2).real
         self.h_eff[at], self.g_inv[at], self.sig[at] = h_eff, g_inv, sig
-        vals = np.log1p(sig / self.noise)
+        den = self.noise
+        if self.interference is not None:
+            den = np.full(sig.shape, self.noise)
+            for i, r in enumerate(range(len(self.mv)) if rows is None else rows):
+                if self.interference[r] is not None:
+                    terms, kind, powers = self.interference[r]
+                    den[i], self.mv[r] = interference(terms, theta[i], kind, powers, self.noise)
+            self.den[at] = den
+        vals = np.log1p(sig / den)
         return (self.weights[at][:, None, :] @ vals[:, :, None])[:, 0, 0]
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         """Every row's Euclidean gradient at theta, where each row's last
-        objective call was made (the ZF terms of that call are reused)."""
+        objective call was made (the terms of that call are reused)."""
         g_inv = self.g_inv
         c = np.diagonal(g_inv, axis1=1, axis2=2).real
         rows_h = np.conj(self.h_eff).swapaxes(1, 2) @ g_inv
         dc = -(self.g_conj.swapaxes(1, 2) @ g_inv.swapaxes(1, 2)) * (self.h @ rows_h)  # (B, N, K)
-        share = self.weights * self.sig / (self.sig + self.noise)
-        return -2.0 * (dc @ (share / c)[..., None])[..., 0]
+        den = self.noise if self.interference is None else self.den
+        share = self.weights * self.sig / (self.sig + den)
+        grad = (dc @ (share / c)[..., None])[..., 0]
+        if self.interference is not None:
+            for r, mv in enumerate(self.mv):
+                if mv is not None:
+                    grad[r] = grad[r] + (share[r] / den[r]) @ mv
+        return -2.0 * grad
 
-    def take(self, keep) -> EifStack:
-        """The stack of rows keep, with their ZF terms."""
-        sub = EifStack.__new__(EifStack)
+    def take(self, keep) -> UtilityStack:
+        """The stack of rows keep (a boolean mask), with their last terms."""
+        sub = UtilityStack.__new__(UtilityStack)
         sub.noise = self.noise
-        for name in ("g_conj", "h", "powers", "weights", "h_eff", "g_inv", "sig"):
+        for name in ("g_conj", "h", "powers", "weights", "h_eff", "g_inv", "sig", "den"):
             setattr(sub, name, getattr(self, name)[keep])
+        sub.mv = list(compress(self.mv, keep))
+        sub.interference = None if self.interference is None else list(compress(self.interference, keep))
         return sub
 
 
@@ -409,17 +456,9 @@ def outage_indicator(rates: np.ndarray, threshold: float) -> np.ndarray:
     return (np.asarray(rates, dtype=float) < threshold).astype(int)
 
 
-def weighted_log_utility(
-    terms, theta, kind, powers, noise_power_w, weights=None, keep=None
-) -> float:
-    """Optimizer objective: sum of weighted natural-log rates.
-
-    keep, a list, is set to [the PhasePoint at theta], so that a gradient at
-    the same theta can reuse it (see rcg.phase_objective).
-    """
+def weighted_log_utility(terms, theta, kind, powers, noise_power_w, weights=None) -> float:
+    """Optimizer objective: sum of weighted natural-log rates."""
     point = phase_point(terms, theta, kind, powers, noise_power_w)
-    if keep is not None:
-        keep[:] = [point]
     vals = np.log1p(point.sig / point.den)
     if weights is None:
         return float(vals.sum())

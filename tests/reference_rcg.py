@@ -6,7 +6,8 @@ gradient run with a Polak-Ribiere direction, a backtracking Armijo search
 and the normalizing retraction. It shares the line-search constants,
 RcgOptions, RcgResult and project_tangent with risim.rcg, so a lockstep row
 and this loop describe the same algorithm, and the tests compare them bit
-for bit.
+for bit. utility_pair is the 2-D objective and gradient it runs on, the
+reference for a row of sinr.UtilityStack.
 """
 
 from __future__ import annotations
@@ -22,8 +23,26 @@ from risim.rcg import (
     MAX_BACKTRACKS,
     RcgOptions,
     RcgResult,
+    euclid_grad,
     project_tangent,
 )
+from risim.sinr import weighted_log_utility
+
+
+def utility_pair(terms, kind, powers, noise_power_w, weights=None):
+    """kind's utility and its Euclidean gradient as callables over one (N,) theta.
+
+    Both evaluate afresh at every call (weighted_log_utility and euclid_grad):
+    nothing is cached between calls.
+    """
+
+    def objective(theta):
+        return weighted_log_utility(terms, theta, kind, powers, noise_power_w, weights)
+
+    def gradient(theta):
+        return euclid_grad(terms, theta, kind, powers, noise_power_w, weights)
+
+    return objective, gradient
 
 
 def polak_ribiere(rgrad_now: np.ndarray, rgrad_prev: np.ndarray) -> float:

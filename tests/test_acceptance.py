@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 import risim
+from reference_rcg import utility_pair
 from risim import (
     PowerAllocation,
     RcgOptions,
@@ -27,7 +28,6 @@ from risim import (
     evaluate_pair,
     make_powers,
     optimize_phases,
-    phase_objective,
     ris_element_positions,
     run_sweep,
     sample_correlated_rayleigh,
@@ -104,7 +104,7 @@ def test_a1_gradients_match_finite_differences():
         for i in range(50):
             num_elements = 4 if i % 2 == 0 else 16
             terms, theta, powers, _, _ = _instance(rng, num_elements)
-            objective, _ = phase_objective(terms, kind, powers, NOISE)
+            objective, _ = utility_pair(terms, kind, powers, NOISE)
             egrad = euclid_grad(terms, theta, kind, powers, NOISE)
             analytic = np.real(np.conj(egrad) * 1j * theta)
             psi = np.angle(theta)

@@ -408,7 +408,10 @@ def test_power_sweep_draws_and_runs_cluster2_once_per_trial(mode, monkeypatch):
     runs = counts["rcg_lockstep"]
     assert len(runs) == (trials if mode is Mode.AWARE else 0)
     for call in runs:
-        assert len(call["problem"].pairs) == call["theta0"].shape[0] == 3
+        problem = call["problem"]
+        assert isinstance(problem, sinr.UtilityStack)
+        assert len(problem.interference) == call["theta0"].shape[0] == 3
+        assert all(kind is ScenarioKind.EMI_IRR for _, kind, _ in problem.interference)
         assert call["opts"] is ao.AO_WARM_RCG
 
 

@@ -8,22 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_rcg as reference
-from reference_rcg import armijo_search, polak_ribiere, retract
+from reference_rcg import armijo_search, polak_ribiere, retract, utility_pair
 from risim import rcg, sinr
 from risim import (
-    PairStack,
     PowerAllocation,
     RcgOptions,
     ScenarioKind,
+    UtilityStack,
     build_cascades,
     euclid_grad,
     optimize_phases,
-    phase_objective,
-    rcg_optimize,
     project_tangent,
+    weighted_log_utility,
 )
 from risim.rcg import rcg_lockstep
-from risim.sinr import EifStack
 
 NOISE = 1e-3
 
@@ -77,7 +75,7 @@ def test_gradient_matches_finite_differences(kind):
     for _ in range(10):
         terms, powers = _instance(rng)
         theta = np.exp(1j * rng.uniform(0, 2 * np.pi, terms.num_elements))
-        objective, _ = phase_objective(terms, kind, powers, NOISE)
+        objective, _ = utility_pair(terms, kind, powers, NOISE)
         egrad = euclid_grad(terms, theta, kind, powers, NOISE)
         # d f / d psi_l for theta_l = exp(j psi_l) is Re(conj(egrad_l) j theta_l)
         analytic = np.real(np.conj(egrad) * 1j * theta)
@@ -91,7 +89,7 @@ def test_gradient_respects_weights():
     terms, powers = _instance(rng)
     theta = np.exp(1j * rng.uniform(0, 2 * np.pi, terms.num_elements))
     w = np.array([2.0, 0.25])
-    objective, _ = phase_objective(terms, ScenarioKind.EMI, powers, NOISE, weights=w)
+    objective, _ = utility_pair(terms, ScenarioKind.EMI, powers, NOISE, weights=w)
     egrad = euclid_grad(terms, theta, ScenarioKind.EMI, powers, NOISE, weights=w)
     analytic = np.real(np.conj(egrad) * 1j * theta)
     numeric = _fd_phase_grad(objective, theta)
@@ -226,63 +224,78 @@ def test_rcg_trace_monotone_and_on_manifold():
         assert res.trace[-1] == pytest.approx(res.objective)
 
 
-def test_rcg_line_search_mostly_accepts_its_first_step():
+def _counted(monkeypatch, name, poison_from=None, value=np.nan):
+    """Count the calls of UtilityStack.<name>; from call poison_from on, every
+    value it returns is value. Returns the list the calls are appended to."""
+    calls = []
+    method = getattr(UtilityStack, name)
+
+    def wrapped(self, *args):
+        calls.append(1)
+        out = method(self, *args)
+        return out if poison_from is None or len(calls) < poison_from else np.full_like(out, value)
+
+    monkeypatch.setattr(UtilityStack, name, wrapped)
+    return calls
+
+
+def test_rcg_line_search_mostly_accepts_its_first_step(monkeypatch):
     # the first trial step repeats the last iteration's gain, so an iteration
     # evaluates the objective less than twice on average (a fixed first step
     # of one radian took about ten evaluations on these instances)
     rng = np.random.default_rng(44)
+    calls = _counted(monkeypatch, "objective")
     for kind in ScenarioKind:
         terms, powers = _instance(rng, num_elements=16)
-        objective, gradient = phase_objective(terms, kind, powers, NOISE)
-        calls = []
-
-        def counted(theta):
-            calls.append(1)
-            return objective(theta)
-
-        res = rcg_optimize(counted, gradient, np.ones(16, complex), RcgOptions(epsilon=0.0, max_iters=60))
+        calls.clear()
+        res = optimize_phases(terms, kind, powers, NOISE, opts=RcgOptions(epsilon=0.0, max_iters=60))
         assert len(calls) - 1 <= 2 * res.iterations
 
 
 def test_rcg_normalizes_and_validates_theta0():
     rng = np.random.default_rng(45)
     terms, powers = _instance(rng)
-    objective, gradient = phase_objective(terms, ScenarioKind.EIF, powers, NOISE)
     theta0 = 3.0 * np.exp(1j * rng.uniform(0, 2 * np.pi, terms.num_elements))
-    res = rcg_optimize(objective, gradient, theta0)
-    assert res.trace[0] == pytest.approx(objective(theta0 / np.abs(theta0)))
+    res = optimize_phases(terms, ScenarioKind.EIF, powers, NOISE, theta0=theta0)
+    unit = theta0 / np.abs(theta0)
+    assert res.trace[0] == pytest.approx(weighted_log_utility(terms, unit, ScenarioKind.EIF, powers, NOISE))
     with pytest.raises(ValueError, match="nonzero"):
-        rcg_optimize(objective, gradient, np.array([1.0, 0.0], dtype=complex))
+        optimize_phases(terms, ScenarioKind.EIF, powers, NOISE, theta0=np.array([1.0, 0.0, 1.0, 1.0]))
 
 
-def test_rcg_raises_on_non_finite_values():
+def test_rcg_raises_on_non_finite_values(monkeypatch):
     # a NaN must end the run with an error naming its iteration, not a silent
     # stall of the line search or a NaN objective
     rng = np.random.default_rng(46)
     terms, powers = _instance(rng)
-    objective, gradient = phase_objective(terms, ScenarioKind.EIF, powers, NOISE)
-    theta0 = np.ones(terms.num_elements, complex)
+
+    def run():
+        return optimize_phases(terms, ScenarioKind.EIF, powers, NOISE, opts=RcgOptions(epsilon=0.0))
+
+    _counted(monkeypatch, "objective", poison_from=1)
     with pytest.raises(ValueError, match="objective nan at RCG iteration 0"):
-        rcg_optimize(lambda theta: np.nan, gradient, theta0)
-
-    calls = []
-
-    def nan_candidates(theta):
-        calls.append(1)
-        return objective(theta) if len(calls) == 1 else np.nan
-
+        run()
+    monkeypatch.undo()
+    calls = _counted(monkeypatch, "objective", poison_from=2)
     with pytest.raises(ValueError, match="objective nan at RCG iteration 1"):
-        rcg_optimize(nan_candidates, gradient, theta0)
+        run()
     assert len(calls) == 2  # the first candidate raises; nothing is backtracked
-
-    grads = []
-
-    def inf_third_gradient(theta):
-        grads.append(1)
-        return gradient(theta) if len(grads) < 3 else np.full(theta.shape, np.inf + 0j)
-
+    monkeypatch.undo()
+    _counted(monkeypatch, "gradient", poison_from=3, value=np.inf)
     with pytest.raises(ValueError, match="gradient at RCG iteration 3"):
-        rcg_optimize(objective, inf_third_gradient, theta0, RcgOptions(epsilon=0.0))
+        run()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_iters", -1), ("max_iters", 2.5), ("max_iters", True), ("epsilon", float("nan")),
+     ("epsilon", -1e-9), ("epsilon", float("inf"))],
+)
+def test_rcg_options_reject_bad_fields(field, value):
+    # a negative or fractional cap used to fail deep in the loop, and a NaN or
+    # negative tolerance silently never stopped a run
+    with pytest.raises(ValueError, match=f"RcgOptions.{field}"):
+        RcgOptions(**{field: value})
 
 
 def test_rcg_respects_iteration_cap():
@@ -306,66 +319,97 @@ def test_rcg_converges_immediately_with_huge_epsilon():
 def test_optimize_phases_default_start_is_all_ones():
     rng = np.random.default_rng(51)
     terms, powers = _instance(rng)
-    objective, _ = phase_objective(terms, ScenarioKind.EIF, powers, NOISE)
+    objective, _ = utility_pair(terms, ScenarioKind.EIF, powers, NOISE)
     res = optimize_phases(terms, ScenarioKind.EIF, powers, NOISE)
     assert res.trace[0] == pytest.approx(objective(np.ones(terms.num_elements, complex)))
     assert res.objective >= res.trace[0]
 
 
+def _utility_rows(rng, kinds, num_elements=6, num_users=2):
+    """A row (terms, kind, powers, weights) of each kind, each on its own
+    channels; EMI_IRR rows carry their dense C, as the harness's do."""
+    rows = []
+    for kind in kinds:
+        terms, powers = _instance(rng, num_elements=num_elements, num_users=num_users)
+        if kind is ScenarioKind.EMI_IRR:
+            terms = replace(terms, cov=sinr.emi_irr_covariance(terms, powers))
+        rows.append((terms, kind, powers, rng.uniform(0.5, 2.0, num_users)))
+    return rows
+
+
 @pytest.mark.parametrize("kind", list(ScenarioKind))
 def test_shared_evaluation_gradient_equals_standalone_bitwise(kind):
-    # the gradient right after an objective call at the same theta reuses that
-    # call's evaluation; anywhere else it evaluates afresh; both are exactly
-    # the standalone gradient
+    # each row's gradient reuses the terms of its last objective call, also
+    # when some rows were evaluated again on their own; values and gradients
+    # equal weighted_log_utility and euclid_grad at each row's theta, bit for
+    # bit, whatever the row's stack-mates
     rng = np.random.default_rng(55)
-    terms, powers = _instance(rng, num_elements=6)
-    if kind is ScenarioKind.EMI_IRR:
-        terms = replace(terms, cov=sinr.emi_irr_covariance(terms, powers))
-    weights = rng.uniform(0.5, 2.0, terms.num_users)
-    objective, gradient = phase_objective(terms, kind, powers, NOISE, weights)
-
-    def standalone(theta):
-        return euclid_grad(terms, theta, kind, powers, NOISE, weights)
-
-    for _ in range(3):
-        theta = np.exp(1j * rng.uniform(0, 2 * np.pi, terms.num_elements))
-        objective(theta)
-        np.testing.assert_array_equal(gradient(theta), standalone(theta))
-        np.testing.assert_array_equal(gradient(theta.copy()), standalone(theta))
-        other = np.exp(1j * rng.uniform(0, 2 * np.pi, terms.num_elements))
-        np.testing.assert_array_equal(gradient(other), standalone(other))
-        objective(theta)
-        theta *= np.exp(0.3j)  # changed in place after the objective saw it
-        np.testing.assert_array_equal(gradient(theta), standalone(theta))
+    kinds = list(ScenarioKind)
+    rows = _utility_rows(rng, [kind] + [kinds[i] for i in rng.integers(0, 4, 4)])
+    stack = UtilityStack.of(rows, NOISE)
+    theta = np.exp(1j * rng.uniform(0, 2 * np.pi, (len(rows), 6)))
+    stack.objective(theta)
+    again = np.array([0, 2, 3])
+    theta[again] = np.exp(1j * rng.uniform(0, 2 * np.pi, (again.size, 6)))
+    values = stack.objective(theta[again], again)
+    grad = stack.gradient(theta.copy())
+    for b, (terms, k, powers, w) in enumerate(rows):
+        np.testing.assert_array_equal(grad[b], euclid_grad(terms, theta[b], k, powers, NOISE, w))
+    for i, b in enumerate(again):
+        terms, k, powers, w = rows[b]
+        assert values[i] == weighted_log_utility(terms, theta[b], k, powers, NOISE, w)
+    keep = np.array([True, False, True, True, False])
+    np.testing.assert_array_equal(stack.take(keep).gradient(theta[keep]), grad[keep])
 
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))
 def test_rcg_iteration_evaluates_interference_once(kind, monkeypatch):
-    # the gradient at the start point and at each accepted candidate reuses
-    # the objective's evaluation, so interference runs once per objective call
-    calls = {"interference": 0, "objective": 0, "gradient": 0}
+    # interference runs once per non-EIF row an objective call evaluates, and
+    # never in the gradient, which reuses those calls' terms
+    calls = []
+    interference = sinr.interference
 
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def counted_interference(*args):
+        calls.append(args[2])
+        return interference(*args)
 
-        return wrapped
+    monkeypatch.setattr(sinr, "interference", counted_interference)
+    per_objective, per_gradient = [], []
+    objective, gradient = UtilityStack.objective, UtilityStack.gradient
 
-    for module in (sinr, rcg):  # every binding of the name, whichever module calls it
-        if hasattr(module, "interference"):
-            wrapped = counting("interference", module.interference)
-            monkeypatch.setattr(module, "interference", wrapped)
-    objective = counting("objective", rcg.weighted_log_utility)
-    monkeypatch.setattr(rcg, "weighted_log_utility", objective)
-    monkeypatch.setattr(rcg, "euclid_grad", counting("gradient", rcg.euclid_grad))
+    def counted_objective(self, theta, rows=None):
+        before = len(calls)
+        out = objective(self, theta, rows)
+        at = range(len(self.mv)) if rows is None else rows
+        aware = sum(self.interference is not None and self.interference[r] is not None for r in at)
+        per_objective.append((len(calls) - before, aware))
+        return out
 
-    terms, powers = _instance(np.random.default_rng(57), num_elements=8)
-    res = optimize_phases(terms, kind, powers, NOISE, opts=RcgOptions(epsilon=0.0, max_iters=12))
+    def counted_gradient(self, theta):
+        before = len(calls)
+        out = gradient(self, theta)
+        per_gradient.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(UtilityStack, "objective", counted_objective)
+    monkeypatch.setattr(UtilityStack, "gradient", counted_gradient)
+    rng = np.random.default_rng(57)
+    opts = RcgOptions(epsilon=0.0, max_iters=12)
+    (terms, _, powers, _), *mates = _utility_rows(rng, [kind, *ScenarioKind], num_elements=8)
+    res = optimize_phases(terms, kind, powers, NOISE, opts=opts)
     assert res.iterations == 12 and not res.stagnated
-    assert calls["gradient"] == 12
-    assert calls["objective"] >= 13  # the start point and 12 accepted candidates
-    assert calls["interference"] == calls["objective"]
+    assert per_gradient == [0] * 12
+    assert len(per_objective) >= 13  # the start point and 12 accepted candidates
+    assert len(calls) == (0 if kind is ScenarioKind.EIF else len(per_objective))
+    assert all(made == aware for made, aware in per_objective)
+    # in a mixed stack each row pays for its own interference only
+    for log in (per_objective, per_gradient, calls):
+        log.clear()
+    theta0 = np.ones((len(mates), 8), dtype=complex)
+    rcg_lockstep(UtilityStack.of(mates, NOISE), theta0, opts)
+    assert per_gradient and not any(per_gradient)
+    assert all(made == aware for made, aware in per_objective)
+    assert len(calls) == sum(aware for _, aware in per_objective) > 0
 
 
 _RESULT_FIELDS = (
@@ -402,10 +446,10 @@ def _stacks(draw):
 
 
 def _single_runs(g, h, powers, weights, theta0, opts):
-    """Each row of an EifStack as a run of the reference scalar loop."""
+    """Each row of an interference-free UtilityStack as a run of the reference scalar loop."""
     return [
         reference.rcg_optimize(
-            *phase_objective(
+            *utility_pair(
                 build_cascades(h[b], g[b], np.eye(g.shape[2])), ScenarioKind.EIF,
                 PowerAllocation(powers[b]), NOISE, weights[b],
             ),
@@ -422,15 +466,15 @@ def test_lockstep_rows_equal_single_runs_bitwise(stack):
     # rows stop at different iterations (the epsilon rule, a flat slope, an
     # exhausted line search, the cap), and each still reproduces its own run
     g, h, powers, weights, theta0, opts = stack
-    results = rcg_lockstep(EifStack(g, h, powers, weights, NOISE), theta0, opts)
+    results = rcg_lockstep(UtilityStack(g, h, powers, weights, NOISE), theta0, opts)
     for got, want in zip(results, _single_runs(g, h, powers, weights, theta0, opts), strict=True):
         _assert_same_result(got, want)
     # a row's result does not depend on its stack-mates or its place in the stack
     flip = slice(None, None, -1)
-    flipped = rcg_lockstep(EifStack(g[flip], h[flip], powers[flip], weights[flip], NOISE), theta0[flip], opts)
+    flipped = rcg_lockstep(UtilityStack(g[flip], h[flip], powers[flip], weights[flip], NOISE), theta0[flip], opts)
     for got, want in zip(flipped[::-1], results, strict=True):
         _assert_same_result(got, want)
-    alone = rcg_lockstep(EifStack(g[:1], h[:1], powers[:1], weights[:1], NOISE), theta0[:1], opts)
+    alone = rcg_lockstep(UtilityStack(g[:1], h[:1], powers[:1], weights[:1], NOISE), theta0[:1], opts)
     _assert_same_result(alone[0], results[0])
 
 
@@ -444,14 +488,14 @@ def test_lockstep_rows_stop_at_different_iterations():
     weights = rng.uniform(0.5, 2.0, (rows, users))
     theta0 = np.ones((rows, elements), dtype=complex)
     opts = RcgOptions(epsilon=1e-6, max_iters=200)
-    results = rcg_lockstep(EifStack(g, h, powers, weights, NOISE), theta0, opts)
+    results = rcg_lockstep(UtilityStack(g, h, powers, weights, NOISE), theta0, opts)
     assert len({r.iterations for r in results}) > 1
     for got, want in zip(results, _single_runs(g, h, powers, weights, theta0, opts), strict=True):
         _assert_same_result(got, want)
 
 
-class _Poisoned(EifStack):
-    """An EifStack whose row 1 turns non-finite: its objective from call
+class _Poisoned(UtilityStack):
+    """An UtilityStack whose row 1 turns non-finite: its objective from call
     objective_at on, or its gradient at call gradient_at."""
 
     def __init__(self, *args, objective_at=None, gradient_at=None):
@@ -495,11 +539,11 @@ def test_lockstep_raises_on_non_finite_values_in_one_row():
     g = args[0].copy()
     g[2, 0, 0] = np.nan
     with pytest.raises(ValueError, match="objective nan at RCG iteration 0"):
-        rcg_lockstep(EifStack(g, *args[1:]), theta0, opts)
+        rcg_lockstep(UtilityStack(g, *args[1:]), theta0, opts)
     zero = theta0.copy()
     zero[1, 3] = 0.0
     with pytest.raises(ValueError, match="nonzero"):
-        rcg_lockstep(EifStack(*args), zero, opts)
+        rcg_lockstep(UtilityStack(*args), zero, opts)
 
 
 class _LinearRows:
@@ -565,41 +609,37 @@ def test_retraction_halves_only_the_row_that_lands_on_zero():
 
 
 @st.composite
-def _phase_rows(draw):
-    """Rows of EMI, IRR and EMI_IRR utilities (EMI_IRR with its dense C) over
-    one element count, with random starts and a budget."""
+def _utility_stacks(draw):
+    """Rows of all four utilities, each on its own channels, over one element
+    and user count (EMI_IRR with its dense C or from its factors), with
+    random starts and a budget."""
     elements = draw(st.integers(2, 10))
+    users = draw(st.integers(1, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = []
-    for kind in draw(st.lists(st.sampled_from([ScenarioKind.EMI, ScenarioKind.IRR, ScenarioKind.EMI_IRR]),
-                              min_size=1, max_size=5)):
-        terms, powers = _instance(rng, num_elements=elements, num_users=int(rng.integers(1, 3)))
-        if kind is ScenarioKind.EMI_IRR:
-            terms = replace(terms, cov=sinr.emi_irr_covariance(terms, powers))
-        rows.append((terms, kind, powers, rng.uniform(0.5, 2.0, terms.num_users)))
+    for kind in draw(st.lists(st.sampled_from(list(ScenarioKind)), min_size=1, max_size=5)):
+        (terms, _, powers, weights), = _utility_rows(rng, [kind], num_elements=elements, num_users=users)
+        if draw(st.booleans()):
+            terms = replace(terms, cov=None)
+        rows.append((terms, kind, powers, weights))
     shape = (len(rows), elements)
     theta0 = rng.uniform(0.5, 2.0, shape) * np.exp(1j * rng.uniform(0, 2 * np.pi, shape))
     opts = RcgOptions(epsilon=draw(st.sampled_from([0.0, 1e-6])), max_iters=draw(st.integers(0, 60)))
     return rows, theta0, opts
 
 
-def _pair_stack(rows):
-    """A PairStack of fresh phase_objective closures, one per row."""
-    return PairStack(phase_objective(terms, kind, powers, NOISE, w) for terms, kind, powers, w in rows)
-
-
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
-@given(_phase_rows())
-def test_phase_objective_rows_equal_the_reference_bitwise(stack):
+@given(_utility_stacks())
+def test_utility_stack_rows_equal_the_reference_bitwise(stack):
     # the aware runs of a draw are stacked like this: each row is its own
-    # scalar run, whatever its kind, its stack-mates or its place
+    # scalar run, whatever its kind, its channels, its stack-mates or its place
     rows, theta0, opts = stack
-    results = rcg_lockstep(_pair_stack(rows), theta0, opts)
+    results = rcg_lockstep(UtilityStack.of(rows, NOISE), theta0, opts)
     for b, got in enumerate(results):
-        objective, gradient = phase_objective(*rows[b][:3], NOISE, rows[b][3])
-        _assert_same_result(got, reference.rcg_optimize(objective, gradient, theta0[b], opts))
-    flipped = rcg_lockstep(_pair_stack(rows[::-1]), theta0[::-1], opts)
+        pair = utility_pair(*rows[b][:3], NOISE, rows[b][3])
+        _assert_same_result(got, reference.rcg_optimize(*pair, theta0[b], opts))
+    flipped = rcg_lockstep(UtilityStack.of(rows[::-1], NOISE), theta0[::-1], opts)
     for got, want in zip(flipped[::-1], results, strict=True):
         _assert_same_result(got, want)
-    alone = rcg_lockstep(_pair_stack(rows[-1:]), theta0[-1:], opts)
+    alone = rcg_lockstep(UtilityStack.of(rows[-1:], NOISE), theta0[-1:], opts)
     _assert_same_result(alone[0], results[-1])

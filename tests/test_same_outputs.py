@@ -1,0 +1,48 @@
+"""Comparison and command list of tools/same_outputs.py, on canned files."""
+
+import importlib.util
+from pathlib import Path
+
+_ROOT = Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location("same_outputs", _ROOT / "tools" / "same_outputs.py")
+same_outputs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(same_outputs)
+
+CSV = "sweep_value,scenario\n10,eif\n10,irr\n"
+
+
+def _files(tmp_path, parent, change):
+    a, b = tmp_path / "parent.csv", tmp_path / "change.csv"
+    a.write_bytes(parent.encode())
+    b.write_bytes(change.encode())
+    return a, b
+
+
+def test_identical_files_have_no_difference(tmp_path):
+    assert same_outputs.first_difference(*_files(tmp_path, CSV, CSV)) is None
+
+
+def test_first_differing_row_is_named(tmp_path):
+    changed = CSV.replace("10,irr", "10,emi") + "40,eif\n"
+    diff = same_outputs.first_difference(*_files(tmp_path, CSV, changed))
+    assert diff == "line 3: parent '10,irr', change '10,emi'"
+
+
+def test_extra_rows_and_line_endings_differ(tmp_path):
+    assert same_outputs.first_difference(*_files(tmp_path, CSV, CSV + "40,eif\n")) == (
+        "parent has 3 lines, change 4"
+    )
+    assert same_outputs.first_difference(*_files(tmp_path, CSV, CSV.replace("\n", "\r\n"))) == (
+        "same lines, different line endings"
+    )
+
+
+def test_commands_cover_every_bench_workload_at_both_seeds():
+    bench = same_outputs._load_bench(_ROOT)
+    cmds = same_outputs.commands(bench)
+    assert len(cmds) == len(bench.WORKLOADS) * len(same_outputs.BENCH_SEEDS) + len(same_outputs.COMMANDS)
+    for cmd in cmds:
+        assert "--out" not in cmd and "--trace" not in cmd
+        assert cmd[cmd.index("--config") + 1] == same_outputs.CONFIG
+    seeds = {cmd[cmd.index("--seed") + 1] for cmd in cmds if "--seed" in cmd}
+    assert seeds == {str(seed) for seed in same_outputs.BENCH_SEEDS}

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_rcg import utility_pair
 from risim import (
     CascadeTerms,
     PowerAllocation,
     ScenarioKind,
+    ZfDegenerateError,
     build_cascades,
     euclid_grad,
+    evaluate_pair,
     outage_indicator,
-    phase_objective,
     ris_element_positions,
     scenario_sinr,
     effective_channel,
@@ -280,6 +282,19 @@ def test_scenario_sinr_dispatch():
         np.testing.assert_array_equal(via_dispatch.sinr, direct.sinr)
 
 
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_scenario_sinr_raises_at_degenerate_zf(kind):
+    # two identical user rows make the ZF Gram singular: scenario_sinr raises
+    # as evaluate_pair does, instead of returning NaN rates with warnings
+    rng = np.random.default_rng(14)
+    terms, theta, powers, _ = _instance(rng)
+    twin = replace(terms, g1=np.repeat(terms.g1[:1], 2, axis=0))
+    with pytest.raises(ZfDegenerateError):
+        evaluate_pair(twin, theta, kind, powers, NOISE)
+    with pytest.raises(ZfDegenerateError):
+        scenario_sinr(twin, theta, kind, powers, NOISE)
+
+
 def test_report_fields_consistent():
     rng = np.random.default_rng(17)
     terms, theta, powers, _ = _instance(rng)
@@ -345,7 +360,7 @@ def test_emi_algebra_on_rank_deficient_sinc_correlation(kind):
         np.testing.assert_allclose(sig, dsig, rtol=1e-10)
         np.testing.assert_allclose(den, dden, rtol=1e-10)
 
-        objective, _ = phase_objective(terms, kind, powers, NOISE)
+        objective, _ = utility_pair(terms, kind, powers, NOISE)
         egrad = euclid_grad(terms, theta, kind, powers, NOISE)
         analytic = np.real(np.conj(egrad) * 1j * theta)
         h = 1e-6
@@ -428,7 +443,7 @@ def test_unequal_cluster_sizes_match_direct_evaluation(sizes):
         np.testing.assert_allclose(sig, dsig, rtol=1e-10)
         np.testing.assert_allclose(den, dden, rtol=1e-10)
 
-        objective, _ = phase_objective(terms, kind, powers, NOISE)
+        objective, _ = utility_pair(terms, kind, powers, NOISE)
         egrad = euclid_grad(terms, theta, kind, powers, NOISE)
         analytic = np.real(np.conj(egrad) * 1j * theta)
         h = 1e-6

@@ -1,0 +1,120 @@
+"""Run a fixed list of risim CLI commands in two trees and check that their outputs agree.
+
+Run from the repository root, with the parent commit checked out elsewhere
+(a ``git clone`` or ``git archive`` of it):
+
+    python3 tools/same_outputs.py --parent ../parent --change .
+
+Each command runs once in each tree, as ``python3 -m risim.cli`` in a fresh
+interpreter on that tree's ``src`` and ``configs/default.json``, with every
+BLAS pool on one thread. It writes its output (``--out``) and its optimizer
+trace (``--trace``) to a temporary directory. The commands are the sweep of
+each ``bench/run.py`` workload (the argv of its ``WORKLOADS`` entry, read
+from the change tree) at the seeds BENCH_SEEDS, then COMMANDS. For each
+command the script prints ``identical``, or the first line where the output
+or the trace differs. It exits 1 on any difference or failed command.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+BENCH_SEEDS = (12345, 1)
+CONFIG = "{config}"  # replaced by each tree's configs/default.json
+TRIALS = "4"  # per grid point of the sweeps in COMMANDS
+COMMANDS = (
+    ("sweep-emi", "--mode", "aware", "--trials", TRIALS),
+    ("sweep-elements", "--mode", "aware", "--grid", "25,100", "--trials", TRIALS),
+    ("sweep-power", "--mode", "aware", "--grid", "10,10,40", "--trials", TRIALS),
+    *(("single-trial", "--mode", mode, "--trial", trial) for mode in ("unaware", "aware") for trial in ("0", "3")),
+)
+
+
+def _load_bench(tree: Path):
+    """The tree's bench/run.py as a module, for its WORKLOADS and THREAD_VARS."""
+    sys.path.insert(0, str(tree / "bench"))  # run.py imports its tracer from there
+    spec = importlib.util.spec_from_file_location("bench_run", tree / "bench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def commands(bench) -> list[list[str]]:
+    """Every command's argv without --out and --trace, its config a CONFIG placeholder."""
+    out = []
+    for name in sorted(bench.WORKLOADS):
+        for seed in BENCH_SEEDS:
+            argv = bench.WORKLOADS[name].argv(seed, Path("unused"))
+            argv[argv.index("--config") + 1] = CONFIG
+            at = argv.index("--out")
+            out.append(argv[:at] + argv[at + 2 :])
+    return out + [[cmd, "--config", CONFIG, *rest] for cmd, *rest in COMMANDS]
+
+
+def first_difference(parent: Path, change: Path) -> str | None:
+    """None when the two files hold the same bytes, else where they first differ."""
+    a, b = parent.read_bytes(), change.read_bytes()
+    if a == b:
+        return None
+    rows_a, rows_b = a.decode().splitlines(), b.decode().splitlines()
+    for i, (x, y) in enumerate(zip(rows_a, rows_b), start=1):
+        if x != y:
+            return f"line {i}: parent {x!r}, change {y!r}"
+    if len(rows_a) != len(rows_b):
+        return f"parent has {len(rows_a)} lines, change {len(rows_b)}"
+    return "same lines, different line endings"
+
+
+def run(tree: Path, argv: list[str], work: Path, thread_vars) -> tuple[Path, Path]:
+    """Run argv in tree; returns its (output, trace) files. Raises on a failed run."""
+    work.mkdir()
+    out, trace = work / "out", work / "trace.csv"
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **{var: "1" for var in thread_vars})
+    argv = [str(tree / "configs" / "default.json") if a == CONFIG else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "risim.cli", *argv, "--out", str(out), "--trace", str(trace)],
+        cwd=tree, env=env, capture_output=True, text=True, check=False,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}")
+    return out, trace
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, default=Path("."), help="checkout of the change")
+    args = parser.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bench = _load_bench(trees["change"])
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, cmd in enumerate(commands(bench)):
+            label = " ".join(a for a in cmd if a != CONFIG and a != "--config")
+            try:
+                files = {side: run(tree, cmd, Path(tmp) / f"{i}-{side}", bench.THREAD_VARS)
+                         for side, tree in trees.items()}
+            except RuntimeError as exc:
+                differ += 1
+                print(f"{label}: FAILED {exc}", flush=True)
+                continue
+            found = [
+                f"{what} {diff}"
+                for what, k in (("output", 0), ("trace", 1))
+                if (diff := first_difference(files["parent"][k], files["change"][k])) is not None
+            ]
+            differ += bool(found)
+            print(f"{label}: {'; '.join(found) if found else 'identical'}", flush=True)
+    print(f"{differ} of {i + 1} commands differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
