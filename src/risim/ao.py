@@ -41,12 +41,15 @@ AO_RCG = RcgOptions(epsilon=0.0, max_iters=200)
 AO_WARM_RCG = RcgOptions(epsilon=0.0, max_iters=100)
 # Rows per lockstep stack (see optimize_eif_stack), and draws per sweep block.
 # On the unaware sweep over N = 25, 100, 225 and 400 (55 trials each; 2 vCPUs,
-# 1 BLAS thread), stacks of 8, 16, 24 and 32 rows took 8.5, 7.6, 7.2 and
-# 6.5 s against 15.3 s for single runs. The peak RSS of a process running
-# two such sweeps (median over 5 seeds) rose by 0.5, 1.5, 3.8 and 4.0 MB
-# over 61.9 MB: a block holds its draws and runs while it evaluates, and the
-# heap fragments around them. 16 keeps most of the speed at a small cost.
-STACK_ROWS = 16
+# 1 BLAS thread), a process making two such sweeps took 6.5, 5.7, 5.3 and
+# 5.4 s per sweep at 16, 24, 32 and 48 rows, with a peak RSS of 59.9, 61.6,
+# 61.0 and 62.3 MB (medians of 10 seeds; 7.6 s and 61.0 MB at 16 rows when
+# each objective call formed a (B, K, N) temporary for H(theta)). bench/run.py
+# on that workload read a peak RSS 1.6-4.5% above that 16-row build at 32 rows
+# and 3.9-14% above it at 48 (3 seeds): a block holds its draws and runs while
+# it evaluates, and the heap fragments around them. 32 is the largest size
+# within half the benchmark's 10% bound.
+STACK_ROWS = 32
 
 
 def alternate_optimize(

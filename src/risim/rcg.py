@@ -12,7 +12,9 @@ from .sinr import (
     PowerAllocation,
     ScenarioKind,
     UtilityStack,
+    cascade_tensor,
     phase_point,
+    zf_gradient,
 )
 
 
@@ -28,8 +30,9 @@ def euclid_grad(
 
     The utility is sum_k w_k ln(1 + p_k / (c_k den_k)) with c_k = [A]_kk,
     A = G^-1 and G = H(theta) H(theta)^H (see PhasePoint). H depends on
-    conj(theta) only, so dc_k/dtheta* = -[(conj(g1)^T A^T) o (h1 H^H A)][:, k],
-    and dden_k/dtheta* = M_k theta (see interference). Every quotient reuses
+    conj(theta) only, through the cascade tensor U (see sinr.zf_gradient for
+    dc_k/dtheta*, here on a one-row stack as in UtilityStack.gradient), and
+    dden_k/dtheta* = M_k theta (see interference). Every quotient reuses
     the exact terms of the SINR evaluation at theta (phase_point), so the
     gradient and the objective always describe the same function.
     """
@@ -38,10 +41,10 @@ def euclid_grad(
     g_inv, sig, den, mv = point.g_inv, point.sig, point.den, point.mv
     c = np.diagonal(g_inv).real
 
-    dc = -(np.conj(terms.g1).T @ g_inv.T) * (terms.h1 @ (np.conj(point.h_eff).T @ g_inv))  # (L, K)
     w = np.ones(terms.num_users) if weights is None else np.asarray(weights, dtype=float)
     share = w * sig / (sig + den)  # w_k gamma_k / (1 + gamma_k)
-    grad = dc @ (share / c)
+    u = cascade_tensor(terms.g1, terms.h1)
+    grad = zf_gradient(u[None], point.h_eff[None], g_inv[None], (share / c)[None])[0]
     if mv is not None:
         grad = grad + (share / den) @ mv
     return -2.0 * grad

@@ -243,6 +243,35 @@ class PhasePoint:
     mv: np.ndarray | None  # (K1, L1^2) M_k theta; None for EIF
 
 
+def cascade_tensor(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """U[(k, t), n] = conj(g[k, n]) h[n, t] for g (..., K, N) and h (..., N, T).
+
+    Shape (..., K T, N), k major. Row k of H(theta) = theta^H diag(g_k*) h is
+    then U @ conj(theta) reshaped to (K, T) (see cascade_channel), so H(theta)
+    costs one product and no (K, N) temporary.
+    """
+    u = np.conj(g)[..., :, None, :] * np.swapaxes(h, -1, -2)[..., None, :, :]
+    return u.reshape(u.shape[:-3] + (-1, u.shape[-1]))
+
+
+def cascade_channel(u: np.ndarray, theta: np.ndarray, num_users: int) -> np.ndarray:
+    """H(theta) of every row, (B, K, T), from cascade tensors u (B, K T, N) and
+    phases theta (B, N): effective_channel up to roundoff, as one product per row."""
+    return (u @ np.conj(theta)[:, :, None]).reshape(len(u), num_users, -1)
+
+
+def zf_gradient(u: np.ndarray, h_eff: np.ndarray, g_inv: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """sum_k scale_k dc_k/dtheta* of every row, (B, N), for c_k = [A]_kk, A = G^-1.
+
+    H(theta) = U conj(theta) depends on conj(theta) only, so dA = -A dG A with
+    dG = dH H^H gives -vec(M^T) @ U, where M = H^H A diag(scale) A (T x K)
+    and vec runs over (k, t), k major, as U's rows do: one (1 x K T) @
+    (K T x N) product per row.
+    """
+    m = ((np.conj(h_eff).swapaxes(1, 2) @ g_inv) * scale[:, None, :]) @ g_inv
+    return -(m.swapaxes(1, 2).reshape(len(m), 1, -1) @ u)[:, 0]
+
+
 def phase_point(
     terms: CascadeTerms,
     theta: np.ndarray,
@@ -250,8 +279,10 @@ def phase_point(
     powers: PowerAllocation,
     noise_power_w: float,
 ) -> PhasePoint:
-    """Evaluate the ZF and interference terms of kind's utility at theta."""
-    h_eff = effective_channel(terms.g1, theta, terms.h1)
+    """Evaluate the ZF and interference terms of kind's utility at theta,
+    with H(theta) from a one-row stack as in UtilityStack.objective."""
+    u = cascade_tensor(terms.g1, terms.h1)
+    h_eff = cascade_channel(u[None], theta[None], terms.num_users)[0]
     g_inv = np.linalg.inv(h_eff @ np.conj(h_eff).T)
     sig = np.asarray(powers.cluster1, dtype=float) / np.diagonal(g_inv).real
     den, mv = interference(terms, theta, kind, powers, noise_power_w)
@@ -363,21 +394,23 @@ class UtilityStack:
     """B weighted log-rate utilities over (B, N) phases, one cluster per row.
 
     Row b is a cluster with channels g[b] (K, N) and h[b] (N, T), powers[b]
-    and weights[b], all at one noise power. interference[b] is None for the
-    interference-free utility (kind EIF), or the row's (terms, kind, powers)
-    for kind's interference on those terms (see interference); interference
-    None makes every row EIF. objective and gradient are weighted_log_utility
-    and rcg.euclid_grad row by row, and equal them bit for bit: the ZF half
-    of every row is a batched @ or np.linalg.inv, which run the 2-D call's
-    routine on each slice, the rest is elementwise, and a non-EIF row adds
-    the den and M_k theta of one interference call per objective call. A
-    stack of EIF rows only makes no call per row. This is the problem
-    protocol of rcg.rcg_lockstep.
+    and weights[b], all at one noise power. The stack keeps each row's
+    cascade tensor u[b] (K T, N) (see cascade_tensor) in place of g and h.
+    interference[b] is None for the interference-free utility (kind EIF), or
+    the row's (terms, kind, powers) for kind's interference on those terms
+    (see interference); interference None makes every row EIF. objective and
+    gradient are weighted_log_utility and rcg.euclid_grad row by row, and
+    equal them bit for bit: the 2-D calls apply cascade_channel and
+    zf_gradient to one-row stacks, and the rest is a batched @ or
+    np.linalg.inv, which run the 2-D call's routine on each slice, or
+    elementwise. A non-EIF row adds the den
+    and M_k theta of one interference call per objective call. A stack of
+    EIF rows only makes no call per row. This is the problem protocol of
+    rcg.rcg_lockstep.
     """
 
     def __init__(self, g, h, powers, weights, noise_power_w: float, interference=None):
-        self.g_conj = np.conj(g)  # (B, K, N)
-        self.h = h  # (B, N, T)
+        self.u = cascade_tensor(g, h)  # (B, K T, N)
         self.powers = powers  # (B, K)
         self.weights = weights  # (B, K)
         self.noise = float(noise_power_w)
@@ -385,8 +418,8 @@ class UtilityStack:
             interference = None
         self.interference = None if interference is None else list(interference)
         # each row's terms at its last objective call, for the gradient
-        self.h_eff = np.empty(self.g_conj.shape[:2] + h.shape[2:], dtype=complex)
-        self.g_inv = np.empty(self.g_conj.shape[:2] + self.g_conj.shape[1:2], dtype=complex)
+        self.h_eff = np.empty(powers.shape + h.shape[2:], dtype=complex)
+        self.g_inv = np.empty(powers.shape + powers.shape[1:], dtype=complex)
         self.sig = np.empty(powers.shape)
         self.den = np.full(powers.shape, self.noise)
         self.mv = [None] * len(powers)  # M_k theta of the non-EIF rows
@@ -409,7 +442,7 @@ class UtilityStack:
     def objective(self, theta: np.ndarray, rows=None) -> np.ndarray:
         """The utilities of rows (default: all) at theta, one row of theta each."""
         at = slice(None) if rows is None else rows
-        h_eff = (np.conj(theta)[:, None, :] * self.g_conj[at]) @ self.h[at]
+        h_eff = cascade_channel(self.u[at], theta, self.powers.shape[1])
         g_inv = np.linalg.inv(h_eff @ np.conj(h_eff).swapaxes(1, 2))
         sig = self.powers[at] / np.diagonal(g_inv, axis1=1, axis2=2).real
         self.h_eff[at], self.g_inv[at], self.sig[at] = h_eff, g_inv, sig
@@ -427,13 +460,10 @@ class UtilityStack:
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         """Every row's Euclidean gradient at theta, where each row's last
         objective call was made (the terms of that call are reused)."""
-        g_inv = self.g_inv
-        c = np.diagonal(g_inv, axis1=1, axis2=2).real
-        rows_h = np.conj(self.h_eff).swapaxes(1, 2) @ g_inv
-        dc = -(self.g_conj.swapaxes(1, 2) @ g_inv.swapaxes(1, 2)) * (self.h @ rows_h)  # (B, N, K)
+        c = np.diagonal(self.g_inv, axis1=1, axis2=2).real
         den = self.noise if self.interference is None else self.den
         share = self.weights * self.sig / (self.sig + den)
-        grad = (dc @ (share / c)[..., None])[..., 0]
+        grad = zf_gradient(self.u, self.h_eff, self.g_inv, share / c)
         if self.interference is not None:
             for r, mv in enumerate(self.mv):
                 if mv is not None:
@@ -444,7 +474,7 @@ class UtilityStack:
         """The stack of rows keep (a boolean mask), with their last terms."""
         sub = UtilityStack.__new__(UtilityStack)
         sub.noise = self.noise
-        for name in ("g_conj", "h", "powers", "weights", "h_eff", "g_inv", "sig", "den"):
+        for name in ("u", "powers", "weights", "h_eff", "g_inv", "sig", "den"):
             setattr(sub, name, getattr(self, name)[keep])
         sub.mv = list(compress(self.mv, keep))
         sub.interference = None if self.interference is None else list(compress(self.interference, keep))

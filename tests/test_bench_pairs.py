@@ -70,3 +70,26 @@ def test_within_bound_is_the_relative_gate_in_each_direction():
     s = bench_pairs.summarize(flipped, better, {"trials_per_s": 0.0, "peak_rss_mb": 0.0})
     assert s["trials_per_s"]["within_bound"] and s["peak_rss_mb"]["within_bound"]
     assert "within_bound" not in bench_pairs.summarize(pairs, better)["trials_per_s"]
+
+
+def test_claim_met_needs_nine_tenths_of_the_pairs_and_a_resolved_gain():
+    def summary(parent, change, better="higher"):
+        pairs = [{"parent": _result(p, 60.0), "change": _result(c, 60.0)} for p, c in zip(parent, change)]
+        return bench_pairs.summarize(pairs, {"trials_per_s": better})["trials_per_s"]
+
+    parent = [10.0, 10.5, 11.0, 10.2, 10.8, 10.4, 10.6, 10.1, 10.9, 10.3]
+    won = [p + 2.0 for p in parent]
+    assert summary(parent, won)["claim_met"]  # 10 of 10, resolved
+    nine = won[:9] + [parent[9]]  # a tie counts for neither side
+    s = summary(parent, nine)
+    assert (s["wins"], s["losses"], s["claim_met"]) == (9, 0, True)
+    eight = won[:8] + [parent[8] - 1.0, parent[9]]
+    s = summary(parent, eight)
+    assert s["resolved"] and (s["wins"], s["claim_met"]) == (8, False)
+    small = [p + 0.01 for p in parent]  # wins every pair, within the parent's spread
+    s = summary(parent, small)
+    assert s["wins"] == 10 and not s["resolved"] and not s["claim_met"]
+    # the direction counts: a lower-is-better metric that rose claims nothing
+    s = summary(parent, won, better="lower")
+    assert s["resolved"] and not s["claim_met"]
+    assert summary(won, parent, better="lower")["claim_met"]

@@ -506,7 +506,7 @@ class _Poisoned(UtilityStack):
     def _poison(self, name, values, rows=None):
         self.calls[name] += 1
         if self.at[name] is not None and self.calls[name] >= self.at[name]:
-            where = np.arange(self.g_conj.shape[0]) if rows is None else rows
+            where = np.arange(len(self.powers)) if rows is None else rows
             values[where == 1] = np.nan
         return values
 

@@ -46,3 +46,33 @@ def test_commands_cover_every_bench_workload_at_both_seeds():
         assert cmd[cmd.index("--config") + 1] == same_outputs.CONFIG
     seeds = {cmd[cmd.index("--seed") + 1] for cmd in cmds if "--seed" in cmd}
     assert seeds == {str(seed) for seed in same_outputs.BENCH_SEEDS}
+
+
+SWEEP = (
+    "sweep_value,scenario,mode,mean_sum_rate_bps_hz,outage_user1,trials,skipped\n"
+    "10,eif,aware,0.5,0.25,4,0\n"
+    "10,emi@-65,aware,0.4,0.5,4,0\n"
+    "10,eif,aware,0.5,0.25,4,0\n"
+    "40,eif,aware,2,0,4,0\n"
+)
+
+
+def test_every_differing_sweep_row_is_listed(tmp_path):
+    # a repeated grid value keeps its own rows; rows present on one side only are named
+    changed = (
+        "sweep_value,scenario,mode,mean_sum_rate_bps_hz,outage_user1,trials,skipped\n"
+        "10,eif,aware,0.5,0.25,4,0\n"
+        "10,emi@-65,aware,0.40002,0.25,4,0\n"
+        "10,eif,aware,0.45,0.25,4,0\n"
+        "40,eif,aware,2,0,4,1\n"
+        "40,irr,aware,2,0,4,0\n"
+    )
+    assert same_outputs.row_differences(*_files(tmp_path, SWEEP, changed)) == [
+        "10 emi@-65: mean_sum_rate_bps_hz 0.4 -> 0.40002 (+5.00e-05 relative), outage_user1 0.5 -> 0.25 (-0.25)",
+        "10 eif (repeat 1): mean_sum_rate_bps_hz 0.5 -> 0.45 (-1.00e-01 relative), outage_user1 0.25 -> 0.25 (+0)",
+        "40 eif: mean_sum_rate_bps_hz 2 -> 2 (+0.00e+00 relative), outage_user1 0 -> 0 (+0), skipped 0 -> 1",
+        "40 irr: only in change",
+    ]
+    assert same_outputs.row_differences(*_files(tmp_path, SWEEP, SWEEP)) == []
+    # a trace or a single-trial output is no sweep CSV
+    assert same_outputs.row_differences(*_files(tmp_path, CSV, CSV)) is None

@@ -25,6 +25,7 @@ from risim import (
     zf_precoder,
 )
 from risim.sinr import (
+    UtilityStack,
     emi_irr_covariance,
     interference,
     neighbor_parts,
@@ -545,3 +546,32 @@ def test_parts_mix_matches_phase_point(sizes, factor, log_e1, log_e2, log_p):
         np.testing.assert_allclose(sig / report.sinr, point.den, rtol=1e-12)
         reference = scenario_sinr(terms, theta, kind, powers, NOISE)
         np.testing.assert_allclose(report.rates_bps_hz, reference.rates_bps_hz, rtol=1e-12)
+
+
+@st.composite
+def _cascade_shapes(draw):
+    """(K, T, N) with K <= T <= 4 and K <= N <= 12, so that ZF is feasible."""
+    num_elements = draw(st.integers(1, 12))
+    antennas = draw(st.integers(1, 4))
+    users = draw(st.integers(1, min(antennas, num_elements)))
+    return users, antennas, num_elements, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_cascade_shapes())
+def test_optimizer_channel_equals_effective_channel(shape):
+    # the optimizer forms H(theta) from its (K T, N) cascade tensor; a
+    # stack row and phase_point must both give effective_channel's H, so
+    # the tensor's rows must run over (k, t), k major
+    users, antennas, num_elements, seed = shape
+    rng = np.random.default_rng(seed)
+    g1, h1 = _cn(rng, users, num_elements), _cn(rng, num_elements, antennas)
+    theta = _random_theta(rng, num_elements)
+    want = effective_channel(g1, theta, h1)
+    powers = PowerAllocation(np.ones(users))
+    stack = UtilityStack(g1[None], h1[None], np.ones((1, users)), np.ones((1, users)), NOISE)
+    stack.objective(theta[None])
+    terms = build_cascades(h1, g1, np.eye(num_elements))
+    for got in (stack.h_eff[0], phase_point(terms, theta, ScenarioKind.EIF, powers, NOISE).h_eff):
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)

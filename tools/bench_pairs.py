@@ -14,11 +14,14 @@ result) and its ``env`` line are kept. For every end-to-end metric named in
 the change tree's ``BENCHMARK.json`` the summary gives both sides' median and
 quartiles, the pairs the change wins and loses (in the metric's ``better``
 direction), the ratio and difference of the medians, whether that
-difference exceeds the parent's quartile spread (``resolved``), and whether
-the change's median is worse than the parent's by no more than the metric's
-relative ``bound`` (``within_bound``). Several workloads go into one
-file by running the script once per workload with the same ``--out``: each run
-replaces only its workload's entry.
+difference exceeds the parent's quartile spread (``resolved``), whether a
+gain may be claimed (``claim_met``: the change wins at least nine tenths of
+the pairs, ties counting for neither, and its median is better by a
+resolved difference), and whether the change's median is worse than the
+parent's by no more than the metric's relative ``bound``
+(``within_bound``). Several workloads go into one file by running the
+script once per workload with the same ``--out``: each run replaces only
+its workload's entry.
 """
 
 from __future__ import annotations
@@ -56,9 +59,12 @@ def summarize(pairs, better: dict[str, str], bounds: dict[str, float] | None = N
 
     better maps a metric name to "higher" or "lower". A pair is a win when
     the change's value is strictly better than the parent's, a loss when it
-    is strictly worse. bounds, when given, maps a metric name to its bound
-    from BENCHMARK.json: within_bound is true when the change's median is
-    worse than the parent's by at most bound times the parent's median.
+    is strictly worse. claim_met is the gain rule: wins in at least 9 of
+    every 10 pairs, and a median better than the parent's by more than the
+    parent's quartile spread (resolved). bounds, when given, maps a metric
+    name to its bound from BENCHMARK.json: within_bound is true when the
+    change's median is worse than the parent's by at most bound times the
+    parent's median.
     """
     out = {}
     for name, direction in better.items():
@@ -67,9 +73,11 @@ def summarize(pairs, better: dict[str, str], bounds: dict[str, float] | None = N
         sign = 1.0 if direction == "higher" else -1.0
         p1, pm, p3 = quartiles(parent)
         c1, cm, c3 = quartiles(change)
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        resolved = abs(cm - pm) > p3 - p1
         out[name] = {
             "pairs": len(pairs),
-            "wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "wins": wins,
             "losses": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
             "parent_median": pm,
             "parent_q1": p1,
@@ -80,7 +88,8 @@ def summarize(pairs, better: dict[str, str], bounds: dict[str, float] | None = N
             "median_ratio": cm / pm if pm else None,
             "median_diff": cm - pm,
             "parent_iqr": p3 - p1,
-            "resolved": abs(cm - pm) > p3 - p1,
+            "resolved": resolved,
+            "claim_met": 10 * wins >= 9 * len(pairs) and resolved and sign * (cm - pm) > 0,
         }
         if bounds is not None:
             out[name]["within_bound"] = sign * (cm - pm) >= -bounds[name] * abs(pm)

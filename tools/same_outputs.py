@@ -12,17 +12,23 @@ trace (``--trace``) to a temporary directory. The commands are the sweep of
 each ``bench/run.py`` workload (the argv of its ``WORKLOADS`` entry, read
 from the change tree) at the seeds BENCH_SEEDS, then COMMANDS. For each
 command the script prints ``identical``, or the first line where the output
-or the trace differs. It exits 1 on any difference or failed command.
+or the trace differs. When a sweep's CSV differs, every differing row
+follows, keyed by sweep value and scenario, with the relative change of
+``mean_sum_rate_bps_hz`` and the change of the outage fraction. It exits 1
+on any difference or failed command.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import importlib.util
+import io
 import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 BENCH_SEEDS = (12345, 1)
@@ -72,6 +78,53 @@ def first_difference(parent: Path, change: Path) -> str | None:
     return "same lines, different line endings"
 
 
+def _sweep_rows(path: Path) -> dict | None:
+    """A sweep CSV's rows by (sweep_value, scenario, repeat), repeat counting
+    the earlier rows with that key (a grid value given twice); None for any
+    other file."""
+    reader = csv.DictReader(io.StringIO(path.read_text(encoding="utf-8")))
+    if "mean_sum_rate_bps_hz" not in (reader.fieldnames or ()):
+        return None
+    rows, seen = {}, Counter()
+    for row in reader:
+        key = (row["sweep_value"], row["scenario"])
+        rows[key + (seen[key],)] = row
+        seen[key] += 1
+    return rows
+
+
+def _relative(a: str, b: str) -> str:
+    a, b = float(a), float(b)
+    return f"{(b - a) / abs(a):+.2e} relative" if a else f"{b - a:+.3g} absolute"
+
+
+def row_differences(parent: Path, change: Path) -> list[str] | None:
+    """One line per row that differs between two sweep CSVs, keyed by sweep
+    value and scenario; None when either file is not a sweep CSV."""
+    rows = {side: _sweep_rows(path) for side, path in (("parent", parent), ("change", change))}
+    if None in rows.values():
+        return None
+    out = []
+    for key in dict.fromkeys([*rows["parent"], *rows["change"]]):
+        a, b = rows["parent"].get(key), rows["change"].get(key)
+        label = f"{key[0]} {key[1]}" + (f" (repeat {key[2]})" if key[2] else "")
+        if a is None or b is None:
+            out.append(f"{label}: only in {'change' if a is None else 'parent'}")
+            continue
+        if a == b:
+            continue
+        parts = [
+            f"mean_sum_rate_bps_hz {a['mean_sum_rate_bps_hz']} -> {b['mean_sum_rate_bps_hz']} "
+            f"({_relative(a['mean_sum_rate_bps_hz'], b['mean_sum_rate_bps_hz'])})",
+            f"outage_user1 {a['outage_user1']} -> {b['outage_user1']} "
+            f"({float(b['outage_user1']) - float(a['outage_user1']):+.4g})",
+        ]
+        parts += [f"{name} {a[name]} -> {b[name]}" for name in a
+                  if name not in ("mean_sum_rate_bps_hz", "outage_user1") and a[name] != b.get(name)]
+        out.append(f"{label}: " + ", ".join(parts))
+    return out
+
+
 def run(tree: Path, argv: list[str], work: Path, thread_vars) -> tuple[Path, Path]:
     """Run argv in tree; returns its (output, trace) files. Raises on a failed run."""
     work.mkdir()
@@ -112,6 +165,8 @@ def main(argv=None) -> int:
             ]
             differ += bool(found)
             print(f"{label}: {'; '.join(found) if found else 'identical'}", flush=True)
+            for row in row_differences(files["parent"][0], files["change"][0]) or ():
+                print(f"  {row}", flush=True)
     print(f"{differ} of {i + 1} commands differ")
     return 1 if differ else 0
 
