@@ -31,14 +31,19 @@ class Cluster2State:
 
 
 # A fixed budget: with a stop on the objective's change, a run's length
-# follows its draw and a sweep's cost varies with the seed
-AO_RCG = RcgOptions(epsilon=0.0, max_iters=200)
-# The budget of an aware run started from the trial's unaware phases. Over
-# trials 0-19 at 10 and 40 dBm (emi and emi_irr at -75 and -65 dBm), it falls
-# short of a 2000-iteration reference by less than an AO_RCG run from
-# theta = 1, in the mean and in the worst case, at both powers; fewer
-# iterations do not (see the README's budget paragraph)
-AO_WARM_RCG = RcgOptions(epsilon=0.0, max_iters=100)
+# follows its draw and a sweep's cost varies with the seed. 110 is the
+# smallest budget on the cold table of tools/budget_table.py (32 draws at
+# N = 25, 100, 225 and 400) whose mean and worst shortfall are at most those
+# of the 200 conjugate-gradient iterations it replaced, at every N; 100 is
+# not (the worst shortfall at N = 400)
+AO_RCG = RcgOptions(epsilon=0.0, max_iters=110)
+# The budget of an aware run started from the trial's unaware phases: the
+# smallest on the warm table of tools/budget_table.py (trials 0-19 at 10 and
+# 40 dBm, emi and emi_irr at -75 and -65 dBm) whose mean and worst shortfall
+# are at most those of the 100 conjugate-gradient iterations it replaced, at
+# both powers; 35 is not (the mean at 40 dBm). See the README's budget
+# paragraph
+AO_WARM_RCG = RcgOptions(epsilon=0.0, max_iters=40)
 # Rows per lockstep stack (see optimize_eif_stack), and draws per sweep block.
 # On the unaware sweep over N = 25, 100, 225 and 400 (55 trials each; 2 vCPUs,
 # 1 BLAS thread), a process making two such sweeps took 6.5, 5.7, 5.3 and
@@ -66,10 +71,11 @@ def alternate_optimize(
     The paper alternates a ZF precoder update with an RCG phase update. With
     unit-norm ZF columns the intra-cluster leakage vanishes, so every
     scenario's SINR is the closed-form function of theta in phase_point:
-    the alternation is block ascent on that one function. One RCG run from
-    theta0 (default theta = 1) maximizes it directly, so there is no outer
-    loop; the name is kept from the alternating scheme. The precoder is ZF
-    at the returned theta (see evaluate_pair). An interference-unaware
+    the alternation is block ascent on that one function. One L-BFGS run
+    (see rcg.rcg_lockstep) from theta0 (default theta = 1) maximizes it
+    directly, so there is no outer loop; the name is kept from the
+    alternating scheme. The precoder is ZF at the returned theta (see
+    evaluate_pair). An interference-unaware
     optimizer passes ScenarioKind.EIF; IRR kinds need terms built with the
     neighbor RIS.
     """

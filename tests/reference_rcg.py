@@ -1,18 +1,19 @@
-"""The scalar RCG loop, kept as the reference that rcg.rcg_lockstep's rows must equal.
+"""The scalar optimizer loop, kept as the reference that rcg.rcg_lockstep's rows must equal.
 
-This is the single-run optimizer that risim ran before every run became a
-row of rcg.rcg_lockstep, moved here unchanged: one Riemannian conjugate
-gradient run with a Polak-Ribiere direction, a backtracking Armijo search
-and the normalizing retraction. It shares the line-search constants,
-RcgOptions, RcgResult and project_tangent with risim.rcg, so a lockstep row
-and this loop describe the same algorithm, and the tests compare them bit
-for bit. utility_pair is the 2-D objective and gradient it runs on, the
-reference for a row of sinr.UtilityStack.
+One Riemannian limited-memory BFGS run on one (N,) phase vector, written as
+plain Python over a list of at most LBFGS_MEMORY (s, y, rho) pairs: the
+two-loop direction, a backtracking Armijo search and the normalizing
+retraction. It shares the line-search constants, the memory, RcgOptions,
+RcgResult and project_tangent with risim.rcg, so a lockstep row and this
+loop describe the same algorithm, and the tests compare them bit for bit.
+utility_pair is the 2-D objective and gradient it runs on, the reference
+for a row of sinr.UtilityStack.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from risim.rcg import (
     ARMIJO_CONTRACTION,
     ARMIJO_SLOPE,
     ARMIJO_STEP,
+    LBFGS_MEMORY,
     MAX_BACKTRACKS,
     RcgOptions,
     RcgResult,
@@ -45,16 +47,25 @@ def utility_pair(terms, kind, powers, noise_power_w, weights=None):
     return objective, gradient
 
 
-def polak_ribiere(rgrad_now: np.ndarray, rgrad_prev: np.ndarray) -> float:
-    """Conjugacy coefficient Re<g_now, g_now - g_prev> / ||g_prev||^2.
+def real_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re<a, b>: the dot product of the float views of a and b (complex or float)."""
+    return float(a.view(float) @ b.view(float))
 
-    Returns the raw value; callers clamp at zero for the restart rule. A zero
-    previous gradient yields 0.
-    """
-    denom = np.vdot(rgrad_prev, rgrad_prev).real
-    if denom == 0.0:
-        return 0.0
-    return float(np.vdot(rgrad_now, rgrad_now - rgrad_prev).real / denom)
+
+def two_loop(grad: np.ndarray, pairs, gamma: float) -> np.ndarray:
+    """H grad for the L-BFGS matrix H of pairs, a sequence of (s, y, rho)
+    oldest first, from the initial matrix gamma I (Nocedal and Wright,
+    Numerical Optimization, 2006, alg. 7.4), on the float views of the
+    complex vectors."""
+    q, alphas = grad.view(float), []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * real_dot(s, q)
+        q = q - alpha * y.view(float)
+        alphas.append(alpha)
+    r = gamma * q
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        r = r + (alpha - rho * real_dot(y, r)) * s.view(float)
+    return r.view(complex)
 
 
 def retract(theta: np.ndarray, step: float, direction: np.ndarray) -> np.ndarray:
@@ -102,10 +113,16 @@ def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = Rcg
     """Maximize a smooth objective over unit-modulus phase vectors.
 
     objective(theta) -> float and gradient(theta) -> complex ndarray (the
-    Euclidean gradient). Directions restart to the projected gradient whenever
-    the conjugate combination stops being an ascent direction. A non-finite
-    objective (at the start point or a line-search candidate) or gradient
-    raises ValueError naming the iteration; iteration 0 is the start point.
+    Euclidean gradient). The direction is the two-loop product of the last
+    LBFGS_MEMORY pairs s = P(step d), y = P(g_old) - g (each projected once,
+    at the point where it is formed), projected onto the tangent space; a
+    pair with s.y <= 0 gets weight 0, and the initial scaling is the newest
+    weighted pair's s.y / y.y. A direction that is not an ascent direction
+    restarts at the projected gradient and zeroes every pair's weight. The
+    first Armijo candidate is the unit step once a weighted pair exists. A
+    non-finite objective (at the start point or a line-search candidate) or
+    gradient raises ValueError naming the iteration; iteration 0 is the
+    start point.
     """
     theta = np.asarray(theta0, dtype=complex)
     mags = np.abs(theta)
@@ -125,8 +142,9 @@ def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = Rcg
     trace = [f_curr]
     grad_norms: list[float] = []
     steps: list[float] = []
-    d_prev = None
-    g_prev = None
+    pairs = deque(maxlen=LBFGS_MEMORY)
+    gamma = 1.0
+    rg = d = step = None
     converged = False
     stagnated = False
     max_dev = float(np.abs(np.abs(theta) - 1.0).max()) if theta.size else 0.0
@@ -136,15 +154,25 @@ def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = Rcg
         egrad = gradient(theta)
         if not np.isfinite(egrad).all():
             raise ValueError(f"non-finite gradient at RCG iteration {iteration}")
-        rg = project_tangent(egrad, theta)
-        if d_prev is None:
+        rg_new = project_tangent(egrad, theta)
+        if rg is not None:
+            s = project_tangent(step * d, theta)
+            y = project_tangent(rg, theta) - rg_new
+            sy = real_dot(s, y)
+            if sy > 0.0:
+                pairs.append((s, y, 1.0 / sy))
+                gamma = sy / real_dot(y, y)
+            else:
+                pairs.append((s, y, 0.0))
+        rg = rg_new
+        primed = any(rho != 0.0 for _, _, rho in pairs)
+        d = project_tangent(two_loop(rg, pairs, gamma if primed else 1.0), theta)
+        slope = real_dot(rg, d)
+        if slope <= 0.0:  # restart: the quasi-Newton direction lost ascent
             d = rg
-        else:
-            tau1 = max(polak_ribiere(rg, g_prev), 0.0)
-            d = rg + tau1 * project_tangent(d_prev, theta)
-            if np.vdot(rg, d).real <= 0.0:
-                d = rg  # restart: conjugate direction lost ascent
-        slope = float(np.vdot(rg, d).real)
+            slope = real_dot(rg, rg)
+            pairs = deque(((s, y, 0.0) for s, y, _ in pairs), maxlen=LBFGS_MEMORY)
+            primed = False
         grad_norms.append(float(np.linalg.norm(rg)))
         if d.size:
             max_tan = max(max_tan, float(np.abs((d * np.conj(theta)).real).max()))
@@ -153,11 +181,7 @@ def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = Rcg
             stagnated = True
             converged = True
             break
-        # First trial step: the one that would repeat the last iteration's gain
-        # on a quadratic model (Nocedal & Wright, Numerical Optimization, 2006,
-        # eq. 3.60), so most iterations cost one objective call
-        guess = 2.0 * (trace[-1] - trace[-2]) / slope if len(trace) > 1 else None
-        step, theta_new, f_new = armijo_search(theta, d, checked, f_curr, slope, guess)
+        step, theta_new, f_new = armijo_search(theta, d, checked, f_curr, slope, 1.0 if primed else None)
         steps.append(step)
         if step == 0.0:
             stagnated = True
@@ -166,8 +190,6 @@ def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = Rcg
         theta = theta_new
         f_curr = f_new
         trace.append(f_curr)
-        d_prev = d
-        g_prev = rg
         max_dev = max(max_dev, float(np.abs(np.abs(theta) - 1.0).max()))
         if delta <= opts.epsilon * abs(f_curr):
             converged = True

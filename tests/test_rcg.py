@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_rcg as reference
-from reference_rcg import armijo_search, polak_ribiere, retract, utility_pair
+from reference_rcg import armijo_search, retract, two_loop, utility_pair
 from risim import rcg, sinr
 from risim import (
     PowerAllocation,
@@ -105,13 +105,47 @@ def test_tangent_projection_is_tangent_and_idempotent():
     np.testing.assert_allclose(project_tangent(rg, theta), rg, atol=1e-14)
 
 
-def test_polak_ribiere_oracles():
+def _bfgs_inverse(pairs, gamma, n):
+    """The BFGS inverse-Hessian approximation of pairs (oldest first) on the
+    real 2n-vectors of C^n, built by the explicit update from gamma I."""
+    h = gamma * np.eye(2 * n)
+    for s, y in pairs:
+        s, y = s.view(float), y.view(float)
+        rho = 1.0 / (s @ y)
+        left = np.eye(2 * n) - rho * np.outer(s, y)
+        h = left @ h @ left.T + rho * np.outer(s, s)
+    return h
+
+
+def test_two_loop_direction_matches_explicit_bfgs_inverse():
+    # Euclidean case: the batched two-loop recursion over a ring of pairs is
+    # the product of the explicit BFGS matrix built from the same pairs with
+    # each row's gradient; a pair of weight 0 is a pair the row does not have
     rng = np.random.default_rng(37)
-    g = _cn(rng, 6)
-    # g_prev = 2 g: Re<g, g - 2g> / ||2g||^2 = -1/4
-    assert polak_ribiere(g, 2.0 * g) == pytest.approx(-0.25)
-    assert polak_ribiere(g, g) == pytest.approx(0.0)
-    assert polak_ribiere(g, np.zeros(6)) == 0.0
+    rows, n, m = 4, 6, rcg.LBFGS_MEMORY
+    grad = _cn(rng, rows, n)
+    pair_s, pair_y = _cn(rng, m, rows, n), _cn(rng, m, rows, n)
+    # y = A s + noise for an SPD A keeps s.y > 0, as curvature pairs have
+    a = _cn(rng, 2 * n, 2 * n).real
+    a = a @ a.T + np.eye(2 * n)
+    for j in range(m):
+        for r in range(rows):
+            pair_y[j, r] = (a @ pair_s[j, r].view(float)).view(complex) + 0.01 * pair_y[j, r]
+    rho = 1.0 / (pair_s.view(float) * pair_y.view(float)).sum(axis=2)
+    assert (rho > 0.0).all()
+    rho[1, 2] = rho[3, 2] = 0.0  # row 2 has no weight for those pairs
+    gamma = rng.uniform(0.5, 2.0, rows)
+    newest = 2  # the ring holds pairs in slots 3, 4, 0, 1, 2, oldest first
+    slots = [(newest - i) % m for i in range(m)]
+    got = rcg._two_loop(grad, pair_s, pair_y, rho, slots, gamma)
+    for r in range(rows):
+        kept = [(pair_s[j, r], pair_y[j, r]) for j in slots[::-1] if rho[j, r] != 0.0]
+        assert len(kept) == (3 if r == 2 else m)
+        want = (_bfgs_inverse(kept, gamma[r], n) @ grad[r].view(float)).view(complex)
+        np.testing.assert_allclose(got[r], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        # the scalar reference is the same recursion, bit for bit
+        ref = two_loop(grad[r], [(pair_s[j, r], pair_y[j, r], rho[j, r]) for j in slots[::-1]], gamma[r])
+        np.testing.assert_array_equal(got[r], ref)
 
 
 def test_retract_oracles():
@@ -240,7 +274,7 @@ def _counted(monkeypatch, name, poison_from=None, value=np.nan):
 
 
 def test_rcg_line_search_mostly_accepts_its_first_step(monkeypatch):
-    # the first trial step repeats the last iteration's gain, so an iteration
+    # the first trial step is the unit quasi-Newton step, so an iteration
     # evaluates the objective less than twice on average (a fixed first step
     # of one radian took about ten evaluations on these instances)
     rng = np.random.default_rng(44)
@@ -584,6 +618,67 @@ def test_lockstep_exhausted_line_search_stops_only_its_row():
     assert (results[1].stagnated, results[1].converged, results[1].iterations) == (True, False, 1)
     assert results[1].steps.tolist() == [0.0]
     assert results[0].iterations == results[2].iterations == 15
+
+
+class _ScaledLinearRows(_LinearRows):
+    """_LinearRows whose row r is handed scale[r, k] * a_r as its Euclidean
+    gradient at the k-th gradient call: the direction is right, the
+    curvature pairs are not."""
+
+    def __init__(self, a, scale):
+        super().__init__(a, np.ones(len(a)))
+        self.scale, self.calls = scale, 0
+
+    def gradient(self, theta):
+        self.calls += 1
+        return self.scale[:, self.calls - 1, None] * self.a
+
+    def take(self, keep):
+        raise AssertionError("every row runs to the cap")
+
+
+def test_unweighted_pairs_and_restarts_change_only_their_row(monkeypatch):
+    # row 1's gradient grows eightfold at every other call, so from its
+    # third pair on every other pair has s.y <= 0 and no weight; row 2's direction is turned
+    # downhill once, so it restarts and clears its pairs. Row 0 keeps the
+    # weights and the result it has alone
+    rng = np.random.default_rng(65)
+    iters = 10
+    a = _cn(rng, 3, 5)
+    theta0 = np.exp(1j * (np.angle(a) + rng.uniform(-0.5, 0.5, (3, 5))))  # where the objective is concave
+    scale = np.ones((3, iters))
+    scale[1, 1::2] = 8.0
+    opts = RcgOptions(epsilon=0.0, max_iters=iters)
+    two_loop_rows = rcg._two_loop
+
+    def run(rows, flip_row=None):
+        seen = []
+
+        def spy(g, pair_s, pair_y, rho, slots, gamma):
+            seen.append(rho.copy())
+            r = two_loop_rows(g, pair_s, pair_y, rho, slots, gamma)
+            if len(seen) == 6 and flip_row is not None:
+                r[flip_row] = -r[flip_row]
+            return r
+
+        monkeypatch.setattr(rcg, "_two_loop", spy)
+        results = rcg_lockstep(_ScaledLinearRows(a[rows], scale[rows]), theta0[rows], opts)
+        assert all(res.iterations == iters for res in results)
+        return results, seen
+
+    results, seen = run([0, 1, 2], flip_row=2)
+    alone, alone_seen = run([0])
+    _assert_same_result(results[0], alone[0])
+    for k, (rho, rho_alone) in enumerate(zip(seen, alone_seen, strict=True)):
+        np.testing.assert_array_equal(rho[:, 0], rho_alone[:, 0])
+        assert (rho[:, 0] > 0.0).sum() == min(k, rcg.LBFGS_MEMORY)  # every pair of row 0 has weight
+    m = rcg.LBFGS_MEMORY
+    newest = [(k - 1) % m for k in range(len(seen))]  # the slot call k's pair went to
+    assert not any(seen[k][newest[k], 1] for k in range(3, len(seen), 2))  # after each eightfold jump
+    assert all(seen[k][newest[k], 1] for k in range(2, len(seen), 2))
+    # the restart at call 6 left row 2 only the pair stored after it
+    assert seen[5][:, 2].all() and np.flatnonzero(seen[6][:, 2]).tolist() == [newest[6]]
+    _assert_same_result(results[1], run([1])[0][0])
 
 
 def test_retraction_halves_only_the_row_that_lands_on_zero():
