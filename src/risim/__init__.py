@@ -49,7 +49,6 @@ from .rcg import (
     RcgResult,
     euclid_grad,
     optimize_phases,
-    project_tangent,
     rcg_lockstep,
 )
 from .scenario import (

@@ -1,13 +1,15 @@
 """The scalar optimizer loop, kept as the reference that rcg.rcg_lockstep's rows must equal.
 
-One Riemannian limited-memory BFGS run on one (N,) phase vector, written as
-plain Python over a list of at most LBFGS_MEMORY (s, y, rho) pairs: the
-two-loop direction, a backtracking Armijo search and the normalizing
-retraction. It shares the line-search constants, the memory, RcgOptions,
-RcgResult and project_tangent with risim.rcg, so a lockstep row and this
-loop describe the same algorithm, and the tests compare them bit for bit.
-utility_pair is the 2-D objective and gradient it runs on, the reference
-for a row of sinr.UtilityStack.
+One Riemannian limited-memory BFGS run on one (N,) phase vector, in the
+angles phi of theta = exp(j phi), written as plain Python over a list of at
+most LBFGS_MEMORY real (s, y, rho) pairs: the angle gradient, the two-loop
+direction, a backtracking Armijo search and the angle retraction. It shares
+the line-search constants, the memory, RcgOptions and RcgResult with
+risim.rcg, so a lockstep row and this loop describe the same algorithm, and
+the tests compare them bit for bit. project_tangent is the ambient
+tangent-space projection that the angle gradient and retraction are checked
+against. utility_pair is the 2-D objective and gradient the loop runs on,
+the reference for a row of sinr.UtilityStack.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from risim.rcg import (
     RcgOptions,
     RcgResult,
     euclid_grad,
-    project_tangent,
 )
 from risim.sinr import weighted_log_utility
 
@@ -48,52 +49,59 @@ def utility_pair(terms, kind, powers, noise_power_w, weights=None):
 
 
 def real_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Re<a, b>: the dot product of the float views of a and b (complex or float)."""
-    return float(a.view(float) @ b.view(float))
+    """The dot product of two real vectors."""
+    return float(a @ b)
+
+
+def project_tangent(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Project x onto the tangent space of the circle manifold at theta."""
+    return x - (x * np.conj(theta)).real * theta
+
+
+def angle_gradient(theta: np.ndarray, egrad: np.ndarray) -> np.ndarray:
+    """g = Im(conj(theta) egrad): df/dphi for theta = exp(j phi), from the
+    Euclidean gradient egrad. j theta g is project_tangent(egrad, theta)."""
+    return theta.real * egrad.imag - theta.imag * egrad.real
 
 
 def two_loop(grad: np.ndarray, pairs, gamma: float) -> np.ndarray:
-    """H grad for the L-BFGS matrix H of pairs, a sequence of (s, y, rho)
+    """H grad for the L-BFGS matrix H of pairs, a sequence of real (s, y, rho)
     oldest first, from the initial matrix gamma I (Nocedal and Wright,
-    Numerical Optimization, 2006, alg. 7.4), on the float views of the
-    complex vectors."""
-    q, alphas = grad.view(float), []
+    Numerical Optimization, 2006, alg. 7.4)."""
+    q, alphas = grad, []
     for s, y, rho in reversed(pairs):
         alpha = rho * real_dot(s, q)
-        q = q - alpha * y.view(float)
+        q = q - alpha * y
         alphas.append(alpha)
     r = gamma * q
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        r = r + (alpha - rho * real_dot(y, r)) * s.view(float)
-    return r.view(complex)
+        r = r + (alpha - rho * real_dot(y, r)) * s
+    return r
 
 
 def retract(theta: np.ndarray, step: float, direction: np.ndarray) -> np.ndarray:
-    """Move along the direction and renormalize each entry to unit modulus.
+    """Turn theta by the angles a = step * direction.
 
-    If any entry of theta + step * d lands at (numerical) zero, the step is
-    halved until every entry has positive magnitude; with |theta_l| = 1 this
-    always terminates.
+    theta (1 + j a) / sqrt(1 + a^2) is the normalizing retraction of the
+    tangent vector j theta a; before the division every entry has modulus
+    sqrt(1 + a^2) >= 1, so none can land on zero.
     """
-    moved = theta + step * direction
-    mags = np.abs(moved)
-    while mags.min() < 1e-12:
-        step *= 0.5
-        moved = theta + step * direction
-        mags = np.abs(moved)
-    return moved / mags
+    a = step * direction
+    c = 1.0 / np.sqrt(1.0 + a * a)
+    return theta * (c + 1j * (a * c))
 
 
 def armijo_search(theta, direction, objective, f0, slope, guess=None):
     """Backtracking search for a step with sufficient objective increase.
 
-    slope must be the positive tangent inner product Re<rgrad, d>. The first
-    candidate is guess, but never moves the most-moving element by more than
-    ARMIJO_STEP along d; without a guess it is that largest move, so the
-    search does not depend on the scale of the objective (the gradient of a
-    -20 dBm utility is 1e5 times smaller than at 30 dBm). Returns
-    (step, theta_new, f_new); step 0.0 signals stagnation (no acceptable step
-    within MAX_BACKTRACKS candidates) and leaves theta unchanged.
+    direction is a real angle vector and slope must be the positive g.d.
+    The first candidate is guess, but never moves the most-moving angle by
+    more than ARMIJO_STEP along d; without a guess it is that largest move,
+    so the search does not depend on the scale of the objective (the
+    gradient of a -20 dBm utility is 1e5 times smaller than at 30 dBm).
+    Returns (step, theta_new, f_new); step 0.0 signals stagnation (no
+    acceptable step within MAX_BACKTRACKS candidates) and leaves theta
+    unchanged.
     """
     if slope <= 0.0:
         raise ValueError("armijo_search requires an ascent direction (slope > 0)")
@@ -113,13 +121,16 @@ def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = Rcg
     """Maximize a smooth objective over unit-modulus phase vectors.
 
     objective(theta) -> float and gradient(theta) -> complex ndarray (the
-    Euclidean gradient). The direction is the two-loop product of the last
-    LBFGS_MEMORY pairs s = P(step d), y = P(g_old) - g (each projected once,
-    at the point where it is formed), projected onto the tangent space; a
-    pair with s.y <= 0 gets weight 0, and the initial scaling is the newest
-    weighted pair's s.y / y.y. A direction that is not an ascent direction
-    restarts at the projected gradient and zeroes every pair's weight. The
-    first Armijo candidate is the unit step once a weighted pair exists. A
+    Euclidean gradient). The run works in the angles phi of theta =
+    exp(j phi): its gradient is g = angle_gradient(theta, egrad), and its
+    direction is the two-loop product of g with the last LBFGS_MEMORY real
+    pairs s = c step d, y = c g_old - g, where c = 1 / sqrt(1 + (step d)^2)
+    is the factor by which the last step's tangent vectors project onto the
+    tangent space at the new point; a pair keeps its angle coordinates
+    after that. A pair with s.y <= 0 gets weight 0, and the initial scaling
+    is the newest weighted pair's s.y / y.y. A direction that is not an
+    ascent direction restarts at g and zeroes every pair's weight. The first
+    Armijo candidate is the unit step once a weighted pair exists. A
     non-finite objective (at the start point or a line-search candidate) or
     gradient raises ValueError naming the iteration; iteration 0 is the
     start point.
@@ -144,7 +155,7 @@ def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = Rcg
     steps: list[float] = []
     pairs = deque(maxlen=LBFGS_MEMORY)
     gamma = 1.0
-    rg = d = step = None
+    g = d = step = None
     converged = False
     stagnated = False
     max_dev = float(np.abs(np.abs(theta) - 1.0).max()) if theta.size else 0.0
@@ -154,28 +165,31 @@ def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = Rcg
         egrad = gradient(theta)
         if not np.isfinite(egrad).all():
             raise ValueError(f"non-finite gradient at RCG iteration {iteration}")
-        rg_new = project_tangent(egrad, theta)
-        if rg is not None:
-            s = project_tangent(step * d, theta)
-            y = project_tangent(rg, theta) - rg_new
+        g_new = angle_gradient(theta, egrad)
+        if g is not None:
+            a = step * d
+            c = 1.0 / np.sqrt(1.0 + a * a)  # as in retract
+            s = (step * d) * c
+            y = c * g - g_new
             sy = real_dot(s, y)
             if sy > 0.0:
                 pairs.append((s, y, 1.0 / sy))
                 gamma = sy / real_dot(y, y)
             else:
                 pairs.append((s, y, 0.0))
-        rg = rg_new
+        g = g_new
         primed = any(rho != 0.0 for _, _, rho in pairs)
-        d = project_tangent(two_loop(rg, pairs, gamma if primed else 1.0), theta)
-        slope = real_dot(rg, d)
+        d = two_loop(g, pairs, gamma if primed else 1.0)
+        slope = real_dot(g, d)
         if slope <= 0.0:  # restart: the quasi-Newton direction lost ascent
-            d = rg
-            slope = real_dot(rg, rg)
+            d = g
+            slope = real_dot(g, g)
             pairs = deque(((s, y, 0.0) for s, y, _ in pairs), maxlen=LBFGS_MEMORY)
             primed = False
-        grad_norms.append(float(np.linalg.norm(rg)))
-        if d.size:
-            max_tan = max(max_tan, float(np.abs((d * np.conj(theta)).real).max()))
+        grad_norms.append(float(np.linalg.norm(g)))
+        if d.size:  # the normal part Re(conj(theta) (j theta d)) of the direction
+            residual = theta.real * (theta.imag * d) - theta.imag * (theta.real * d)
+            max_tan = max(max_tan, float(np.abs(residual).max()))
         if slope <= 0.0:  # stationary point
             steps.append(0.0)
             stagnated = True

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_rcg as reference
-from reference_rcg import armijo_search, retract, two_loop, utility_pair
+from reference_rcg import armijo_search, project_tangent, retract, two_loop, utility_pair
 from risim import rcg, sinr
 from risim import (
     PowerAllocation,
@@ -18,7 +18,6 @@ from risim import (
     build_cascades,
     euclid_grad,
     optimize_phases,
-    project_tangent,
     weighted_log_utility,
 )
 from risim.rcg import rcg_lockstep
@@ -105,14 +104,130 @@ def test_tangent_projection_is_tangent_and_idempotent():
     np.testing.assert_allclose(project_tangent(rg, theta), rg, atol=1e-14)
 
 
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_angle_gradient_matches_finite_differences(kind):
+    # the loop's gradient is df/dphi_n for theta = exp(j phi), on every row
+    rng = np.random.default_rng(32)
+    rows = _utility_rows(rng, [kind] * 3, num_elements=5)
+    theta = np.exp(1j * rng.uniform(0, 2 * np.pi, (len(rows), 5)))
+    egrad = np.array([euclid_grad(t, theta[b], k, p, NOISE, w) for b, (t, k, p, w) in enumerate(rows)])
+    g = rcg._angle_gradient(theta, egrad)
+    for b, (terms, k, powers, w) in enumerate(rows):
+        objective, _ = utility_pair(terms, k, powers, NOISE, w)
+        numeric = _fd_phase_grad(objective, theta[b])
+        scale = max(np.abs(numeric).max(), 1e-12)
+        np.testing.assert_allclose(g[b], numeric, atol=1e-6 * scale, rtol=1e-5)
+        np.testing.assert_array_equal(g[b], reference.angle_gradient(theta[b], egrad[b]))
+
+
+def test_angle_gradient_is_the_projected_gradient():
+    rng = np.random.default_rng(34)
+    theta = np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 8)))
+    egrad = _cn(rng, 3, 8)
+    g = rcg._angle_gradient(theta, egrad)
+    assert g.dtype == float and g.flags.c_contiguous
+    for b in range(3):
+        np.testing.assert_allclose(1j * theta[b] * g[b], project_tangent(egrad[b], theta[b]), rtol=0, atol=1e-14)
+
+
+def test_angle_step_is_the_normalizing_retraction():
+    # theta (1 + j a) / sqrt(1 + a^2) is (theta + t j theta d) / |theta + t j theta d|,
+    # and c is Re(theta_new conj(theta)), the factor by which the tangent vector
+    # j theta x projects onto the tangent space at theta_new
+    rng = np.random.default_rng(36)
+    theta = np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 7)))
+    d = rng.standard_normal((4, 7))
+    step = np.array([1e-3, 0.3, 1.0, 20.0])
+    new, c = rcg._retract(theta, step, d)
+    x = rng.standard_normal(7)
+    for b in range(4):
+        moved = theta[b] + step[b] * 1j * theta[b] * d[b]
+        np.testing.assert_allclose(new[b], moved / np.abs(moved), rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(new[b], retract(theta[b], step[b], d[b]))
+        np.testing.assert_allclose(c[b], (new[b] * np.conj(theta[b])).real, rtol=0, atol=1e-14)
+        transported = project_tangent(1j * theta[b] * x, new[b])
+        np.testing.assert_allclose(1j * new[b] * (c[b] * x), transported, rtol=0, atol=1e-14)
+
+
+def test_newest_pair_is_transported_by_projection(monkeypatch):
+    # s = c t d and y = c g_old - g are the angle coordinates at the new point
+    # of the tangent projections of the last step and the last gradient,
+    # j theta_old t d and j theta_old g_old
+    rng = np.random.default_rng(40)
+    (terms, kind, powers, w), = _utility_rows(rng, [ScenarioKind.EMI], num_elements=6)
+    points, calls = [], []
+    gradient, two_loop_rows = UtilityStack.gradient, rcg._two_loop
+
+    def spy_gradient(self, theta):
+        points.append(theta[0].copy())
+        return gradient(self, theta)
+
+    def spy(g, pair_s, pair_y, rho, slots, gamma):
+        d = two_loop_rows(g, pair_s, pair_y, rho, slots, gamma)
+        used = d[0] if g[0] @ d[0] > 0.0 else g[0]  # a restart moves along g
+        newest = slots[0] if slots else 0  # no pair yet at the first call
+        calls.append((g[0].copy(), pair_s[newest, 0].copy(), pair_y[newest, 0].copy(), used.copy()))
+        return d
+
+    monkeypatch.setattr(UtilityStack, "gradient", spy_gradient)
+    monkeypatch.setattr(rcg, "_two_loop", spy)
+    res = optimize_phases(terms, kind, powers, NOISE, w, opts=RcgOptions(epsilon=0.0, max_iters=8))
+    assert res.iterations == 8 and not res.stagnated
+    for k in range(1, len(calls)):
+        old, new = points[k - 1], points[k]
+        g_old, _, _, d_old = calls[k - 1]
+        g, s, y, _ = calls[k]
+        t = res.steps[k - 1]
+        want_s = project_tangent(1j * old * (t * d_old), new)
+        want_y = project_tangent(1j * old * g_old, new) - 1j * new * g
+        np.testing.assert_allclose(1j * new * s, want_s, rtol=0, atol=1e-13 * np.abs(want_s).max())
+        np.testing.assert_allclose(1j * new * y, want_y, rtol=0, atol=1e-13 * np.abs(g_old).max())
+
+
+class _Turning:
+    """Rows whose objective rises by one at every call and whose angle
+    gradient is the fixed w[r]: every line search takes its first step, so
+    each row turns its phases by up to ARMIJO_STEP radians per iteration for
+    as long as it runs."""
+
+    def __init__(self, w):
+        self.w, self.calls = w, 0
+
+    def objective(self, theta, rows=None):
+        self.calls += 1
+        return np.full(theta.shape[0], float(self.calls))
+
+    def gradient(self, theta):
+        return 1j * theta * self.w
+
+    def take(self, keep):
+        raise AssertionError("every row runs to the cap")
+
+
+def test_multiplicative_update_keeps_unit_modulus():
+    # each accepted step multiplies theta by (1 + j a) / sqrt(1 + a^2) without
+    # renormalizing it, so over 2000 steps of up to one radian |theta| must
+    # not drift, and the phase must advance by arctan(a) per step
+    rng = np.random.default_rng(38)
+    w = rng.standard_normal((2, 9))
+    theta0 = np.exp(1j * rng.uniform(0, 2 * np.pi, (2, 9)))
+    iters = 2000
+    results = rcg_lockstep(_Turning(w), theta0, RcgOptions(epsilon=0.0, max_iters=iters))
+    for b, res in enumerate(results):
+        assert res.iterations == iters and np.all(res.steps > 0.0)
+        assert res.max_unit_deviation <= 1e-12
+        np.testing.assert_allclose(np.abs(res.theta), 1.0, rtol=0, atol=1e-12)
+        turned = np.arctan(res.steps[:, None] * w[b]).sum(axis=0)
+        np.testing.assert_allclose(res.theta, theta0[b] * np.exp(1j * turned), rtol=0, atol=1e-9)
+
+
 def _bfgs_inverse(pairs, gamma, n):
-    """The BFGS inverse-Hessian approximation of pairs (oldest first) on the
-    real 2n-vectors of C^n, built by the explicit update from gamma I."""
-    h = gamma * np.eye(2 * n)
+    """The BFGS inverse-Hessian approximation of pairs (oldest first) on real
+    n-vectors, built by the explicit update from gamma I."""
+    h = gamma * np.eye(n)
     for s, y in pairs:
-        s, y = s.view(float), y.view(float)
         rho = 1.0 / (s @ y)
-        left = np.eye(2 * n) - rho * np.outer(s, y)
+        left = np.eye(n) - rho * np.outer(s, y)
         h = left @ h @ left.T + rho * np.outer(s, s)
     return h
 
@@ -123,15 +238,15 @@ def test_two_loop_direction_matches_explicit_bfgs_inverse():
     # each row's gradient; a pair of weight 0 is a pair the row does not have
     rng = np.random.default_rng(37)
     rows, n, m = 4, 6, rcg.LBFGS_MEMORY
-    grad = _cn(rng, rows, n)
-    pair_s, pair_y = _cn(rng, m, rows, n), _cn(rng, m, rows, n)
+    grad = rng.standard_normal((rows, n))
+    pair_s, pair_y = rng.standard_normal((m, rows, n)), rng.standard_normal((m, rows, n))
     # y = A s + noise for an SPD A keeps s.y > 0, as curvature pairs have
-    a = _cn(rng, 2 * n, 2 * n).real
-    a = a @ a.T + np.eye(2 * n)
+    a = rng.standard_normal((n, n))
+    a = a @ a.T + np.eye(n)
     for j in range(m):
         for r in range(rows):
-            pair_y[j, r] = (a @ pair_s[j, r].view(float)).view(complex) + 0.01 * pair_y[j, r]
-    rho = 1.0 / (pair_s.view(float) * pair_y.view(float)).sum(axis=2)
+            pair_y[j, r] = a @ pair_s[j, r] + 0.01 * pair_y[j, r]
+    rho = 1.0 / (pair_s * pair_y).sum(axis=2)
     assert (rho > 0.0).all()
     rho[1, 2] = rho[3, 2] = 0.0  # row 2 has no weight for those pairs
     gamma = rng.uniform(0.5, 2.0, rows)
@@ -141,7 +256,7 @@ def test_two_loop_direction_matches_explicit_bfgs_inverse():
     for r in range(rows):
         kept = [(pair_s[j, r], pair_y[j, r]) for j in slots[::-1] if rho[j, r] != 0.0]
         assert len(kept) == (3 if r == 2 else m)
-        want = (_bfgs_inverse(kept, gamma[r], n) @ grad[r].view(float)).view(complex)
+        want = _bfgs_inverse(kept, gamma[r], n) @ grad[r]
         np.testing.assert_allclose(got[r], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         # the scalar reference is the same recursion, bit for bit
         ref = two_loop(grad[r], [(pair_s[j, r], pair_y[j, r], rho[j, r]) for j in slots[::-1]], gamma[r])
@@ -149,31 +264,25 @@ def test_two_loop_direction_matches_explicit_bfgs_inverse():
 
 
 def test_retract_oracles():
-    out = retract(np.array([1.0 + 0j]), 1.0, np.array([1j]))
+    out = retract(np.array([1.0 + 0j]), 1.0, np.array([1.0]))
     np.testing.assert_allclose(out, [np.exp(1j * np.pi / 4)], rtol=1e-12)
     # unit modulus regardless of step size
     rng = np.random.default_rng(39)
     theta = np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
-    d = _cn(rng, 5)
+    d = rng.standard_normal(5)
     for step in (1e-3, 1.0, 20.0):
         np.testing.assert_allclose(np.abs(retract(theta, step, d)), 1.0, atol=1e-14)
 
 
-def test_retract_halves_step_at_zero_crossing():
-    # theta + d lands exactly at zero; the guard halves until it does not
-    out = retract(np.array([1.0 + 0j]), 1.0, np.array([-1.0 + 0j]))
-    np.testing.assert_allclose(out, [1.0 + 0j], rtol=1e-12)
-
-
 def test_armijo_hand_case(monkeypatch):
-    # f(theta) = Im(theta_0) after retraction from theta = 1 along d = j:
+    # f(theta) = Im(theta_0) after retraction from theta = 1 along the angle d = 1:
     # f(s) = s / sqrt(1 + s^2). With c = 0.9 and slope 1, steps 1 and 0.5
     # fail the sufficient-increase test and 0.25 is the first accepted step.
     monkeypatch.setattr(reference, "ARMIJO_STEP", 1.0)
     monkeypatch.setattr(reference, "ARMIJO_CONTRACTION", 0.5)
     monkeypatch.setattr(reference, "ARMIJO_SLOPE", 0.9)
     theta = np.array([1.0 + 0j])
-    direction = np.array([1j])
+    direction = np.array([1.0])
 
     def objective(x):
         return float(np.imag(x[0]))
@@ -191,7 +300,7 @@ def test_armijo_accepts_full_step_with_small_slope_coefficient(monkeypatch):
     def objective(x):
         return float(np.imag(x[0]))
 
-    step, _, _ = armijo_search(theta, np.array([1j]), objective, 0.0, 1.0)
+    step, _, _ = armijo_search(theta, np.array([1.0]), objective, 0.0, 1.0)
     assert step == pytest.approx(1.0)
 
 
@@ -202,14 +311,14 @@ def test_armijo_exhaustion_returns_zero_step(monkeypatch):
     def objective(x):
         return -1.0  # any move looks worse than f0 = 0
 
-    step, same, f = armijo_search(theta, np.array([1j]), objective, 0.0, 1.0)
+    step, same, f = armijo_search(theta, np.array([1.0]), objective, 0.0, 1.0)
     assert step == 0.0
     assert f == 0.0
     np.testing.assert_array_equal(same, theta)
 
 
 def test_armijo_starts_from_guess_and_caps_it(monkeypatch):
-    # f(s) = s / sqrt(1 + s^2) along d = j from theta = 1: a guess below the
+    # f(s) = s / sqrt(1 + s^2) along the angle d = 1 from theta = 1: a guess below the
     # largest move (1.0 here) is the first candidate, a larger one is capped
     monkeypatch.setattr(reference, "ARMIJO_SLOPE", 1e-4)
     theta = np.array([1.0 + 0j])
@@ -217,15 +326,15 @@ def test_armijo_starts_from_guess_and_caps_it(monkeypatch):
     def objective(x):
         return float(np.imag(x[0]))
 
-    step, _, _ = armijo_search(theta, np.array([1j]), objective, 0.0, 1.0, guess=0.3)
+    step, _, _ = armijo_search(theta, np.array([1.0]), objective, 0.0, 1.0, guess=0.3)
     assert step == pytest.approx(0.3)
-    step, _, _ = armijo_search(theta, np.array([1j]), objective, 0.0, 1.0, guess=5.0)
+    step, _, _ = armijo_search(theta, np.array([1.0]), objective, 0.0, 1.0, guess=5.0)
     assert step == pytest.approx(1.0)
 
 
 def test_armijo_rejects_nonpositive_slope():
     with pytest.raises(ValueError, match="ascent"):
-        armijo_search(np.ones(1, complex), np.ones(1, complex), lambda x: 0.0, 0.0, 0.0)
+        armijo_search(np.ones(1, complex), np.ones(1), lambda x: 0.0, 0.0, 0.0)
 
 
 def test_rcg_single_user_reaches_aligned_optimum():
@@ -679,28 +788,6 @@ def test_unweighted_pairs_and_restarts_change_only_their_row(monkeypatch):
     # the restart at call 6 left row 2 only the pair stored after it
     assert seen[5][:, 2].all() and np.flatnonzero(seen[6][:, 2]).tolist() == [newest[6]]
     _assert_same_result(results[1], run([1])[0][0])
-
-
-def test_retraction_halves_only_the_row_that_lands_on_zero():
-    # row 1's full step takes its first entry to exactly 0, so that row alone
-    # halves its step; rows 0 and 2 keep theirs, and every row is the
-    # reference retract of its own (theta, step, direction)
-    rng = np.random.default_rng(64)
-    theta = np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 4)))
-    direction = _cn(rng, 3, 4)
-    theta[1, 0], direction[1, 0] = 1.0, -2.0
-    step = np.array([0.7, 0.5, 1.3])
-    got = rcg._retract_rows(theta.copy(), step.copy(), direction.copy())
-    for r in range(3):
-        np.testing.assert_array_equal(got[r], retract(theta[r], step[r], direction[r]))
-
-    def moved(r, s):
-        x = theta[r] + s * direction[r]
-        return x / np.abs(x)
-
-    np.testing.assert_array_equal(got[1], moved(1, 0.25))  # halved once
-    np.testing.assert_array_equal(got[0], moved(0, 0.7))
-    np.testing.assert_array_equal(got[2], moved(2, 1.3))
 
 
 @st.composite
