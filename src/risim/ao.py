@@ -9,17 +9,8 @@ import numpy as np
 from .channels import ChannelRealization
 from .precoding import effective_channel, zf_precoder
 from .rcg import RcgOptions, RcgResult, optimize_phases, rcg_lockstep
-from .sinr import (
-    CascadeTerms,
-    PowerAllocation,
-    ScenarioKind,
-    SinrReport,
-    UtilityStack,
-    emi_irr_covariance,
-    neighbor_parts,
-    parts_sinr,
-    user_parts,
-)
+from .sinr import CascadeTerms, PowerAllocation, ScenarioKind, UtilityStack, emi_irr_covariance
+from .sinr import scenario_sinr as evaluate_pair  # the report of an optimized theta, ZF at it
 
 
 @dataclass(frozen=True)
@@ -31,11 +22,14 @@ class Cluster2State:
 
 
 # A fixed budget: with a stop on the objective's change, a run's length
-# follows its draw and a sweep's cost varies with the seed. 110 is the
-# smallest budget on the cold table of tools/budget_table.py (32 draws at
-# N = 25, 100, 225 and 400) whose mean and worst shortfall are at most those
-# of the 200 conjugate-gradient iterations it replaced, at every N; 100 is
-# not (the worst shortfall at N = 400)
+# follows its draw and a sweep's cost varies with the seed. The rule: the
+# smallest budget whose mean and worst shortfall on the cold table of
+# tools/budget_table.py (32 draws at N = 25, 100, 225 and 400) are at most
+# those of the 200 conjugate-gradient iterations it replaced, at every N.
+# 110 was that budget for the L-BFGS loop with projected pairs. The
+# angle-coordinate loop meets the rule at 100 (worst shortfall 8.9e-3 nats,
+# at N = 100, against 4.6e-2) but not at 90 (mean 4.6e-5 at N = 400,
+# against 2.2e-5)
 AO_RCG = RcgOptions(epsilon=0.0, max_iters=110)
 # The budget of an aware run started from the trial's unaware phases: the
 # smallest on the warm table of tools/budget_table.py (trials 0-19 at 10 and
@@ -70,14 +64,14 @@ def alternate_optimize(
 
     The paper alternates a ZF precoder update with an RCG phase update. With
     unit-norm ZF columns the intra-cluster leakage vanishes, so every
-    scenario's SINR is the closed-form function of theta in phase_point:
-    the alternation is block ascent on that one function. One L-BFGS run
-    (see rcg.rcg_lockstep) from theta0 (default theta = 1) maximizes it
-    directly, so there is no outer loop; the name is kept from the
-    alternating scheme. The precoder is ZF at the returned theta (see
-    evaluate_pair). An interference-unaware
-    optimizer passes ScenarioKind.EIF; IRR kinds need terms built with the
-    neighbor RIS.
+    scenario's SINR is a closed-form function of theta (see UserParts), and
+    the alternation is block ascent on kind's utility of it, the utility of a
+    one-row UtilityStack. One L-BFGS run on that stack (optimize_phases, see
+    rcg.rcg_lockstep) from theta0 (default theta = 1) maximizes it directly,
+    so there is no outer loop; the name is kept from the alternating scheme.
+    The precoder is ZF at the returned theta, where evaluate_pair reports
+    kind's rates. An interference-unaware optimizer passes ScenarioKind.EIF;
+    IRR kinds need terms built with the neighbor RIS.
     """
     kind = ScenarioKind(kind)
     if kind is ScenarioKind.EMI_IRR:
@@ -110,27 +104,6 @@ def optimize_eif_stack(links, powers, weights, noise_power_w: float, opts: RcgOp
         theta0 = np.ones((len(links[rows]), links[start][0].shape[1]), dtype=complex)
         results += rcg_lockstep(problem, theta0, opts)
     return results
-
-
-def evaluate_pair(
-    terms: CascadeTerms,
-    theta1: np.ndarray,
-    kind: ScenarioKind,
-    powers: PowerAllocation,
-    noise_power_w: float,
-    weights=None,
-) -> SinrReport:
-    """True-scenario SINR report for the phases theta1 with ZF precoding at theta1.
-
-    Raises ZfDegenerateError when ZF is ill conditioned at theta1. Mixed from
-    the per-user parts at theta1, which a caller evaluating several cases,
-    powers or EMI levels at one theta builds once (see TrialEvaluator).
-    """
-    kind = ScenarioKind(kind)
-    parts = user_parts(terms, theta1)
-    if kind.has_irr:
-        parts = neighbor_parts(parts, terms, theta1)
-    return parts_sinr(parts, terms, kind, powers, noise_power_w, weights)
 
 
 def _cluster2_state(real: ChannelRealization, theta2: np.ndarray) -> Cluster2State:

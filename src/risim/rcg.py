@@ -7,15 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scenario import _check_number
-from .sinr import (
-    CascadeTerms,
-    PowerAllocation,
-    ScenarioKind,
-    UtilityStack,
-    cascade_tensor,
-    phase_point,
-    zf_gradient,
-)
+from .sinr import CascadeTerms, PowerAllocation, ScenarioKind, UtilityStack
 
 
 def euclid_grad(
@@ -26,28 +18,12 @@ def euclid_grad(
     noise_power_w: float,
     weights=None,
 ) -> np.ndarray:
-    """Euclidean gradient of the weighted log-rate utility, as 2 * df/dtheta*.
-
-    The utility is sum_k w_k ln(1 + p_k / (c_k den_k)) with c_k = [A]_kk,
-    A = G^-1 and G = H(theta) H(theta)^H (see PhasePoint). H depends on
-    conj(theta) only, through the cascade tensor U (see sinr.zf_gradient for
-    dc_k/dtheta*, here on a one-row stack as in UtilityStack.gradient), and
-    dden_k/dtheta* = M_k theta (see interference). Every quotient reuses
-    the exact terms of the SINR evaluation at theta (phase_point), so the
-    gradient and the objective always describe the same function.
-    """
-    kind = ScenarioKind(kind)
-    point = phase_point(terms, theta, kind, powers, noise_power_w)
-    g_inv, sig, den, mv = point.g_inv, point.sig, point.den, point.mv
-    c = np.diagonal(g_inv).real
-
-    w = np.ones(terms.num_users) if weights is None else np.asarray(weights, dtype=float)
-    share = w * sig / (sig + den)  # w_k gamma_k / (1 + gamma_k)
-    u = cascade_tensor(terms.g1, terms.h1)
-    grad = zf_gradient(u[None], point.h_eff[None], g_inv[None], (share / c)[None])[0]
-    if mv is not None:
-        grad = grad + (share / den) @ mv
-    return -2.0 * grad
+    """Euclidean gradient of the weighted log-rate utility, as 2 * df/dtheta*:
+    the gradient of a one-row UtilityStack after its objective call at theta,
+    so the gradient and the objective describe the same function."""
+    stack = UtilityStack.of([(terms, kind, powers, weights)], noise_power_w)
+    stack.objective(theta[None])
+    return stack.gradient(theta[None])[0]
 
 
 @dataclass(frozen=True)
@@ -332,6 +308,5 @@ def optimize_phases(
     theta = 1): a one-row UtilityStack under rcg_lockstep."""
     if theta0 is None:
         theta0 = np.ones(terms.num_elements, dtype=complex)
-    w = np.ones(terms.num_users) if weights is None else weights
-    problem = UtilityStack.of([(terms, kind, powers, w)], noise_power_w)
+    problem = UtilityStack.of([(terms, kind, powers, weights)], noise_power_w)
     return rcg_lockstep(problem, np.asarray(theta0)[None], opts)[0]

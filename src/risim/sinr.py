@@ -42,7 +42,7 @@ class CascadeTerms:
 
     h1 and g1 give cluster 1's effective channel H(theta), whose row k is
     theta^H diag(g_k*) h1. Cluster 1 is zero-forced with unit-norm columns, so
-    its precoder is a function of theta and is not stored (see PhasePoint).
+    its precoder is a function of theta and is not stored (see UserParts).
     Column j of s = Z21^H Theta2 H2 u2 is the cluster-2 stream j as it
     leaves the neighbor RIS towards the serving RIS, so user k receives it
     with amplitude v_k^H s_j, v_k = g_k o theta.
@@ -226,23 +226,6 @@ def interference(
     return den, mv
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """What the utility and its gradient share at one theta.
-
-    Cluster 1 is zero-forced at theta with unit-norm columns, so intra-cluster
-    leakage vanishes and user k receives amplitude 1 / sqrt([G^-1]_kk) with
-    G = H(theta) H(theta)^H: sig_k = p_k / [G^-1]_kk. den and mv are
-    interference's.
-    """
-
-    h_eff: np.ndarray  # (K1, T1) effective channel H(theta)
-    g_inv: np.ndarray  # (K1, K1) G^-1
-    sig: np.ndarray  # (K1,) received signal power
-    den: np.ndarray  # (K1,) interference-plus-noise power
-    mv: np.ndarray | None  # (K1, L1^2) M_k theta; None for EIF
-
-
 def cascade_tensor(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """U[(k, t), n] = conj(g[k, n]) h[n, t] for g (..., K, N) and h (..., N, T).
 
@@ -272,23 +255,6 @@ def zf_gradient(u: np.ndarray, h_eff: np.ndarray, g_inv: np.ndarray, scale: np.n
     return -(m.swapaxes(1, 2).reshape(len(m), 1, -1) @ u)[:, 0]
 
 
-def phase_point(
-    terms: CascadeTerms,
-    theta: np.ndarray,
-    kind: ScenarioKind,
-    powers: PowerAllocation,
-    noise_power_w: float,
-) -> PhasePoint:
-    """Evaluate the ZF and interference terms of kind's utility at theta,
-    with H(theta) from a one-row stack as in UtilityStack.objective."""
-    u = cascade_tensor(terms.g1, terms.h1)
-    h_eff = cascade_channel(u[None], theta[None], terms.num_users)[0]
-    g_inv = np.linalg.inv(h_eff @ np.conj(h_eff).T)
-    sig = np.asarray(powers.cluster1, dtype=float) / np.diagonal(g_inv).real
-    den, mv = interference(terms, theta, kind, powers, noise_power_w)
-    return PhasePoint(h_eff=h_eff, g_inv=g_inv, sig=sig, den=den, mv=mv)
-
-
 @dataclass(frozen=True)
 class SinrReport:
     scenario: ScenarioKind
@@ -311,25 +277,14 @@ def _report(kind: ScenarioKind, sig: np.ndarray, den: np.ndarray, weights) -> Si
     )
 
 
-def scenario_sinr(terms, theta, kind, powers, noise_power_w, weights=None) -> SinrReport:
-    """Per-user SINR, rates and weighted sum rate for one scenario.
-
-    Raises ZfDegenerateError when ZF is ill conditioned at theta, as
-    evaluate_pair does.
-    """
-    kind = ScenarioKind(kind)
-    h_eff = effective_channel(terms.g1, theta, terms.h1)
-    check_zf_gram(h_eff @ np.conj(h_eff).T)
-    point = phase_point(terms, theta, kind, powers, noise_power_w)
-    return _report(kind, point.sig, point.den, weights)
-
-
 @dataclass(frozen=True)
 class UserParts:
     """Per-user scalars at one theta from which every scenario's SINR is mixed.
 
-    c_k = [G^-1]_kk for the ZF Gram G = H(theta) H(theta)^H, so sig_k =
-    p_k / c_k (see PhasePoint). With v_k = g_k o theta, q1_k = v_k^H R1 v_k is
+    c_k = [G^-1]_kk for the ZF Gram G = H(theta) H(theta)^H. Cluster 1 is
+    zero-forced at theta with unit-norm columns, so intra-cluster leakage
+    vanishes and user k receives amplitude 1 / sqrt(c_k): sig_k = p_k / c_k.
+    With v_k = g_k o theta, q1_k = v_k^H R1 v_k is
     the serving-RIS EMI user k receives per watt of emi1_w, qr_k =
     v_k^H W21^H R2 W21 v_k the EMI re-reflected by the neighbor per watt of
     emi2_w, and a[k, j] = |s_j^H v_k|^2 the inter-RIS reflection of cluster-2
@@ -375,8 +330,9 @@ def parts_sinr(parts, terms, kind, powers, noise_power_w, weights=None) -> SinrR
     """kind's SinrReport from parts, at the EMI levels and self factor of terms.
 
     For EMI_IRR, den_k = noise + max(f e1 q1_k + e2 qr_k + sum_j p2_j a[k, j], 0);
-    EMI keeps e1 q1_k, IRR the sum over j, and EIF is noise alone. This is
-    scenario_sinr at the parts' theta, up to roundoff.
+    EMI keeps e1 q1_k, IRR the sum over j, and EIF is noise alone. The den
+    of an interference call (see interference) at the parts' theta is the
+    same sum, up to roundoff.
     """
     kind = ScenarioKind(kind)
     inner = np.zeros(parts.c.size)
@@ -390,6 +346,21 @@ def parts_sinr(parts, terms, kind, powers, noise_power_w, weights=None) -> SinrR
     return _report(kind, np.asarray(powers.cluster1, dtype=float) / parts.c, den, weights)
 
 
+def scenario_sinr(terms, theta, kind, powers, noise_power_w, weights=None) -> SinrReport:
+    """kind's SinrReport at theta with ZF precoding at theta: parts_sinr of
+    the parts at theta (with the neighbor parts for IRR kinds).
+
+    Raises ZfDegenerateError when ZF is ill conditioned at theta. A caller
+    evaluating several cases, powers or EMI levels at one theta builds the
+    parts once instead (see TrialEvaluator).
+    """
+    kind = ScenarioKind(kind)
+    parts = user_parts(terms, theta)
+    if kind.has_irr:
+        parts = neighbor_parts(parts, terms, theta)
+    return parts_sinr(parts, terms, kind, powers, noise_power_w, weights)
+
+
 class UtilityStack:
     """B weighted log-rate utilities over (B, N) phases, one cluster per row.
 
@@ -398,15 +369,17 @@ class UtilityStack:
     cascade tensor u[b] (K T, N) (see cascade_tensor) in place of g and h.
     interference[b] is None for the interference-free utility (kind EIF), or
     the row's (terms, kind, powers) for kind's interference on those terms
-    (see interference); interference None makes every row EIF. objective and
-    gradient are weighted_log_utility and rcg.euclid_grad row by row, and
-    equal them bit for bit: the 2-D calls apply cascade_channel and
-    zf_gradient to one-row stacks, and the rest is a batched @ or
-    np.linalg.inv, which run the 2-D call's routine on each slice, or
-    elementwise. A non-EIF row adds the den
-    and M_k theta of one interference call per objective call. A stack of
-    EIF rows only makes no call per row. This is the problem protocol of
-    rcg.rcg_lockstep.
+    (see interference); interference None makes every row EIF. Row b's
+    utility is sum_k w_k ln(1 + sig_k / den_k) with sig_k = p_k / [G^-1]_kk
+    (see UserParts). Its gradient, 2 df/dtheta*, reuses the terms of the
+    row's last objective call: H(theta) depends on conj(theta) only, through
+    u (see zf_gradient), and dden_k/dtheta* = M_k theta (see interference).
+    Every step is a batched @ or np.linalg.inv, which run the 2-D routine on
+    each slice, or elementwise, so a row equals the same evaluation of its
+    cluster alone bit for bit. weighted_log_utility and rcg.euclid_grad are
+    one-row stacks. A non-EIF row adds the den and M_k theta of one
+    interference call per objective call. A stack of EIF rows only makes no
+    call per row. This is the problem protocol of rcg.rcg_lockstep.
     """
 
     def __init__(self, g, h, powers, weights, noise_power_w: float, interference=None):
@@ -427,14 +400,14 @@ class UtilityStack:
     @classmethod
     def of(cls, rows, noise_power_w: float) -> UtilityStack:
         """The stack of rows (terms, kind, powers, weights): kind's utility on
-        terms' cluster-1 channels, with weights an array. Every row needs the
-        same shapes."""
+        terms' cluster-1 channels, with weights an array or None (every
+        weight 1). Every row needs the same shapes."""
         rows = [(terms, ScenarioKind(kind), powers, weights) for terms, kind, powers, weights in rows]
         return cls(
             np.stack([terms.g1 for terms, *_ in rows]),
             np.stack([terms.h1 for terms, *_ in rows]),
             np.array([powers.cluster1 for _, _, powers, _ in rows], dtype=float),
-            np.array([weights for *_, weights in rows], dtype=float),
+            np.array([np.ones(terms.num_users) if w is None else w for terms, *_, w in rows], dtype=float),
             noise_power_w,
             [None if kind is ScenarioKind.EIF else (terms, kind, powers) for terms, kind, powers, _ in rows],
         )
@@ -487,9 +460,7 @@ def outage_indicator(rates: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def weighted_log_utility(terms, theta, kind, powers, noise_power_w, weights=None) -> float:
-    """Optimizer objective: sum of weighted natural-log rates."""
-    point = phase_point(terms, theta, kind, powers, noise_power_w)
-    vals = np.log1p(point.sig / point.den)
-    if weights is None:
-        return float(vals.sum())
-    return float(np.asarray(weights, dtype=float) @ vals)
+    """Optimizer objective: sum of weighted natural-log rates, the utility of
+    a one-row UtilityStack at theta."""
+    stack = UtilityStack.of([(terms, kind, powers, weights)], noise_power_w)
+    return float(stack.objective(theta[None])[0])

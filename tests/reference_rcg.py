@@ -8,17 +8,25 @@ the line-search constants, the memory, RcgOptions and RcgResult with
 risim.rcg, so a lockstep row and this loop describe the same algorithm, and
 the tests compare them bit for bit. project_tangent is the ambient
 tangent-space projection that the angle gradient and retraction are checked
-against. utility_pair is the 2-D objective and gradient the loop runs on,
-the reference for a row of sinr.UtilityStack.
+against.
+
+The 2-D evaluation of one cluster at one (N,) theta is kept here too, as the
+reference for a row of sinr.UtilityStack and for the per-user parts:
+phase_point (a PhasePoint: H(theta), G^-1, signal and interference),
+weighted_log_utility, euclid_grad and scenario_sinr. risim's functions of
+those names are one-row UtilityStack calls and the parts mix. utility_pair
+is the 2-D objective and gradient the scalar loop runs on.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
+from risim.precoding import check_zf_gram, effective_channel
 from risim.rcg import (
     ARMIJO_CONTRACTION,
     ARMIJO_SLOPE,
@@ -27,9 +35,106 @@ from risim.rcg import (
     MAX_BACKTRACKS,
     RcgOptions,
     RcgResult,
-    euclid_grad,
 )
-from risim.sinr import weighted_log_utility
+from risim.sinr import (
+    CascadeTerms,
+    PowerAllocation,
+    ScenarioKind,
+    SinrReport,
+    _report,
+    cascade_channel,
+    cascade_tensor,
+    interference,
+    zf_gradient,
+)
+
+
+@dataclass(frozen=True)
+class PhasePoint:
+    """What the utility and its gradient share at one theta.
+
+    Cluster 1 is zero-forced at theta with unit-norm columns, so intra-cluster
+    leakage vanishes and user k receives amplitude 1 / sqrt([G^-1]_kk) with
+    G = H(theta) H(theta)^H: sig_k = p_k / [G^-1]_kk. den and mv are
+    interference's.
+    """
+
+    h_eff: np.ndarray  # (K1, T1) effective channel H(theta)
+    g_inv: np.ndarray  # (K1, K1) G^-1
+    sig: np.ndarray  # (K1,) received signal power
+    den: np.ndarray  # (K1,) interference-plus-noise power
+    mv: np.ndarray | None  # (K1, L1^2) M_k theta; None for EIF
+
+
+def phase_point(
+    terms: CascadeTerms,
+    theta: np.ndarray,
+    kind: ScenarioKind,
+    powers: PowerAllocation,
+    noise_power_w: float,
+) -> PhasePoint:
+    """Evaluate the ZF and interference terms of kind's utility at theta,
+    with H(theta) from a one-row stack as in UtilityStack.objective."""
+    u = cascade_tensor(terms.g1, terms.h1)
+    h_eff = cascade_channel(u[None], theta[None], terms.num_users)[0]
+    g_inv = np.linalg.inv(h_eff @ np.conj(h_eff).T)
+    sig = np.asarray(powers.cluster1, dtype=float) / np.diagonal(g_inv).real
+    den, mv = interference(terms, theta, kind, powers, noise_power_w)
+    return PhasePoint(h_eff=h_eff, g_inv=g_inv, sig=sig, den=den, mv=mv)
+
+
+def scenario_sinr(terms, theta, kind, powers, noise_power_w, weights=None) -> SinrReport:
+    """Per-user SINR, rates and weighted sum rate for one scenario.
+
+    Raises ZfDegenerateError when ZF is ill conditioned at theta, as
+    evaluate_pair does.
+    """
+    kind = ScenarioKind(kind)
+    h_eff = effective_channel(terms.g1, theta, terms.h1)
+    check_zf_gram(h_eff @ np.conj(h_eff).T)
+    point = phase_point(terms, theta, kind, powers, noise_power_w)
+    return _report(kind, point.sig, point.den, weights)
+
+
+def weighted_log_utility(terms, theta, kind, powers, noise_power_w, weights=None) -> float:
+    """Optimizer objective: sum of weighted natural-log rates."""
+    point = phase_point(terms, theta, kind, powers, noise_power_w)
+    vals = np.log1p(point.sig / point.den)
+    if weights is None:
+        return float(vals.sum())
+    return float(np.asarray(weights, dtype=float) @ vals)
+
+
+def euclid_grad(
+    terms: CascadeTerms,
+    theta: np.ndarray,
+    kind: ScenarioKind,
+    powers: PowerAllocation,
+    noise_power_w: float,
+    weights=None,
+) -> np.ndarray:
+    """Euclidean gradient of the weighted log-rate utility, as 2 * df/dtheta*.
+
+    The utility is sum_k w_k ln(1 + p_k / (c_k den_k)) with c_k = [A]_kk,
+    A = G^-1 and G = H(theta) H(theta)^H (see PhasePoint). H depends on
+    conj(theta) only, through the cascade tensor U (see sinr.zf_gradient for
+    dc_k/dtheta*, here on a one-row stack as in UtilityStack.gradient), and
+    dden_k/dtheta* = M_k theta (see interference). Every quotient reuses
+    the exact terms of the SINR evaluation at theta (phase_point), so the
+    gradient and the objective always describe the same function.
+    """
+    kind = ScenarioKind(kind)
+    point = phase_point(terms, theta, kind, powers, noise_power_w)
+    g_inv, sig, den, mv = point.g_inv, point.sig, point.den, point.mv
+    c = np.diagonal(g_inv).real
+
+    w = np.ones(terms.num_users) if weights is None else np.asarray(weights, dtype=float)
+    share = w * sig / (sig + den)  # w_k gamma_k / (1 + gamma_k)
+    u = cascade_tensor(terms.g1, terms.h1)
+    grad = zf_gradient(u[None], point.h_eff[None], g_inv[None], (share / c)[None])[0]
+    if mv is not None:
+        grad = grad + (share / den) @ mv
+    return -2.0 * grad
 
 
 def utility_pair(terms, kind, powers, noise_power_w, weights=None):

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 import risim
-from reference_rcg import utility_pair
+from reference_rcg import phase_point, utility_pair
 from risim import (
     PowerAllocation,
     RcgOptions,
@@ -39,7 +39,7 @@ from risim import (
 from risim.ao import AO_WARM_RCG
 from risim.cli import EXIT_OK, cli_main
 from risim.harness import DEFAULT_CASES, Mode
-from risim.sinr import CascadeTerms, phase_point
+from risim.sinr import CascadeTerms
 
 NOISE = 1e-3
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference_rcg import phase_point
 from risim import (
     PowerAllocation,
     ZfDegenerateError,
@@ -11,7 +12,7 @@ from risim import (
     zf_precoder,
 )
 from risim.precoding import COND_LIMIT, check_zf_gram
-from risim.sinr import ScenarioKind, phase_point
+from risim.sinr import ScenarioKind
 
 
 def _cn(rng, *shape):

@@ -484,8 +484,8 @@ def _utility_rows(rng, kinds, num_elements=6, num_users=2):
 def test_shared_evaluation_gradient_equals_standalone_bitwise(kind):
     # each row's gradient reuses the terms of its last objective call, also
     # when some rows were evaluated again on their own; values and gradients
-    # equal weighted_log_utility and euclid_grad at each row's theta, bit for
-    # bit, whatever the row's stack-mates
+    # equal the reference's weighted_log_utility and euclid_grad at each row's
+    # theta, bit for bit, whatever the row's stack-mates
     rng = np.random.default_rng(55)
     kinds = list(ScenarioKind)
     rows = _utility_rows(rng, [kind] + [kinds[i] for i in rng.integers(0, 4, 4)])
@@ -497,10 +497,10 @@ def test_shared_evaluation_gradient_equals_standalone_bitwise(kind):
     values = stack.objective(theta[again], again)
     grad = stack.gradient(theta.copy())
     for b, (terms, k, powers, w) in enumerate(rows):
-        np.testing.assert_array_equal(grad[b], euclid_grad(terms, theta[b], k, powers, NOISE, w))
+        np.testing.assert_array_equal(grad[b], reference.euclid_grad(terms, theta[b], k, powers, NOISE, w))
     for i, b in enumerate(again):
         terms, k, powers, w = rows[b]
-        assert values[i] == weighted_log_utility(terms, theta[b], k, powers, NOISE, w)
+        assert values[i] == reference.weighted_log_utility(terms, theta[b], k, powers, NOISE, w)
     keep = np.array([True, False, True, True, False])
     np.testing.assert_array_equal(stack.take(keep).gradient(theta[keep]), grad[keep])
 

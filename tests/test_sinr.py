@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_rcg import utility_pair
+import reference_rcg as reference
+import risim
+from reference_rcg import phase_point, utility_pair
 from risim import (
     CascadeTerms,
     PowerAllocation,
@@ -30,7 +32,6 @@ from risim.sinr import (
     interference,
     neighbor_parts,
     parts_sinr,
-    phase_point,
     user_parts,
 )
 
@@ -296,6 +297,36 @@ def test_scenario_sinr_raises_at_degenerate_zf(kind):
         scenario_sinr(twin, theta, kind, powers, NOISE)
 
 
+def test_public_evaluators_equal_the_reference():
+    # weighted_log_utility and euclid_grad are one-row UtilityStack calls and
+    # scenario_sinr (evaluate_pair) is the parts mix; each must still be the
+    # 2-D evaluation of the reference, for every kind and EMI_IRR with and
+    # without its dense C
+    assert risim.evaluate_pair is risim.scenario_sinr
+    rng = np.random.default_rng(59)
+    for users, antennas in ((2, 2), (3, 4), (4, 4)):
+        terms, theta, powers, _ = _instance(rng, num_elements=7, num_users=users, num_antennas=antennas)
+        dense = replace(terms, cov=emi_irr_covariance(terms, powers))
+        weights = rng.uniform(0.5, 2.0, users)
+        for t, kind in [(terms, kind) for kind in ScenarioKind] + [(dense, ScenarioKind.EMI_IRR)]:
+            for w in (None, weights):
+                args = (t, theta, kind, powers, NOISE, w)
+                assert weighted_log_utility(*args) == reference.weighted_log_utility(*args)
+                np.testing.assert_array_equal(euclid_grad(*args), reference.euclid_grad(*args))
+                got, want = scenario_sinr(*args), reference.scenario_sinr(*args)
+                assert got.scenario is want.scenario is kind
+                np.testing.assert_allclose(got.sinr, want.sinr, rtol=1e-12)
+                np.testing.assert_allclose(got.rates_bps_hz, want.rates_bps_hz, rtol=1e-12)
+                assert got.sum_rate_bps_hz == pytest.approx(want.sum_rate_bps_hz, rel=1e-12)
+                np.testing.assert_array_equal(got.weights, want.weights)
+            by_name = scenario_sinr(t, theta, kind.value, powers, NOISE)
+            assert by_name.scenario is kind
+            np.testing.assert_array_equal(by_name.sinr, scenario_sinr(t, theta, kind, powers, NOISE).sinr)
+            twin = replace(t, g1=np.repeat(t.g1[:1], users, axis=0))
+            with pytest.raises(ZfDegenerateError):
+                scenario_sinr(twin, theta, kind, powers, NOISE)
+
+
 def test_report_fields_consistent():
     rng = np.random.default_rng(17)
     terms, theta, powers, _ = _instance(rng)
@@ -544,8 +575,8 @@ def test_parts_mix_matches_phase_point(sizes, factor, log_e1, log_e2, log_p):
         # at an equal sig, an equal SINR is an equal den
         report = parts_sinr(parts, terms, kind, powers, NOISE)
         np.testing.assert_allclose(sig / report.sinr, point.den, rtol=1e-12)
-        reference = scenario_sinr(terms, theta, kind, powers, NOISE)
-        np.testing.assert_allclose(report.rates_bps_hz, reference.rates_bps_hz, rtol=1e-12)
+        want = reference.scenario_sinr(terms, theta, kind, powers, NOISE)
+        np.testing.assert_allclose(report.rates_bps_hz, want.rates_bps_hz, rtol=1e-12)
 
 
 @st.composite
