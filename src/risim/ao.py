@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import ChannelRealization
 from .precoding import effective_channel, zf_precoder
 from .rcg import RcgOptions, RcgResult, optimize_phases, rcg_lockstep
-from .sinr import CascadeTerms, PowerAllocation, ScenarioKind, UtilityStack, emi_irr_covariance
+from .sinr import CascadeTerms, PowerAllocation, ScenarioKind, UtilityStack
 from .sinr import scenario_sinr as evaluate_pair  # the report of an optimized theta, ZF at it
 
 
@@ -66,18 +66,13 @@ def alternate_optimize(
     unit-norm ZF columns the intra-cluster leakage vanishes, so every
     scenario's SINR is a closed-form function of theta (see UserParts), and
     the alternation is block ascent on kind's utility of it, the utility of a
-    one-row UtilityStack. One L-BFGS run on that stack (optimize_phases, see
-    rcg.rcg_lockstep) from theta0 (default theta = 1) maximizes it directly,
-    so there is no outer loop; the name is kept from the alternating scheme.
-    The precoder is ZF at the returned theta, where evaluate_pair reports
-    kind's rates. An interference-unaware optimizer passes ScenarioKind.EIF;
-    IRR kinds need terms built with the neighbor RIS.
+    one-row UtilityStack. One L-BFGS run on that stack from theta0 (default
+    theta = 1) maximizes it directly, so there is no outer loop: this is
+    optimize_phases at the AO_RCG budget, and the name is kept from the
+    alternating scheme. The precoder is ZF at the returned theta, where
+    evaluate_pair reports kind's rates. An interference-unaware optimizer
+    passes ScenarioKind.EIF; IRR kinds need terms built with the neighbor RIS.
     """
-    kind = ScenarioKind(kind)
-    if kind is ScenarioKind.EMI_IRR:
-        # the run applies this C hundreds of times: one N^3 build makes each
-        # application one product instead of four (see interference)
-        terms = replace(terms, cov=emi_irr_covariance(terms, powers))
     return optimize_phases(terms, kind, powers, noise_power_w, weights, theta0=theta0, opts=opts)
 
 

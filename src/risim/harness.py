@@ -34,11 +34,9 @@ from .sinr import (
     SinrReport,
     UtilityStack,
     build_cascades,
-    emi_irr_covariance,
     neighbor_parts,
     outage_indicator,
     parts_sinr,
-    reflected_emi_covariance,
     user_parts,
 )
 
@@ -369,12 +367,13 @@ def _aware_runs(evaluator: TrialEvaluator, pairs) -> dict:
     There is a row per distinct (kind, EMI levels, cluster-1 power) among the
     non-EIF cases of pairs: kind's utility on the case's terms (a row of
     sinr.UtilityStack), from the unaware phases at that power, with the
-    AO_WARM_RCG budget. EMI_IRR rows apply the dense covariance C (see
-    sinr.emi_irr_covariance), built once per pair of EMI levels from one
-    W21^H R2 W21 per draw: neither depends on cluster 1's power. A case whose
-    neighbor ZF is degenerate gets no row; it is skipped when evaluated.
+    AO_WARM_RCG budget. The rows share the draw's cascade terms, so the stack
+    builds one dense EMI_IRR covariance per pair of EMI levels, from one
+    W21^H R2 W21 per draw (see UtilityStack.of): neither depends on cluster
+    1's power. A case whose neighbor ZF is degenerate gets no row; it is
+    skipped when evaluated.
     """
-    rows, theta0, covs, reflected = {}, [], {}, None
+    rows, theta0 = {}, []
     for point, case in pairs:
         kind = ScenarioKind(case.kind)
         emi1_w, emi2_w = _case_levels(case, evaluator.cfg)
@@ -386,17 +385,10 @@ def _aware_runs(evaluator: TrialEvaluator, pairs) -> dict:
             terms = replace(evaluator._terms(kind.has_irr), emi1_w=emi1_w, emi2_w=emi2_w)
         except ZfDegenerateError:
             continue
-        if kind is ScenarioKind.EMI_IRR:
-            if (emi1_w, emi2_w) not in covs:
-                if reflected is None:
-                    reflected = reflected_emi_covariance(terms)
-                covs[emi1_w, emi2_w] = emi_irr_covariance(replace(terms, reflected=reflected), point.powers)
-            terms = replace(terms, cov=covs[emi1_w, emi2_w])
         rows[key] = (terms, kind, point.powers, evaluator.w1)
         theta0.append(evaluator.runs[("ao_unaware", p1)].theta)
     if not rows:
         return {}
-    reflected = None  # only the rows' C are needed while the stack runs
     problem = UtilityStack.of(rows.values(), evaluator.noise)
     return dict(zip(rows, rcg_lockstep(problem, np.array(theta0), AO_WARM_RCG)))
 

@@ -49,13 +49,11 @@ class CascadeTerms:
     w21 = Theta2^H Z21 maps serving-RIS element signals to the neighbor RIS,
     so EMI re-reflected by the neighbor has covariance w21^H R2 w21 at the
     serving RIS. All interference terms are evaluated as matrix-vector
-    products on v_k (see interference); no per-user covariance is formed,
-    except that an optimizer may set cov to the dense EMI_IRR covariance, and
-    reflected to W21^H R2 W21 so that building cov at several EMI levels and
-    powers pays for that product once. EMI powers are the aggregate captured
-    levels (element area times EMI PSD integrated over the bandwidth) in
-    watts. The terms do not depend on the transmit powers, so one set serves
-    every power of a draw; a scenario's EMI levels are set with replace.
+    products on v_k (see interference); no per-user covariance is formed.
+    EMI powers are the aggregate captured levels (element area times EMI PSD
+    integrated over the bandwidth) in watts. The terms do not depend on the
+    transmit powers, so one set serves every power of a draw; a scenario's
+    EMI levels are set with replace.
     """
 
     h1: np.ndarray  # (L1^2, T1)
@@ -67,8 +65,6 @@ class CascadeTerms:
     s: np.ndarray | None = None  # (L1^2, K2)
     w21: np.ndarray | None = None  # (L2^2, L1^2)
     r2: np.ndarray | None = None  # (L2^2, L2^2) neighbor-RIS correlation
-    reflected: np.ndarray | None = None  # (L1^2, L1^2) reflected_emi_covariance, when prebuilt
-    cov: np.ndarray | None = None  # (L1^2, L1^2) prebuilt EMI_IRR C, see emi_irr_covariance
 
     @property
     def num_users(self) -> int:
@@ -147,25 +143,6 @@ def _cluster2_powers(terms: CascadeTerms, kind: ScenarioKind, powers: PowerAlloc
     return np.asarray(powers.cluster2, dtype=float)
 
 
-def _covariance_times(
-    terms: CascadeTerms, v: np.ndarray, kind: ScenarioKind, powers: PowerAllocation
-) -> np.ndarray:
-    """Rows C v_k of kind's interference covariance C, from its factors."""
-    cv = 0.0
-    if kind.has_irr:
-        p2 = _cluster2_powers(terms, kind, powers)
-        cv = (p2 * np.conj(np.conj(v) @ terms.s)) @ terms.s.T  # rows sum_j p2_j s_j s_j^H v_k
-    if kind.has_emi:
-        emi = terms.emi1_w * _times_transpose(v, terms.r1)  # rows emi1_w R1 v_k
-        if kind is ScenarioKind.EMI_IRR:
-            # rows w21^H R2 w21 v_k; x @ conj(w21) is taken as conj(conj(x) @ w21)
-            # so that no conjugated N x N copy of w21 is made per call
-            reflected = np.conj(np.conj(_times_transpose(v @ terms.w21.T, terms.r2)) @ terms.w21)
-            emi = terms.emi_self_factor * emi + terms.emi2_w * reflected
-        cv = cv + emi
-    return cv
-
-
 def reflected_emi_covariance(terms: CascadeTerms) -> np.ndarray:
     """W21^H R2 W21, the serving-RIS covariance of EMI re-reflected by the neighbor.
 
@@ -175,17 +152,16 @@ def reflected_emi_covariance(terms: CascadeTerms) -> np.ndarray:
     return np.conj(w21).T @ _times_transpose(w21.T, terms.r2).T
 
 
-def emi_irr_covariance(terms: CascadeTerms, powers: PowerAllocation) -> np.ndarray:
-    """The EMI_IRR covariance C (see interference) as one dense matrix.
+def emi_irr_covariance(terms: CascadeTerms, powers: PowerAllocation, reflected=None) -> np.ndarray:
+    """The EMI_IRR covariance C = f e1 R1 + e2 W21^H R2 W21 + S diag(p2) S^H
+    (see interference) as one dense matrix.
 
-    From its factors C v_k costs four N x N products (R1, w21 twice, R2); an
-    optimizer that applies the same C hundreds of times builds it once here
-    and sets it as CascadeTerms.cov for the same powers. W21^H R2 W21 is
-    terms.reflected when set, and is built here otherwise; the result is the
-    same to the last bit.
+    reflected is W21^H R2 W21 (reflected_emi_covariance), built here when not
+    given; passing it lets several EMI levels and powers share that N^3
+    product, with the same result to the last bit. The neighbor terms and
+    the cluster-2 powers are checked before any product is formed.
     """
     p2 = _cluster2_powers(terms, ScenarioKind.EMI_IRR, powers)
-    reflected = terms.reflected
     if reflected is None:
         reflected = reflected_emi_covariance(terms)
     return (
@@ -201,6 +177,7 @@ def interference(
     kind: ScenarioKind,
     powers: PowerAllocation,
     noise_power_w: float,
+    cov: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Interference-plus-noise power per user, with M_k theta for its gradient.
 
@@ -209,18 +186,21 @@ def interference(
     IRR, plus emi1_w R1 with EMI, where EMI_IRR scales that by the self factor
     and adds the re-reflected emi2_w w21^H R2 w21. With v_k = g_k o theta,
     M_k theta = g_k* o (C v_k) and den_k = noise + theta^H M_k theta. Returns
-    (den, mv) with mv[k] = M_k theta, or (noise, None) for EIF. C v_k is one
-    product with terms.cov when it is set and kind is EMI_IRR, and is formed
-    from the factors otherwise.
+    (den, mv) with mv[k] = M_k theta, or (noise, None) for EIF. IRR and EMI
+    apply C through its factors, EMI_IRR as one product with its dense C,
+    cov (emi_irr_covariance, built here when not given).
     """
     den = np.full(terms.num_users, float(noise_power_w))
     if kind is ScenarioKind.EIF:
         return den, None
     v = terms.g1 * theta  # rows v_k
-    if kind is ScenarioKind.EMI_IRR and terms.cov is not None:
-        cv = v @ terms.cov.T
+    if kind is ScenarioKind.EMI_IRR:
+        cv = v @ (emi_irr_covariance(terms, powers) if cov is None else cov).T
+    elif kind is ScenarioKind.IRR:
+        p2 = _cluster2_powers(terms, kind, powers)
+        cv = (p2 * np.conj(np.conj(v) @ terms.s)) @ terms.s.T  # rows sum_j p2_j s_j s_j^H v_k
     else:
-        cv = _covariance_times(terms, v, kind, powers)
+        cv = terms.emi1_w * _times_transpose(v, terms.r1)  # rows emi1_w R1 v_k
     mv = np.conj(terms.g1) * cv
     den = den + np.maximum((mv @ np.conj(theta)).real, 0.0)  # floored against roundoff
     return den, mv
@@ -368,8 +348,9 @@ class UtilityStack:
     and weights[b], all at one noise power. The stack keeps each row's
     cascade tensor u[b] (K T, N) (see cascade_tensor) in place of g and h.
     interference[b] is None for the interference-free utility (kind EIF), or
-    the row's (terms, kind, powers) for kind's interference on those terms
-    (see interference); interference None makes every row EIF. Row b's
+    the row's (terms, kind, powers, cov) for kind's interference on those
+    terms (see interference), with cov the dense C of an EMI_IRR row and None
+    otherwise; interference None makes every row EIF. Row b's
     utility is sum_k w_k ln(1 + sig_k / den_k) with sig_k = p_k / [G^-1]_kk
     (see UserParts). Its gradient, 2 df/dtheta*, reuses the terms of the
     row's last objective call: H(theta) depends on conj(theta) only, through
@@ -401,15 +382,34 @@ class UtilityStack:
     def of(cls, rows, noise_power_w: float) -> UtilityStack:
         """The stack of rows (terms, kind, powers, weights): kind's utility on
         terms' cluster-1 channels, with weights an array or None (every
-        weight 1). Every row needs the same shapes."""
+        weight 1). Every row needs the same shapes.
+
+        Every IRR-kind row's neighbor terms and cluster-2 powers are checked
+        first. Each EMI_IRR row then gets its dense C (emi_irr_covariance),
+        one per (neighbor terms, EMI levels, self factor, cluster-2 powers)
+        from one W21^H R2 W21 per neighbor terms, told apart by the identity
+        of their w21 (replace keeps it).
+        """
         rows = [(terms, ScenarioKind(kind), powers, weights) for terms, kind, powers, weights in rows]
+        p2 = [tuple(_cluster2_powers(t, kind, p)) if kind.has_irr else None for t, kind, p, _ in rows]
+        reflected, covs, per_row = {}, {}, []
+        for (terms, kind, powers, _), p2_row in zip(rows, p2):
+            cov = None
+            if kind is ScenarioKind.EMI_IRR:
+                key = (id(terms.w21), terms.emi1_w, terms.emi2_w, terms.emi_self_factor, p2_row)
+                if key not in covs:
+                    if id(terms.w21) not in reflected:
+                        reflected[id(terms.w21)] = reflected_emi_covariance(terms)
+                    covs[key] = emi_irr_covariance(terms, powers, reflected[id(terms.w21)])
+                cov = covs[key]
+            per_row.append(None if kind is ScenarioKind.EIF else (terms, kind, powers, cov))
         return cls(
             np.stack([terms.g1 for terms, *_ in rows]),
             np.stack([terms.h1 for terms, *_ in rows]),
             np.array([powers.cluster1 for _, _, powers, _ in rows], dtype=float),
             np.array([np.ones(terms.num_users) if w is None else w for terms, *_, w in rows], dtype=float),
             noise_power_w,
-            [None if kind is ScenarioKind.EIF else (terms, kind, powers) for terms, kind, powers, _ in rows],
+            per_row,
         )
 
     def objective(self, theta: np.ndarray, rows=None) -> np.ndarray:
@@ -424,8 +424,8 @@ class UtilityStack:
             den = np.full(sig.shape, self.noise)
             for i, r in enumerate(range(len(self.mv)) if rows is None else rows):
                 if self.interference[r] is not None:
-                    terms, kind, powers = self.interference[r]
-                    den[i], self.mv[r] = interference(terms, theta[i], kind, powers, self.noise)
+                    terms, kind, powers, cov = self.interference[r]
+                    den[i], self.mv[r] = interference(terms, theta[i], kind, powers, self.noise, cov)
             self.den[at] = den
         vals = np.log1p(sig / den)
         return (self.weights[at][:, None, :] @ vals[:, :, None])[:, 0, 0]

@@ -10,6 +10,7 @@ from risim import (
     RcgOptions,
     RcgResult,
     ScenarioKind,
+    UtilityStack,
     alternate_optimize,
     build_cascades,
     build_statistics,
@@ -21,6 +22,7 @@ from risim import (
     make_powers,
     optimize_cluster2,
     optimize_eif_stack,
+    rcg_lockstep,
     weighted_log_utility,
 )
 from risim.ao import AO_RCG, AO_WARM_RCG
@@ -217,21 +219,24 @@ def test_warm_run_starts_at_unaware_utility_and_never_ends_below(kind):
 
 
 def test_shared_reflected_emi_gives_the_same_covariance_bits():
-    # one W21^H R2 W21 per trial serves both EMI levels and every cluster-1 power
+    # one W21^H R2 W21 per trial serves both EMI levels and every cluster-1
+    # power: a stack whose rows share it, and their C, runs each row as alone
     base, (powers0, noise, weights) = _case(
         trial=2, emi_dbm=-75.0, with_cluster2=True, optimize_c2=True
     )
-    shared = replace(base, reflected=reflected_emi_covariance(base))
+    reflected = reflected_emi_covariance(base)
+    rows = []
     for emi_dbm in (-75.0, -65.0):
         for p1 in (0.01, 10.0):
             level = dbm_to_watts(emi_dbm)
             powers = PowerAllocation(np.full(2, p1), powers0.cluster2)
             terms = replace(base, emi1_w=level, emi2_w=level)
-            with_shared = replace(shared, emi1_w=level, emi2_w=level)
             np.testing.assert_array_equal(
-                emi_irr_covariance(with_shared, powers), emi_irr_covariance(terms, powers)
+                emi_irr_covariance(terms, powers, reflected), emi_irr_covariance(terms, powers)
             )
-            ctx = (powers, noise, weights)
-            fast = alternate_optimize(with_shared, ScenarioKind.EMI_IRR, *ctx, opts=AO_WARM_RCG)
-            alone = alternate_optimize(terms, ScenarioKind.EMI_IRR, *ctx, opts=AO_WARM_RCG)
-            np.testing.assert_array_equal(fast.trace, alone.trace)
+            rows.append((terms, ScenarioKind.EMI_IRR, powers, weights))
+    theta0 = np.ones((len(rows), base.num_elements), dtype=complex)
+    stacked = rcg_lockstep(UtilityStack.of(rows, noise), theta0, AO_WARM_RCG)
+    for fast, (terms, kind, powers, w) in zip(stacked, rows, strict=True):
+        alone = alternate_optimize(terms, kind, powers, noise, w, opts=AO_WARM_RCG)
+        np.testing.assert_array_equal(fast.trace, alone.trace)

@@ -411,8 +411,31 @@ def test_power_sweep_draws_and_runs_cluster2_once_per_trial(mode, monkeypatch):
         problem = call["problem"]
         assert isinstance(problem, sinr.UtilityStack)
         assert len(problem.interference) == call["theta0"].shape[0] == 3
-        assert all(kind is ScenarioKind.EMI_IRR for _, kind, _ in problem.interference)
+        assert all(kind is ScenarioKind.EMI_IRR for _, kind, _, _ in problem.interference)
         assert call["opts"] is ao.AO_WARM_RCG
+
+
+def test_aware_sweep_builds_one_covariance_per_emi_level(monkeypatch):
+    # per draw, one W21^H R2 W21 and one dense EMI_IRR C per EMI level, which
+    # the rows at that level share whatever their cluster-1 power
+    reflected = _count_calls(monkeypatch, sinr, "reflected_emi_covariance")
+    covs = _count_calls(monkeypatch, sinr, "emi_irr_covariance")
+    runs = _count_calls(monkeypatch, harness, "rcg_lockstep")
+    trials = 3
+    cases = (ScenarioCase(ScenarioKind.EMI_IRR, -75.0), ScenarioCase(ScenarioKind.EMI_IRR, -65.0))
+    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0, 40.0), scenarios=cases,
+                     mode=Mode.AWARE, trials=trials)
+    run_sweep(_tiny_cfg(), spec)
+    assert len(reflected) == trials
+    assert len(covs) == 2 * trials
+    assert len(runs) == trials
+    for call in runs:
+        by_level = {}
+        for terms, kind, _, cov in call["problem"].interference:
+            assert kind is ScenarioKind.EMI_IRR and cov is not None
+            by_level.setdefault(terms.emi1_w, []).append(cov)
+        (low_a, low_b), (high_a, high_b) = by_level.values()
+        assert low_a is low_b and high_a is high_b and low_a is not high_a
 
 
 @pytest.mark.parametrize("mode", list(Mode))

@@ -1,7 +1,5 @@
 """Gradients, manifold operations, line search, and the RCG loop."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -470,12 +468,10 @@ def test_optimize_phases_default_start_is_all_ones():
 
 def _utility_rows(rng, kinds, num_elements=6, num_users=2):
     """A row (terms, kind, powers, weights) of each kind, each on its own
-    channels; EMI_IRR rows carry their dense C, as the harness's do."""
+    channels."""
     rows = []
     for kind in kinds:
         terms, powers = _instance(rng, num_elements=num_elements, num_users=num_users)
-        if kind is ScenarioKind.EMI_IRR:
-            terms = replace(terms, cov=sinr.emi_irr_covariance(terms, powers))
         rows.append((terms, kind, powers, rng.uniform(0.5, 2.0, num_users)))
     return rows
 
@@ -793,16 +789,20 @@ def test_unweighted_pairs_and_restarts_change_only_their_row(monkeypatch):
 @st.composite
 def _utility_stacks(draw):
     """Rows of all four utilities, each on its own channels, over one element
-    and user count (EMI_IRR with its dense C or from its factors), with
-    random starts and a budget."""
+    and user count, with random starts and a budget. An EMI_IRR row may take
+    the terms and powers of the first EMI_IRR row instead, and so share its
+    dense C in the stack."""
     elements = draw(st.integers(2, 10))
     users = draw(st.integers(1, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = []
+    rows, first = [], None
     for kind in draw(st.lists(st.sampled_from(list(ScenarioKind)), min_size=1, max_size=5)):
         (terms, _, powers, weights), = _utility_rows(rng, [kind], num_elements=elements, num_users=users)
-        if draw(st.booleans()):
-            terms = replace(terms, cov=None)
+        if kind is ScenarioKind.EMI_IRR:
+            if first is None:
+                first = terms, powers
+            elif draw(st.booleans()):
+                terms, powers = first
         rows.append((terms, kind, powers, weights))
     shape = (len(rows), elements)
     theta0 = rng.uniform(0.5, 2.0, shape) * np.exp(1j * rng.uniform(0, 2 * np.pi, shape))

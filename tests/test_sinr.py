@@ -14,10 +14,12 @@ from risim import (
     CascadeTerms,
     PowerAllocation,
     ScenarioKind,
+    RcgOptions,
     ZfDegenerateError,
     build_cascades,
     euclid_grad,
     evaluate_pair,
+    optimize_phases,
     outage_indicator,
     ris_element_positions,
     scenario_sinr,
@@ -28,6 +30,7 @@ from risim import (
 )
 from risim.sinr import (
     UtilityStack,
+    _times_transpose,
     emi_irr_covariance,
     interference,
     neighbor_parts,
@@ -252,12 +255,28 @@ def test_irr_requires_neighbor_terms():
     scenario_sinr(terms, theta, ScenarioKind.EMI, powers, NOISE)
 
 
+def _optimizer_entry_points(terms, theta, kind, powers):
+    """Each optimizer-side way to evaluate kind's utility, as a thunk."""
+    args = (terms, theta, kind, powers, NOISE)
+    return [
+        lambda: weighted_log_utility(*args),
+        lambda: euclid_grad(*args),
+        lambda: optimize_phases(terms, kind, powers, NOISE, opts=RcgOptions(max_iters=1)),
+        lambda: UtilityStack.of([(terms, kind, powers, None)], NOISE).objective(theta[None]),
+    ]
+
+
 def test_irr_requires_cluster2_powers():
+    # the check comes before any product: the dense EMI_IRR C needs p2 too
     rng = np.random.default_rng(6)
     terms, theta, _, _ = _instance(rng)
     powers = PowerAllocation(cluster1=np.ones(2), cluster2=None)
     with pytest.raises(ValueError, match="cluster-2"):
         scenario_sinr(terms, theta, ScenarioKind.IRR, powers, NOISE)
+    for kind in (ScenarioKind.IRR, ScenarioKind.EMI_IRR):
+        for call in _optimizer_entry_points(terms, theta, kind, powers):
+            with pytest.raises(ValueError, match="cluster-2"):
+                call()
 
 
 def test_build_cascades_validates_shapes():
@@ -300,17 +319,15 @@ def test_scenario_sinr_raises_at_degenerate_zf(kind):
 def test_public_evaluators_equal_the_reference():
     # weighted_log_utility and euclid_grad are one-row UtilityStack calls and
     # scenario_sinr (evaluate_pair) is the parts mix; each must still be the
-    # 2-D evaluation of the reference, for every kind and EMI_IRR with and
-    # without its dense C
+    # 2-D evaluation of the reference, for every kind
     assert risim.evaluate_pair is risim.scenario_sinr
     rng = np.random.default_rng(59)
     for users, antennas in ((2, 2), (3, 4), (4, 4)):
         terms, theta, powers, _ = _instance(rng, num_elements=7, num_users=users, num_antennas=antennas)
-        dense = replace(terms, cov=emi_irr_covariance(terms, powers))
         weights = rng.uniform(0.5, 2.0, users)
-        for t, kind in [(terms, kind) for kind in ScenarioKind] + [(dense, ScenarioKind.EMI_IRR)]:
+        for kind in ScenarioKind:
             for w in (None, weights):
-                args = (t, theta, kind, powers, NOISE, w)
+                args = (terms, theta, kind, powers, NOISE, w)
                 assert weighted_log_utility(*args) == reference.weighted_log_utility(*args)
                 np.testing.assert_array_equal(euclid_grad(*args), reference.euclid_grad(*args))
                 got, want = scenario_sinr(*args), reference.scenario_sinr(*args)
@@ -319,10 +336,10 @@ def test_public_evaluators_equal_the_reference():
                 np.testing.assert_allclose(got.rates_bps_hz, want.rates_bps_hz, rtol=1e-12)
                 assert got.sum_rate_bps_hz == pytest.approx(want.sum_rate_bps_hz, rel=1e-12)
                 np.testing.assert_array_equal(got.weights, want.weights)
-            by_name = scenario_sinr(t, theta, kind.value, powers, NOISE)
+            by_name = scenario_sinr(terms, theta, kind.value, powers, NOISE)
             assert by_name.scenario is kind
-            np.testing.assert_array_equal(by_name.sinr, scenario_sinr(t, theta, kind, powers, NOISE).sinr)
-            twin = replace(t, g1=np.repeat(t.g1[:1], users, axis=0))
+            np.testing.assert_array_equal(by_name.sinr, scenario_sinr(terms, theta, kind, powers, NOISE).sinr)
+            twin = replace(terms, g1=np.repeat(terms.g1[:1], users, axis=0))
             with pytest.raises(ZfDegenerateError):
                 scenario_sinr(twin, theta, kind, powers, NOISE)
 
@@ -355,10 +372,14 @@ def test_weighted_log_utility_matches_report():
 
 
 def test_emi_irr_gradient_requires_neighbor():
+    # a ValueError naming the neighbor, not a TypeError from a product on the
+    # missing w21, whichever entry point builds the dense EMI_IRR C
     rng = np.random.default_rng(23)
     terms, theta, powers, _ = _instance(rng, neighbor=False)
-    with pytest.raises(ValueError, match="neighbor"):
-        euclid_grad(terms, theta, ScenarioKind.EMI_IRR, powers, NOISE)
+    for kind in (ScenarioKind.IRR, ScenarioKind.EMI_IRR):
+        for call in _optimizer_entry_points(terms, theta, kind, powers):
+            with pytest.raises(ValueError, match="neighbor"):
+                call()
 
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))
@@ -492,23 +513,39 @@ def test_unequal_cluster_sizes_match_direct_evaluation(sizes):
         )
 
 
+def _factored_emi_irr(terms, theta, powers):
+    """den and M_k theta of EMI_IRR with C v_k taken through C's factors:
+    four N x N products (R1, w21 twice, R2) and the N x K2 streams."""
+    v = terms.g1 * theta
+    p2 = np.asarray(powers.cluster2, dtype=float)
+    cv = (p2 * np.conj(np.conj(v) @ terms.s)) @ terms.s.T  # rows sum_j p2_j s_j s_j^H v_k
+    emi = terms.emi1_w * _times_transpose(v, terms.r1)  # rows emi1_w R1 v_k
+    reflected = np.conj(np.conj(_times_transpose(v @ terms.w21.T, terms.r2)) @ terms.w21)
+    cv = cv + terms.emi_self_factor * emi + terms.emi2_w * reflected
+    mv = np.conj(terms.g1) * cv
+    return NOISE + np.maximum((mv @ np.conj(theta)).real, 0.0), mv
+
+
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(_unequal_clusters())
 def test_dense_covariance_matches_factored_interference(sizes):
-    # an optimizer applies the prebuilt EMI_IRR covariance as one product;
-    # everything else applies it through its factors, and both must agree
+    # EMI_IRR applies its dense covariance as one product, and it must agree
+    # with C applied through its factors
     terms, powers, _, rng = _sized_instance(sizes)
-    dense = replace(terms, cov=emi_irr_covariance(terms, powers))
-    scale = np.abs(dense.cov).max()
-    np.testing.assert_allclose(dense.cov, np.conj(dense.cov).T, rtol=0, atol=1e-14 * scale)
+    cov = emi_irr_covariance(terms, powers)
+    scale = np.abs(cov).max()
+    np.testing.assert_allclose(cov, np.conj(cov).T, rtol=0, atol=1e-14 * scale)
     for _ in range(3):
         theta = _random_theta(rng, terms.num_elements)
-        den, mv = interference(terms, theta, ScenarioKind.EMI_IRR, powers, NOISE)
-        dense_den, dense_mv = interference(dense, theta, ScenarioKind.EMI_IRR, powers, NOISE)
+        den, mv = _factored_emi_irr(terms, theta, powers)
+        dense_den, dense_mv = interference(terms, theta, ScenarioKind.EMI_IRR, powers, NOISE, cov)
         np.testing.assert_allclose(dense_den, den, rtol=1e-12)
         np.testing.assert_allclose(dense_mv, mv, rtol=0, atol=1e-12 * np.abs(mv).max())
+        for got, want in zip(interference(terms, theta, ScenarioKind.EMI_IRR, powers, NOISE),
+                             (dense_den, dense_mv)):  # built when not given
+            np.testing.assert_array_equal(got, want)
         for kind in (ScenarioKind.EMI, ScenarioKind.IRR):  # C belongs to EMI_IRR only
-            for got, want in zip(interference(dense, theta, kind, powers, NOISE),
+            for got, want in zip(interference(terms, theta, kind, powers, NOISE, cov),
                                  interference(terms, theta, kind, powers, NOISE)):
                 np.testing.assert_array_equal(got, want)
 
@@ -517,14 +554,14 @@ def test_dense_covariance_matches_factored_interference(sizes):
 @given(_unequal_clusters())
 def test_interference_never_lowers_den_below_noise(sizes):
     terms, powers, _, rng = _sized_instance(sizes)
-    dense = replace(terms, cov=emi_irr_covariance(terms, powers))
+    cov = emi_irr_covariance(terms, powers)
     for _ in range(3):
         theta = _random_theta(rng, terms.num_elements)
         for kind in ScenarioKind:
-            for t in (terms, dense):
-                den, _ = interference(t, theta, kind, powers, NOISE)
+            for c in (None, cov):
+                den, _ = interference(terms, theta, kind, powers, NOISE, c)
                 assert np.all(den >= NOISE)
-                assert np.all(phase_point(t, theta, kind, powers, NOISE).den >= NOISE)
+            assert np.all(phase_point(terms, theta, kind, powers, NOISE).den >= NOISE)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)

@@ -94,7 +94,7 @@ def worker(spec: dict) -> dict:
     import numpy as np
 
     import risim
-    from risim import ao, sinr
+    from risim import ao
 
     long = risim.RcgOptions(epsilon=0.0, max_iters=spec["long"])
     own = {"cold": ao.AO_RCG.max_iters, "warm": ao.AO_WARM_RCG.max_iters}
@@ -129,14 +129,10 @@ def worker(spec: dict) -> dict:
                 real.h1, real.g1, r1, emi_self_factor=cfg.emi_self_factor,
                 theta2=th2, u2=u2, h2=real.h2, z21=real.z21, r2=r2,
             )
-            reflected = sinr.reflected_emi_covariance(base)
             rows = []
             for kind, level in CASES:
                 e = risim.dbm_to_watts(level)
-                terms = replace(base, emi1_w=e, emi2_w=e)
-                if kind == "emi_irr":
-                    terms = replace(terms, cov=sinr.emi_irr_covariance(replace(terms, reflected=reflected), powers))
-                rows.append((terms, kind, powers, w1))
+                rows.append((replace(base, emi1_w=e, emi2_w=e), kind, powers, w1))
             starts = [unaware[t].theta] * len(rows) + [np.ones(base.num_elements, dtype=complex)] * len(rows)
             made = risim.rcg_lockstep(risim.UtilityStack.of(rows + rows, cfg.noise_power_w), np.array(starts), long)
             for (kind, level), warm, cold in zip(CASES, made[: len(rows)], made[len(rows):]):
