@@ -40,7 +40,11 @@ def path_loss_linear(distance_m: float, carrier_ghz: float) -> float:
 
 @dataclass(frozen=True)
 class CorrelationModel:
-    """Spatial correlation matrix R and a factor F with F @ F^H == R."""
+    """Spatial correlation matrix R and a complex factor F with F @ F^H == R.
+
+    F is stored complex (real entries), so a draw F @ w with complex w
+    does not cast F to complex on every call; the product is the same.
+    """
 
     matrix: np.ndarray
     factor: np.ndarray
@@ -65,7 +69,7 @@ def spatial_correlation(positions: np.ndarray, wavelength_m: float) -> Correlati
     if eigvals.min() < EIG_NEG_TOL:
         raise ValueError(f"correlation matrix has eigenvalue {eigvals.min():.3e} < {EIG_NEG_TOL}")
     eigvals = np.where(eigvals < EIG_CLIP, 0.0, eigvals)
-    factor = eigvecs * np.sqrt(eigvals)[None, :]
+    factor = (eigvecs * np.sqrt(eigvals)[None, :]).astype(complex)
     return CorrelationModel(matrix=matrix, factor=factor)
 
 
@@ -116,14 +120,18 @@ class ChannelStatistics:
 
 
 def build_statistics(cfg: SystemConfig) -> ChannelStatistics:
-    """Correlation models and link gains; compute once per config."""
+    """Correlation models and link gains; compute once per config. Clusters
+    whose surfaces have the same side and element area share one model."""
     cfg = validate_config(cfg)
     fc = cfg.carrier_frequency_ghz
-    per_cluster = []
+    per_cluster, models = [], {}
     for cluster in cfg.clusters:
         area = cluster.element_area_m2
-        positions = ris_element_positions(cluster.ris_side, area)
-        corr = spatial_correlation(positions, cfg.wavelength_m)
+        surface = (cluster.ris_side, area)
+        if surface not in models:
+            positions = ris_element_positions(cluster.ris_side, area)
+            models[surface] = spatial_correlation(positions, cfg.wavelength_m)
+        corr = models[surface]
         ris = cluster.ris_position
         bs_gain = area * path_loss_linear(distance_3d(cluster.bs_position, ris), fc)
         ue_gain = area * np.array(

@@ -368,10 +368,10 @@ def _aware_runs(evaluator: TrialEvaluator, pairs) -> dict:
     non-EIF cases of pairs: kind's utility on the case's terms (a row of
     sinr.UtilityStack), from the unaware phases at that power, with the
     AO_WARM_RCG budget. The rows share the draw's cascade terms, so the stack
-    builds one dense EMI_IRR covariance per pair of EMI levels, from one
-    W21^H R2 W21 per draw (see UtilityStack.of): neither depends on cluster
-    1's power. A case whose neighbor ZF is degenerate gets no row; it is
-    skipped when evaluated.
+    builds one EMI_IRR operator per ratio e2 / e1 of EMI levels, one for
+    every per-case level, from one W21^H R2 W21 per draw (see
+    UtilityStack.of): neither depends on cluster 1's power. A case whose
+    neighbor ZF is degenerate gets no row; it is skipped when evaluated.
     """
     rows, theta0 = {}, []
     for point, case in pairs:

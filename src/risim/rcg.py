@@ -58,7 +58,6 @@ class RcgResult:
     converged: bool  # tolerance met (as opposed to hitting the cap or stagnating)
     stagnated: bool
     max_unit_deviation: float  # largest ||theta_n| - 1| over the start and accepted points
-    max_tangency_residual: float  # largest |Re(conj(theta_n) (j theta_n d_n))| over the directions
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -176,8 +175,7 @@ def rcg_lockstep(problem, theta0: np.ndarray, opts: RcgOptions = RcgOptions()) -
     final_theta = np.empty_like(theta)
     final_f = np.empty(num_rows)
     max_dev = np.abs(np.abs(theta) - 1.0).max(axis=1)
-    max_tan = np.zeros(num_rows)
-    out_dev, out_tan = np.empty(num_rows), np.empty(num_rows)
+    out_dev = np.empty(num_rows)
     ids = np.arange(num_rows)  # the stack rows still running
 
     # the ring of (s, y) pairs: pair i of every running row is in slot i % m
@@ -219,8 +217,6 @@ def rcg_lockstep(problem, theta0: np.ndarray, opts: RcgOptions = RcgOptions()) -
             rho[:, restart] = 0.0
             primed[restart] = False
         grad_norms[ids, iteration - 1] = np.sqrt(gg)
-        tan = np.abs(theta.real * (theta.imag * d) - theta.imag * (theta.real * d)).max(axis=1)
-        max_tan = np.where(tan > max_tan, tan, max_tan)
         iterations[ids] = iteration
 
         # Armijo backtracking, each row from its own first step
@@ -267,16 +263,16 @@ def rcg_lockstep(problem, theta0: np.ndarray, opts: RcgOptions = RcgOptions()) -
         if stop.any():
             gone = ids[stop]
             final_theta[gone], final_f[gone] = theta[stop], f[stop]
-            out_dev[gone], out_tan[gone] = max_dev[stop], max_tan[stop]
+            out_dev[gone] = max_dev[stop]
             keep = ~stop
             ids, theta, f, step, c = ids[keep], theta[keep], f[keep], step[keep], c[keep]
-            d, g, max_dev, max_tan = d[keep], g[keep], max_dev[keep], max_tan[keep]
+            d, g, max_dev = d[keep], g[keep], max_dev[keep]
             pair_s, pair_y, rho, gamma = pair_s[:, keep], pair_y[:, keep], rho[:, keep], gamma[keep]
             if ids.size == 0:
                 break
             problem = problem.take(keep)
     final_theta[ids], final_f[ids] = theta, f  # the rows that ran to the cap
-    out_dev[ids], out_tan[ids] = max_dev, max_tan
+    out_dev[ids] = max_dev
 
     return [
         RcgResult(
@@ -289,7 +285,6 @@ def rcg_lockstep(problem, theta0: np.ndarray, opts: RcgOptions = RcgOptions()) -
             converged=bool(converged[b]),
             stagnated=bool(stagnated[b]),
             max_unit_deviation=float(out_dev[b]),
-            max_tangency_residual=float(out_tan[b]),
         )
         for b in range(num_rows)
     ]

@@ -144,31 +144,58 @@ def _cluster2_powers(terms: CascadeTerms, kind: ScenarioKind, powers: PowerAlloc
 
 
 def reflected_emi_covariance(terms: CascadeTerms) -> np.ndarray:
-    """W21^H R2 W21, the serving-RIS covariance of EMI re-reflected by the neighbor.
+    """D = W21^H R2 W21, the serving-RIS covariance of EMI re-reflected by the neighbor.
 
-    One N^3 product; it depends on the draw and the cluster-2 state only.
+    It depends on the draw and the cluster-2 state only. A real R2 (a
+    correlation, so symmetric) takes five real N^3 products: with P = R2 Re W
+    and Q = R2 Im W, Re D = Re W^T P + Im W^T Q and Im D = T - T^T for
+    T = Re W^T Q. A complex R2 takes the complex product.
     """
-    w21 = terms.w21
-    return np.conj(w21).T @ _times_transpose(w21.T, terms.r2).T
+    w21, r2 = terms.w21, terms.r2
+    if np.iscomplexobj(r2) or not np.array_equal(r2, r2.T):
+        return np.conj(w21).T @ (r2 @ w21)
+    wr, wi = w21.real.copy(), w21.imag.copy()
+    re = wr.T @ (r2 @ wr)
+    q = r2 @ wi
+    re += wi.T @ q
+    t = wr.T @ q
+    del wr, wi, q  # the peak stays at five N x N real arrays
+    out = np.empty(t.shape, dtype=complex)
+    out.real = re
+    np.subtract(t, t.T, out=out.imag)
+    return out
 
 
-def emi_irr_covariance(terms: CascadeTerms, powers: PowerAllocation, reflected=None) -> np.ndarray:
-    """The EMI_IRR covariance C = f e1 R1 + e2 W21^H R2 W21 + S diag(p2) S^H
-    (see interference) as one dense matrix.
+def _operator_key(terms: CascadeTerms):
+    """What the EMI_IRR operator of terms depends on (see emi_irr_operator), or
+    None without EMI: the neighbor terms and serving correlation, told apart
+    by identity (replace keeps it), the self factor and e2 / e1."""
+    e1, e2 = terms.emi1_w, terms.emi2_w
+    if not (e1 or e2):
+        return None
+    ratio = e2 / e1 if e1 else None
+    return (id(terms.w21), id(terms.r2), id(terms.r1), terms.emi_self_factor, ratio)
 
-    reflected is W21^H R2 W21 (reflected_emi_covariance), built here when not
-    given; passing it lets several EMI levels and powers share that N^3
-    product, with the same result to the last bit. The neighbor terms and
-    the cluster-2 powers are checked before any product is formed.
+
+def emi_irr_operator(terms: CascadeTerms, reflected=None) -> np.ndarray | None:
+    """A, with e A = f e1 R1 + e2 D the EMI part of the EMI_IRR covariance,
+    or None when e1 = e2 = 0.
+
+    With e1 nonzero, e = e1 and A = f R1 + (e2 / e1) D, so every EMI level
+    with the same e2 / e1 (every per-case level, e1 = e2) shares one A; with
+    e1 = 0, e = e2 and A = D. reflected is D (reflected_emi_covariance),
+    built here when not given; passing it lets several operators share it,
+    with the same result to the last bit.
     """
-    p2 = _cluster2_powers(terms, ScenarioKind.EMI_IRR, powers)
+    if not (terms.emi1_w or terms.emi2_w):
+        return None
     if reflected is None:
         reflected = reflected_emi_covariance(terms)
-    return (
-        (terms.emi_self_factor * terms.emi1_w) * terms.r1
-        + terms.emi2_w * reflected
-        + (terms.s * p2) @ np.conj(terms.s).T
-    )
+    if not terms.emi1_w:
+        return reflected
+    op = (terms.emi2_w / terms.emi1_w) * reflected
+    op += terms.emi_self_factor * terms.r1
+    return op
 
 
 def interference(
@@ -177,28 +204,33 @@ def interference(
     kind: ScenarioKind,
     powers: PowerAllocation,
     noise_power_w: float,
-    cov: np.ndarray | None = None,
+    av: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Interference-plus-noise power per user, with M_k theta for its gradient.
 
     M_k = diag(g_k*) C diag(g_k) is the interference covariance C at the
-    serving RIS seen through user k's channel: C = sum_j p2_j s_j s_j^H with
-    IRR, plus emi1_w R1 with EMI, where EMI_IRR scales that by the self factor
-    and adds the re-reflected emi2_w w21^H R2 w21. With v_k = g_k o theta,
-    M_k theta = g_k* o (C v_k) and den_k = noise + theta^H M_k theta. Returns
-    (den, mv) with mv[k] = M_k theta, or (noise, None) for EIF. IRR and EMI
-    apply C through its factors, EMI_IRR as one product with its dense C,
-    cov (emi_irr_covariance, built here when not given).
+    serving RIS seen through user k's channel: C = S diag(p2) S^H with IRR,
+    emi1_w R1 with EMI, and e A + S diag(p2) S^H with EMI_IRR, where e A =
+    f e1 R1 + e2 W21^H R2 W21 adds the EMI re-reflected by the neighbor (see
+    emi_irr_operator). With v_k = g_k o theta, M_k theta = g_k* o (C v_k) and
+    den_k = noise + theta^H M_k theta. Returns (den, mv) with mv[k] =
+    M_k theta, or (noise, None) for EIF. The IRR term goes through S's K2
+    columns. For EMI_IRR, av is v @ A.T (rows A v_k), formed here when not
+    given; UtilityStack.objective forms it for all the rows that share A in
+    one product.
     """
     den = np.full(terms.num_users, float(noise_power_w))
     if kind is ScenarioKind.EIF:
         return den, None
     v = terms.g1 * theta  # rows v_k
-    if kind is ScenarioKind.EMI_IRR:
-        cv = v @ (emi_irr_covariance(terms, powers) if cov is None else cov).T
-    elif kind is ScenarioKind.IRR:
+    if kind.has_irr:
         p2 = _cluster2_powers(terms, kind, powers)
         cv = (p2 * np.conj(np.conj(v) @ terms.s)) @ terms.s.T  # rows sum_j p2_j s_j s_j^H v_k
+        scale = terms.emi1_w or terms.emi2_w  # e of emi_irr_operator
+        if kind is ScenarioKind.EMI_IRR and scale:
+            if av is None:
+                av = _times_transpose(v, emi_irr_operator(terms))
+            cv = scale * av + cv
     else:
         cv = terms.emi1_w * _times_transpose(v, terms.r1)  # rows emi1_w R1 v_k
     mv = np.conj(terms.g1) * cv
@@ -348,19 +380,22 @@ class UtilityStack:
     and weights[b], all at one noise power. The stack keeps each row's
     cascade tensor u[b] (K T, N) (see cascade_tensor) in place of g and h.
     interference[b] is None for the interference-free utility (kind EIF), or
-    the row's (terms, kind, powers, cov) for kind's interference on those
-    terms (see interference), with cov the dense C of an EMI_IRR row and None
-    otherwise; interference None makes every row EIF. Row b's
+    the row's (terms, kind, powers, op) for kind's interference on those
+    terms (see interference), with op the operator A of an EMI_IRR row with
+    EMI (emi_irr_operator) and None otherwise; interference None makes every
+    row EIF. Row b's
     utility is sum_k w_k ln(1 + sig_k / den_k) with sig_k = p_k / [G^-1]_kk
     (see UserParts). Its gradient, 2 df/dtheta*, reuses the terms of the
     row's last objective call: H(theta) depends on conj(theta) only, through
     u (see zf_gradient), and dden_k/dtheta* = M_k theta (see interference).
     Every step is a batched @ or np.linalg.inv, which run the 2-D routine on
     each slice, or elementwise, so a row equals the same evaluation of its
-    cluster alone bit for bit. weighted_log_utility and rcg.euclid_grad are
-    one-row stacks. A non-EIF row adds the den and M_k theta of one
-    interference call per objective call. A stack of EIF rows only makes no
-    call per row. This is the problem protocol of rcg.rcg_lockstep.
+    cluster alone bit for bit; so do the EMI_IRR rows that share one A, whose
+    products with it are one (see _operator_products). weighted_log_utility
+    and rcg.euclid_grad are one-row stacks. A non-EIF row adds the den and
+    M_k theta of one interference call per objective call. A stack of EIF
+    rows only makes no call per row. This is the problem protocol of
+    rcg.rcg_lockstep.
     """
 
     def __init__(self, g, h, powers, weights, noise_power_w: float, interference=None):
@@ -385,24 +420,26 @@ class UtilityStack:
         weight 1). Every row needs the same shapes.
 
         Every IRR-kind row's neighbor terms and cluster-2 powers are checked
-        first. Each EMI_IRR row then gets its dense C (emi_irr_covariance),
-        one per (neighbor terms, EMI levels, self factor, cluster-2 powers)
-        from one W21^H R2 W21 per neighbor terms, told apart by the identity
-        of their w21 (replace keeps it).
+        first. Each EMI_IRR row then gets its operator A (emi_irr_operator),
+        one per _operator_key, from one W21^H R2 W21 per neighbor terms: the
+        rows of a draw at every EMI level with e2 / e1 fixed and every power
+        share one A.
         """
         rows = [(terms, ScenarioKind(kind), powers, weights) for terms, kind, powers, weights in rows]
-        p2 = [tuple(_cluster2_powers(t, kind, p)) if kind.has_irr else None for t, kind, p, _ in rows]
-        reflected, covs, per_row = {}, {}, []
-        for (terms, kind, powers, _), p2_row in zip(rows, p2):
-            cov = None
-            if kind is ScenarioKind.EMI_IRR:
-                key = (id(terms.w21), terms.emi1_w, terms.emi2_w, terms.emi_self_factor, p2_row)
-                if key not in covs:
-                    if id(terms.w21) not in reflected:
-                        reflected[id(terms.w21)] = reflected_emi_covariance(terms)
-                    covs[key] = emi_irr_covariance(terms, powers, reflected[id(terms.w21)])
-                cov = covs[key]
-            per_row.append(None if kind is ScenarioKind.EIF else (terms, kind, powers, cov))
+        for terms, kind, powers, _ in rows:
+            if kind.has_irr:
+                _cluster2_powers(terms, kind, powers)
+        reflected, ops, per_row = {}, {}, []
+        for terms, kind, powers, _ in rows:
+            op = None
+            key = _operator_key(terms) if kind is ScenarioKind.EMI_IRR else None
+            if key is not None:
+                if key not in ops:
+                    if key[:2] not in reflected:
+                        reflected[key[:2]] = reflected_emi_covariance(terms)
+                    ops[key] = emi_irr_operator(terms, reflected[key[:2]])
+                op = ops[key]
+            per_row.append(None if kind is ScenarioKind.EIF else (terms, kind, powers, op))
         return cls(
             np.stack([terms.g1 for terms, *_ in rows]),
             np.stack([terms.h1 for terms, *_ in rows]),
@@ -411,6 +448,28 @@ class UtilityStack:
             noise_power_w,
             per_row,
         )
+
+    def _operator_products(self, theta: np.ndarray, index) -> dict:
+        """v @ A.T of each evaluated EMI_IRR row i (a row of theta, stack row
+        index[i]), by i: one product per operator A over the rows that share it.
+
+        Each K-row block of a (r K, N) complex product equals the K-row
+        product alone bit for bit when K >= 2, so a row does not depend on
+        its stack-mates; one row of one user is a matrix-vector product with
+        other roundoff, so with K = 1 every row keeps its own product.
+        """
+        users = self.powers.shape[1]
+        groups = {}
+        for i, r in enumerate(index):
+            row = self.interference[r]
+            if row is not None and row[3] is not None:
+                groups.setdefault(id(row[3]) if users > 1 else i, []).append(i)
+        out = {}
+        for members in groups.values():
+            op = self.interference[index[members[0]]][3]
+            v = np.concatenate([self.interference[index[i]][0].g1 * theta[i] for i in members])
+            out.update(zip(members, _times_transpose(v, op).reshape(len(members), users, -1)))
+        return out
 
     def objective(self, theta: np.ndarray, rows=None) -> np.ndarray:
         """The utilities of rows (default: all) at theta, one row of theta each."""
@@ -422,10 +481,12 @@ class UtilityStack:
         den = self.noise
         if self.interference is not None:
             den = np.full(sig.shape, self.noise)
-            for i, r in enumerate(range(len(self.mv)) if rows is None else rows):
+            index = range(len(self.mv)) if rows is None else rows
+            av = self._operator_products(theta, index)
+            for i, r in enumerate(index):
                 if self.interference[r] is not None:
-                    terms, kind, powers, cov = self.interference[r]
-                    den[i], self.mv[r] = interference(terms, theta[i], kind, powers, self.noise, cov)
+                    terms, kind, powers, _ = self.interference[r]
+                    den[i], self.mv[r] = interference(terms, theta[i], kind, powers, self.noise, av.get(i))
             self.den[at] = den
         vals = np.log1p(sig / den)
         return (self.weights[at][:, None, :] @ vals[:, :, None])[:, 0, 0]

@@ -264,7 +264,6 @@ def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = Rcg
     converged = False
     stagnated = False
     max_dev = float(np.abs(np.abs(theta) - 1.0).max()) if theta.size else 0.0
-    max_tan = 0.0
 
     for iteration in range(1, opts.max_iters + 1):
         egrad = gradient(theta)
@@ -292,9 +291,6 @@ def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = Rcg
             pairs = deque(((s, y, 0.0) for s, y, _ in pairs), maxlen=LBFGS_MEMORY)
             primed = False
         grad_norms.append(float(np.linalg.norm(g)))
-        if d.size:  # the normal part Re(conj(theta) (j theta d)) of the direction
-            residual = theta.real * (theta.imag * d) - theta.imag * (theta.real * d)
-            max_tan = max(max_tan, float(np.abs(residual).max()))
         if slope <= 0.0:  # stationary point
             steps.append(0.0)
             stagnated = True
@@ -324,5 +320,4 @@ def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = Rcg
         converged=converged,
         stagnated=stagnated,
         max_unit_deviation=max_dev,
-        max_tangency_residual=max_tan,
     )

@@ -34,6 +34,7 @@ from risim import (
     scenario_sinr,
     spatial_correlation,
     trial_rng,
+    weighted_log_utility,
     zf_precoder,
 )
 from risim.ao import AO_WARM_RCG
@@ -352,29 +353,31 @@ def test_a7_interference_awareness_pays_off():
 # A8 --------------------------------------------------------------------------
 
 def test_a8_manifold_invariants():
-    """Unit modulus and tangency hold at every iteration; traces never decrease."""
+    """Unit modulus holds at every iteration, each run's objective is its
+    utility at the phases it returns, and traces never decrease."""
     rng = np.random.default_rng(8)
     worst_dev = 0.0
-    worst_tan = 0.0
+    mismatched = 0
     worst_dip = 0.0
     kinds = list(ScenarioKind)
     for i in range(100):
         num_elements = int(rng.integers(4, 13))
         terms, theta0, powers, _, _ = _instance(rng, num_elements)
+        kind = kinds[i % 4]
         res = optimize_phases(
-            terms, kinds[i % 4], powers, NOISE, theta0=theta0,
+            terms, kind, powers, NOISE, theta0=theta0,
             opts=RcgOptions(max_iters=40),
         )
         worst_dev = max(worst_dev, res.max_unit_deviation)
-        worst_tan = max(worst_tan, res.max_tangency_residual)
+        mismatched += weighted_log_utility(terms, res.theta, kind, powers, NOISE) != res.objective
         if res.trace.size > 1:
             worst_dip = max(worst_dip, float(np.max(-np.diff(res.trace))))
     _verdict(
         "A8 manifold invariants",
-        worst_dev <= 1e-12 and worst_tan <= 1e-10 and worst_dip <= 0.0,
+        worst_dev <= 1e-12 and mismatched == 0 and worst_dip <= 0.0,
         (
             f"max |theta|-1 {worst_dev:.2e} (tol 1e-12), "
-            f"max tangency {worst_tan:.2e} (tol 1e-10), "
+            f"runs whose objective is not the utility at their theta {mismatched} of 100, "
             f"largest trace dip {worst_dip:.2e}"
         ),
     )

@@ -26,7 +26,7 @@ from risim import (
     weighted_log_utility,
 )
 from risim.ao import AO_RCG, AO_WARM_RCG
-from risim.sinr import emi_irr_covariance, reflected_emi_covariance
+from risim.sinr import emi_irr_operator, reflected_emi_covariance
 
 
 def _small_cfg(side=5):
@@ -220,23 +220,27 @@ def test_warm_run_starts_at_unaware_utility_and_never_ends_below(kind):
 
 def test_shared_reflected_emi_gives_the_same_covariance_bits():
     # one W21^H R2 W21 per trial serves both EMI levels and every cluster-1
-    # power: a stack whose rows share it, and their C, runs each row as alone
+    # power, and so does one operator A: a stack whose rows share them runs
+    # each row as alone
     base, (powers0, noise, weights) = _case(
         trial=2, emi_dbm=-75.0, with_cluster2=True, optimize_c2=True
     )
     reflected = reflected_emi_covariance(base)
+    op = emi_irr_operator(base, reflected)
     rows = []
     for emi_dbm in (-75.0, -65.0):
         for p1 in (0.01, 10.0):
             level = dbm_to_watts(emi_dbm)
             powers = PowerAllocation(np.full(2, p1), powers0.cluster2)
             terms = replace(base, emi1_w=level, emi2_w=level)
-            np.testing.assert_array_equal(
-                emi_irr_covariance(terms, powers, reflected), emi_irr_covariance(terms, powers)
-            )
+            np.testing.assert_array_equal(emi_irr_operator(terms, reflected), emi_irr_operator(terms))
+            np.testing.assert_array_equal(emi_irr_operator(terms), op)
             rows.append((terms, ScenarioKind.EMI_IRR, powers, weights))
+    problem = UtilityStack.of(rows, noise)
+    assert all(row[3] is problem.interference[0][3] for row in problem.interference)
+    np.testing.assert_array_equal(problem.interference[0][3], op)
     theta0 = np.ones((len(rows), base.num_elements), dtype=complex)
-    stacked = rcg_lockstep(UtilityStack.of(rows, noise), theta0, AO_WARM_RCG)
+    stacked = rcg_lockstep(problem, theta0, AO_WARM_RCG)
     for fast, (terms, kind, powers, w) in zip(stacked, rows, strict=True):
         alone = alternate_optimize(terms, kind, powers, noise, w, opts=AO_WARM_RCG)
         np.testing.assert_array_equal(fast.trace, alone.trace)

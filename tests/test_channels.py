@@ -182,6 +182,35 @@ def _small_cfg(side1=3, side2=4):
     )
 
 
+def test_equal_surfaces_share_one_correlation_model():
+    # the default clusters have equal surfaces, so their statistics hold one
+    # model; unequal sides each get the model spatial_correlation builds
+    cfg = default_config()
+    stats = build_statistics(cfg)
+    assert stats.clusters[0].corr is stats.clusters[1].corr
+    cfg = _small_cfg(3, 4)
+    stats = build_statistics(cfg)
+    for cluster, cs in zip(cfg.clusters, stats.clusters, strict=True):
+        positions = ris_element_positions(cluster.ris_side, cluster.element_area_m2)
+        want = spatial_correlation(positions, cfg.wavelength_m)
+        np.testing.assert_array_equal(cs.corr.matrix, want.matrix)
+        np.testing.assert_array_equal(cs.corr.factor, want.factor)
+
+
+@pytest.mark.parametrize("side", [5, 20])
+def test_complex_factor_draws_equal_the_real_factor_product(side):
+    # the factor is stored complex with real entries; a draw equals the
+    # product with the real factor bit for bit
+    corr = spatial_correlation(ris_element_positions(side, 1.0 / 16), 1.0)
+    assert corr.factor.dtype == complex and np.all(corr.factor.imag == 0.0)
+    real_factor = corr.factor.real.copy()
+    for cols in (1, 2):
+        got = sample_correlated_rayleigh(corr, 0.3, cols, np.random.default_rng(side))
+        rng = np.random.default_rng(side)  # the same CN(0, 1) samples as the draw
+        w = np.sqrt(0.5) * (rng.standard_normal((side**2, cols)) + 1j * rng.standard_normal((side**2, cols)))
+        np.testing.assert_array_equal(got, np.sqrt(0.3) * (real_factor @ w))
+
+
 def test_draw_realization_shapes():
     cfg = _small_cfg()
     stats = build_statistics(cfg)

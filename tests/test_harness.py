@@ -24,6 +24,7 @@ from risim import (
     ZfDegenerateError,
     aggregate,
     build_statistics,
+    dbm_to_watts,
     default_config,
     draw_realization,
     make_powers,
@@ -415,27 +416,26 @@ def test_power_sweep_draws_and_runs_cluster2_once_per_trial(mode, monkeypatch):
         assert call["opts"] is ao.AO_WARM_RCG
 
 
-def test_aware_sweep_builds_one_covariance_per_emi_level(monkeypatch):
-    # per draw, one W21^H R2 W21 and one dense EMI_IRR C per EMI level, which
-    # the rows at that level share whatever their cluster-1 power
+def test_aware_sweep_builds_one_operator_per_draw(monkeypatch):
+    # per draw, one W21^H R2 W21 and one EMI_IRR operator A, which every row
+    # holds, whatever its EMI level (e2 / e1 = 1 at each) or cluster-1 power
     reflected = _count_calls(monkeypatch, sinr, "reflected_emi_covariance")
-    covs = _count_calls(monkeypatch, sinr, "emi_irr_covariance")
+    ops = _count_calls(monkeypatch, sinr, "emi_irr_operator")
     runs = _count_calls(monkeypatch, harness, "rcg_lockstep")
     trials = 3
-    cases = (ScenarioCase(ScenarioKind.EMI_IRR, -75.0), ScenarioCase(ScenarioKind.EMI_IRR, -65.0))
-    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0, 40.0), scenarios=cases,
-                     mode=Mode.AWARE, trials=trials)
+    levels = (-75.0, -70.0, -65.0, -60.0)
+    spec = SweepSpec(variable="emi_dbm", grid=levels, scenarios=EMI_SWEEP_CASES, mode=Mode.AWARE, trials=trials)
     run_sweep(_tiny_cfg(), spec)
     assert len(reflected) == trials
-    assert len(covs) == 2 * trials
+    assert len(ops) == trials
     assert len(runs) == trials
+    held = []
     for call in runs:
-        by_level = {}
-        for terms, kind, _, cov in call["problem"].interference:
-            assert kind is ScenarioKind.EMI_IRR and cov is not None
-            by_level.setdefault(terms.emi1_w, []).append(cov)
-        (low_a, low_b), (high_a, high_b) = by_level.values()
-        assert low_a is low_b and high_a is high_b and low_a is not high_a
+        rows = [row for row in call["problem"].interference if row[1] is ScenarioKind.EMI_IRR]
+        assert sorted(terms.emi1_w for terms, *_ in rows) == sorted(dbm_to_watts(x) for x in levels)
+        assert all(op is not None and op is rows[0][3] for *_, op in rows)
+        held.append(rows[0][3])
+    assert len({id(op) for op in held}) == trials
 
 
 @pytest.mark.parametrize("mode", list(Mode))

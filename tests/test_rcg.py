@@ -1,5 +1,7 @@
 """Gradients, manifold operations, line search, and the RCG loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -359,7 +361,7 @@ def test_rcg_trace_monotone_and_on_manifold():
         res = optimize_phases(terms, ScenarioKind.EMI_IRR, powers, NOISE)
         assert np.all(np.diff(res.trace) >= 0.0)
         assert res.max_unit_deviation <= 1e-12
-        assert res.max_tangency_residual <= 1e-10
+        assert weighted_log_utility(terms, res.theta, ScenarioKind.EMI_IRR, powers, NOISE) == res.objective
         np.testing.assert_allclose(np.abs(res.theta), 1.0, atol=1e-12)
         assert res.iterations == len(res.steps)
         assert res.trace[-1] == pytest.approx(res.objective)
@@ -501,33 +503,84 @@ def test_shared_evaluation_gradient_equals_standalone_bitwise(kind):
     np.testing.assert_array_equal(stack.take(keep).gradient(theta[keep]), grad[keep])
 
 
+@pytest.mark.parametrize("num_users", [1, 2])
+def test_emi_irr_rows_sharing_an_operator_equal_their_own_stacks_bitwise(num_users):
+    # the EMI_IRR rows of a draw at two EMI levels and two powers share one
+    # operator product; each row's value and gradient must still be its
+    # one-row stack's and the reference's, bit for bit, in full and partial
+    # calls and after take, also with one user, where each row keeps its
+    # own product
+    rng = np.random.default_rng(59)
+    base, powers = _instance(rng, num_elements=7, num_users=num_users)
+    variants = [
+        (replace(base, emi1_w=e, emi2_w=e), replace(powers, cluster1=p1 * powers.cluster1))
+        for e in (0.05, 0.4) for p1 in (0.2, 3.0)
+    ]
+    variants.append((replace(base, emi1_w=0.3, emi2_w=0.1), powers))  # its own operator
+    for count in range(1, 6):
+        rows = [(terms, ScenarioKind.EMI_IRR, p, rng.uniform(0.5, 2.0, num_users))
+                for terms, p in variants[:count]]
+        stack = UtilityStack.of(rows, NOISE)
+        assert len({id(row[3]) for row in stack.interference}) == (1 if count < 5 else 2)
+        theta = np.exp(1j * rng.uniform(0, 2 * np.pi, (count, 7)))
+        stack.objective(theta)
+        again = np.arange(count)[::2]
+        theta[again] = np.exp(1j * rng.uniform(0, 2 * np.pi, (again.size, 7)))
+        values = stack.objective(theta[again], again)
+        grad = stack.gradient(theta.copy())
+        for b, (terms, k, p, w) in enumerate(rows):
+            alone = UtilityStack.of([rows[b]], NOISE)
+            value = alone.objective(theta[b:b + 1])[0]
+            assert value == reference.weighted_log_utility(terms, theta[b], k, p, NOISE, w)
+            want = reference.euclid_grad(terms, theta[b], k, p, NOISE, w)
+            np.testing.assert_array_equal(alone.gradient(theta[b:b + 1])[0], want)
+            np.testing.assert_array_equal(grad[b], want)
+            if b in again:
+                assert values[list(again).index(b)] == value
+        keep = np.arange(count) % 3 != 1
+        sub = stack.take(keep)
+        np.testing.assert_array_equal(sub.objective(theta[keep]), stack.objective(theta)[keep])
+        np.testing.assert_array_equal(sub.gradient(theta[keep]), grad[keep])
+
+
 @pytest.mark.parametrize("kind", list(ScenarioKind))
 def test_rcg_iteration_evaluates_interference_once(kind, monkeypatch):
     # interference runs once per non-EIF row an objective call evaluates, and
-    # never in the gradient, which reuses those calls' terms
-    calls = []
-    interference = sinr.interference
+    # an EMI_IRR operator is applied in one product per objective call to
+    # all the rows that share it; the gradient does neither, as it reuses
+    # those calls' terms
+    calls, products = [], []
+    interference, times_transpose = sinr.interference, sinr._times_transpose
 
     def counted_interference(*args):
         calls.append(args[2])
         return interference(*args)
 
+    def counted_times_transpose(v, m):
+        products.append(id(m))
+        return times_transpose(v, m)
+
     monkeypatch.setattr(sinr, "interference", counted_interference)
+    monkeypatch.setattr(sinr, "_times_transpose", counted_times_transpose)
     per_objective, per_gradient = [], []
     objective, gradient = UtilityStack.objective, UtilityStack.gradient
 
     def counted_objective(self, theta, rows=None):
-        before = len(calls)
+        before, made = len(calls), len(products)
         out = objective(self, theta, rows)
         at = range(len(self.mv)) if rows is None else rows
-        aware = sum(self.interference is not None and self.interference[r] is not None for r in at)
-        per_objective.append((len(calls) - before, aware))
+        evaluated = [self.interference[r] for r in at] if self.interference is not None else []
+        aware = sum(row is not None for row in evaluated)
+        ops = {id(row[3]) for row in evaluated if row is not None and row[3] is not None}
+        applied = [p for p in products[made:] if p in ops]
+        per_objective.append((len(calls) - before, aware, len(applied), len(ops)))
+        assert len(set(applied)) == len(applied)  # one product per operator
         return out
 
     def counted_gradient(self, theta):
-        before = len(calls)
+        before, made = len(calls), len(products)
         out = gradient(self, theta)
-        per_gradient.append(len(calls) - before)
+        per_gradient.append((len(calls) - before, len(products) - made))
         return out
 
     monkeypatch.setattr(UtilityStack, "objective", counted_objective)
@@ -537,23 +590,33 @@ def test_rcg_iteration_evaluates_interference_once(kind, monkeypatch):
     (terms, _, powers, _), *mates = _utility_rows(rng, [kind, *ScenarioKind], num_elements=8)
     res = optimize_phases(terms, kind, powers, NOISE, opts=opts)
     assert res.iterations == 12 and not res.stagnated
-    assert per_gradient == [0] * 12
+    assert per_gradient == [(0, 0)] * 12
     assert len(per_objective) >= 13  # the start point and 12 accepted candidates
     assert len(calls) == (0 if kind is ScenarioKind.EIF else len(per_objective))
-    assert all(made == aware for made, aware in per_objective)
-    # in a mixed stack each row pays for its own interference only
+    assert all(made == aware for made, aware, _, _ in per_objective)
+    grouped = kind is ScenarioKind.EMI_IRR
+    assert all(applied == ops == grouped for _, _, applied, ops in per_objective)
+    # in a mixed stack each row pays for its own interference only, and the
+    # EMI_IRR rows of one draw at two EMI levels and two powers share one product
     for log in (per_objective, per_gradient, calls):
         log.clear()
+    first = next(row for row in mates if row[1] is ScenarioKind.EMI_IRR)
+    for e, p1 in ((0.1, 3.0), (0.4, 0.1), (0.1, 0.1)):
+        shared = replace(first[0], emi1_w=e, emi2_w=e / 2)
+        mates.append((shared, ScenarioKind.EMI_IRR, replace(first[2], cluster1=np.full(2, p1)), first[3]))
     theta0 = np.ones((len(mates), 8), dtype=complex)
     rcg_lockstep(UtilityStack.of(mates, NOISE), theta0, opts)
-    assert per_gradient and not any(per_gradient)
-    assert all(made == aware for made, aware in per_objective)
-    assert len(calls) == sum(aware for _, aware in per_objective) > 0
+    assert per_gradient and not any(any(log) for log in per_gradient)
+    assert all(made == aware for made, aware, _, _ in per_objective)
+    assert len(calls) == sum(aware for _, aware, _, _ in per_objective) > 0
+    assert all(applied == ops for _, _, applied, ops in per_objective)
+    assert max(ops for *_, ops in per_objective) == 1  # e2 / e1 = 1/2 on every EMI_IRR row
+    assert sum(applied for _, _, applied, _ in per_objective) < calls.count(ScenarioKind.EMI_IRR)
 
 
 _RESULT_FIELDS = (
     "theta", "objective", "trace", "grad_norms", "steps", "iterations", "converged",
-    "stagnated", "max_unit_deviation", "max_tangency_residual",
+    "stagnated", "max_unit_deviation",
 )
 
 
@@ -791,7 +854,7 @@ def _utility_stacks(draw):
     """Rows of all four utilities, each on its own channels, over one element
     and user count, with random starts and a budget. An EMI_IRR row may take
     the terms and powers of the first EMI_IRR row instead, and so share its
-    dense C in the stack."""
+    operator and its product in the stack."""
     elements = draw(st.integers(2, 10))
     users = draw(st.integers(1, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

@@ -76,3 +76,32 @@ def test_every_differing_sweep_row_is_listed(tmp_path):
     assert same_outputs.row_differences(*_files(tmp_path, SWEEP, SWEEP)) == []
     # a trace or a single-trial output is no sweep CSV
     assert same_outputs.row_differences(*_files(tmp_path, CSV, CSV)) is None
+
+
+TRACE = (
+    "sweep_value,scenario,mode,trial,stage,inner_iter,objective,grad_norm,step\n"
+    "10,eif,aware,0,cluster1_unaware,0,1.5,0.2,0.01\n"
+    "10,emi_irr@-65,aware,0,cluster1_aware_emi_irr,0,1.25,0.4,0.02\n"
+    "10,emi_irr@-65,aware,0,cluster1_aware_emi_irr,1,1.5,0,0.02\n"
+)
+
+
+def test_a_differing_trace_is_summarized(tmp_path):
+    # rows are matched by their key columns; the summary names the stages
+    # and the largest relative change of each value column that moved
+    changed = TRACE.replace("1.25,0.4,0.02", "1.2500000001,0.4,0.02").replace(
+        "1,1.5,0,0.02", "1,1.5,3e-17,0.02")
+    assert same_outputs.trace_summary(*_files(tmp_path, TRACE, changed)) == (
+        "2 of 3 rows differ, in stages cluster1_aware_emi_irr (2); "
+        "largest relative change objective 8.00e-11, grad_norm 3.00e-17"
+    )
+    # an extra iteration in one run shifts no other row
+    longer = TRACE.replace("1,1.5,0,0.02\n", "1,1.5,0,0.02\n10,emi_irr@-65,aware,0,cluster1_aware_emi_irr,2,1.5,0,0\n")
+    longer = longer.replace("cluster1_unaware,0,1.5", "cluster1_unaware,0,1.75")
+    assert same_outputs.trace_summary(*_files(tmp_path, TRACE, longer)) == (
+        "1 of 3 rows differ, 1 only in change, in stages cluster1_aware_emi_irr (1), "
+        "cluster1_unaware (1); largest relative change objective 1.67e-01"
+    )
+    assert same_outputs.trace_summary(*_files(tmp_path, TRACE, TRACE)) is None
+    # a sweep CSV is no trace
+    assert same_outputs.trace_summary(*_files(tmp_path, SWEEP, SWEEP + "40,irr,aware,2,0,4,0\n")) is None

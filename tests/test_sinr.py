@@ -31,10 +31,11 @@ from risim import (
 from risim.sinr import (
     UtilityStack,
     _times_transpose,
-    emi_irr_covariance,
+    emi_irr_operator,
     interference,
     neighbor_parts,
     parts_sinr,
+    reflected_emi_covariance,
     user_parts,
 )
 
@@ -267,7 +268,7 @@ def _optimizer_entry_points(terms, theta, kind, powers):
 
 
 def test_irr_requires_cluster2_powers():
-    # the check comes before any product: the dense EMI_IRR C needs p2 too
+    # the check comes before any product, also where EMI_IRR's operator needs no p2
     rng = np.random.default_rng(6)
     terms, theta, _, _ = _instance(rng)
     powers = PowerAllocation(cluster1=np.ones(2), cluster2=None)
@@ -373,7 +374,7 @@ def test_weighted_log_utility_matches_report():
 
 def test_emi_irr_gradient_requires_neighbor():
     # a ValueError naming the neighbor, not a TypeError from a product on the
-    # missing w21, whichever entry point builds the dense EMI_IRR C
+    # missing w21, whichever entry point builds the EMI_IRR operator
     rng = np.random.default_rng(23)
     terms, theta, powers, _ = _instance(rng, neighbor=False)
     for kind in (ScenarioKind.IRR, ScenarioKind.EMI_IRR):
@@ -526,42 +527,70 @@ def _factored_emi_irr(terms, theta, powers):
     return NOISE + np.maximum((mv @ np.conj(theta)).real, 0.0), mv
 
 
+# EMI levels (e1, e2): equal, unequal, and serving-RIS EMI off
+_EMI_LEVELS = ((0.3, 0.3), (0.7, 0.3), (0.0, 0.3))
+
+
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(_unequal_clusters())
-def test_dense_covariance_matches_factored_interference(sizes):
-    # EMI_IRR applies its dense covariance as one product, and it must agree
-    # with C applied through its factors
-    terms, powers, _, rng = _sized_instance(sizes)
-    cov = emi_irr_covariance(terms, powers)
-    scale = np.abs(cov).max()
-    np.testing.assert_allclose(cov, np.conj(cov).T, rtol=0, atol=1e-14 * scale)
-    for _ in range(3):
-        theta = _random_theta(rng, terms.num_elements)
-        den, mv = _factored_emi_irr(terms, theta, powers)
-        dense_den, dense_mv = interference(terms, theta, ScenarioKind.EMI_IRR, powers, NOISE, cov)
-        np.testing.assert_allclose(dense_den, den, rtol=1e-12)
-        np.testing.assert_allclose(dense_mv, mv, rtol=0, atol=1e-12 * np.abs(mv).max())
-        for got, want in zip(interference(terms, theta, ScenarioKind.EMI_IRR, powers, NOISE),
-                             (dense_den, dense_mv)):  # built when not given
-            np.testing.assert_array_equal(got, want)
-        for kind in (ScenarioKind.EMI, ScenarioKind.IRR):  # C belongs to EMI_IRR only
-            for got, want in zip(interference(terms, theta, kind, powers, NOISE, cov),
-                                 interference(terms, theta, kind, powers, NOISE)):
+def test_emi_irr_operator_matches_factored_interference(sizes):
+    # EMI_IRR applies its EMI part as one product with the operator A, and it
+    # must agree with the covariance applied through its factors
+    base, powers, _, rng = _sized_instance(sizes)
+    for e1, e2 in _EMI_LEVELS:
+        terms = replace(base, emi1_w=e1, emi2_w=e2)
+        op = emi_irr_operator(terms)
+        scale = np.abs(op).max()
+        np.testing.assert_allclose(op, np.conj(op).T, rtol=0, atol=1e-14 * scale)
+        for _ in range(3):
+            theta = _random_theta(rng, terms.num_elements)
+            den, mv = _factored_emi_irr(terms, theta, powers)
+            av = (terms.g1 * theta) @ op.T
+            got_den, got_mv = interference(terms, theta, ScenarioKind.EMI_IRR, powers, NOISE, av)
+            np.testing.assert_allclose(got_den, den, rtol=1e-12)
+            np.testing.assert_allclose(got_mv, mv, rtol=0, atol=1e-12 * np.abs(mv).max())
+            for got, want in zip(interference(terms, theta, ScenarioKind.EMI_IRR, powers, NOISE),
+                                 (got_den, got_mv)):  # formed when not given
                 np.testing.assert_array_equal(got, want)
+            for kind in (ScenarioKind.EMI, ScenarioKind.IRR):  # A belongs to EMI_IRR only
+                for got, want in zip(interference(terms, theta, kind, powers, NOISE, av),
+                                     interference(terms, theta, kind, powers, NOISE)):
+                    np.testing.assert_array_equal(got, want)
+
+
+def test_real_reflected_covariance_matches_the_complex_product():
+    # a real (symmetric) R2 takes W21^H R2 W21 in real arithmetic; it must be
+    # the complex product up to roundoff, and Hermitian to the last bit in
+    # its imaginary part
+    rng = np.random.default_rng(31)
+    r2 = spatial_correlation(ris_element_positions(6, 1.0 / 16), 1.0).matrix
+    assert np.isrealobj(r2)
+    h1, g1 = _cn(rng, 16, 2), _cn(rng, 2, 16)
+    terms = build_cascades(
+        h1, g1, np.eye(16), theta2=_random_theta(rng, 36), u2=_cn(rng, 2, 2),
+        h2=_cn(rng, 36, 2), z21=_cn(rng, 36, 16), r2=r2,
+    )
+    got = reflected_emi_covariance(terms)
+    want = np.conj(terms.w21).T @ (r2.astype(complex) @ terms.w21)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+    np.testing.assert_array_equal(got.imag, -got.imag.T)
+    assert np.all(np.diagonal(got).imag == 0.0)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(_unequal_clusters())
 def test_interference_never_lowers_den_below_noise(sizes):
-    terms, powers, _, rng = _sized_instance(sizes)
-    cov = emi_irr_covariance(terms, powers)
-    for _ in range(3):
-        theta = _random_theta(rng, terms.num_elements)
-        for kind in ScenarioKind:
-            for c in (None, cov):
-                den, _ = interference(terms, theta, kind, powers, NOISE, c)
-                assert np.all(den >= NOISE)
-            assert np.all(phase_point(terms, theta, kind, powers, NOISE).den >= NOISE)
+    base, powers, _, rng = _sized_instance(sizes)
+    for e1, e2 in _EMI_LEVELS:
+        terms = replace(base, emi1_w=e1, emi2_w=e2)
+        op = emi_irr_operator(terms)
+        for _ in range(3):
+            theta = _random_theta(rng, terms.num_elements)
+            for kind in ScenarioKind:
+                for av in (None, (terms.g1 * theta) @ op.T):
+                    den, _ = interference(terms, theta, kind, powers, NOISE, av)
+                    assert np.all(den >= NOISE)
+                assert np.all(phase_point(terms, theta, kind, powers, NOISE).den >= NOISE)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)

@@ -14,8 +14,13 @@ from the change tree) at the seeds BENCH_SEEDS, then COMMANDS. For each
 command the script prints ``identical``, or the first line where the output
 or the trace differs. When a sweep's CSV differs, every differing row
 follows, keyed by sweep value and scenario, with the relative change of
-``mean_sum_rate_bps_hz`` and the change of the outage fraction. It exits 1
-on any difference or failed command.
+``mean_sum_rate_bps_hz`` and the change of the outage fraction. When a
+trace differs, a summary follows: how many rows differ and how many are
+on one side only (rows matched by sweep value, scenario, mode, trial, stage
+and iteration), their stages, and the largest relative change of each value
+column, which tells a change in the last digits from a different optimizer
+path. It exits 1 on
+any difference or failed command.
 """
 
 from __future__ import annotations
@@ -125,6 +130,52 @@ def row_differences(parent: Path, change: Path) -> list[str] | None:
     return out
 
 
+TRACE_KEY = ("sweep_value", "scenario", "mode", "trial", "stage", "inner_iter")
+
+
+def _trace_rows(path: Path) -> dict | None:
+    """A trace CSV's rows by TRACE_KEY and a repeat count (as _sweep_rows),
+    or None for any other file."""
+    reader = csv.DictReader(io.StringIO(path.read_text(encoding="utf-8")))
+    if not set(TRACE_KEY) <= set(reader.fieldnames or ()):
+        return None
+    rows, seen = {}, Counter()
+    for row in reader:
+        key = tuple(row[name] for name in TRACE_KEY)
+        rows[key + (seen[key],)] = row
+        seen[key] += 1
+    return rows
+
+
+def _relative_change(a: str, b: str) -> float:
+    x, y = float(a), float(b)
+    return abs(y - x) / abs(x) if x else abs(y - x)
+
+
+def trace_summary(parent: Path, change: Path) -> str | None:
+    """How two optimizer traces differ: the rows that differ, matched by
+    TRACE_KEY, the rows found on one side only, the stages of both, and the
+    largest relative change (absolute where the parent's value is 0) of each
+    value column; None when either file is not a trace or the rows are equal."""
+    a, b = _trace_rows(parent), _trace_rows(change)
+    if a is None or b is None or a == b:
+        return None
+    differ = [key for key in a if key in b and a[key] != b[key]]
+    only = {"parent": [key for key in a if key not in b], "change": [key for key in b if key not in a]}
+    largest = {}
+    for key in differ:
+        for name, value in a[key].items():
+            if name not in TRACE_KEY and b[key][name] != value:
+                largest[name] = max(largest.get(name, 0.0), _relative_change(value, b[key][name]))
+    out = f"{len(differ)} of {len(a)} rows differ"
+    out += "".join(f", {len(keys)} only in {side}" for side, keys in only.items() if keys)
+    stages = Counter(key[4] for key in differ + only["parent"] + only["change"])
+    out += ", in stages " + ", ".join(f"{stage} ({n})" for stage, n in sorted(stages.items()))
+    if largest:
+        out += "; largest relative change " + ", ".join(f"{name} {rel:.2e}" for name, rel in largest.items())
+    return out
+
+
 def run(tree: Path, argv: list[str], work: Path, thread_vars) -> tuple[Path, Path]:
     """Run argv in tree; returns its (output, trace) files. Raises on a failed run."""
     work.mkdir()
@@ -167,6 +218,8 @@ def main(argv=None) -> int:
             print(f"{label}: {'; '.join(found) if found else 'identical'}", flush=True)
             for row in row_differences(files["parent"][0], files["change"][0]) or ():
                 print(f"  {row}", flush=True)
+            if (summary := trace_summary(files["parent"][1], files["change"][1])) is not None:
+                print(f"  trace: {summary}", flush=True)
     print(f"{differ} of {i + 1} commands differ")
     return 1 if differ else 0
 
