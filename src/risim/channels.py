@@ -119,12 +119,18 @@ class ChannelStatistics:
     inter_ris_gain: float  # sqrt(A1 * A2) times RIS1->RIS2 path gain
 
 
-def build_statistics(cfg: SystemConfig) -> ChannelStatistics:
+def build_statistics(cfg: SystemConfig, models: dict | None = None) -> ChannelStatistics:
     """Correlation models and link gains; compute once per config. Clusters
-    whose surfaces have the same side and element area share one model."""
+    whose surfaces have the same side and element area share one model.
+
+    models maps (ris_side, element_area) to the CorrelationModel of that
+    surface; give the same dict to several builds (the geometry groups of a
+    sweep) and each surface's model is computed once across them.
+    """
     cfg = validate_config(cfg)
     fc = cfg.carrier_frequency_ghz
-    per_cluster, models = [], {}
+    per_cluster = []
+    models = {} if models is None else models
     for cluster in cfg.clusters:
         area = cluster.element_area_m2
         surface = (cluster.ris_side, area)

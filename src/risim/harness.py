@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -418,6 +420,109 @@ def _evaluate_block(cfg: SystemConfig, stats, reals, pairs, mode: Mode):
         yield reports
 
 
+def _threads() -> int:
+    """The threads of this process, as the kernel lists them."""
+    return len(os.listdir("/proc/self/task"))
+
+
+def _worker_count() -> int:
+    """Worker processes for a sweep's blocks: one per usable CPU when this
+    process runs a single thread, else 1.
+
+    Forking a multi-threaded process is unsafe, and a multi-threaded BLAS
+    (OpenBLAS's default) already keeps the CPUs busy, so such a process runs
+    its sweeps in itself. Without /proc the count is 1.
+    """
+    try:
+        if _threads() == 1:
+            return len(os.sched_getaffinity(0))
+    except (OSError, AttributeError):
+        pass
+    return 1
+
+
+def _blocks(trials: int, workers: int) -> list[range]:
+    """Split range(trials) into W * ceil(ceil(T / STACK_ROWS) / W) near-equal
+    blocks (at most T), so that each block has at most STACK_ROWS draws and
+    each of the W workers gets as many blocks."""
+    full = -(-trials // STACK_ROWS)
+    count = min(trials, workers * -(-full // workers))
+    size, extra = divmod(trials, count)
+    edges = [b * size + min(b, extra) for b in range(count + 1)]
+    return [range(a, b) for a, b in zip(edges, edges[1:])]
+
+
+@dataclass(frozen=True)
+class _SweepJob:
+    """What a sweep's blocks share, and the work of one block.
+
+    groups holds per geometry group its config, its statistics and the
+    (powers, sweep value, cases) of its grid points. A task (g, block) draws
+    the trials of block for group g and evaluates them (_evaluate_block). It
+    returns, per draw, each (point, case) pair's rates_bps_hz or the
+    ZfDegenerateError that skips it, in the group's pair order, and the trace
+    rows each point of the group gained. Its GridPoints are its own, so a
+    task changes nothing it was given and runs the same in a worker process
+    as in the caller.
+    """
+
+    groups: tuple
+    mode: Mode
+    seed: int
+    traced: bool
+
+    def __call__(self, task):
+        g, block = task
+        cfg, stats, members = self.groups[g]
+        points = [GridPoint(powers, [] if self.traced else None, value) for powers, value, _ in members]
+        pairs = [(point, case) for point, (_, _, cases) in zip(points, members) for case in cases]
+        reals = [draw_realization(cfg, stats, t, rng=trial_rng(self.seed, t)) for t in block]
+        outcomes = [
+            [r if isinstance(r, ZfDegenerateError) else r.rates_bps_hz for r in reports]
+            for reports in _evaluate_block(cfg, stats, reals, pairs, self.mode)
+        ]
+        return outcomes, [point.trace or [] for point in points]
+
+
+_job: _SweepJob | None = None  # set in a worker process only: the sweep it serves
+
+
+def _adopt(job: _SweepJob) -> None:
+    global _job
+    _job = job
+
+
+def _serve(task):
+    return _job(task)
+
+
+def _map_tasks(job: _SweepJob, tasks: list, workers: int) -> list:
+    """job(task) for each task, in order: in this process, or in workers
+    forked with job in memory, so that nothing of it is pickled.
+
+    The workers are joined on every exit. A worker's exception is raised
+    here with its type and message, and a worker that dies (say, killed by
+    the OOM killer) raises BrokenProcessPool instead of leaving the sweep
+    waiting.
+    """
+    if workers == 1:
+        return list(map(job, tasks))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    threads = _threads()
+    try:
+        # the executor forks every worker before it starts its own threads
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _adopt, (job,)) as pool:
+            return list(pool.map(_serve, tasks))
+    finally:
+        # the executor's threads are joined, but the kernel lists a thread
+        # until it has exited; wait for that, so the next sweep counts its own
+        deadline = time.monotonic() + 1.0
+        while _threads() > threads and time.monotonic() < deadline:
+            time.sleep(1e-4)
+
+
 def run_sweep(cfg: SystemConfig, spec: SweepSpec, trace=None) -> list[MetricRecord]:
     """Run the sweep and return one record per (grid value, scenario case).
 
@@ -426,17 +531,21 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, trace=None) -> list[MetricReco
     point of a power or EMI sweep; only equal points of an element sweep) share
     the statistics and the draws too: trials loop outside the points, so each
     trial draws once, and one TrialEvaluator per draw shares its cached
-    optimizer runs between the points. The trials go in blocks of STACK_ROWS
-    draws: a block first draws its links, then makes every run from
-    theta = 1 (cluster 2's, and cluster 1's unaware run per power) in
-    lockstep stacks across its draws, and then evaluates draw by draw, an
-    aware sweep after one stack of the draw's aware runs (see
-    _evaluate_block). A stacked run equals the single run bit for bit, so no
-    result depends on the block or its size. Records and trace rows
-    come out in grid order, the same as from one single-point sweep per grid
-    value. Records carry each trial's weighted sum rate, so runs can be
-    compared per draw. Results are deterministic given the config, the spec,
-    and the seed.
+    optimizer runs between the points. The groups' statistics share one
+    correlation model per surface. Each group's trials go in near-equal
+    blocks of at most STACK_ROWS draws (_blocks): a block first draws its
+    links, then makes every run from theta = 1 (cluster 2's, and cluster 1's
+    unaware run per power) in lockstep stacks across its draws, and then
+    evaluates draw by draw, an aware sweep after one stack of the draw's
+    aware runs (see _evaluate_block). The blocks run in one worker process
+    per usable CPU when this process is single-threaded (_worker_count), else
+    here, and their results are folded back in trial order. A stacked run
+    equals the single run bit for bit, and every trial has its own random
+    stream, so no result depends on the blocks or on where they ran. Records
+    and trace rows come out in grid order, the same as from one single-point
+    sweep per grid value. Records carry each trial's weighted sum rate, so
+    runs can be compared per draw. Results are deterministic given the
+    config, the spec, the seed and the BLAS thread count.
     """
     cfg = validate_config(cfg)
     _validate_spec(spec)
@@ -445,36 +554,42 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, trace=None) -> list[MetricReco
 
     configs = [_config_at(cfg, spec.variable, value) for value in spec.grid]
     cases = [[_case_at(spec.variable, case, value) for case in spec.scenarios] for value in spec.grid]
-    points = [
-        GridPoint(make_powers(cfg_pt, spec.unit_power), [] if trace is not None else None, value)
-        for cfg_pt, value in zip(configs, spec.grid)
-    ]
     rates = [{case: [] for case in pt} for pt in cases]
     skips = [{case: 0 for case in pt} for pt in cases]
+    traces = [[] for _ in spec.grid]
 
-    groups: dict[int, list[int]] = {}
+    by_side: dict[int, list[int]] = {}
     for i, cfg_pt in enumerate(configs):
         # the statistics and the draw see the grid value only through cluster 1's size
-        groups.setdefault(cfg_pt.clusters[0].ris_side, []).append(i)
-    for members in groups.values():
-        cfg_geo = configs[members[0]]
-        stats = build_statistics(cfg_geo)
-        slots = [(i, case) for i in members for case in cases[i]]
-        pairs = [(points[i], case) for i, case in slots]
-        for first in range(0, spec.trials, STACK_ROWS):
-            block = range(first, min(first + STACK_ROWS, spec.trials))
-            reals = [draw_realization(cfg_geo, stats, t, rng=trial_rng(seed, t)) for t in block]
-            for reports in _evaluate_block(cfg_geo, stats, reals, pairs, mode):
-                for (i, case), report in zip(slots, reports):
-                    if isinstance(report, ZfDegenerateError):
-                        skips[i][case] += 1
-                    else:
-                        rates[i][case].append(report.rates_bps_hz)
+        by_side.setdefault(cfg_pt.clusters[0].ris_side, []).append(i)
+    members = list(by_side.values())
+    models = {}  # one correlation model per surface, across the groups
+    groups = tuple(
+        (
+            configs[idx[0]],
+            build_statistics(configs[idx[0]], models),
+            [(make_powers(configs[i], spec.unit_power), spec.grid[i], cases[i]) for i in idx],
+        )
+        for idx in members
+    )
+    workers = min(_worker_count(), spec.trials)
+    tasks = [(g, block) for g in range(len(groups)) for block in _blocks(spec.trials, workers)]
+    job = _SweepJob(groups, mode, seed, trace is not None)
+    for (g, _), (outcomes, gained) in zip(tasks, _map_tasks(job, tasks, workers)):
+        slots = [(i, case) for i in members[g] for case in cases[i]]  # the job's pair order
+        for outcome in outcomes:
+            for (i, case), rates_or_skip in zip(slots, outcome):
+                if isinstance(rates_or_skip, ZfDegenerateError):
+                    skips[i][case] += 1
+                else:
+                    rates[i][case].append(rates_or_skip)
+        for i, rows in zip(members[g], gained):
+            traces[i] += rows
 
     records: list[MetricRecord] = []
     for i, value in enumerate(spec.grid):
         if trace is not None:
-            trace.extend(points[i].trace)
+            trace.extend(traces[i])
         weights1 = configs[i].clusters[0].weights()
         for case in cases[i]:
             if not rates[i][case]:

@@ -1,7 +1,15 @@
 """Monte Carlo sweeps, aggregation, and CSV rendering."""
 
 import inspect
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +57,12 @@ def _tiny_cfg(side=3, trials=4):
             replace(base.clusters[1], ris_side=side),
         ),
     )
+
+
+@pytest.fixture
+def in_process(monkeypatch):
+    """Run every sweep's blocks in this process, where a patched counter sees each call."""
+    monkeypatch.setattr(harness, "_worker_count", lambda: 1)
 
 
 def test_aggregate_hand_example():
@@ -230,6 +244,7 @@ def test_run_sweep_optimized_modes_beat_fixed():
     assert aware.mean_sum_rate_bps_hz > fixed.mean_sum_rate_bps_hz
 
 
+@pytest.mark.usefixtures("in_process")
 def test_run_sweep_skip_accounting(monkeypatch):
     cfg = _tiny_cfg()
     real_check = sinr.check_zf_gram
@@ -376,6 +391,7 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+@pytest.mark.usefixtures("in_process")
 @pytest.mark.parametrize("mode", list(Mode))
 def test_power_sweep_draws_and_runs_cluster2_once_per_trial(mode, monkeypatch):
     counts = {
@@ -416,6 +432,7 @@ def test_power_sweep_draws_and_runs_cluster2_once_per_trial(mode, monkeypatch):
         assert call["opts"] is ao.AO_WARM_RCG
 
 
+@pytest.mark.usefixtures("in_process")
 def test_aware_sweep_builds_one_operator_per_draw(monkeypatch):
     # per draw, one W21^H R2 W21 and one EMI_IRR operator A, which every row
     # holds, whatever its EMI level (e2 / e1 = 1 at each) or cluster-1 power
@@ -458,6 +475,7 @@ def test_degenerate_cluster2_skips_only_the_irr_cases(mode, monkeypatch):
         assert (rec.skipped, rec.trials) == ((1, 2) if "irr" in rec.scenario else (0, 3))
 
 
+@pytest.mark.usefixtures("in_process")
 def test_emi_sweep_runs_the_unaware_optimizer_once_per_trial(monkeypatch):
     runs = _count_calls(monkeypatch, harness, "rcg_lockstep")
     stacks = _count_calls(monkeypatch, harness, "optimize_eif_stack")
@@ -471,6 +489,7 @@ def test_emi_sweep_runs_the_unaware_optimizer_once_per_trial(monkeypatch):
     assert len(cluster2) == 2
 
 
+@pytest.mark.usefixtures("in_process")
 def test_each_theta_builds_its_parts_once(monkeypatch):
     # every case, power and EMI level evaluated at one theta is mixed from the
     # same parts: theta = 1 serves a whole fixed draw, an unaware theta one
@@ -511,6 +530,7 @@ def test_each_theta_builds_its_parts_once(monkeypatch):
     assert [len(call["links"]) for call in stacks] == [points]  # no cluster-2 rows
 
 
+@pytest.mark.usefixtures("in_process")
 def test_elements_sweep_draws_per_point(monkeypatch):
     stats = _count_calls(monkeypatch, harness, "build_statistics")
     draws = _count_calls(monkeypatch, harness, "draw_realization")
@@ -534,6 +554,7 @@ def test_aware_never_below_unaware_per_trial():
             assert sa >= su - 1e-12 * abs(su)
 
 
+@pytest.mark.usefixtures("in_process")
 @pytest.mark.parametrize("mode", list(Mode))
 def test_z21_is_drawn_only_for_neighbor_cases(mode, monkeypatch, tmp_path):
     # z21 is the last draw of a trial's stream and only the neighbor terms
@@ -592,3 +613,127 @@ def test_single_trial_equals_its_trial_of_a_sweep(mode):
         assert report.sum_rate_bps_hz == record.sum_rate_samples[trial]
     assert single_rows
     assert single_rows == [("",) + row[1:] for row in rows if row[3] == trial]
+
+
+def test_element_sweep_computes_each_surface_model_once(monkeypatch):
+    # four cluster-1 sizes and cluster 2's surface (the size of one of them)
+    # are four distinct surfaces: one model each, not one per group and cluster
+    models = _count_calls(monkeypatch, channels, "spatial_correlation")
+    built = _count_calls(monkeypatch, harness, "build_statistics")
+    spec = SweepSpec(variable="ris_elements", grid=(4.0, 9.0, 16.0, 25.0),
+                     scenarios=(ScenarioCase(ScenarioKind.IRR),), mode=Mode.FIXED, trials=2)
+    run_sweep(_tiny_cfg(side=3), spec)
+    assert len(models) == 4
+    assert len(built) == 4
+    assert built[0]["models"] is not None and all(call["models"] is built[0]["models"] for call in built)
+    # a shared build equals a fresh one bit for bit
+    for call in built:
+        shared = build_statistics(call["cfg"], call["models"])
+        fresh = build_statistics(call["cfg"])
+        for a, b in zip(shared.clusters, fresh.clusters):
+            np.testing.assert_array_equal(a.corr.matrix, b.corr.matrix)
+            np.testing.assert_array_equal(a.corr.factor, b.corr.factor)
+            assert a.bs_ris_gain == b.bs_ris_gain
+            np.testing.assert_array_equal(a.ris_ue_gain, b.ris_ue_gain)
+        assert shared.inter_ris_gain == fresh.inter_ris_gain
+
+
+@pytest.mark.parametrize(
+    ("trials", "workers", "sizes"),
+    [(36, 2, [18, 18]), (55, 2, [28, 27]), (4, 2, [2, 2]), (500, 2, [32] * 4 + [31] * 12),
+     (36, 1, [18, 18]), (3, 3, [1, 1, 1]), (1, 1, [1])],
+)
+def test_blocks_are_near_equal_and_fill_every_worker(trials, workers, sizes):
+    blocks = harness._blocks(trials, workers)
+    assert [len(b) for b in blocks] == sizes
+    assert [t for b in blocks for t in b] == list(range(trials))
+    assert len(blocks) % workers == 0 and max(sizes) <= ao.STACK_ROWS
+
+
+_POOLED = {
+    "fixed": ("tx_power_dbm", (10.0, 40.0), Mode.FIXED, 5, None),
+    "unaware": ("tx_power_dbm", (10.0, 40.0), Mode.UNAWARE, 5, None),
+    "aware": ("tx_power_dbm", (10.0, 40.0), Mode.AWARE, 3, None),
+    "elements": ("ris_elements", (4.0, 9.0), Mode.UNAWARE, 5, None),
+    # blocks of at most 2 draws: 4 blocks, two per worker
+    "small_blocks": ("tx_power_dbm", (10.0, 25.0), Mode.UNAWARE, 7, 2),
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(_POOLED))
+def test_worker_processes_change_no_byte(sweep, monkeypatch):
+    # two worker processes give the CSV, the trace rows and the per-trial sum
+    # rates of one process; 5 and 3 trials do not split evenly in two
+    variable, grid, mode, trials, rows = _POOLED[sweep]
+    if rows is not None:
+        monkeypatch.setattr(harness, "STACK_ROWS", rows)
+    spec = SweepSpec(variable=variable, grid=grid, scenarios=DEFAULT_CASES, mode=mode, trials=trials)
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(harness, "_worker_count", lambda workers=workers: workers)
+        trace = []
+        records = run_sweep(_tiny_cfg(side=4), spec, trace=trace)
+        outputs.append((render_csv(records), trace, [r.sum_rate_samples for r in records]))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1] or mode is Mode.FIXED
+
+
+def test_a_worker_error_leaves_the_sweep_and_no_process(monkeypatch):
+    real = harness.draw_realization
+
+    def failing(cfg, stats, trial, rng=None):
+        if trial == 3:
+            raise ValueError(f"forced failure in trial {trial}")
+        return real(cfg, stats, trial, rng=rng)
+
+    monkeypatch.setattr(harness, "_worker_count", lambda: 2)
+    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0,), scenarios=DEFAULT_CASES,
+                     mode=Mode.UNAWARE, trials=4)
+    run_sweep(_tiny_cfg(), spec)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(harness, "draw_realization", failing)  # inherited by the workers
+    with pytest.raises(ValueError, match="forced failure in trial 3"):
+        run_sweep(_tiny_cfg(), spec)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_killed_worker_breaks_the_sweep_instead_of_hanging(monkeypatch):
+    caller, real = os.getpid(), harness.draw_realization
+
+    def dying(cfg, stats, trial, rng=None):
+        if trial == 3 and os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(cfg, stats, trial, rng=rng)
+
+    monkeypatch.setattr(harness, "_worker_count", lambda: 2)
+    monkeypatch.setattr(harness, "draw_realization", dying)
+    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0,), scenarios=DEFAULT_CASES,
+                     mode=Mode.FIXED, trials=4)
+    with pytest.raises(BrokenProcessPool):
+        run_sweep(_tiny_cfg(), spec)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_threaded_process_runs_its_sweeps_in_itself():
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert harness._worker_count() == 1
+    finally:
+        release.set()
+        thread.join(timeout=10)
+
+
+def test_a_single_threaded_process_uses_every_cpu_and_imports_no_multiprocessing():
+    src = str(Path(harness.__file__).resolve().parents[1])
+    code = (
+        "import sys, os, risim, risim.harness as h; "
+        "print('multiprocessing' in sys.modules, h._worker_count(), len(os.sched_getaffinity(0)))"
+    )
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+    env = dict(os.environ, PYTHONPATH=src, **dict.fromkeys(threads, "1"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    imported, workers, cpus = out.stdout.split()
+    assert imported == "False"
+    assert workers == cpus

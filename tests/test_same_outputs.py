@@ -105,3 +105,26 @@ def test_a_differing_trace_is_summarized(tmp_path):
     assert same_outputs.trace_summary(*_files(tmp_path, TRACE, TRACE)) is None
     # a sweep CSV is no trace
     assert same_outputs.trace_summary(*_files(tmp_path, SWEEP, SWEEP + "40,irr,aware,2,0,4,0\n")) is None
+
+
+def test_differences_name_the_file_and_the_sides(tmp_path):
+    a = _files(tmp_path, CSV, CSV)
+    assert same_outputs.differences(a, a) == []
+    (tmp_path / "b").mkdir()
+    b = _files(tmp_path / "b", CSV, CSV.replace("10,irr", "10,emi"))
+    assert same_outputs.differences((a[0], a[0]), b, ("change", "one CPU")) == [
+        "trace line 3: change '10,irr', one CPU '10,emi'"
+    ]
+
+
+def test_a_sweep_confined_to_one_cpu_writes_the_same_bytes(tmp_path):
+    # the run with a worker process per usable CPU and the run in one process
+    # on one CPU give the same output and trace
+    bench = same_outputs._load_bench(_ROOT)
+    argv = ["sweep-power", "--config", same_outputs.CONFIG, "--mode", "unaware",
+            "--grid", "10,40", "--scenarios", "eif,emi_irr:-65", "--trials", "3"]
+    pooled = same_outputs.run(_ROOT, argv, tmp_path / "pooled", bench.THREAD_VARS)
+    single = same_outputs.run(_ROOT, argv, tmp_path / "single", bench.THREAD_VARS,
+                              cpus=same_outputs.one_cpu())
+    assert same_outputs.differences(pooled, single) == []
+    assert len(pooled[1].read_text().splitlines()) > 1

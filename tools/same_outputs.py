@@ -12,15 +12,19 @@ trace (``--trace``) to a temporary directory. The commands are the sweep of
 each ``bench/run.py`` workload (the argv of its ``WORKLOADS`` entry, read
 from the change tree) at the seeds BENCH_SEEDS, then COMMANDS. For each
 command the script prints ``identical``, or the first line where the output
-or the trace differs. When a sweep's CSV differs, every differing row
-follows, keyed by sweep value and scenario, with the relative change of
-``mean_sum_rate_bps_hz`` and the change of the outage fraction. When a
-trace differs, a summary follows: how many rows differ and how many are
-on one side only (rows matched by sweep value, scenario, mode, trial, stage
-and iteration), their stages, and the largest relative change of each value
-column, which tells a change in the last digits from a different optimizer
-path. It exits 1 on
-any difference or failed command.
+or the trace differs. Each command also runs a second time in the change
+tree, confined to one CPU (``os.sched_setaffinity`` in the child), so that
+its sweep runs in one process instead of a worker process per usable CPU;
+where that run's output or trace differs from the first, the first
+differing line follows ``one CPU:``. When a sweep's CSV differs between
+the trees, every differing row follows, keyed by sweep value and scenario,
+with the relative change of ``mean_sum_rate_bps_hz`` and the change of the
+outage fraction. When a trace differs, a summary follows: how many rows
+differ and how many are on one side only (rows matched by sweep value,
+scenario, mode, trial, stage and iteration), their stages, and the largest
+relative change of each value column, which tells a change in the last
+digits from a different optimizer path. It exits 1 on any difference or
+failed command.
 """
 
 from __future__ import annotations
@@ -69,18 +73,28 @@ def commands(bench) -> list[list[str]]:
     return out + [[cmd, "--config", CONFIG, *rest] for cmd, *rest in COMMANDS]
 
 
-def first_difference(parent: Path, change: Path) -> str | None:
-    """None when the two files hold the same bytes, else where they first differ."""
+def first_difference(parent: Path, change: Path, names=("parent", "change")) -> str | None:
+    """None when the two files hold the same bytes, else where they first
+    differ; names label the two sides."""
     a, b = parent.read_bytes(), change.read_bytes()
     if a == b:
         return None
     rows_a, rows_b = a.decode().splitlines(), b.decode().splitlines()
     for i, (x, y) in enumerate(zip(rows_a, rows_b), start=1):
         if x != y:
-            return f"line {i}: parent {x!r}, change {y!r}"
+            return f"line {i}: {names[0]} {x!r}, {names[1]} {y!r}"
     if len(rows_a) != len(rows_b):
-        return f"parent has {len(rows_a)} lines, change {len(rows_b)}"
+        return f"{names[0]} has {len(rows_a)} lines, {names[1]} {len(rows_b)}"
     return "same lines, different line endings"
+
+
+def differences(a: tuple[Path, Path], b: tuple[Path, Path], names=("parent", "change")) -> list[str]:
+    """Where the (output, trace) files of two runs of one command first differ."""
+    return [
+        f"{what} {diff}"
+        for what, x, y in zip(("output", "trace"), a, b)
+        if (diff := first_difference(x, y, names)) is not None
+    ]
 
 
 def _sweep_rows(path: Path) -> dict | None:
@@ -176,8 +190,14 @@ def trace_summary(parent: Path, change: Path) -> str | None:
     return out
 
 
-def run(tree: Path, argv: list[str], work: Path, thread_vars) -> tuple[Path, Path]:
-    """Run argv in tree; returns its (output, trace) files. Raises on a failed run."""
+def one_cpu() -> set[int]:
+    """The first CPU this process may run on, as a CPU set."""
+    return {min(os.sched_getaffinity(0))}
+
+
+def run(tree: Path, argv: list[str], work: Path, thread_vars, cpus=None) -> tuple[Path, Path]:
+    """Run argv in tree, on the CPU set cpus when given; returns its (output,
+    trace) files. Raises on a failed run."""
     work.mkdir()
     out, trace = work / "out", work / "trace.csv"
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), **{var: "1" for var in thread_vars})
@@ -185,6 +205,7 @@ def run(tree: Path, argv: list[str], work: Path, thread_vars) -> tuple[Path, Pat
     proc = subprocess.run(
         [sys.executable, "-m", "risim.cli", *argv, "--out", str(out), "--trace", str(trace)],
         cwd=tree, env=env, capture_output=True, text=True, check=False,
+        preexec_fn=None if cpus is None else lambda: os.sched_setaffinity(0, cpus),
     )
     if proc.returncode != 0:
         raise RuntimeError(f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}")
@@ -205,15 +226,15 @@ def main(argv=None) -> int:
             try:
                 files = {side: run(tree, cmd, Path(tmp) / f"{i}-{side}", bench.THREAD_VARS)
                          for side, tree in trees.items()}
+                files["one CPU"] = run(trees["change"], cmd, Path(tmp) / f"{i}-one-cpu",
+                                       bench.THREAD_VARS, cpus=one_cpu())
             except RuntimeError as exc:
                 differ += 1
                 print(f"{label}: FAILED {exc}", flush=True)
                 continue
-            found = [
-                f"{what} {diff}"
-                for what, k in (("output", 0), ("trace", 1))
-                if (diff := first_difference(files["parent"][k], files["change"][k])) is not None
-            ]
+            found = differences(files["parent"], files["change"])
+            found += [f"one CPU: {diff}" for diff in
+                      differences(files["change"], files["one CPU"], ("change", "one CPU"))]
             differ += bool(found)
             print(f"{label}: {'; '.join(found) if found else 'identical'}", flush=True)
             for row in row_differences(files["parent"][0], files["change"][0]) or ():
