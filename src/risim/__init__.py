@@ -18,7 +18,6 @@ from .channels import (
     path_loss_db,
     path_loss_linear,
     sample_correlated_rayleigh,
-    sample_emi,
     sample_inter_ris,
     spatial_correlation,
     trial_rng,
@@ -45,7 +44,6 @@ from .harness import (
 )
 from .precoding import ZfDegenerateError, effective_channel, zf_precoder
 from .rcg import (
-    RcgOptions,
     RcgResult,
     euclid_grad,
     optimize_phases,

@@ -8,7 +8,7 @@ import numpy as np
 
 from .channels import ChannelRealization
 from .precoding import effective_channel, zf_precoder
-from .rcg import RcgOptions, RcgResult, optimize_phases, rcg_lockstep
+from .rcg import RcgResult, optimize_phases, rcg_lockstep
 from .sinr import CascadeTerms, PowerAllocation, ScenarioKind, UtilityStack
 from .sinr import scenario_sinr as evaluate_pair  # the report of an optimized theta, ZF at it
 
@@ -30,14 +30,14 @@ class Cluster2State:
 # angle-coordinate loop meets the rule at 100 (worst shortfall 8.9e-3 nats,
 # at N = 100, against 4.6e-2) but not at 90 (mean 4.6e-5 at N = 400,
 # against 2.2e-5)
-AO_RCG = RcgOptions(epsilon=0.0, max_iters=110)
+AO_RCG = 110
 # The budget of an aware run started from the trial's unaware phases: the
 # smallest on the warm table of tools/budget_table.py (trials 0-19 at 10 and
 # 40 dBm, emi and emi_irr at -75 and -65 dBm) whose mean and worst shortfall
 # are at most those of the 100 conjugate-gradient iterations it replaced, at
 # both powers; 35 is not (the mean at 40 dBm). See the README's budget
 # paragraph
-AO_WARM_RCG = RcgOptions(epsilon=0.0, max_iters=40)
+AO_WARM_RCG = 40
 # Rows per lockstep stack (see optimize_eif_stack), and draws per sweep block.
 # On the unaware sweep over N = 25, 100, 225 and 400 (55 trials each; 2 vCPUs,
 # 1 BLAS thread), a process making two such sweeps took 6.5, 5.7, 5.3 and
@@ -58,7 +58,7 @@ def alternate_optimize(
     noise_power_w: float,
     weights=None,
     theta0: np.ndarray | None = None,
-    opts: RcgOptions = AO_RCG,
+    max_iters: int = AO_RCG,
 ) -> RcgResult:
     """Jointly optimize cluster-1 phases and ZF precoding for kind's utility.
 
@@ -68,22 +68,22 @@ def alternate_optimize(
     the alternation is block ascent on kind's utility of it, the utility of a
     one-row UtilityStack. One L-BFGS run on that stack from theta0 (default
     theta = 1) maximizes it directly, so there is no outer loop: this is
-    optimize_phases at the AO_RCG budget, and the name is kept from the
+    optimize_phases, by default at the AO_RCG budget, and the name is kept from the
     alternating scheme. The precoder is ZF at the returned theta, where
     evaluate_pair reports kind's rates. An interference-unaware optimizer
     passes ScenarioKind.EIF; IRR kinds need terms built with the neighbor RIS.
     """
-    return optimize_phases(terms, kind, powers, noise_power_w, weights, theta0=theta0, opts=opts)
+    return optimize_phases(terms, kind, powers, noise_power_w, weights, theta0=theta0, max_iters=max_iters)
 
 
-def optimize_eif_stack(links, powers, weights, noise_power_w: float, opts: RcgOptions = AO_RCG) -> list[RcgResult]:
+def optimize_eif_stack(links, powers, weights, noise_power_w: float, max_iters: int = AO_RCG) -> list[RcgResult]:
     """alternate_optimize for kind EIF from theta = 1, for many clusters at once.
 
     Row b is the cluster with links[b] = (g, h), powers[b] and weights[b];
     every row needs the same shapes. The rows run in lockstep stacks of at
     most STACK_ROWS (see rcg.rcg_lockstep), and row b's result equals
     alternate_optimize(build_cascades(h, g, r), EIF, PowerAllocation(powers[b]),
-    noise_power_w, weights[b], opts=opts) bit for bit, whatever its
+    noise_power_w, weights[b], max_iters=max_iters) bit for bit, whatever its
     stack-mates.
     """
     results = []
@@ -97,7 +97,7 @@ def optimize_eif_stack(links, powers, weights, noise_power_w: float, opts: RcgOp
             noise_power_w,
         )
         theta0 = np.ones((len(links[rows]), links[start][0].shape[1]), dtype=complex)
-        results += rcg_lockstep(problem, theta0, opts)
+        results += rcg_lockstep(problem, theta0, max_iters)
     return results
 
 

@@ -99,11 +99,6 @@ def sample_inter_ris(
     return np.sqrt(scale) * _cn_samples(rng, shape)
 
 
-def sample_emi(corr: CorrelationModel, power_w: float, rng: np.random.Generator) -> np.ndarray:
-    """One EMI snapshot at the RIS elements, CN(0, power_w * R)."""
-    return sample_correlated_rayleigh(corr, power_w, 1, rng)[:, 0]
-
-
 @dataclass(frozen=True)
 class ClusterStatistics:
     """Per-cluster second-order channel statistics, fixed by the geometry."""

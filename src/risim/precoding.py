@@ -23,7 +23,7 @@ def effective_channel(g: np.ndarray, theta: np.ndarray, h: np.ndarray) -> np.nda
     return (np.conj(theta)[None, :] * np.conj(g)) @ h
 
 
-def check_zf_gram(gram: np.ndarray, cond_limit: float = COND_LIMIT) -> None:
+def check_zf_gram(gram: np.ndarray) -> None:
     """Raise ZfDegenerateError when the Gram matrix H H^H is too ill conditioned for ZF.
 
     The Gram matrix is Hermitian positive semidefinite, so its 2-norm
@@ -36,26 +36,26 @@ def check_zf_gram(gram: np.ndarray, cond_limit: float = COND_LIMIT) -> None:
         lam = np.linalg.eigvalsh(gram)  # ascending
         if lam[0] > 0.0:
             cond = lam[-1] / lam[0]
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise ZfDegenerateError(
             f"ZF degenerate realization: Gram condition number {cond:.3e}"
         )
 
 
-def zf_precoder(h_eff: np.ndarray, cond_limit: float = COND_LIMIT) -> np.ndarray:
+def zf_precoder(h_eff: np.ndarray) -> np.ndarray:
     """Zero-forcing precoder (T, K) with individually normalized columns.
 
     Columns of the raw pseudo-inverse H^H (H H^H)^-1 are scaled to unit norm,
     which keeps per-user power at its allocation but leaves a per-user gain
     1/||raw column||. Raises ZfDegenerateError when the Gram matrix condition
-    number exceeds cond_limit.
+    number exceeds COND_LIMIT.
     """
     h_eff = np.asarray(h_eff)
     num_users, num_antennas = h_eff.shape
     if num_users > num_antennas:
         raise ValueError("ZF infeasible: more users than antennas")
     gram = h_eff @ np.conj(h_eff).T
-    check_zf_gram(gram, cond_limit)
+    check_zf_gram(gram)
     raw = np.conj(h_eff).T @ np.linalg.inv(gram)
     norms = np.linalg.norm(raw, axis=0)
     if np.any(norms == 0.0):

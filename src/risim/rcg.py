@@ -26,16 +26,6 @@ def euclid_grad(
     return stack.gradient(theta[None])[0]
 
 
-@dataclass(frozen=True)
-class RcgOptions:
-    epsilon: float = 1e-9  # stop when |objective change| <= epsilon * |objective|
-    max_iters: int = 200
-
-    def __post_init__(self):
-        _check_number("RcgOptions.epsilon", self.epsilon, minimum=0.0)
-        _check_number("RcgOptions.max_iters", self.max_iters, integer=True, minimum=0)
-
-
 ARMIJO_STEP = 1.0  # largest per-element phase move, in radians, of a first trial step
 ARMIJO_CONTRACTION = 0.5
 ARMIJO_SLOPE = 1e-4  # sufficient-increase coefficient
@@ -55,7 +45,7 @@ class RcgResult:
     grad_norms: np.ndarray
     steps: np.ndarray
     iterations: int
-    converged: bool  # tolerance met (as opposed to hitting the cap or stagnating)
+    converged: bool  # a flat slope, or an accepted step that left the objective unchanged
     stagnated: bool
     max_unit_deviation: float  # largest ||theta_n| - 1| over the start and accepted points
 
@@ -110,7 +100,7 @@ def _two_loop(g, pair_s, pair_y, rho, slots, gamma) -> np.ndarray:
     return r
 
 
-def rcg_lockstep(problem, theta0: np.ndarray, opts: RcgOptions = RcgOptions()) -> list[RcgResult]:
+def rcg_lockstep(problem, theta0: np.ndarray, max_iters: int) -> list[RcgResult]:
     """Maximize B smooth objectives over unit-modulus phase vectors, in lockstep.
 
     Row b is one Riemannian limited-memory BFGS run (Absil, Mahony and
@@ -133,9 +123,10 @@ def rcg_lockstep(problem, theta0: np.ndarray, opts: RcgOptions = RcgOptions()) -
     tries the unit quasi-Newton step first, capped so that no angle moves by
     more than ARMIJO_STEP; a row without a weighted pair starts at that cap,
     so the search does not depend on the scale of the objective. A row stops
-    when no step within MAX_BACKTRACKS candidates is accepted (stagnated),
-    at a stationary point (stagnated and converged), when its objective
-    changes by at most epsilon times its value (converged), or at max_iters.
+    after max_iters iterations (neither flag), at a flat slope (stagnated and
+    converged), when no step within MAX_BACKTRACKS candidates is accepted
+    (stagnated), or when an accepted step leaves its objective unchanged in
+    floating point (converged).
 
     problem holds the B objectives (see sinr.UtilityStack):
     problem.objective(theta, rows) returns the values of rows (an index
@@ -148,6 +139,7 @@ def rcg_lockstep(problem, theta0: np.ndarray, opts: RcgOptions = RcgOptions()) -
     start point, iteration 0, or a line-search candidate) or gradient in any
     row raises ValueError naming the iteration.
     """
+    _check_number("max_iters", max_iters, integer=True, minimum=0)
     theta = np.array(theta0, dtype=complex)
     mags = np.abs(theta)
     if np.any(mags == 0.0):
@@ -164,10 +156,10 @@ def rcg_lockstep(problem, theta0: np.ndarray, opts: RcgOptions = RcgOptions()) -
         return f
 
     f = checked(theta)
-    trace = np.zeros((num_rows, opts.max_iters + 1))
+    trace = np.zeros((num_rows, max_iters + 1))
     trace[:, 0] = f
-    grad_norms = np.zeros((num_rows, opts.max_iters))
-    steps = np.zeros((num_rows, opts.max_iters))
+    grad_norms = np.zeros((num_rows, max_iters))
+    steps = np.zeros((num_rows, max_iters))
     lengths = np.ones(num_rows, dtype=int)  # of each row's trace
     iterations = np.zeros(num_rows, dtype=int)
     converged = np.zeros(num_rows, dtype=bool)
@@ -186,7 +178,7 @@ def rcg_lockstep(problem, theta0: np.ndarray, opts: RcgOptions = RcgOptions()) -
     gamma = np.ones(num_rows)  # s.y / y.y of each row's newest weighted pair
     stored = 0
     g = d = step = c = None
-    for iteration in range(1, opts.max_iters + 1):
+    for iteration in range(1, max_iters + 1):
         egrad = problem.gradient(theta)
         if not np.isfinite(egrad).all():
             raise ValueError(f"non-finite gradient at RCG iteration {iteration}")
@@ -250,16 +242,15 @@ def rcg_lockstep(problem, theta0: np.ndarray, opts: RcgOptions = RcgOptions()) -
         steps[ids, iteration - 1] = step
 
         moved = step != 0.0
-        delta = np.abs(f_new - f)
+        unchanged = moved & (f_new == f)  # an accepted step that left the objective as it was
         f = np.where(moved, f_new, f)
         trace[ids[moved], iteration] = f[moved]
         lengths[ids[moved]] += 1
         dev = np.abs(np.abs(theta) - 1.0).max(axis=1)
         max_dev = np.where(moved & (dev > max_dev), dev, max_dev)
-        tol = moved & (delta <= opts.epsilon * np.abs(f))
         stagnated[ids] = ~moved
-        converged[ids] = flat | tol
-        stop = ~moved | tol
+        converged[ids] = flat | unchanged
+        stop = ~moved | unchanged
         if stop.any():
             gone = ids[stop]
             final_theta[gone], final_f[gone] = theta[stop], f[stop]
@@ -297,11 +288,13 @@ def optimize_phases(
     noise_power_w: float,
     weights=None,
     theta0: np.ndarray | None = None,
-    opts: RcgOptions = RcgOptions(),
+    *,
+    max_iters: int,
 ) -> RcgResult:
     """Maximize kind's utility over unit-modulus phases from theta0 (default
-    theta = 1): a one-row UtilityStack under rcg_lockstep."""
+    theta = 1) for max_iters iterations: a one-row UtilityStack under
+    rcg_lockstep."""
     if theta0 is None:
         theta0 = np.ones(terms.num_elements, dtype=complex)
     problem = UtilityStack.of([(terms, kind, powers, weights)], noise_power_w)
-    return rcg_lockstep(problem, np.asarray(theta0)[None], opts)[0]
+    return rcg_lockstep(problem, np.asarray(theta0)[None], max_iters)[0]

@@ -79,14 +79,12 @@ def build_cascades(
     h1: np.ndarray,
     g1: np.ndarray,
     r1: np.ndarray,
-    emi1_w: float = 0.0,
     emi_self_factor: float = 4.0,
     theta2: np.ndarray | None = None,
     u2: np.ndarray | None = None,
     h2: np.ndarray | None = None,
     z21: np.ndarray | None = None,
     r2: np.ndarray | None = None,
-    emi2_w: float = 0.0,
 ) -> CascadeTerms:
     """Assemble CascadeTerms for cluster 1 given fixed cluster-2 state.
 
@@ -118,8 +116,6 @@ def build_cascades(
         h1=h1,
         g1=g1,
         r1=np.asarray(r1),
-        emi1_w=float(emi1_w),
-        emi2_w=float(emi2_w),
         emi_self_factor=float(emi_self_factor),
         s=s,
         w21=w21,

@@ -4,7 +4,7 @@ One Riemannian limited-memory BFGS run on one (N,) phase vector, in the
 angles phi of theta = exp(j phi), written as plain Python over a list of at
 most LBFGS_MEMORY real (s, y, rho) pairs: the angle gradient, the two-loop
 direction, a backtracking Armijo search and the angle retraction. It shares
-the line-search constants, the memory, RcgOptions and RcgResult with
+the line-search constants, the memory and RcgResult with
 risim.rcg, so a lockstep row and this loop describe the same algorithm, and
 the tests compare them bit for bit. project_tangent is the ambient
 tangent-space projection that the angle gradient and retraction are checked
@@ -33,7 +33,6 @@ from risim.rcg import (
     ARMIJO_STEP,
     LBFGS_MEMORY,
     MAX_BACKTRACKS,
-    RcgOptions,
     RcgResult,
 )
 from risim.sinr import (
@@ -222,7 +221,7 @@ def armijo_search(theta, direction, objective, f0, slope, guess=None):
     return 0.0, theta, f0
 
 
-def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = RcgOptions()) -> RcgResult:
+def rcg_optimize(objective, gradient, theta0: np.ndarray, max_iters: int) -> RcgResult:
     """Maximize a smooth objective over unit-modulus phase vectors.
 
     objective(theta) -> float and gradient(theta) -> complex ndarray (the
@@ -238,7 +237,9 @@ def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = Rcg
     Armijo candidate is the unit step once a weighted pair exists. A
     non-finite objective (at the start point or a line-search candidate) or
     gradient raises ValueError naming the iteration; iteration 0 is the
-    start point.
+    start point. The run stops after max_iters iterations, at a flat slope,
+    when no step is accepted, or when an accepted step leaves the objective
+    unchanged.
     """
     theta = np.asarray(theta0, dtype=complex)
     mags = np.abs(theta)
@@ -265,7 +266,7 @@ def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = Rcg
     stagnated = False
     max_dev = float(np.abs(np.abs(theta) - 1.0).max()) if theta.size else 0.0
 
-    for iteration in range(1, opts.max_iters + 1):
+    for iteration in range(1, max_iters + 1):
         egrad = gradient(theta)
         if not np.isfinite(egrad).all():
             raise ValueError(f"non-finite gradient at RCG iteration {iteration}")
@@ -301,12 +302,12 @@ def rcg_optimize(objective, gradient, theta0: np.ndarray, opts: RcgOptions = Rcg
         if step == 0.0:
             stagnated = True
             break
-        delta = abs(f_new - f_curr)
+        unchanged = f_new == f_curr
         theta = theta_new
         f_curr = f_new
         trace.append(f_curr)
         max_dev = max(max_dev, float(np.abs(np.abs(theta) - 1.0).max()))
-        if delta <= opts.epsilon * abs(f_curr):
+        if unchanged:
             converged = True
             break
 

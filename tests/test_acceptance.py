@@ -14,7 +14,6 @@ import risim
 from reference_rcg import phase_point, utility_pair
 from risim import (
     PowerAllocation,
-    RcgOptions,
     ScenarioKind,
     SweepSpec,
     alternate_optimize,
@@ -74,9 +73,8 @@ def _instance(rng, num_elements, num_users=2, emi1_w=0.5, emi2_w=0.2):
         z21=_cn(rng, ne, num_elements),
         r2=_unit_diag_psd(rng, ne),
     )
-    terms = build_cascades(
-        h1, g1, r1, emi1_w=emi1_w, emi_self_factor=4.0, emi2_w=emi2_w, **raw
-    )
+    terms = build_cascades(h1, g1, r1, emi_self_factor=4.0, **raw)
+    terms = replace(terms, emi1_w=emi1_w, emi2_w=emi2_w)
     theta = np.exp(1j * rng.uniform(0, 2 * np.pi, num_elements))
     powers = PowerAllocation(rng.uniform(0.5, 2, num_users), rng.uniform(0.5, 2, num_users))
     return terms, theta, powers, (h1, g1, r1), raw
@@ -147,7 +145,7 @@ def test_a2_rcg_matches_exhaustive_phase_grid():
         grid_best = float(np.log1p((np.abs(h_eff) ** 2).sum(axis=2).max() / NOISE))
         res = optimize_phases(
             terms, ScenarioKind.EIF, powers, NOISE,
-            opts=RcgOptions(epsilon=1e-9, max_iters=300),
+            max_iters=300,
         )
         worst_shortfall = max(worst_shortfall, grid_best - res.objective)
     elapsed = time.perf_counter() - start
@@ -329,7 +327,7 @@ def test_a7_interference_awareness_pays_off():
             plain = evaluate_pair(terms, unaware.theta, ScenarioKind.EMI, *ctx).sum_rate_bps_hz
             # started from the unaware phases with the warm budget, as the harness does
             aware = alternate_optimize(
-                terms, ScenarioKind.EMI, *ctx, theta0=unaware.theta, opts=AO_WARM_RCG
+                terms, ScenarioKind.EMI, *ctx, theta0=unaware.theta, max_iters=AO_WARM_RCG
             )
             tuned = evaluate_pair(terms, aware.theta, ScenarioKind.EMI, *ctx).sum_rate_bps_hz
             diffs[lv].append(tuned - plain)
@@ -366,7 +364,7 @@ def test_a8_manifold_invariants():
         kind = kinds[i % 4]
         res = optimize_phases(
             terms, kind, powers, NOISE, theta0=theta0,
-            opts=RcgOptions(max_iters=40),
+            max_iters=40,
         )
         worst_dev = max(worst_dev, res.max_unit_deviation)
         mismatched += weighted_log_utility(terms, res.theta, kind, powers, NOISE) != res.objective

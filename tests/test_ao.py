@@ -7,7 +7,6 @@ import pytest
 
 from risim import (
     PowerAllocation,
-    RcgOptions,
     RcgResult,
     ScenarioKind,
     UtilityStack,
@@ -64,9 +63,8 @@ def _case(trial=0, side=5, emi_dbm=None, with_cluster2=False, optimize_c2=False)
             theta2=cluster2.theta, u2=cluster2.u, h2=real.h2, z21=real.z21,
             r2=stats.clusters[1].corr.matrix,
         )
-    terms = build_cascades(
-        real.h1, real.g1, stats.clusters[0].corr.matrix, emi1_w=emi_w, emi2_w=emi_w, **neighbor
-    )
+    terms = build_cascades(real.h1, real.g1, stats.clusters[0].corr.matrix, **neighbor)
+    terms = replace(terms, emi1_w=emi_w, emi2_w=emi_w)
     return terms, (powers, cfg.noise_power_w, cfg.clusters[0].weights())
 
 
@@ -86,19 +84,10 @@ def test_ao_beats_fixed_phases_per_realization(kind):
         assert tuned.sum_rate_bps_hz >= fixed.sum_rate_bps_hz - 1e-9
 
 
-def test_ao_huge_epsilon_stops_after_one_iteration():
-    # the optimizer is a single RCG run, so its tolerance is the only stop
-    # besides the iteration cap
-    terms, ctx = _case()
-    res = alternate_optimize(terms, ScenarioKind.EIF, *ctx, opts=RcgOptions(epsilon=1e9))
-    assert res.iterations == 1
-    assert res.converged
-
-
 def test_ao_low_power_runs_past_first_iteration():
     # at -20 dBm (50 dB below the default) the utility is about 3e-5 nats, so
     # the first step changes it by less than an absolute tolerance of 1e-4;
-    # the relative stop keeps iterating
+    # a run stops early only on a step that leaves it unchanged
     for trial in range(3):
         terms, (powers, noise, weights) = _case(trial=trial)
         quiet = PowerAllocation(powers.cluster1 * 1e-5)
@@ -123,22 +112,20 @@ def test_ao_objective_is_best_of_trace():
 
 
 def test_ao_terminates_within_outer_cap():
-    # the default AO has no tolerance stop, so its cost does not follow the
+    # the optimizer has no tolerance stop, so its cost does not follow the
     # draw: a run takes its full budget unless a step leaves the utility
     # exactly unchanged (which counts as converged)
     for trial in range(3):
         terms, ctx = _case(trial=trial)
         res = alternate_optimize(terms, ScenarioKind.EIF, *ctx)
         trace = res.trace
-        assert res.iterations <= AO_RCG.max_iters
-        assert res.iterations == AO_RCG.max_iters or (res.converged and trace[-1] == trace[-2])
+        assert res.iterations <= AO_RCG
+        assert res.iterations == AO_RCG or (res.converged and trace[-1] == trace[-2])
 
 
 def test_ao_respects_outer_cap():
     terms, ctx = _case(trial=3)
-    res = alternate_optimize(
-        terms, ScenarioKind.EIF, *ctx, opts=RcgOptions(epsilon=0.0, max_iters=5)
-    )
+    res = alternate_optimize(terms, ScenarioKind.EIF, *ctx, max_iters=5)
     assert res.iterations == 5
     assert not res.converged
 
@@ -212,10 +199,10 @@ def test_warm_run_starts_at_unaware_utility_and_never_ends_below(kind):
         terms, ctx = _case(trial=trial, side=6, emi_dbm=-65.0, with_cluster2=True, optimize_c2=True)
         unaware = alternate_optimize(terms, ScenarioKind.EIF, *ctx)
         start = weighted_log_utility(terms, unaware.theta, kind, *ctx)
-        warm = alternate_optimize(terms, kind, *ctx, theta0=unaware.theta, opts=AO_WARM_RCG)
+        warm = alternate_optimize(terms, kind, *ctx, theta0=unaware.theta, max_iters=AO_WARM_RCG)
         assert warm.trace[0] == pytest.approx(start, rel=1e-12)
         assert warm.objective >= warm.trace[0]
-        assert warm.iterations <= AO_WARM_RCG.max_iters < AO_RCG.max_iters
+        assert warm.iterations <= AO_WARM_RCG < AO_RCG
 
 
 def test_shared_reflected_emi_gives_the_same_covariance_bits():
@@ -242,5 +229,5 @@ def test_shared_reflected_emi_gives_the_same_covariance_bits():
     theta0 = np.ones((len(rows), base.num_elements), dtype=complex)
     stacked = rcg_lockstep(problem, theta0, AO_WARM_RCG)
     for fast, (terms, kind, powers, w) in zip(stacked, rows, strict=True):
-        alone = alternate_optimize(terms, kind, powers, noise, w, opts=AO_WARM_RCG)
+        alone = alternate_optimize(terms, kind, powers, noise, w, max_iters=AO_WARM_RCG)
         np.testing.assert_array_equal(fast.trace, alone.trace)

@@ -16,7 +16,6 @@ from risim import (
     path_loss_linear,
     ris_element_positions,
     sample_correlated_rayleigh,
-    sample_emi,
     sample_inter_ris,
     spatial_correlation,
     trial_rng,
@@ -138,17 +137,6 @@ def test_sample_inter_ris_shape_and_variance():
     assert z.shape == (9, 16)
     big = sample_inter_ris(10, 10, 0.5, np.random.default_rng(4))
     assert np.mean(np.abs(big) ** 2) == pytest.approx(0.5, rel=0.05)
-
-
-def test_sample_emi_power():
-    lam = 0.1
-    pos = ris_element_positions(3, (lam / 4.0) ** 2)
-    corr = spatial_correlation(pos, lam)
-    power = 3.1622776601683794e-11  # -75 dBm
-    rng = np.random.default_rng(5)
-    snaps = np.stack([sample_emi(corr, power, rng) for _ in range(4000)])
-    assert snaps.shape == (4000, 9)
-    assert np.mean(np.abs(snaps) ** 2) == pytest.approx(power, rel=0.05)
 
 
 def test_build_statistics_gains():

@@ -429,7 +429,7 @@ def test_power_sweep_draws_and_runs_cluster2_once_per_trial(mode, monkeypatch):
         assert isinstance(problem, sinr.UtilityStack)
         assert len(problem.interference) == call["theta0"].shape[0] == 3
         assert all(kind is ScenarioKind.EMI_IRR for _, kind, _, _ in problem.interference)
-        assert call["opts"] is ao.AO_WARM_RCG
+        assert call["max_iters"] == ao.AO_WARM_RCG
 
 
 @pytest.mark.usefixtures("in_process")

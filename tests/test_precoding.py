@@ -108,14 +108,6 @@ def test_zf_degenerate_raises():
         zf_precoder(nearly)
 
 
-def test_zf_condition_limit_configurable():
-    rng = np.random.default_rng(7)
-    h_eff = _cn(rng, 2, 3)
-    with pytest.raises(ZfDegenerateError):
-        zf_precoder(h_eff, cond_limit=1.0 - 1e-9)
-    zf_precoder(h_eff, cond_limit=1e12)
-
-
 def _gram_with_condition(rng, k, cond, scale):
     """A random Hermitian K x K Gram matrix with eigenvalues from scale down to scale / cond."""
     q, _ = np.linalg.qr(_cn(rng, k, k))

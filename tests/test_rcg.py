@@ -11,8 +11,8 @@ import reference_rcg as reference
 from reference_rcg import armijo_search, project_tangent, retract, two_loop, utility_pair
 from risim import rcg, sinr
 from risim import (
+    ConfigError,
     PowerAllocation,
-    RcgOptions,
     ScenarioKind,
     UtilityStack,
     build_cascades,
@@ -43,14 +43,14 @@ def _instance(rng, num_elements=4, num_users=2):
     ne = 5
     terms = build_cascades(
         h1, g1, r1,
-        emi1_w=0.4, emi_self_factor=4.0,
+        emi_self_factor=4.0,
         theta2=np.exp(1j * rng.uniform(0, 2 * np.pi, ne)),
         u2=_cn(rng, 2, num_users),
         h2=_cn(rng, ne, 2),
         z21=_cn(rng, ne, num_elements),
         r2=_unit_diag_psd(rng, ne),
-        emi2_w=0.2,
     )
+    terms = replace(terms, emi1_w=0.4, emi2_w=0.2)
     powers = PowerAllocation(rng.uniform(0.5, 2, num_users), rng.uniform(0.5, 2, num_users))
     return terms, powers
 
@@ -171,7 +171,7 @@ def test_newest_pair_is_transported_by_projection(monkeypatch):
 
     monkeypatch.setattr(UtilityStack, "gradient", spy_gradient)
     monkeypatch.setattr(rcg, "_two_loop", spy)
-    res = optimize_phases(terms, kind, powers, NOISE, w, opts=RcgOptions(epsilon=0.0, max_iters=8))
+    res = optimize_phases(terms, kind, powers, NOISE, w, max_iters=8)
     assert res.iterations == 8 and not res.stagnated
     for k in range(1, len(calls)):
         old, new = points[k - 1], points[k]
@@ -212,7 +212,7 @@ def test_multiplicative_update_keeps_unit_modulus():
     w = rng.standard_normal((2, 9))
     theta0 = np.exp(1j * rng.uniform(0, 2 * np.pi, (2, 9)))
     iters = 2000
-    results = rcg_lockstep(_Turning(w), theta0, RcgOptions(epsilon=0.0, max_iters=iters))
+    results = rcg_lockstep(_Turning(w), theta0, iters)
     for b, res in enumerate(results):
         assert res.iterations == iters and np.all(res.steps > 0.0)
         assert res.max_unit_deviation <= 1e-12
@@ -346,8 +346,7 @@ def test_rcg_single_user_reaches_aligned_optimum():
         g1 = _cn(rng, 1, 6)
         terms = build_cascades(h1, g1, np.eye(6))
         powers = PowerAllocation(np.ones(1))
-        opts = RcgOptions(epsilon=1e-8, max_iters=500)
-        res = optimize_phases(terms, ScenarioKind.EIF, powers, NOISE, opts=opts)
+        res = optimize_phases(terms, ScenarioKind.EIF, powers, NOISE, max_iters=500)
         c = np.conj(g1[0]) * h1[:, 0]
         best = np.log1p(np.abs(c).sum() ** 2 / NOISE)
         assert best - 1e-3 <= res.objective <= best + 1e-12
@@ -358,7 +357,7 @@ def test_rcg_trace_monotone_and_on_manifold():
     rng = np.random.default_rng(43)
     for _ in range(10):
         terms, powers = _instance(rng, num_elements=6)
-        res = optimize_phases(terms, ScenarioKind.EMI_IRR, powers, NOISE)
+        res = optimize_phases(terms, ScenarioKind.EMI_IRR, powers, NOISE, max_iters=200)
         assert np.all(np.diff(res.trace) >= 0.0)
         assert res.max_unit_deviation <= 1e-12
         assert weighted_log_utility(terms, res.theta, ScenarioKind.EMI_IRR, powers, NOISE) == res.objective
@@ -391,7 +390,7 @@ def test_rcg_line_search_mostly_accepts_its_first_step(monkeypatch):
     for kind in ScenarioKind:
         terms, powers = _instance(rng, num_elements=16)
         calls.clear()
-        res = optimize_phases(terms, kind, powers, NOISE, opts=RcgOptions(epsilon=0.0, max_iters=60))
+        res = optimize_phases(terms, kind, powers, NOISE, max_iters=60)
         assert len(calls) - 1 <= 2 * res.iterations
 
 
@@ -399,11 +398,11 @@ def test_rcg_normalizes_and_validates_theta0():
     rng = np.random.default_rng(45)
     terms, powers = _instance(rng)
     theta0 = 3.0 * np.exp(1j * rng.uniform(0, 2 * np.pi, terms.num_elements))
-    res = optimize_phases(terms, ScenarioKind.EIF, powers, NOISE, theta0=theta0)
+    res = optimize_phases(terms, ScenarioKind.EIF, powers, NOISE, theta0=theta0, max_iters=200)
     unit = theta0 / np.abs(theta0)
     assert res.trace[0] == pytest.approx(weighted_log_utility(terms, unit, ScenarioKind.EIF, powers, NOISE))
     with pytest.raises(ValueError, match="nonzero"):
-        optimize_phases(terms, ScenarioKind.EIF, powers, NOISE, theta0=np.array([1.0, 0.0, 1.0, 1.0]))
+        optimize_phases(terms, ScenarioKind.EIF, powers, NOISE, theta0=np.array([1.0, 0.0, 1.0, 1.0]), max_iters=200)
 
 
 def test_rcg_raises_on_non_finite_values(monkeypatch):
@@ -413,7 +412,7 @@ def test_rcg_raises_on_non_finite_values(monkeypatch):
     terms, powers = _instance(rng)
 
     def run():
-        return optimize_phases(terms, ScenarioKind.EIF, powers, NOISE, opts=RcgOptions(epsilon=0.0))
+        return optimize_phases(terms, ScenarioKind.EIF, powers, NOISE, max_iters=200)
 
     _counted(monkeypatch, "objective", poison_from=1)
     with pytest.raises(ValueError, match="objective nan at RCG iteration 0"):
@@ -429,41 +428,27 @@ def test_rcg_raises_on_non_finite_values(monkeypatch):
         run()
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [("max_iters", -1), ("max_iters", 2.5), ("max_iters", True), ("epsilon", float("nan")),
-     ("epsilon", -1e-9), ("epsilon", float("inf"))],
-)
-def test_rcg_options_reject_bad_fields(field, value):
-    # a negative or fractional cap used to fail deep in the loop, and a NaN or
-    # negative tolerance silently never stopped a run
-    with pytest.raises(ValueError, match=f"RcgOptions.{field}"):
-        RcgOptions(**{field: value})
+@pytest.mark.parametrize("value", [-1, 2.5, True], ids=lambda value: f"max_iters-{value}")
+def test_rcg_options_reject_bad_fields(value):
+    # a negative or fractional cap used to fail deep in the loop
+    rng = np.random.default_rng(48)
+    terms, powers = _instance(rng)
+    with pytest.raises(ConfigError, match="max_iters"):
+        optimize_phases(terms, ScenarioKind.EIF, powers, NOISE, max_iters=value)
 
 
 def test_rcg_respects_iteration_cap():
     rng = np.random.default_rng(47)
     terms, powers = _instance(rng, num_elements=8)
-    opts = RcgOptions(max_iters=3, epsilon=0.0)
-    res = optimize_phases(terms, ScenarioKind.EIF, powers, NOISE, opts=opts)
+    res = optimize_phases(terms, ScenarioKind.EIF, powers, NOISE, max_iters=3)
     assert res.iterations <= 3
-
-
-def test_rcg_converges_immediately_with_huge_epsilon():
-    rng = np.random.default_rng(49)
-    terms, powers = _instance(rng)
-    res = optimize_phases(
-        terms, ScenarioKind.EIF, powers, NOISE, opts=RcgOptions(epsilon=1e9)
-    )
-    assert res.converged
-    assert res.iterations == 1
 
 
 def test_optimize_phases_default_start_is_all_ones():
     rng = np.random.default_rng(51)
     terms, powers = _instance(rng)
     objective, _ = utility_pair(terms, ScenarioKind.EIF, powers, NOISE)
-    res = optimize_phases(terms, ScenarioKind.EIF, powers, NOISE)
+    res = optimize_phases(terms, ScenarioKind.EIF, powers, NOISE, max_iters=200)
     assert res.trace[0] == pytest.approx(objective(np.ones(terms.num_elements, complex)))
     assert res.objective >= res.trace[0]
 
@@ -586,9 +571,8 @@ def test_rcg_iteration_evaluates_interference_once(kind, monkeypatch):
     monkeypatch.setattr(UtilityStack, "objective", counted_objective)
     monkeypatch.setattr(UtilityStack, "gradient", counted_gradient)
     rng = np.random.default_rng(57)
-    opts = RcgOptions(epsilon=0.0, max_iters=12)
     (terms, _, powers, _), *mates = _utility_rows(rng, [kind, *ScenarioKind], num_elements=8)
-    res = optimize_phases(terms, kind, powers, NOISE, opts=opts)
+    res = optimize_phases(terms, kind, powers, NOISE, max_iters=12)
     assert res.iterations == 12 and not res.stagnated
     assert per_gradient == [(0, 0)] * 12
     assert len(per_objective) >= 13  # the start point and 12 accepted candidates
@@ -605,7 +589,7 @@ def test_rcg_iteration_evaluates_interference_once(kind, monkeypatch):
         shared = replace(first[0], emi1_w=e, emi2_w=e / 2)
         mates.append((shared, ScenarioKind.EMI_IRR, replace(first[2], cluster1=np.full(2, p1)), first[3]))
     theta0 = np.ones((len(mates), 8), dtype=complex)
-    rcg_lockstep(UtilityStack.of(mates, NOISE), theta0, opts)
+    rcg_lockstep(UtilityStack.of(mates, NOISE), theta0, 12)
     assert per_gradient and not any(any(log) for log in per_gradient)
     assert all(made == aware for made, aware, _, _ in per_objective)
     assert len(calls) == sum(aware for _, aware, _, _ in per_objective) > 0
@@ -643,11 +627,10 @@ def _stacks(draw):
     powers = 10.0 ** rng.uniform(-3, 3, (rows, 1)) * rng.uniform(0.5, 2.0, (rows, users))
     weights = rng.uniform(0.2, 3.0, (rows, users))
     theta0 = rng.uniform(0.5, 2.0, (rows, elements)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (rows, elements)))
-    opts = RcgOptions(epsilon=draw(st.sampled_from([0.0, 1e-6])), max_iters=draw(st.integers(0, 60)))
-    return g, h, powers, weights, theta0, opts
+    return g, h, powers, weights, theta0, draw(st.integers(0, 60))
 
 
-def _single_runs(g, h, powers, weights, theta0, opts):
+def _single_runs(g, h, powers, weights, theta0, max_iters):
     """Each row of an interference-free UtilityStack as a run of the reference scalar loop."""
     return [
         reference.rcg_optimize(
@@ -656,7 +639,7 @@ def _single_runs(g, h, powers, weights, theta0, opts):
                 PowerAllocation(powers[b]), NOISE, weights[b],
             ),
             theta0[b],
-            opts,
+            max_iters,
         )
         for b in range(g.shape[0])
     ]
@@ -665,34 +648,34 @@ def _single_runs(g, h, powers, weights, theta0, opts):
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(_stacks())
 def test_lockstep_rows_equal_single_runs_bitwise(stack):
-    # rows stop at different iterations (the epsilon rule, a flat slope, an
-    # exhausted line search, the cap), and each still reproduces its own run
-    g, h, powers, weights, theta0, opts = stack
-    results = rcg_lockstep(UtilityStack(g, h, powers, weights, NOISE), theta0, opts)
-    for got, want in zip(results, _single_runs(g, h, powers, weights, theta0, opts), strict=True):
+    # rows stop at different iterations (an unchanged objective, a flat slope,
+    # an exhausted line search, the cap), and each still reproduces its own run
+    g, h, powers, weights, theta0, max_iters = stack
+    results = rcg_lockstep(UtilityStack(g, h, powers, weights, NOISE), theta0, max_iters)
+    for got, want in zip(results, _single_runs(g, h, powers, weights, theta0, max_iters), strict=True):
         _assert_same_result(got, want)
     # a row's result does not depend on its stack-mates or its place in the stack
     flip = slice(None, None, -1)
-    flipped = rcg_lockstep(UtilityStack(g[flip], h[flip], powers[flip], weights[flip], NOISE), theta0[flip], opts)
+    flipped = rcg_lockstep(UtilityStack(g[flip], h[flip], powers[flip], weights[flip], NOISE), theta0[flip], max_iters)
     for got, want in zip(flipped[::-1], results, strict=True):
         _assert_same_result(got, want)
-    alone = rcg_lockstep(UtilityStack(g[:1], h[:1], powers[:1], weights[:1], NOISE), theta0[:1], opts)
+    alone = rcg_lockstep(UtilityStack(g[:1], h[:1], powers[:1], weights[:1], NOISE), theta0[:1], max_iters)
     _assert_same_result(alone[0], results[0])
 
 
 def test_lockstep_rows_stop_at_different_iterations():
-    # the property test's stops are real: with a tolerance rows leave the stack
-    # one by one, and the rows that stay keep matching their single runs
+    # the property test's stops are real: rows leave the stack one by one, and
+    # the rows that stay keep matching their single runs
     rng = np.random.default_rng(61)
     rows, users, elements = 6, 2, 8
     g, h = _cn(rng, rows, users, elements), _cn(rng, rows, elements, 2)
     powers = 10.0 ** rng.uniform(-3, 3, (rows, 1)) * np.ones((rows, users))
     weights = rng.uniform(0.5, 2.0, (rows, users))
     theta0 = np.ones((rows, elements), dtype=complex)
-    opts = RcgOptions(epsilon=1e-6, max_iters=200)
-    results = rcg_lockstep(UtilityStack(g, h, powers, weights, NOISE), theta0, opts)
+    max_iters = 200
+    results = rcg_lockstep(UtilityStack(g, h, powers, weights, NOISE), theta0, max_iters)
     assert len({r.iterations for r in results}) > 1
-    for got, want in zip(results, _single_runs(g, h, powers, weights, theta0, opts), strict=True):
+    for got, want in zip(results, _single_runs(g, h, powers, weights, theta0, max_iters), strict=True):
         _assert_same_result(got, want)
 
 
@@ -730,22 +713,22 @@ def test_lockstep_raises_on_non_finite_values_in_one_row():
         np.ones((rows, users)), np.ones((rows, users)), NOISE,
     )
     theta0 = np.ones((rows, elements), dtype=complex)
-    opts = RcgOptions(epsilon=0.0, max_iters=20)
+    max_iters = 20
     with pytest.raises(ValueError, match="objective nan at RCG iteration 0"):
-        rcg_lockstep(_Poisoned(*args, objective_at=1), theta0, opts)
+        rcg_lockstep(_Poisoned(*args, objective_at=1), theta0, max_iters)
     with pytest.raises(ValueError, match="objective nan at RCG iteration 1"):
-        rcg_lockstep(_Poisoned(*args, objective_at=2), theta0, opts)
+        rcg_lockstep(_Poisoned(*args, objective_at=2), theta0, max_iters)
     with pytest.raises(ValueError, match="non-finite gradient at RCG iteration 3"):
-        rcg_lockstep(_Poisoned(*args, gradient_at=3), theta0, opts)
+        rcg_lockstep(_Poisoned(*args, gradient_at=3), theta0, max_iters)
     # a NaN channel in one row is caught at the start point, as in a single run
     g = args[0].copy()
     g[2, 0, 0] = np.nan
     with pytest.raises(ValueError, match="objective nan at RCG iteration 0"):
-        rcg_lockstep(UtilityStack(g, *args[1:]), theta0, opts)
+        rcg_lockstep(UtilityStack(g, *args[1:]), theta0, max_iters)
     zero = theta0.copy()
     zero[1, 3] = 0.0
     with pytest.raises(ValueError, match="nonzero"):
-        rcg_lockstep(UtilityStack(*args), zero, opts)
+        rcg_lockstep(UtilityStack(*args), zero, max_iters)
 
 
 class _LinearRows:
@@ -773,14 +756,14 @@ def test_lockstep_exhausted_line_search_stops_only_its_row():
     a = _cn(rng, 3, 5)
     sign = np.array([1.0, -1.0, 1.0])
     theta0 = np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 5)))
-    opts = RcgOptions(epsilon=0.0, max_iters=15)
-    results = rcg_lockstep(_LinearRows(a, sign), theta0, opts)
+    max_iters = 15
+    results = rcg_lockstep(_LinearRows(a, sign), theta0, max_iters)
     for r, got in enumerate(results):
         want = reference.rcg_optimize(
             lambda theta, r=r: np.vdot(a[r], theta).real,
             lambda theta, r=r: sign[r] * a[r],
             theta0[r],
-            opts,
+            max_iters,
         )
         _assert_same_result(got, want)
     assert (results[1].stagnated, results[1].converged, results[1].iterations) == (True, False, 1)
@@ -816,7 +799,6 @@ def test_unweighted_pairs_and_restarts_change_only_their_row(monkeypatch):
     theta0 = np.exp(1j * (np.angle(a) + rng.uniform(-0.5, 0.5, (3, 5))))  # where the objective is concave
     scale = np.ones((3, iters))
     scale[1, 1::2] = 8.0
-    opts = RcgOptions(epsilon=0.0, max_iters=iters)
     two_loop_rows = rcg._two_loop
 
     def run(rows, flip_row=None):
@@ -830,7 +812,7 @@ def test_unweighted_pairs_and_restarts_change_only_their_row(monkeypatch):
             return r
 
         monkeypatch.setattr(rcg, "_two_loop", spy)
-        results = rcg_lockstep(_ScaledLinearRows(a[rows], scale[rows]), theta0[rows], opts)
+        results = rcg_lockstep(_ScaledLinearRows(a[rows], scale[rows]), theta0[rows], iters)
         assert all(res.iterations == iters for res in results)
         return results, seen
 
@@ -869,8 +851,7 @@ def _utility_stacks(draw):
         rows.append((terms, kind, powers, weights))
     shape = (len(rows), elements)
     theta0 = rng.uniform(0.5, 2.0, shape) * np.exp(1j * rng.uniform(0, 2 * np.pi, shape))
-    opts = RcgOptions(epsilon=draw(st.sampled_from([0.0, 1e-6])), max_iters=draw(st.integers(0, 60)))
-    return rows, theta0, opts
+    return rows, theta0, draw(st.integers(0, 60))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -878,13 +859,13 @@ def _utility_stacks(draw):
 def test_utility_stack_rows_equal_the_reference_bitwise(stack):
     # the aware runs of a draw are stacked like this: each row is its own
     # scalar run, whatever its kind, its channels, its stack-mates or its place
-    rows, theta0, opts = stack
-    results = rcg_lockstep(UtilityStack.of(rows, NOISE), theta0, opts)
+    rows, theta0, max_iters = stack
+    results = rcg_lockstep(UtilityStack.of(rows, NOISE), theta0, max_iters)
     for b, got in enumerate(results):
         pair = utility_pair(*rows[b][:3], NOISE, rows[b][3])
-        _assert_same_result(got, reference.rcg_optimize(*pair, theta0[b], opts))
-    flipped = rcg_lockstep(UtilityStack.of(rows[::-1], NOISE), theta0[::-1], opts)
+        _assert_same_result(got, reference.rcg_optimize(*pair, theta0[b], max_iters))
+    flipped = rcg_lockstep(UtilityStack.of(rows[::-1], NOISE), theta0[::-1], max_iters)
     for got, want in zip(flipped[::-1], results, strict=True):
         _assert_same_result(got, want)
-    alone = rcg_lockstep(UtilityStack.of(rows[-1:], NOISE), theta0[-1:], opts)
+    alone = rcg_lockstep(UtilityStack.of(rows[-1:], NOISE), theta0[-1:], max_iters)
     _assert_same_result(alone[0], results[-1])

@@ -14,7 +14,6 @@ from risim import (
     CascadeTerms,
     PowerAllocation,
     ScenarioKind,
-    RcgOptions,
     ZfDegenerateError,
     build_cascades,
     euclid_grad,
@@ -59,7 +58,7 @@ def _instance(rng, num_elements=6, num_users=2, num_antennas=2, neighbor=True,
     h1 = _cn(rng, num_elements, num_antennas)
     g1 = _cn(rng, num_users, num_elements)
     r1 = _unit_diag_psd(rng, num_elements)
-    kwargs = dict(emi1_w=emi1_w, emi_self_factor=factor)
+    kwargs = dict(emi_self_factor=factor)
     if neighbor:
         ne = 5  # neighbor RIS element count
         kwargs.update(
@@ -68,9 +67,9 @@ def _instance(rng, num_elements=6, num_users=2, num_antennas=2, neighbor=True,
             h2=_cn(rng, ne, num_antennas),
             z21=_cn(rng, ne, num_elements),
             r2=_unit_diag_psd(rng, ne),
-            emi2_w=emi2_w,
         )
     terms = build_cascades(h1, g1, r1, **kwargs)
+    terms = replace(terms, emi1_w=emi1_w, emi2_w=emi2_w if neighbor else 0.0)
     theta = np.exp(1j * rng.uniform(0, 2 * np.pi, num_elements))
     powers = PowerAllocation(
         cluster1=rng.uniform(0.5, 2.0, num_users),
@@ -135,9 +134,8 @@ def test_cascades_match_direct_evaluation(kind):
             h2=_cn(rng, ne, 2),
             z21=_cn(rng, ne, 6),
             r2=_unit_diag_psd(rng, ne),
-            emi2_w=0.3,
         )
-        terms = build_cascades(h1, g1, r1, emi1_w=0.7, emi_self_factor=4.0, **kwargs)
+        terms = replace(build_cascades(h1, g1, r1, emi_self_factor=4.0, **kwargs), emi1_w=0.7, emi2_w=0.3)
         theta = np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
         powers = PowerAllocation(rng.uniform(0.5, 2, 2), rng.uniform(0.5, 2, 2))
         point = phase_point(terms, theta, kind, powers, NOISE)
@@ -216,7 +214,7 @@ def test_scalar_oracle_single_user_single_element():
     h1 = np.array([[2.0 + 0j]])
     g1 = np.array([[0.5 + 0j]])
     r1 = np.eye(1)
-    terms = build_cascades(h1, g1, r1, emi1_w=0.25)
+    terms = replace(build_cascades(h1, g1, r1), emi1_w=0.25)
     theta = np.array([1.0 + 0j])
     powers = PowerAllocation(np.array([1.0]))
     eif = scenario_sinr(terms, theta, ScenarioKind.EIF, powers, noise_power_w=1.0)
@@ -235,7 +233,7 @@ def test_phase_rotation_changes_nothing_with_one_element():
     rng = np.random.default_rng(11)
     h1 = _cn(rng, 1, 2)
     g1 = _cn(rng, 1, 1)
-    terms = build_cascades(h1, g1, np.eye(1), emi1_w=0.1)
+    terms = replace(build_cascades(h1, g1, np.eye(1)), emi1_w=0.1)
     powers = PowerAllocation(np.ones(1))
     base = scenario_sinr(terms, np.array([1.0 + 0j]), ScenarioKind.EMI, powers, NOISE).sinr
     for ang in (0.3, 1.2, -2.0):
@@ -262,7 +260,7 @@ def _optimizer_entry_points(terms, theta, kind, powers):
     return [
         lambda: weighted_log_utility(*args),
         lambda: euclid_grad(*args),
-        lambda: optimize_phases(terms, kind, powers, NOISE, opts=RcgOptions(max_iters=1)),
+        lambda: optimize_phases(terms, kind, powers, NOISE, max_iters=1),
         lambda: UtilityStack.of([(terms, kind, powers, None)], NOISE).objective(theta[None]),
     ]
 
@@ -403,9 +401,8 @@ def test_emi_algebra_on_rank_deficient_sinc_correlation(kind):
             h2=_cn(rng, n2, 2),
             z21=_cn(rng, n2, n1),
             r2=r2,
-            emi2_w=0.3,
         )
-        terms = build_cascades(h1, g1, r1, emi1_w=0.7, emi_self_factor=4.0, **kwargs)
+        terms = replace(build_cascades(h1, g1, r1, emi_self_factor=4.0, **kwargs), emi1_w=0.7, emi2_w=0.3)
         theta = np.exp(1j * rng.uniform(0, 2 * np.pi, n1))
         powers = PowerAllocation(rng.uniform(0.5, 2, 2), rng.uniform(0.5, 2, 2))
         point = phase_point(terms, theta, kind, powers, NOISE)
@@ -469,9 +466,8 @@ def _sized_instance(sizes):
         h2=_cn(rng, n2, t2),
         z21=_cn(rng, n2, n1),
         r2=_unit_diag_psd(rng, n2),
-        emi2_w=0.3,
     )
-    terms = build_cascades(h1, g1, r1, emi1_w=0.7, emi_self_factor=4.0, **kwargs)
+    terms = replace(build_cascades(h1, g1, r1, emi_self_factor=4.0, **kwargs), emi1_w=0.7, emi2_w=0.3)
     powers = PowerAllocation(rng.uniform(0.5, 2, k1), rng.uniform(0.5, 2, k2))
     return terms, powers, kwargs, rng
 

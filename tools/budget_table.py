@@ -56,6 +56,12 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BL
 # -- the worker: runs on one tree's src --------------------------------------
 
 
+def _budget(ao, n):
+    """n iterations as the tree's optimizer takes a budget: an int or, in a tree
+    whose budgets are still option objects, AO_RCG's (no tolerance) at n."""
+    return n if isinstance(ao.AO_RCG, int) else replace(ao.AO_RCG, max_iters=n)
+
+
 def _at_budgets(result, budgets) -> list[float]:
     """The objective of result's run after each of budgets iterations."""
     return [float(result.trace[min(b, result.trace.size - 1)]) for b in budgets]
@@ -72,14 +78,14 @@ def _draws(risim, cfg, stats, count):
     return [risim.draw_realization(cfg, stats, t, rng=risim.trial_rng(SEED, t)) for t in range(count)]
 
 
-def _eif_runs(risim, cfg, reals, cluster, opts):
+def _eif_runs(risim, cfg, reals, cluster, budget):
     """optimize_eif_stack over reals for cluster 0 or 1 at cfg's powers, from theta = 1."""
     k = 1 if cluster == 0 else 2
     powers = risim.make_powers(cfg)
     p = powers.cluster1 if cluster == 0 else powers.cluster2
     links = [(getattr(r, f"g{k}"), getattr(r, f"h{k}")) for r in reals]
     weights = cfg.clusters[cluster].weights()
-    return risim.optimize_eif_stack(links, [p] * len(reals), [weights] * len(reals), cfg.noise_power_w, opts)
+    return risim.optimize_eif_stack(links, [p] * len(reals), [weights] * len(reals), cfg.noise_power_w, budget)
 
 
 def worker(spec: dict) -> dict:
@@ -96,8 +102,8 @@ def worker(spec: dict) -> dict:
     import risim
     from risim import ao
 
-    long = risim.RcgOptions(epsilon=0.0, max_iters=spec["long"])
-    own = {"cold": ao.AO_RCG.max_iters, "warm": ao.AO_WARM_RCG.max_iters}
+    long = _budget(ao, spec["long"])
+    own = {t: getattr(b, "max_iters", b) for t, b in (("cold", ao.AO_RCG), ("warm", ao.AO_WARM_RCG))}
     budgets = {t: sorted({*spec["budgets"][t], own[t], spec["long"]}) for t in own}
     out = {"budgets": budgets, "own": own, "rows": {"cold": {}, "warm": {}}}
 
