@@ -32,7 +32,6 @@ from .harness import (
     Mode,
     ScenarioCase,
     SweepSpec,
-    TrialEvaluator,
     aggregate,
     make_powers,
     parse_scenario_token,

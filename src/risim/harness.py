@@ -180,118 +180,15 @@ class GridPoint:
     value: float | str = ""
 
 
-def _aware_key(kind: ScenarioKind, emi1_w: float, emi2_w: float, p1: tuple) -> tuple:
-    """The cache key of kind's aware run at EMI levels (emi1_w, emi2_w) and cluster-1 powers p1."""
-    return ("ao_aware", kind.value, emi1_w, emi2_w, p1)
-
-
-class TrialEvaluator:
-    """Evaluates scenario cases on one channel draw from optimizer runs already made.
-
-    runs holds every run the cases need, under its cache key: "cluster2" for
-    the neighbor cluster's, ("ao_unaware", p1) for cluster 1's
-    interference-unaware run at cluster-1 powers p1, and _aware_key for an
-    aware run (see _evaluate_block, which makes them). What the evaluator
-    builds is cached under a key that names what it depends on besides the
-    draw: nothing for the neighbor cluster's state and for the cascade terms
-    with and without the neighbor RIS (no sweep changes cluster 2, and the
-    terms hold no powers; each case sets its EMI levels on them). Every case
-    is mixed from the per-user parts at its phases (see sinr.UserParts),
-    cached under the key of the run that made those phases, or "fixed" for
-    theta = 1: a fixed power sweep builds them once per draw, an unaware one
-    once per (draw, power). The neighbor parts are built only when an IRR
-    case asks for them. Every grid point of a draw goes through the same
-    evaluator, and each point gets the trace rows of every run it uses,
-    once, as if it had made the run itself.
-    """
-
-    def __init__(self, cfg: SystemConfig, stats, real, mode: Mode, runs: dict):
-        self.cfg = cfg
-        self.stats = stats
-        self.real = real
-        self.mode = Mode(mode)
-        self.noise = cfg.noise_power_w
-        self.w1 = cfg.clusters[0].weights()
-        self.runs = runs
-        self._cache = {}
-        self._traced = set()
-
-    def _once(self, key, fn):
-        if key not in self._cache:
-            try:
-                self._cache[key] = ("ok", fn())
-            except ZfDegenerateError as exc:
-                self._cache[key] = ("err", exc)
-        status, value = self._cache[key]
-        if status == "err":
-            raise value
-        return value
-
-    def _trace(self, point: GridPoint, case, key, stage):
-        """Write the rows of run key once per point, under the first case that uses it."""
-        if point.trace is None or (point, key) in self._traced:
-            return
-        self._traced.add((point, key))
-        res = self.runs[key]
-        objectives = res.trace[1:]
-        for i in range(res.iterations):
-            obj = objectives[i] if i < objectives.size else res.trace[-1]
-            row = (point.value, case.label, self.mode.value, self.real.trial, stage, i, obj)
-            point.trace.append(row + (res.grad_norms[i], res.steps[i]))
-
-    def _cluster2(self) -> Cluster2State:
-        if self.mode is Mode.FIXED:
-            return fixed_cluster2(self.real)
-        return optimize_cluster2(self.real, self.runs["cluster2"])
-
-    def _terms(self, neighbor: bool):
-        """The draw's cascade terms, with the neighbor RIS when neighbor is set."""
-        real = self.real
-        extra = {}
-        if neighbor:
-            c2 = self._once("cluster2", self._cluster2)
-            r2 = self.stats.clusters[1].corr.matrix
-            extra = dict(theta2=c2.theta, u2=c2.u, h2=real.h2, z21=real.z21, r2=r2)
-        r1 = self.stats.clusters[0].corr.matrix
-        factor = self.cfg.emi_self_factor
-        return self._once(
-            ("terms", neighbor),
-            lambda: build_cascades(real.h1, real.g1, r1, emi_self_factor=factor, **extra),
-        )
-
-    def evaluate(self, case: ScenarioCase, point: GridPoint) -> SinrReport:
-        kind = ScenarioKind(case.kind)
-        emi1_w, emi2_w = _case_levels(case, self.cfg)
-        terms = replace(self._terms(kind.has_irr), emi1_w=emi1_w, emi2_w=emi2_w)
-        if self.mode is Mode.FIXED:
-            key, theta = "fixed", np.ones(terms.num_elements, dtype=complex)
-        else:
-            if kind.has_irr:
-                self._trace(point, case, "cluster2", "cluster2")
-            p1 = tuple(point.powers.cluster1)
-            key = ("ao_unaware", p1)
-            self._trace(point, case, key, "cluster1_unaware")
-            if self.mode is Mode.AWARE and kind is not ScenarioKind.EIF:
-                key = _aware_key(kind, emi1_w, emi2_w, p1)
-                self._trace(point, case, key, f"cluster1_aware_{kind.value}")
-            theta = self.runs[key].theta
-        # the parts at theta serve every case, power and EMI level evaluated there
-        parts = self._once(("parts", key), lambda: user_parts(terms, theta))
-        if kind.has_irr:
-            parts = self._once(("neighbor_parts", key), lambda: neighbor_parts(parts, terms, theta))
-        return parts_sinr(parts, terms, kind, point.powers, self.noise, self.w1)
-
-
 def _config_at(cfg: SystemConfig, variable: str, value: float) -> SystemConfig:
     cluster1 = cfg.clusters[0]
     if variable == "tx_power_dbm":
         cluster1 = replace(cluster1, tx_power_dbm=float(value))
     elif variable == "ris_elements":
         count = int(value)
-        side = math.isqrt(count)
-        if count != value or side * side != count or count < 1:
+        if count != value or count < 1 or math.isqrt(count) ** 2 != count:
             raise ConfigError(f"ris_elements grid values must be perfect squares, got {value}")
-        cluster1 = replace(cluster1, ris_side=side)
+        cluster1 = replace(cluster1, ris_side=math.isqrt(count))
     return validate_config(replace(cfg, clusters=(cluster1, cfg.clusters[1])))
 
 
@@ -335,7 +232,8 @@ def _validate_spec(spec: SweepSpec) -> None:
 
 
 def _lockstep_runs(cfg: SystemConfig, reals, pairs, mode: Mode) -> list[dict]:
-    """The runs from theta = 1 of each draw in reals, for its TrialEvaluator.
+    """The runs from theta = 1 of each draw in reals, under their keys (see
+    _evaluate_block).
 
     These are the interference-unaware runs: cluster 2's when some case of
     pairs needs the neighbor RIS, and cluster 1's at each distinct cluster-1
@@ -352,47 +250,15 @@ def _lockstep_runs(cfg: SystemConfig, reals, pairs, mode: Mode) -> list[dict]:
         links = [(real.g2, real.h2) for real in reals]
         made = optimize_eif_stack(links, [p2] * len(reals), [w2] * len(reals), noise)
         for ready, result in zip(runs, made):
-            ready["cluster2"] = result
+            ready[("cluster2",)] = result
     w1 = cfg.clusters[0].weights()
     powers1 = dict.fromkeys(tuple(pt.powers.cluster1) for pt, _ in pairs)
     rows = [(j, p1) for j in range(len(reals)) for p1 in powers1]
     links = [(reals[j].g1, reals[j].h1) for j, _ in rows]
     made = optimize_eif_stack(links, [p1 for _, p1 in rows], [w1] * len(rows), noise)
     for (j, p1), result in zip(rows, made):
-        runs[j][("ao_unaware", p1)] = result
+        runs[j][("cluster1_unaware", p1)] = result
     return runs
-
-
-def _aware_runs(evaluator: TrialEvaluator, pairs) -> dict:
-    """The aware runs of one draw, made as one lockstep stack, under their cache keys.
-
-    There is a row per distinct (kind, EMI levels, cluster-1 power) among the
-    non-EIF cases of pairs: kind's utility on the case's terms (a row of
-    sinr.UtilityStack), from the unaware phases at that power, with the
-    AO_WARM_RCG budget. The rows share the draw's cascade terms, so the stack
-    builds one EMI_IRR operator per ratio e2 / e1 of EMI levels, one for
-    every per-case level, from one W21^H R2 W21 per draw (see
-    UtilityStack.of): neither depends on cluster 1's power. A case whose
-    neighbor ZF is degenerate gets no row; it is skipped when evaluated.
-    """
-    rows, theta0 = {}, []
-    for point, case in pairs:
-        kind = ScenarioKind(case.kind)
-        emi1_w, emi2_w = _case_levels(case, evaluator.cfg)
-        p1 = tuple(point.powers.cluster1)
-        key = _aware_key(kind, emi1_w, emi2_w, p1)
-        if kind is ScenarioKind.EIF or key in rows:
-            continue
-        try:
-            terms = replace(evaluator._terms(kind.has_irr), emi1_w=emi1_w, emi2_w=emi2_w)
-        except ZfDegenerateError:
-            continue
-        rows[key] = (terms, kind, point.powers, evaluator.w1)
-        theta0.append(evaluator.runs[("ao_unaware", p1)].theta)
-    if not rows:
-        return {}
-    problem = UtilityStack.of(rows.values(), evaluator.noise)
-    return dict(zip(rows, rcg_lockstep(problem, np.array(theta0), AO_WARM_RCG)))
 
 
 def _evaluate_block(cfg: SystemConfig, stats, reals, pairs, mode: Mode):
@@ -400,24 +266,123 @@ def _evaluate_block(cfg: SystemConfig, stats, reals, pairs, mode: Mode):
 
     Yields one list per draw, in order: the pair's SinrReport, or the
     ZfDegenerateError that skips it. The runs from theta = 1 are made first,
-    stacked across the draws (see _lockstep_runs); in aware mode each draw's
-    aware runs are then one stack of their own (see _aware_runs). A stacked
-    run equals the single run bit for bit, so no result depends on the
-    block. reals is emptied as the draws are evaluated, so that each draw
-    (and its z21) is freed once done.
+    stacked across the draws (see _lockstep_runs). Each draw is then one
+    pass:
+
+    1. The draw's cascade terms: cluster 1's own, and with the neighbor RIS
+       when some case has an IRR kind. The terms hold no powers and no EMI
+       levels (no sweep changes cluster 2), so each is built once per draw.
+       A degenerate neighbor ZF is kept in place of the neighbor terms.
+    2. One plan per pair: its kind, its terms at its EMI levels (or the
+       error in their place) and the keys of the runs it reads, in order:
+       cluster 2's run for an IRR kind, cluster 1's unaware run at its
+       power, and in aware mode, for a kind other than EIF, its aware run.
+       A key's first item is the run's trace stage. The last run's phases
+       are the pair's; in fixed mode there is no run and they are theta = 1.
+    3. In aware mode, one lockstep stack of the distinct aware runs of the
+       plans (kind, EMI levels, cluster-1 power): kind's utility on the
+       case's terms (a row of sinr.UtilityStack), from the unaware phases at
+       that power, with the AO_WARM_RCG budget. The rows share the draw's
+       terms, so the stack builds one EMI_IRR operator per ratio e2 / e1 of
+       EMI levels, one for every per-case level, from one W21^H R2 W21 per
+       draw (see UtilityStack.of): neither depends on cluster 1's power.
+    4. The pairs in order. A pair whose terms are an error is skipped.
+       Each other pair's point gets the trace rows of every run the pair
+       reads, once, as if it had made the run itself, and the pair is mixed
+       from the per-user parts at its phases (see sinr.UserParts). The
+       parts (and the neighbor parts, built only when an IRR case reads
+       them) are built once per run key, or once per draw at theta = 1, and
+       serve every case, power and EMI level evaluated there: a degenerate
+       ZF at those phases skips every pair that reads them.
+
+    A stacked run equals the single run bit for bit, so no result depends
+    on the block. reals is emptied as the draws are evaluated, so that each
+    draw (and its z21) is freed once done.
     """
     runs = _lockstep_runs(cfg, reals, pairs, mode)
+    neighbor = any(ScenarioKind(case.kind).has_irr for _, case in pairs)
+    r1, r2 = stats.clusters[0].corr.matrix, stats.clusters[1].corr.matrix
+    noise = cfg.noise_power_w
+    w1 = cfg.clusters[0].weights()
     while reals:
-        evaluator = TrialEvaluator(cfg, stats, reals.pop(0), mode, runs.pop(0))
-        if mode is Mode.AWARE:
-            evaluator.runs.update(_aware_runs(evaluator, pairs))
-        reports = []
-        for point, case in pairs:
+        real, ready = reals.pop(0), runs.pop(0)
+        draw_terms = {False: build_cascades(real.h1, real.g1, r1, emi_self_factor=cfg.emi_self_factor)}
+        if neighbor:
             try:
-                reports.append(evaluator.evaluate(case, point))
+                if mode is Mode.FIXED:
+                    c2 = fixed_cluster2(real)
+                else:
+                    c2 = optimize_cluster2(real, ready[("cluster2",)])
             except ZfDegenerateError as exc:
-                reports.append(exc)
+                draw_terms[True] = exc
+            else:
+                draw_terms[True] = build_cascades(
+                    real.h1, real.g1, r1, emi_self_factor=cfg.emi_self_factor,
+                    theta2=c2.theta, u2=c2.u, h2=real.h2, z21=real.z21, r2=r2,
+                )
+
+        plans = []
+        for point, case in pairs:
+            kind = ScenarioKind(case.kind)
+            emi1_w, emi2_w = _case_levels(case, cfg)
+            p1 = tuple(point.powers.cluster1)
+            keys = []
+            if mode is not Mode.FIXED:
+                if kind.has_irr:
+                    keys.append(("cluster2",))
+                keys.append(("cluster1_unaware", p1))
+            if mode is Mode.AWARE and kind is not ScenarioKind.EIF:
+                keys.append((f"cluster1_aware_{kind.value}", emi1_w, emi2_w, p1))
+            terms = _or_error(replace, draw_terms[kind.has_irr], emi1_w=emi1_w, emi2_w=emi2_w)
+            plans.append((kind, terms, keys))
+
+        if mode is Mode.AWARE:
+            rows, theta0 = {}, []
+            for (point, _), (kind, terms, keys) in zip(pairs, plans):
+                aware = kind is not ScenarioKind.EIF and not isinstance(terms, ZfDegenerateError)
+                if aware and keys[-1] not in rows:
+                    rows[keys[-1]] = (terms, kind, point.powers, w1)
+                    theta0.append(ready[keys[-2]].theta)
+            if rows:
+                problem = UtilityStack.of(rows.values(), noise)
+                ready.update(zip(rows, rcg_lockstep(problem, np.array(theta0), AO_WARM_RCG)))
+
+        traced, parts, reports = set(), {}, []
+        for (point, case), (kind, terms, keys) in zip(pairs, plans):
+            if isinstance(terms, ZfDegenerateError):
+                reports.append(terms)
+                continue
+            for key in keys:
+                if point.trace is None or (point, key) in traced:
+                    continue
+                traced.add((point, key))
+                res = ready[key]
+                for i in range(res.iterations):
+                    obj = res.trace[min(i + 1, res.trace.size - 1)]  # a stalled iteration adds none
+                    row = (point.value, case.label, mode.value, real.trial, key[0], i, obj)
+                    point.trace.append(row + (res.grad_norms[i], res.steps[i]))
+            if keys:
+                key, theta = keys[-1], ready[keys[-1]].theta
+            else:
+                key, theta = ("fixed",), np.ones(terms.num_elements, dtype=complex)
+            if (key, False) not in parts:
+                parts[key, False] = _or_error(user_parts, terms, theta)
+            if kind.has_irr and (key, True) not in parts:
+                parts[key, True] = _or_error(neighbor_parts, parts[key, False], terms, theta)
+            mixed = parts[key, kind.has_irr]
+            reports.append(_or_error(parts_sinr, mixed, terms, kind, point.powers, noise, w1))
         yield reports
+
+
+def _or_error(build, given, *args, **kwargs):
+    """build(given, *args, **kwargs), or the ZfDegenerateError that skips
+    it: given, when given is one, else the one build raises."""
+    if isinstance(given, ZfDegenerateError):
+        return given
+    try:
+        return build(given, *args, **kwargs)
+    except ZfDegenerateError as exc:
+        return exc
 
 
 def _threads() -> int:
@@ -530,8 +495,8 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, trace=None) -> list[MetricReco
     scenario comparisons are paired. Grid points with the same geometry (every
     point of a power or EMI sweep; only equal points of an element sweep) share
     the statistics and the draws too: trials loop outside the points, so each
-    trial draws once, and one TrialEvaluator per draw shares its cached
-    optimizer runs between the points. The groups' statistics share one
+    trial draws once, and each draw's optimizer runs, cascade terms and
+    per-user parts serve all its points. The groups' statistics share one
     correlation model per surface. Each group's trials go in near-equal
     blocks of at most STACK_ROWS draws (_blocks): a block first draws its
     links, then makes every run from theta = 1 (cluster 2's, and cluster 1's

@@ -360,7 +360,7 @@ def scenario_sinr(terms, theta, kind, powers, noise_power_w, weights=None) -> Si
 
     Raises ZfDegenerateError when ZF is ill conditioned at theta. A caller
     evaluating several cases, powers or EMI levels at one theta builds the
-    parts once instead (see TrialEvaluator).
+    parts once instead (see harness._evaluate_block).
     """
     kind = ScenarioKind(kind)
     parts = user_parts(terms, theta)

@@ -228,6 +228,7 @@ def test_run_sweep_validates_spec():
         replace(good, scenarios=(ScenarioCase(ScenarioKind.EIF),) * 2),
         replace(good, variable="emi_dbm", grid=(float("nan"),)),
         replace(good, scenarios=(ScenarioCase(ScenarioKind.EMI, float("inf")),)),
+        replace(good, variable="ris_elements", grid=(-4.0,)),
     ):
         with pytest.raises(ConfigError):
             run_sweep(cfg, bad)
@@ -473,6 +474,34 @@ def test_degenerate_cluster2_skips_only_the_irr_cases(mode, monkeypatch):
                      mode=mode, trials=3)
     for rec in run_sweep(_tiny_cfg(), spec):
         assert (rec.skipped, rec.trials) == ((1, 2) if "irr" in rec.scenario else (0, 3))
+
+
+@pytest.mark.usefixtures("in_process")
+@pytest.mark.parametrize("mode", list(Mode))
+def test_degenerate_theta_skips_only_the_cases_that_read_it(mode, monkeypatch):
+    # ZF fails at the first theta of draw 0: every case evaluated there skips
+    # that draw at both grid points, and a case at other phases keeps it.
+    # Fixed and unaware draws have one theta each, which every case reads; an
+    # aware draw has four (eif reads the unaware one, emi at each level and
+    # irr their own aware ones), and the first pair, eif, reads it first
+    checks = []
+
+    def failing(gram):
+        checks.append(gram)
+        if len(checks) == 1:
+            raise ZfDegenerateError("forced degenerate theta")
+        return real(gram)
+
+    real = sinr.check_zf_gram
+    monkeypatch.setattr(sinr, "check_zf_gram", failing)
+    cases = tuple(parse_scenario_token(t) for t in ("eif", "emi:-65", "irr"))
+    spec = SweepSpec(variable="emi_dbm", grid=(-75.0, -65.0), scenarios=cases, mode=mode, trials=3)
+    records = run_sweep(_tiny_cfg(), spec)
+    assert len(records) == 6
+    for rec in records:
+        skipped = mode is not Mode.AWARE or rec.scenario == "eif"
+        assert (rec.skipped, rec.trials) == ((1, 2) if skipped else (0, 3))
+    assert len(checks) == (12 if mode is Mode.AWARE else 3)
 
 
 @pytest.mark.usefixtures("in_process")

@@ -22,7 +22,8 @@ utility against the best value any run reached:
 Every tree's runs see the same utilities: the neighbor cluster (which the
 ``emi_irr`` utility depends on) takes this tree's phases. A run of b
 iterations is the first b iterations of the --long one, since a run with no
-tolerance does not depend on its cap. The basin count is the number of warm
+tolerance does not depend on its cap, so every budget, the tree's own
+included, must be at most --long; a larger one is refused. The basin count is the number of warm
 rows where a --long run from theta = 1 ends above every --long warm run by
 more than BASIN_NATS. Then every run at its tree's budget that ends lower
 than the baseline's run at the baseline's budget is listed.
@@ -63,7 +64,8 @@ def _budget(ao, n):
 
 
 def _at_budgets(result, budgets) -> list[float]:
-    """The objective of result's run after each of budgets iterations."""
+    """The objective of result's run after each of budgets iterations (its
+    last, for a run that stopped before)."""
     return [float(result.trace[min(b, result.trace.size - 1)]) for b in budgets]
 
 
@@ -105,6 +107,9 @@ def worker(spec: dict) -> dict:
     long = _budget(ao, spec["long"])
     own = {t: getattr(b, "max_iters", b) for t, b in (("cold", ao.AO_RCG), ("warm", ao.AO_WARM_RCG))}
     budgets = {t: sorted({*spec["budgets"][t], own[t], spec["long"]}) for t in own}
+    above = sorted({b for t in own for b in budgets[t] if b > spec["long"]})
+    if above:
+        raise SystemExit(f"budgets {above} are above --long {spec['long']}: give --long {above[-1]} or more")
     out = {"budgets": budgets, "own": own, "rows": {"cold": {}, "warm": {}}}
 
     for n in spec["elements"]:

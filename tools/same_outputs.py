@@ -47,6 +47,8 @@ COMMANDS = (
     ("sweep-emi", "--mode", "aware", "--trials", TRIALS),
     ("sweep-elements", "--mode", "aware", "--grid", "25,100", "--trials", TRIALS),
     ("sweep-power", "--mode", "aware", "--grid", "10,10,40", "--trials", TRIALS),
+    # no IRR case: the neighbor terms are never built
+    ("sweep-power", "--mode", "aware", "--grid", "10,40", "--scenarios", "eif,emi:-65", "--trials", TRIALS),
     *(("single-trial", "--mode", mode, "--trial", trial) for mode in ("unaware", "aware") for trial in ("0", "3")),
 )
 
