@@ -27,7 +27,6 @@ from .harness import (
     DEFAULT_CASES,
     EMI_SWEEP_CASES,
     TRACE_HEADER,
-    GridPoint,
     MetricRecord,
     Mode,
     ScenarioCase,

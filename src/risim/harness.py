@@ -1,4 +1,4 @@
-"""Monte Carlo sweep harness: grids, per-trial caching, aggregation, CSV output."""
+"""Monte Carlo sweep harness: grids, sweep plans, lockstep runs, aggregation, CSV output."""
 
 from __future__ import annotations
 
@@ -167,19 +167,6 @@ def _case_levels(case: ScenarioCase, cfg: SystemConfig) -> tuple[float, float]:
     return cfg.clusters[0].emi_power_w, cfg.clusters[1].emi_power_w
 
 
-@dataclass(frozen=True, eq=False)
-class GridPoint:
-    """What one grid point adds to a draw: its powers, trace rows and sweep value.
-
-    Points compare and hash by identity, so two points with the same sweep
-    value keep their own trace rows. trace None writes no rows.
-    """
-
-    powers: PowerAllocation
-    trace: list | None = None
-    value: float | str = ""
-
-
 def _config_at(cfg: SystemConfig, variable: str, value: float) -> SystemConfig:
     cluster1 = cfg.clusters[0]
     if variable == "tx_power_dbm":
@@ -231,57 +218,81 @@ def _validate_spec(spec: SweepSpec) -> None:
     _check_cases(spec.scenarios, spec.variable, spec.grid[0])
 
 
-def _lockstep_runs(cfg: SystemConfig, reals, pairs, mode: Mode) -> list[dict]:
-    """The runs from theta = 1 of each draw in reals, under their keys (see
-    _evaluate_block).
+def _plan(cfg: SystemConfig, points, mode: Mode) -> list[tuple]:
+    """The (grid point, case) pairs of points, in order, and what each reads.
 
-    These are the interference-unaware runs: cluster 2's when some case of
-    pairs needs the neighbor RIS, and cluster 1's at each distinct cluster-1
-    power of pairs. Each kind is made as one lockstep stack across the draws
-    (ao.optimize_eif_stack).
+    points holds each grid point's (powers, sweep value, cases). A pair's
+    entry is (i, case, kind, terms key, run keys), with i the point's index
+    and the terms key (has_irr, emi1_w, emi2_w). The run keys are, in order:
+    cluster 2's run for an IRR kind, cluster 1's unaware run at its power,
+    and in aware mode, for a kind other than EIF, its aware run. A key's
+    first item is the run's trace stage. The last run's phases are the
+    pair's; in fixed mode there is no run and they are theta = 1. Nothing
+    here depends on the draw, so a group is planned once, before any draw:
+    a case with no EMI level raises its ConfigError here.
+    """
+    plan = []
+    for i, (powers, _, cases) in enumerate(points):
+        p1 = tuple(powers.cluster1)
+        for case in cases:
+            kind = ScenarioKind(case.kind)
+            emi1_w, emi2_w = _case_levels(case, cfg)
+            keys = []
+            if mode is not Mode.FIXED:
+                if kind.has_irr:
+                    keys.append(("cluster2",))
+                keys.append(("cluster1_unaware", p1))
+            if mode is Mode.AWARE and kind is not ScenarioKind.EIF:
+                keys.append((f"cluster1_aware_{kind.value}", emi1_w, emi2_w, p1))
+            plan.append((i, case, kind, (kind.has_irr, emi1_w, emi2_w), keys))
+    return plan
+
+
+def _lockstep_runs(cfg: SystemConfig, reals, points, plan) -> list[dict]:
+    """The runs from theta = 1 of each draw in reals that the keys of plan
+    name, under those keys (see _plan): cluster 2's, and cluster 1's unaware
+    run at each distinct cluster-1 power. Each kind is made as one lockstep
+    stack across the draws (ao.optimize_eif_stack); fixed mode names none.
     """
     runs = [{} for _ in reals]
-    if mode is Mode.FIXED:
-        return runs
     noise = cfg.noise_power_w
-    if any(ScenarioKind(case.kind).has_irr for _, case in pairs):
+    named = dict.fromkeys(key for *_, keys in plan for key in keys)
+    if ("cluster2",) in named:
         w2 = cfg.clusters[1].weights()
-        p2 = pairs[0][0].powers.cluster2  # no sweep changes cluster 2
+        p2 = points[0][0].cluster2  # no sweep changes cluster 2
         links = [(real.g2, real.h2) for real in reals]
         made = optimize_eif_stack(links, [p2] * len(reals), [w2] * len(reals), noise)
         for ready, result in zip(runs, made):
             ready[("cluster2",)] = result
-    w1 = cfg.clusters[0].weights()
-    powers1 = dict.fromkeys(tuple(pt.powers.cluster1) for pt, _ in pairs)
-    rows = [(j, p1) for j in range(len(reals)) for p1 in powers1]
-    links = [(reals[j].g1, reals[j].h1) for j, _ in rows]
-    made = optimize_eif_stack(links, [p1 for _, p1 in rows], [w1] * len(rows), noise)
-    for (j, p1), result in zip(rows, made):
-        runs[j][("cluster1_unaware", p1)] = result
+    rows = [(j, key) for j in range(len(reals)) for key in named if key[0] == "cluster1_unaware"]
+    if rows:
+        w1 = cfg.clusters[0].weights()
+        links = [(reals[j].g1, reals[j].h1) for j, _ in rows]
+        made = optimize_eif_stack(links, [key[1] for _, key in rows], [w1] * len(rows), noise)
+        for (j, key), result in zip(rows, made):
+            runs[j][key] = result
     return runs
 
 
-def _evaluate_block(cfg: SystemConfig, stats, reals, pairs, mode: Mode):
-    """Evaluate each draw of reals at every (grid point, case) of pairs.
+def _evaluate_block(cfg: SystemConfig, stats, reals, points, plan, mode: Mode, traces):
+    """Evaluate each draw of reals at every (grid point, case) pair of plan.
 
-    Yields one list per draw, in order: the pair's SinrReport, or the
-    ZfDegenerateError that skips it. The runs from theta = 1 are made first,
-    stacked across the draws (see _lockstep_runs). Each draw is then one
-    pass:
+    Yields one list per draw, in plan order (see _plan): the pair's
+    SinrReport, or the ZfDegenerateError that skips it. Point i's trace rows
+    go to traces[i], unless traces is None. The runs from theta = 1 are made
+    first, stacked across the draws (see _lockstep_runs). Each draw is then
+    one pass:
 
     1. The draw's cascade terms: cluster 1's own, and with the neighbor RIS
-       when some case has an IRR kind. The terms hold no powers and no EMI
+       when some pair has an IRR kind. The terms hold no powers and no EMI
        levels (no sweep changes cluster 2), so each is built once per draw.
        A degenerate neighbor ZF is kept in place of the neighbor terms.
-    2. One plan per pair: its kind, its terms at its EMI levels (or the
-       error in their place) and the keys of the runs it reads, in order:
-       cluster 2's run for an IRR kind, cluster 1's unaware run at its
-       power, and in aware mode, for a kind other than EIF, its aware run.
-       A key's first item is the run's trace stage. The last run's phases
-       are the pair's; in fixed mode there is no run and they are theta = 1.
+    2. The terms at each distinct terms key of plan: the draw's own or
+       neighbor terms at the key's EMI levels, or the error in their place.
+       The pairs that share a key share one terms object.
     3. In aware mode, one lockstep stack of the distinct aware runs of the
-       plans (kind, EMI levels, cluster-1 power): kind's utility on the
-       case's terms (a row of sinr.UtilityStack), from the unaware phases at
+       plan (kind, EMI levels, cluster-1 power): kind's utility on the
+       pair's terms (a row of sinr.UtilityStack), from the unaware phases at
        that power, with the AO_WARM_RCG budget. The rows share the draw's
        terms, so the stack builds one EMI_IRR operator per ratio e2 / e1 of
        EMI levels, one for every per-case level, from one W21^H R2 W21 per
@@ -299,14 +310,15 @@ def _evaluate_block(cfg: SystemConfig, stats, reals, pairs, mode: Mode):
     on the block. reals is emptied as the draws are evaluated, so that each
     draw (and its z21) is freed once done.
     """
-    runs = _lockstep_runs(cfg, reals, pairs, mode)
-    neighbor = any(ScenarioKind(case.kind).has_irr for _, case in pairs)
+    runs = _lockstep_runs(cfg, reals, points, plan)
+    term_keys = dict.fromkeys(term_key for _, _, _, term_key, _ in plan)
+    neighbor = any(has_irr for has_irr, _, _ in term_keys)
     r1, r2 = stats.clusters[0].corr.matrix, stats.clusters[1].corr.matrix
     noise = cfg.noise_power_w
     w1 = cfg.clusters[0].weights()
     while reals:
         real, ready = reals.pop(0), runs.pop(0)
-        draw_terms = {False: build_cascades(real.h1, real.g1, r1, emi_self_factor=cfg.emi_self_factor)}
+        base = {False: build_cascades(real.h1, real.g1, r1, emi_self_factor=cfg.emi_self_factor)}
         if neighbor:
             try:
                 if mode is Mode.FIXED:
@@ -314,53 +326,41 @@ def _evaluate_block(cfg: SystemConfig, stats, reals, pairs, mode: Mode):
                 else:
                     c2 = optimize_cluster2(real, ready[("cluster2",)])
             except ZfDegenerateError as exc:
-                draw_terms[True] = exc
+                base[True] = exc
             else:
-                draw_terms[True] = build_cascades(
+                base[True] = build_cascades(
                     real.h1, real.g1, r1, emi_self_factor=cfg.emi_self_factor,
                     theta2=c2.theta, u2=c2.u, h2=real.h2, z21=real.z21, r2=r2,
                 )
-
-        plans = []
-        for point, case in pairs:
-            kind = ScenarioKind(case.kind)
-            emi1_w, emi2_w = _case_levels(case, cfg)
-            p1 = tuple(point.powers.cluster1)
-            keys = []
-            if mode is not Mode.FIXED:
-                if kind.has_irr:
-                    keys.append(("cluster2",))
-                keys.append(("cluster1_unaware", p1))
-            if mode is Mode.AWARE and kind is not ScenarioKind.EIF:
-                keys.append((f"cluster1_aware_{kind.value}", emi1_w, emi2_w, p1))
-            terms = _or_error(replace, draw_terms[kind.has_irr], emi1_w=emi1_w, emi2_w=emi2_w)
-            plans.append((kind, terms, keys))
+        terms_at = {key: _or_error(replace, base[key[0]], emi1_w=key[1], emi2_w=key[2]) for key in term_keys}
 
         if mode is Mode.AWARE:
             rows, theta0 = {}, []
-            for (point, _), (kind, terms, keys) in zip(pairs, plans):
+            for i, _, kind, term_key, keys in plan:
+                terms = terms_at[term_key]
                 aware = kind is not ScenarioKind.EIF and not isinstance(terms, ZfDegenerateError)
                 if aware and keys[-1] not in rows:
-                    rows[keys[-1]] = (terms, kind, point.powers, w1)
+                    rows[keys[-1]] = (terms, kind, points[i][0], w1)
                     theta0.append(ready[keys[-2]].theta)
             if rows:
                 problem = UtilityStack.of(rows.values(), noise)
                 ready.update(zip(rows, rcg_lockstep(problem, np.array(theta0), AO_WARM_RCG)))
 
         traced, parts, reports = set(), {}, []
-        for (point, case), (kind, terms, keys) in zip(pairs, plans):
+        for i, case, kind, term_key, keys in plan:
+            terms = terms_at[term_key]
             if isinstance(terms, ZfDegenerateError):
                 reports.append(terms)
                 continue
             for key in keys:
-                if point.trace is None or (point, key) in traced:
+                if traces is None or (i, key) in traced:
                     continue
-                traced.add((point, key))
+                traced.add((i, key))
                 res = ready[key]
-                for i in range(res.iterations):
-                    obj = res.trace[min(i + 1, res.trace.size - 1)]  # a stalled iteration adds none
-                    row = (point.value, case.label, mode.value, real.trial, key[0], i, obj)
-                    point.trace.append(row + (res.grad_norms[i], res.steps[i]))
+                for it in range(res.iterations):
+                    obj = res.trace[min(it + 1, res.trace.size - 1)]  # a stalled iteration adds none
+                    row = (points[i][1], case.label, mode.value, real.trial, key[0], it, obj)
+                    traces[i].append(row + (res.grad_norms[it], res.steps[it]))
             if keys:
                 key, theta = keys[-1], ready[keys[-1]].theta
             else:
@@ -370,7 +370,7 @@ def _evaluate_block(cfg: SystemConfig, stats, reals, pairs, mode: Mode):
             if kind.has_irr and (key, True) not in parts:
                 parts[key, True] = _or_error(neighbor_parts, parts[key, False], terms, theta)
             mixed = parts[key, kind.has_irr]
-            reports.append(_or_error(parts_sinr, mixed, terms, kind, point.powers, noise, w1))
+            reports.append(_or_error(parts_sinr, mixed, terms, kind, points[i][0], noise, w1))
         yield reports
 
 
@@ -421,14 +421,14 @@ def _blocks(trials: int, workers: int) -> list[range]:
 class _SweepJob:
     """What a sweep's blocks share, and the work of one block.
 
-    groups holds per geometry group its config, its statistics and the
-    (powers, sweep value, cases) of its grid points. A task (g, block) draws
-    the trials of block for group g and evaluates them (_evaluate_block). It
-    returns, per draw, each (point, case) pair's rates_bps_hz or the
-    ZfDegenerateError that skips it, in the group's pair order, and the trace
-    rows each point of the group gained. Its GridPoints are its own, so a
-    task changes nothing it was given and runs the same in a worker process
-    as in the caller.
+    groups holds per geometry group its config, its statistics, the
+    (powers, sweep value, cases) of its grid points and their plan (_plan).
+    A task (g, block) draws the trials of block for group g and evaluates
+    them (_evaluate_block). It returns, per draw, each (point, case) pair's
+    rates_bps_hz or the ZfDegenerateError that skips it, in plan order, and
+    the trace rows each point of the group gained. Its trace lists are its
+    own, so a task changes nothing it was given and runs the same in a
+    worker process as in the caller.
     """
 
     groups: tuple
@@ -438,15 +438,14 @@ class _SweepJob:
 
     def __call__(self, task):
         g, block = task
-        cfg, stats, members = self.groups[g]
-        points = [GridPoint(powers, [] if self.traced else None, value) for powers, value, _ in members]
-        pairs = [(point, case) for point, (_, _, cases) in zip(points, members) for case in cases]
+        cfg, stats, points, plan = self.groups[g]
+        traces = [[] for _ in points] if self.traced else None
         reals = [draw_realization(cfg, stats, t, rng=trial_rng(self.seed, t)) for t in block]
         outcomes = [
             [r if isinstance(r, ZfDegenerateError) else r.rates_bps_hz for r in reports]
-            for reports in _evaluate_block(cfg, stats, reals, pairs, self.mode)
+            for reports in _evaluate_block(cfg, stats, reals, points, plan, self.mode, traces)
         ]
-        return outcomes, [point.trace or [] for point in points]
+        return outcomes, traces or []
 
 
 _job: _SweepJob | None = None  # set in a worker process only: the sweep it serves
@@ -528,20 +527,19 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, trace=None) -> list[MetricReco
         # the statistics and the draw see the grid value only through cluster 1's size
         by_side.setdefault(cfg_pt.clusters[0].ris_side, []).append(i)
     members = list(by_side.values())
+    powers = [make_powers(cfg_pt, spec.unit_power) for cfg_pt in configs]
+    points = [[(powers[i], spec.grid[i], cases[i]) for i in idx] for idx in members]
+    plans = [_plan(configs[idx[0]], pts, mode) for idx, pts in zip(members, points)]  # before the statistics
     models = {}  # one correlation model per surface, across the groups
     groups = tuple(
-        (
-            configs[idx[0]],
-            build_statistics(configs[idx[0]], models),
-            [(make_powers(configs[i], spec.unit_power), spec.grid[i], cases[i]) for i in idx],
-        )
-        for idx in members
+        (configs[idx[0]], build_statistics(configs[idx[0]], models), pts, plan)
+        for idx, pts, plan in zip(members, points, plans)
     )
     workers = min(_worker_count(), spec.trials)
     tasks = [(g, block) for g in range(len(groups)) for block in _blocks(spec.trials, workers)]
     job = _SweepJob(groups, mode, seed, trace is not None)
     for (g, _), (outcomes, gained) in zip(tasks, _map_tasks(job, tasks, workers)):
-        slots = [(i, case) for i in members[g] for case in cases[i]]  # the job's pair order
+        slots = [(members[g][i], case) for i, case, *_ in plans[g]]  # the job's pair order
         for outcome in outcomes:
             for (i, case), rates_or_skip in zip(slots, outcome):
                 if isinstance(rates_or_skip, ZfDegenerateError):
@@ -602,13 +600,14 @@ def run_single_trial(
     if seed is not None:
         _check_number("seed", seed, integer=True, minimum=0)
     _check_cases(cases)
+    points = [(make_powers(cfg, unit_power), "", cases)]
+    plan = _plan(cfg, points, mode)  # before the statistics: a missing EMI level fails here
     stats = build_statistics(cfg)
     use_seed = cfg.rng_seed if seed is None else seed
     real = draw_realization(cfg, stats, trial, rng=trial_rng(use_seed, trial))
     if dump_dir is not None:
         dump_realization(real, dump_dir)
-    point = GridPoint(make_powers(cfg, unit_power), trace)
-    (reports,) = _evaluate_block(cfg, stats, [real], [(point, case) for case in cases], mode)
+    (reports,) = _evaluate_block(cfg, stats, [real], points, plan, mode, None if trace is None else [trace])
     for report in reports:
         if isinstance(report, ZfDegenerateError):
             raise report

@@ -28,6 +28,8 @@ def test_budget_table_smoke(capsys):
         half = len(cells) // 2
         assert cells[:half] == cells[half:]
         assert all(" / " in cell for cell in cells)
+    # --long 110 is the tree's own cold budget, so its column stays
+    assert "this tree 110" in rows["N"]
     assert "Basins" in out and "10 dBm" in out.split("Basins")[1]
     assert out.rstrip().endswith(": 0")  # no run lists as lower
     # a budget above --long, here the tree's own, would be read at --long

@@ -59,6 +59,13 @@ def _tiny_cfg(side=3, trials=4):
     )
 
 
+def _unequal_levels(cfg):
+    """cfg with config-wide EMI levels that differ between the clusters:
+    -65 dBm at cluster 1 and -70 dBm at cluster 2, so e2 / e1 != 1."""
+    one, two = cfg.clusters
+    return replace(cfg, clusters=(replace(one, emi_power_dbm=-65.0), replace(two, emi_power_dbm=-70.0)))
+
+
 @pytest.fixture
 def in_process(monkeypatch):
     """Run every sweep's blocks in this process, where a patched counter sees each call."""
@@ -212,6 +219,23 @@ def test_run_sweep_emi_case_without_level_errors():
     assert records[0].scenario == "emi"
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_missing_emi_level_fails_before_any_statistics(mode, monkeypatch):
+    # the cases are planned before any statistics, worker or draw
+    def no_statistics(*args, **kwargs):
+        raise AssertionError("statistics built before the cases were planned")
+
+    monkeypatch.setattr(harness, "build_statistics", no_statistics)
+    cfg = _tiny_cfg()
+    assert all(c.emi_power_dbm is None for c in cfg.clusters)
+    cases = (ScenarioCase(ScenarioKind.EIF), ScenarioCase(ScenarioKind.EMI))
+    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0, 30.0), scenarios=cases, mode=mode, trials=2)
+    with pytest.raises(ConfigError, match="needs an EMI level"):
+        run_sweep(cfg, spec)
+    with pytest.raises(ConfigError, match="needs an EMI level"):
+        run_single_trial(cfg, cases, mode)
+
+
 def test_run_sweep_validates_spec():
     cfg = _tiny_cfg()
     good = SweepSpec(variable="tx_power_dbm", grid=(30.0,), trials=1)
@@ -353,6 +377,12 @@ _SWEEP_CASES = {
     # a repeated value is its own grid point, with its own trace rows
     "tx_power_dbm_repeated": ("tx_power_dbm", (10.0, 10.0, 25.0), DEFAULT_CASES),
     "ris_elements_repeated": ("ris_elements", (4.0, 9.0, 4.0), DEFAULT_CASES),
+    # config-wide EMI levels, unequal between the clusters (see _unequal_levels)
+    "tx_power_dbm_unequal_levels": (
+        "tx_power_dbm",
+        (10.0, 25.0, 40.0),
+        tuple(ScenarioCase(kind) for kind in ScenarioKind) + (ScenarioCase(ScenarioKind.EMI_IRR, -65.0),),
+    ),
 }
 
 
@@ -362,6 +392,8 @@ def test_multi_point_sweep_equals_single_point_sweeps(sweep, mode):
     # sharing a draw's work between grid points must not change a byte of the
     # CSV or of the trace
     cfg = _tiny_cfg(side=4)
+    if sweep.endswith("_unequal_levels"):
+        cfg = _unequal_levels(cfg)
     variable, grid, cases = _SWEEP_CASES[sweep]
     spec = SweepSpec(variable=variable, grid=grid, scenarios=cases, mode=mode, trials=2)
     rows = []
@@ -454,6 +486,35 @@ def test_aware_sweep_builds_one_operator_per_draw(monkeypatch):
         assert all(op is not None and op is rows[0][3] for *_, op in rows)
         held.append(rows[0][3])
     assert len({id(op) for op in held}) == trials
+
+
+@pytest.mark.usefixtures("in_process")
+def test_aware_sweep_with_unequal_config_levels(monkeypatch):
+    # the config-wide emi_irr case has e2 / e1 != 1 and the per-case one
+    # e2 / e1 = 1: per draw, two EMI_IRR operators, from one W21^H R2 W21
+    reflected = _count_calls(monkeypatch, sinr, "reflected_emi_covariance")
+    ops = _count_calls(monkeypatch, sinr, "emi_irr_operator")
+    runs = _count_calls(monkeypatch, harness, "rcg_lockstep")
+    trials = 3
+    cases = (ScenarioCase(ScenarioKind.EMI_IRR), ScenarioCase(ScenarioKind.EMI_IRR, -65.0))
+    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0, 40.0), scenarios=cases, mode=Mode.AWARE, trials=trials)
+    records = run_sweep(_unequal_levels(_tiny_cfg()), spec)
+    assert [r.scenario for r in records] == ["emi_irr", "emi_irr_-65"] * 2
+    assert len(reflected) == trials
+    assert len(ops) == 2 * trials
+    assert len(runs) == trials
+    e1, e2 = dbm_to_watts(-65.0), dbm_to_watts(-70.0)
+    for call in runs:
+        rows = call["problem"].interference
+        by_levels = {}
+        for terms, kind, _, op in rows:
+            assert kind is ScenarioKind.EMI_IRR
+            by_levels.setdefault((terms.emi1_w, terms.emi2_w), set()).add(id(op))
+        # one row per power and case; the rows at one case's levels share one operator
+        assert len(rows) == 4
+        assert sorted(by_levels) == sorted([(e1, e2), (e1, e1)])
+        assert all(len(held) == 1 for held in by_levels.values())
+        assert by_levels[e1, e2] != by_levels[e1, e1]
 
 
 @pytest.mark.parametrize("mode", list(Mode))

@@ -7,7 +7,8 @@ baseline to compare its optimizer with this tree's (a ``git clone`` or
     python3 tools/budget_table.py --baseline ../parent
 
 Two tables, each as mean / max shortfall in nats of the weighted log-rate
-utility against the best value any run reached:
+utility against the best value any run reached, one column per tree and
+budget (every --budgets-cold or --budgets-warm value, and the tree's own):
 
 - cold: the interference-unaware (EIF) runs from theta = 1 at the default
   config's power, draws 0 to --draws - 1 of seed 12345, at each surface size
@@ -187,7 +188,9 @@ def tables(runs: dict[str, dict], spec: dict) -> str:
     for table, (head, title) in TITLES.items():
         last = spec["draws" if table == "cold" else "trials"] - 1
         lines += ["", title.format(last=last) + "; shortfall mean / max in nats:"]
-        cols = [(s, b) for s in sides for b in runs[s]["budgets"][table] if b != spec["long"]]
+        # every requested budget and the side's own; --long only as one of them
+        shown = {s: {*spec["budgets"][table], runs[s]["own"][table]} for s in sides}
+        cols = [(s, b) for s in sides for b in runs[s]["budgets"][table] if b in shown[s]]
         lines.append(f"| {head} | " + " | ".join(f"{s} {b}" for s, b in cols) + " |")
         lines.append("| --- " * (len(cols) + 1) + "|")
         for label in runs[sides[0]]["rows"][table]:

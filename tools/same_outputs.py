@@ -49,7 +49,11 @@ COMMANDS = (
     ("sweep-power", "--mode", "aware", "--grid", "10,10,40", "--trials", TRIALS),
     # no IRR case: the neighbor terms are never built
     ("sweep-power", "--mode", "aware", "--grid", "10,40", "--scenarios", "eif,emi:-65", "--trials", TRIALS),
+    # the unaware EMI sweep: the most distinct (neighbor, EMI levels) terms per draw
+    ("sweep-emi", "--trials", TRIALS),
     *(("single-trial", "--mode", mode, "--trial", trial) for mode in ("unaware", "aware") for trial in ("0", "3")),
+    # one point and no optimizer run
+    ("single-trial", "--mode", "fixed", "--trial", "0"),
 )
 
 
