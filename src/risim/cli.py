@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,7 @@ def _add_common(p: argparse.ArgumentParser, config_required: bool) -> None:
         required=config_required,
         help="scenario config JSON" + ("" if config_required else " (built-in default if omitted)"),
     )
-    p.add_argument("--seed", type=int, help="root RNG seed (default: config rng_seed)")
+    p.add_argument("--seed", type=int, help="root RNG seed (sets the config's rng_seed for this run)")
     p.add_argument("--mode", choices=[m.value for m in Mode], help="precoding/phase mode")
     p.add_argument(
         "--scenarios",
@@ -66,14 +67,14 @@ def _build_parser() -> _Parser:
     for name, (variable, default_grid, _, default_mode) in _SWEEPS.items():
         p = sub.add_parser(name, help=f"sweep {variable}")
         _add_common(p, config_required=True)
-        p.add_argument("--trials", type=int, help="Monte Carlo trials (default: config mc_trials)")
+        p.add_argument("--trials", type=int, help="Monte Carlo trials (sets the config's mc_trials for this run)")
         p.add_argument("--grid", default=default_grid, help=f"comma list (default: {default_grid})")
         p.set_defaults(default_mode=default_mode)
     p = sub.add_parser("single-trial", help="evaluate scenarios on one channel draw")
     _add_common(p, config_required=False)
     p.add_argument("--trial", type=int, default=0, help="trial index (default 0)")
     p.add_argument("--dump-channels", help="write the drawn channels to this directory as .npz")
-    p.set_defaults(default_mode=Mode.FIXED)
+    p.set_defaults(default_mode=Mode.FIXED, trials=None)
     return parser
 
 
@@ -111,6 +112,10 @@ def _render_single(results, cfg, mode: Mode, trial: int) -> str:
 
 def _dispatch(args) -> int:
     cfg = load_config(args.config) if args.config else default_config()
+    if args.seed is not None:
+        cfg = replace(cfg, rng_seed=args.seed)
+    if args.trials is not None:
+        cfg = replace(cfg, mc_trials=args.trials)
     mode = Mode(args.mode) if args.mode else args.default_mode
     trace_rows = [] if args.trace else None
 
@@ -121,7 +126,6 @@ def _dispatch(args) -> int:
             cases,
             mode,
             trial=args.trial,
-            seed=args.seed,
             unit_power=args.unit_power,
             trace=trace_rows,
             dump_dir=args.dump_channels,
@@ -134,8 +138,6 @@ def _dispatch(args) -> int:
             grid=_parse_grid(args.grid),
             scenarios=_parse_cases(args.scenarios, default_cases),
             mode=mode,
-            trials=args.trials if args.trials is not None else cfg.mc_trials,
-            seed=args.seed,
             unit_power=args.unit_power,
         )
         text = render_csv(run_sweep(cfg, spec, trace=trace_rows))

@@ -14,7 +14,6 @@ import numpy as np
 from .ao import (
     AO_WARM_RCG,
     STACK_ROWS,
-    Cluster2State,
     fixed_cluster2,
     optimize_cluster2,
     optimize_eif_stack,
@@ -109,8 +108,6 @@ class SweepSpec:
     grid: tuple[float, ...]
     scenarios: tuple[ScenarioCase, ...] = DEFAULT_CASES
     mode: Mode = Mode.FIXED
-    trials: int = 500
-    seed: int | None = None  # None uses the config seed
     unit_power: bool = False  # 1 W per user instead of splitting the BS budget
 
 
@@ -206,14 +203,10 @@ def _validate_spec(spec: SweepSpec) -> None:
         raise ConfigError(f"unknown sweep variable '{spec.variable}'")
     if len(spec.grid) == 0:
         raise ConfigError("sweep grid must not be empty")
-    _check_number("trials", spec.trials, integer=True, minimum=1)
-    if spec.seed is not None:
-        _check_number("seed", spec.seed, integer=True, minimum=0)
     Mode(spec.mode)
-    if not all(math.isfinite(v) for v in spec.grid):
-        raise ConfigError("sweep grid values must be finite")
-    if spec.variable != "ris_elements":
-        for value in spec.grid:  # a power level in dBm
+    for value in spec.grid:
+        _check_number(f"{spec.variable} grid value", value)
+        if spec.variable != "ris_elements":  # a power level in dBm
             _check_dbm(f"{spec.variable} grid value", value)
     _check_cases(spec.scenarios, spec.variable, spec.grid[0])
 
@@ -221,18 +214,19 @@ def _validate_spec(spec: SweepSpec) -> None:
 def _plan(cfg: SystemConfig, points, mode: Mode) -> list[tuple]:
     """The (grid point, case) pairs of points, in order, and what each reads.
 
-    points holds each grid point's (powers, sweep value, cases). A pair's
-    entry is (i, case, kind, terms key, run keys), with i the point's index
-    and the terms key (has_irr, emi1_w, emi2_w). The run keys are, in order:
-    cluster 2's run for an IRR kind, cluster 1's unaware run at its power,
-    and in aware mode, for a kind other than EIF, its aware run. A key's
-    first item is the run's trace stage. The last run's phases are the
-    pair's; in fixed mode there is no run and they are theta = 1. Nothing
-    here depends on the draw, so a group is planned once, before any draw:
-    a case with no EMI level raises its ConfigError here.
+    points holds each grid point's (grid index, sweep value, powers, cases).
+    A pair's entry is (i, value, powers, case, kind, terms key, run keys),
+    with i, value and powers those of its point and the terms key (has_irr,
+    emi1_w, emi2_w). The run keys are, in order: cluster 2's run for an IRR
+    kind, cluster 1's unaware run at its power, and in aware mode, for a
+    kind other than EIF, its aware run. A key's first item is the run's
+    trace stage. The last run's phases are the pair's; in fixed mode there
+    is no run and they are theta = 1. Nothing here depends on the draw, so
+    a group is planned once, before any draw: a case with no EMI level
+    raises its ConfigError here.
     """
     plan = []
-    for i, (powers, _, cases) in enumerate(points):
+    for i, value, powers, cases in points:
         p1 = tuple(powers.cluster1)
         for case in cases:
             kind = ScenarioKind(case.kind)
@@ -244,11 +238,11 @@ def _plan(cfg: SystemConfig, points, mode: Mode) -> list[tuple]:
                 keys.append(("cluster1_unaware", p1))
             if mode is Mode.AWARE and kind is not ScenarioKind.EIF:
                 keys.append((f"cluster1_aware_{kind.value}", emi1_w, emi2_w, p1))
-            plan.append((i, case, kind, (kind.has_irr, emi1_w, emi2_w), keys))
+            plan.append((i, value, powers, case, kind, (kind.has_irr, emi1_w, emi2_w), keys))
     return plan
 
 
-def _lockstep_runs(cfg: SystemConfig, reals, points, plan) -> list[dict]:
+def _lockstep_runs(cfg: SystemConfig, reals, plan) -> list[dict]:
     """The runs from theta = 1 of each draw in reals that the keys of plan
     name, under those keys (see _plan): cluster 2's, and cluster 1's unaware
     run at each distinct cluster-1 power. Each kind is made as one lockstep
@@ -259,7 +253,7 @@ def _lockstep_runs(cfg: SystemConfig, reals, points, plan) -> list[dict]:
     named = dict.fromkeys(key for *_, keys in plan for key in keys)
     if ("cluster2",) in named:
         w2 = cfg.clusters[1].weights()
-        p2 = points[0][0].cluster2  # no sweep changes cluster 2
+        p2 = plan[0][2].cluster2  # no sweep changes cluster 2
         links = [(real.g2, real.h2) for real in reals]
         made = optimize_eif_stack(links, [p2] * len(reals), [w2] * len(reals), noise)
         for ready, result in zip(runs, made):
@@ -274,14 +268,14 @@ def _lockstep_runs(cfg: SystemConfig, reals, points, plan) -> list[dict]:
     return runs
 
 
-def _evaluate_block(cfg: SystemConfig, stats, reals, points, plan, mode: Mode, traces):
+def _evaluate_block(cfg: SystemConfig, stats, reals, plan, mode: Mode, traces):
     """Evaluate each draw of reals at every (grid point, case) pair of plan.
 
     Yields one list per draw, in plan order (see _plan): the pair's
-    SinrReport, or the ZfDegenerateError that skips it. Point i's trace rows
-    go to traces[i], unless traces is None. The runs from theta = 1 are made
-    first, stacked across the draws (see _lockstep_runs). Each draw is then
-    one pass:
+    SinrReport, or the ZfDegenerateError that skips it. The trace rows of
+    the point with grid index i go to traces[i], unless traces is None. The
+    runs from theta = 1 are made first, stacked across the draws (see
+    _lockstep_runs). Each draw is then one pass:
 
     1. The draw's cascade terms: cluster 1's own, and with the neighbor RIS
        when some pair has an IRR kind. The terms hold no powers and no EMI
@@ -310,8 +304,8 @@ def _evaluate_block(cfg: SystemConfig, stats, reals, points, plan, mode: Mode, t
     on the block. reals is emptied as the draws are evaluated, so that each
     draw (and its z21) is freed once done.
     """
-    runs = _lockstep_runs(cfg, reals, points, plan)
-    term_keys = dict.fromkeys(term_key for _, _, _, term_key, _ in plan)
+    runs = _lockstep_runs(cfg, reals, plan)
+    term_keys = dict.fromkeys(term_key for *_, term_key, _ in plan)
     neighbor = any(has_irr for has_irr, _, _ in term_keys)
     r1, r2 = stats.clusters[0].corr.matrix, stats.clusters[1].corr.matrix
     noise = cfg.noise_power_w
@@ -336,18 +330,18 @@ def _evaluate_block(cfg: SystemConfig, stats, reals, points, plan, mode: Mode, t
 
         if mode is Mode.AWARE:
             rows, theta0 = {}, []
-            for i, _, kind, term_key, keys in plan:
+            for _, _, powers, _, kind, term_key, keys in plan:
                 terms = terms_at[term_key]
                 aware = kind is not ScenarioKind.EIF and not isinstance(terms, ZfDegenerateError)
                 if aware and keys[-1] not in rows:
-                    rows[keys[-1]] = (terms, kind, points[i][0], w1)
+                    rows[keys[-1]] = (terms, kind, powers, w1)
                     theta0.append(ready[keys[-2]].theta)
             if rows:
                 problem = UtilityStack.of(rows.values(), noise)
                 ready.update(zip(rows, rcg_lockstep(problem, np.array(theta0), AO_WARM_RCG)))
 
         traced, parts, reports = set(), {}, []
-        for i, case, kind, term_key, keys in plan:
+        for i, value, powers, case, kind, term_key, keys in plan:
             terms = terms_at[term_key]
             if isinstance(terms, ZfDegenerateError):
                 reports.append(terms)
@@ -359,7 +353,7 @@ def _evaluate_block(cfg: SystemConfig, stats, reals, points, plan, mode: Mode, t
                 res = ready[key]
                 for it in range(res.iterations):
                     obj = res.trace[min(it + 1, res.trace.size - 1)]  # a stalled iteration adds none
-                    row = (points[i][1], case.label, mode.value, real.trial, key[0], it, obj)
+                    row = (value, case.label, mode.value, real.trial, key[0], it, obj)
                     traces[i].append(row + (res.grad_norms[it], res.steps[it]))
             if keys:
                 key, theta = keys[-1], ready[keys[-1]].theta
@@ -370,7 +364,7 @@ def _evaluate_block(cfg: SystemConfig, stats, reals, points, plan, mode: Mode, t
             if kind.has_irr and (key, True) not in parts:
                 parts[key, True] = _or_error(neighbor_parts, parts[key, False], terms, theta)
             mixed = parts[key, kind.has_irr]
-            reports.append(_or_error(parts_sinr, mixed, terms, kind, points[i][0], noise, w1))
+            reports.append(_or_error(parts_sinr, mixed, terms, kind, powers, noise, w1))
         yield reports
 
 
@@ -421,31 +415,30 @@ def _blocks(trials: int, workers: int) -> list[range]:
 class _SweepJob:
     """What a sweep's blocks share, and the work of one block.
 
-    groups holds per geometry group its config, its statistics, the
-    (powers, sweep value, cases) of its grid points and their plan (_plan).
-    A task (g, block) draws the trials of block for group g and evaluates
-    them (_evaluate_block). It returns, per draw, each (point, case) pair's
-    rates_bps_hz or the ZfDegenerateError that skips it, in plan order, and
-    the trace rows each point of the group gained. Its trace lists are its
-    own, so a task changes nothing it was given and runs the same in a
-    worker process as in the caller.
+    groups holds per geometry group its config, its statistics and the plan
+    of its grid points (_plan). A task (g, block) draws the trials of block
+    for group g, at the config's seed, and evaluates them (_evaluate_block).
+    It returns, per draw, each (point, case) pair's rates_bps_hz or the
+    ZfDegenerateError that skips it, in plan order, and the trace rows each
+    point of the group gained, by grid index. Its trace lists are its own,
+    so a task changes nothing it was given and runs the same in a worker
+    process as in the caller.
     """
 
     groups: tuple
     mode: Mode
-    seed: int
     traced: bool
 
     def __call__(self, task):
         g, block = task
-        cfg, stats, points, plan = self.groups[g]
-        traces = [[] for _ in points] if self.traced else None
-        reals = [draw_realization(cfg, stats, t, rng=trial_rng(self.seed, t)) for t in block]
+        cfg, stats, plan = self.groups[g]
+        traces = {i: [] for i, *_ in plan} if self.traced else None
+        reals = [draw_realization(cfg, stats, t, rng=trial_rng(cfg.rng_seed, t)) for t in block]
         outcomes = [
             [r if isinstance(r, ZfDegenerateError) else r.rates_bps_hz for r in reports]
-            for reports in _evaluate_block(cfg, stats, reals, points, plan, self.mode, traces)
+            for reports in _evaluate_block(cfg, stats, reals, plan, self.mode, traces)
         ]
-        return outcomes, traces or []
+        return outcomes, traces or {}
 
 
 _job: _SweepJob | None = None  # set in a worker process only: the sweep it serves
@@ -507,53 +500,49 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, trace=None) -> list[MetricReco
     equals the single run bit for bit, and every trial has its own random
     stream, so no result depends on the blocks or on where they ran. Records
     and trace rows come out in grid order, the same as from one single-point
-    sweep per grid value. Records carry each trial's weighted sum rate, so
-    runs can be compared per draw. Results are deterministic given the
-    config, the spec, the seed and the BLAS thread count.
+    sweep per grid value. Records carry the weighted sum rate of each trial
+    they did not skip, in trial order: sample k is trial k, so that runs can
+    be compared per draw, only when the record skipped no trial. The config
+    sets the trials per grid point (mc_trials) and the seed (rng_seed).
+    Results are deterministic given the config, the spec and the BLAS
+    thread count.
     """
     cfg = validate_config(cfg)
     _validate_spec(spec)
     mode = Mode(spec.mode)
-    seed = cfg.rng_seed if spec.seed is None else spec.seed
 
-    configs = [_config_at(cfg, spec.variable, value) for value in spec.grid]
     cases = [[_case_at(spec.variable, case, value) for case in spec.scenarios] for value in spec.grid]
     rates = [{case: [] for case in pt} for pt in cases]
     skips = [{case: 0 for case in pt} for pt in cases]
     traces = [[] for _ in spec.grid]
 
-    by_side: dict[int, list[int]] = {}
-    for i, cfg_pt in enumerate(configs):
+    by_side: dict[int, tuple] = {}
+    for i, value in enumerate(spec.grid):
+        cfg_pt = _config_at(cfg, spec.variable, value)
         # the statistics and the draw see the grid value only through cluster 1's size
-        by_side.setdefault(cfg_pt.clusters[0].ris_side, []).append(i)
-    members = list(by_side.values())
-    powers = [make_powers(cfg_pt, spec.unit_power) for cfg_pt in configs]
-    points = [[(powers[i], spec.grid[i], cases[i]) for i in idx] for idx in members]
-    plans = [_plan(configs[idx[0]], pts, mode) for idx, pts in zip(members, points)]  # before the statistics
+        _, points = by_side.setdefault(cfg_pt.clusters[0].ris_side, (cfg_pt, []))
+        points.append((i, value, make_powers(cfg_pt, spec.unit_power), cases[i]))
+    plans = [(cfg_g, _plan(cfg_g, points, mode)) for cfg_g, points in by_side.values()]  # before the statistics
     models = {}  # one correlation model per surface, across the groups
-    groups = tuple(
-        (configs[idx[0]], build_statistics(configs[idx[0]], models), pts, plan)
-        for idx, pts, plan in zip(members, points, plans)
-    )
-    workers = min(_worker_count(), spec.trials)
-    tasks = [(g, block) for g in range(len(groups)) for block in _blocks(spec.trials, workers)]
-    job = _SweepJob(groups, mode, seed, trace is not None)
+    groups = tuple((cfg_g, build_statistics(cfg_g, models), plan) for cfg_g, plan in plans)
+    workers = min(_worker_count(), cfg.mc_trials)
+    tasks = [(g, block) for g in range(len(groups)) for block in _blocks(cfg.mc_trials, workers)]
+    job = _SweepJob(groups, mode, trace is not None)
     for (g, _), (outcomes, gained) in zip(tasks, _map_tasks(job, tasks, workers)):
-        slots = [(members[g][i], case) for i, case, *_ in plans[g]]  # the job's pair order
         for outcome in outcomes:
-            for (i, case), rates_or_skip in zip(slots, outcome):
+            for (i, _, _, case, *_), rates_or_skip in zip(groups[g][2], outcome):
                 if isinstance(rates_or_skip, ZfDegenerateError):
                     skips[i][case] += 1
                 else:
                     rates[i][case].append(rates_or_skip)
-        for i, rows in zip(members[g], gained):
+        for i, rows in gained.items():
             traces[i] += rows
 
     records: list[MetricRecord] = []
+    weights1 = cfg.clusters[0].weights()  # no sweep changes the weights or the threshold
     for i, value in enumerate(spec.grid):
         if trace is not None:
             trace.extend(traces[i])
-        weights1 = configs[i].clusters[0].weights()
         for case in cases[i]:
             if not rates[i][case]:
                 raise RuntimeError(
@@ -561,7 +550,7 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, trace=None) -> list[MetricReco
                     f"{spec.variable}={value}"
                 )
             arr = np.array(rates[i][case])
-            mean, std, outage = aggregate(arr, weights1, configs[i].rate_threshold_bps_hz)
+            mean, std, outage = aggregate(arr, weights1, cfg.rate_threshold_bps_hz)
             records.append(
                 MetricRecord(
                     sweep_value=float(value),
@@ -583,7 +572,6 @@ def run_single_trial(
     cases,
     mode: Mode,
     trial: int = 0,
-    seed: int | None = None,
     unit_power: bool = False,
     trace=None,
     dump_dir=None,
@@ -591,23 +579,20 @@ def run_single_trial(
     """Evaluate the given scenario cases on a single channel draw.
 
     The draw is a block of one (see _evaluate_block), so its results and
-    trace rows are those of the same trial of a sweep at the same seed. A
-    case whose ZF is degenerate raises ZfDegenerateError.
+    trace rows are those of the same trial of a sweep on the same config.
+    A case whose ZF is degenerate raises ZfDegenerateError.
     """
     cfg = validate_config(cfg)
     mode = Mode(mode)
     _check_number("trial", trial, integer=True, minimum=0)
-    if seed is not None:
-        _check_number("seed", seed, integer=True, minimum=0)
     _check_cases(cases)
-    points = [(make_powers(cfg, unit_power), "", cases)]
+    points = [(0, "", make_powers(cfg, unit_power), cases)]
     plan = _plan(cfg, points, mode)  # before the statistics: a missing EMI level fails here
     stats = build_statistics(cfg)
-    use_seed = cfg.rng_seed if seed is None else seed
-    real = draw_realization(cfg, stats, trial, rng=trial_rng(use_seed, trial))
+    real = draw_realization(cfg, stats, trial, rng=trial_rng(cfg.rng_seed, trial))
     if dump_dir is not None:
         dump_realization(real, dump_dir)
-    (reports,) = _evaluate_block(cfg, stats, [real], points, plan, mode, None if trace is None else [trace])
+    (reports,) = _evaluate_block(cfg, stats, [real], plan, mode, None if trace is None else {0: trace})
     for report in reports:
         if isinstance(report, ZfDegenerateError):
             raise report

@@ -249,10 +249,10 @@ def test_a4_cascades_match_direct_matrix_evaluation():
 def test_a5_scenario_ordering_at_desk_scale():
     """Fixed phases, 500 trials, 100 elements: impairments order the mean rates."""
     start = time.perf_counter()
-    cfg = _scaled_cfg(side1=10)
+    cfg = _scaled_cfg(side1=10, trials=500)
     spec = SweepSpec(
         variable="tx_power_dbm", grid=(30.0,), scenarios=DEFAULT_CASES,
-        mode=Mode.FIXED, trials=500,
+        mode=Mode.FIXED,
     )
     records = {r.scenario: r for r in run_sweep(cfg, spec)}
     mean = {k: r.mean_sum_rate_bps_hz for k, r in records.items()}
@@ -288,8 +288,8 @@ def test_a5_scenario_ordering_at_desk_scale():
 def test_a6_optimization_gain_at_least_double():
     """225 elements, 200 trials: optimized phases at least double every mean rate."""
     start = time.perf_counter()
-    cfg = _scaled_cfg(side1=15)
-    kw = dict(variable="tx_power_dbm", grid=(30.0,), scenarios=DEFAULT_CASES, trials=200)
+    cfg = _scaled_cfg(side1=15, trials=200)
+    kw = dict(variable="tx_power_dbm", grid=(30.0,), scenarios=DEFAULT_CASES)
     fixed = {r.scenario: r.mean_sum_rate_bps_hz
              for r in run_sweep(cfg, SweepSpec(mode=Mode.FIXED, **kw))}
     tuned = {r.scenario: r.mean_sum_rate_bps_hz

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from risim import config_to_dict, default_config, save_config
+from risim import config_to_dict, default_config, load_config, save_config
 from risim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, cli_main
 from risim.harness import CSV_HEADER, TRACE_HEADER
 
@@ -208,6 +208,26 @@ def test_single_trial_deterministic(tiny_config, capsys):
     assert capsys.readouterr().out == first
     assert cli_main(args + ["--seed", "8"]) == EXIT_OK
     assert capsys.readouterr().out != first
+
+
+def test_seed_and_trials_flags_set_the_config(tiny_config, tmp_path, capsys):
+    # without --trials a sweep runs the config's mc_trials (3 here), and
+    # --seed draws what the config's rng_seed set to the same value draws
+    for flags, attempted in (([], 3), (["--trials", "2"], 2)):
+        assert cli_main(["sweep-power", "--config", tiny_config, "--grid", "30", *flags]) == EXIT_OK
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert len(rows) == 6
+        for row in rows:
+            *_, trials, skipped = row.split(",")
+            assert int(trials) + int(skipped) == attempted
+    assert cli_main(["single-trial", "--config", tiny_config, "--seed", "7"]) == EXIT_OK
+    flagged = capsys.readouterr().out
+    seeded = tmp_path / "seeded.json"
+    save_config(replace(load_config(tiny_config), rng_seed=7), seeded)
+    assert cli_main(["single-trial", "--config", str(seeded)]) == EXIT_OK
+    assert capsys.readouterr().out == flagged
+    assert cli_main(["single-trial", "--config", tiny_config]) == EXIT_OK
+    assert capsys.readouterr().out != flagged  # the config's own seed draws another channel
 
 
 def test_single_trial_outputs(tiny_config, tmp_path, capsys):

@@ -120,13 +120,13 @@ def test_parse_scenario_token():
 
 
 def test_run_sweep_record_layout():
-    cfg = _tiny_cfg()
+    cfg = _tiny_cfg(trials=3)
     cases = (
         ScenarioCase(ScenarioKind.EIF),
         ScenarioCase(ScenarioKind.EMI, -65.0),
     )
     spec = SweepSpec(variable="tx_power_dbm", grid=(20.0, 30.0), scenarios=cases,
-                     mode=Mode.FIXED, trials=3)
+                     mode=Mode.FIXED)
     records = run_sweep(cfg, spec)
     assert len(records) == 4
     assert [(r.sweep_value, r.scenario) for r in records] == [
@@ -140,8 +140,8 @@ def test_run_sweep_record_layout():
 
 
 def test_run_sweep_deterministic_bytes():
-    cfg = _tiny_cfg()
-    spec = SweepSpec(variable="tx_power_dbm", grid=(30.0,), mode=Mode.FIXED, trials=4)
+    cfg = _tiny_cfg(trials=4)
+    spec = SweepSpec(variable="tx_power_dbm", grid=(30.0,), mode=Mode.FIXED)
     a = render_csv(run_sweep(cfg, spec))
     b = render_csv(run_sweep(cfg, spec))
     assert a.encode() == b.encode()
@@ -149,18 +149,29 @@ def test_run_sweep_deterministic_bytes():
 
 
 def test_run_sweep_seed_changes_results():
-    cfg = _tiny_cfg()
-    base = SweepSpec(variable="tx_power_dbm", grid=(30.0,), mode=Mode.FIXED, trials=4)
+    cfg = _tiny_cfg(trials=4)
+    base = SweepSpec(variable="tx_power_dbm", grid=(30.0,), mode=Mode.FIXED)
     a = run_sweep(cfg, base)
-    b = run_sweep(cfg, replace(base, seed=777))
+    b = run_sweep(replace(cfg, rng_seed=777), base)
     assert a[0].mean_sum_rate_bps_hz != b[0].mean_sum_rate_bps_hz
 
 
+def test_run_sweep_reads_trials_and_seed_from_the_config():
+    # the config is the one owner of a sweep's trial count and seed
+    cfg = replace(default_config(), mc_trials=3)
+    spec = SweepSpec(variable="tx_power_dbm", grid=(30.0,), scenarios=(ScenarioCase(ScenarioKind.EIF),))
+    (record,) = run_sweep(cfg, spec)
+    assert record.trials + record.skipped == 3
+    (reseeded,) = run_sweep(replace(cfg, rng_seed=cfg.rng_seed + 1), spec)
+    assert reseeded.trials + reseeded.skipped == 3
+    assert reseeded.sum_rate_samples != record.sum_rate_samples
+
+
 def test_run_sweep_samples_and_pairing():
-    cfg = _tiny_cfg()
+    cfg = _tiny_cfg(trials=5)
     cases = (ScenarioCase(ScenarioKind.EIF), ScenarioCase(ScenarioKind.IRR))
     spec = SweepSpec(variable="tx_power_dbm", grid=(20.0, 30.0), scenarios=cases,
-                     mode=Mode.FIXED, trials=5)
+                     mode=Mode.FIXED)
     records = run_sweep(cfg, spec)
     assert all(len(r.sum_rate_samples) == r.trials == 5 for r in records)
     eif, irr = records[2:]
@@ -172,19 +183,19 @@ def test_run_sweep_samples_and_pairing():
 
 def test_run_sweep_eif_monotone_in_power():
     # ZF nulls the leakage, so the fixed-phase EIF rate grows with power
-    cfg = _tiny_cfg()
+    cfg = _tiny_cfg(trials=3)
     spec = SweepSpec(variable="tx_power_dbm", grid=(10.0, 20.0, 30.0),
                      scenarios=(ScenarioCase(ScenarioKind.EIF),),
-                     mode=Mode.FIXED, trials=3)
+                     mode=Mode.FIXED)
     means = [r.mean_sum_rate_bps_hz for r in run_sweep(cfg, spec)]
     assert means[0] < means[1] < means[2]
 
 
 def test_run_sweep_elements_variable():
-    cfg = _tiny_cfg()
+    cfg = _tiny_cfg(trials=3)
     spec = SweepSpec(variable="ris_elements", grid=(4.0, 9.0),
                      scenarios=(ScenarioCase(ScenarioKind.EIF),),
-                     mode=Mode.FIXED, trials=3)
+                     mode=Mode.FIXED)
     records = run_sweep(cfg, spec)
     assert [r.sweep_value for r in records] == [4.0, 9.0]
     with pytest.raises(ConfigError, match="perfect squares"):
@@ -192,10 +203,10 @@ def test_run_sweep_elements_variable():
 
 
 def test_run_sweep_emi_variable_attaches_levels():
-    cfg = _tiny_cfg()
+    cfg = _tiny_cfg(trials=2)
     cases = (ScenarioCase(ScenarioKind.EIF), ScenarioCase(ScenarioKind.EMI))
     spec = SweepSpec(variable="emi_dbm", grid=(-70.0, -60.0), scenarios=cases,
-                     mode=Mode.FIXED, trials=2)
+                     mode=Mode.FIXED)
     records = run_sweep(cfg, spec)
     assert [r.scenario for r in records] == ["eif", "emi_-70", "eif", "emi_-60"]
     # the EIF case ignores the swept level entirely
@@ -204,10 +215,10 @@ def test_run_sweep_emi_variable_attaches_levels():
 
 
 def test_run_sweep_emi_case_without_level_errors():
-    cfg = _tiny_cfg()
+    cfg = _tiny_cfg(trials=2)
     spec = SweepSpec(variable="tx_power_dbm", grid=(30.0,),
                      scenarios=(ScenarioCase(ScenarioKind.EMI),),
-                     mode=Mode.FIXED, trials=2)
+                     mode=Mode.FIXED)
     with pytest.raises(ConfigError, match="needs an EMI level"):
         run_sweep(cfg, spec)
     # a config-wide level fills the gap
@@ -226,10 +237,10 @@ def test_missing_emi_level_fails_before_any_statistics(mode, monkeypatch):
         raise AssertionError("statistics built before the cases were planned")
 
     monkeypatch.setattr(harness, "build_statistics", no_statistics)
-    cfg = _tiny_cfg()
+    cfg = _tiny_cfg(trials=2)
     assert all(c.emi_power_dbm is None for c in cfg.clusters)
     cases = (ScenarioCase(ScenarioKind.EIF), ScenarioCase(ScenarioKind.EMI))
-    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0, 30.0), scenarios=cases, mode=mode, trials=2)
+    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0, 30.0), scenarios=cases, mode=mode)
     with pytest.raises(ConfigError, match="needs an EMI level"):
         run_sweep(cfg, spec)
     with pytest.raises(ConfigError, match="needs an EMI level"):
@@ -237,31 +248,39 @@ def test_missing_emi_level_fails_before_any_statistics(mode, monkeypatch):
 
 
 def test_run_sweep_validates_spec():
-    cfg = _tiny_cfg()
-    good = SweepSpec(variable="tx_power_dbm", grid=(30.0,), trials=1)
+    cfg = _tiny_cfg(trials=1)
+    good = SweepSpec(variable="tx_power_dbm", grid=(30.0,))
     for bad in (
         replace(good, variable="bandwidth"),
         replace(good, grid=()),
         replace(good, scenarios=()),
-        replace(good, trials=0),
-        replace(good, seed=-1),
-        replace(good, seed=True),
-        replace(good, seed=7.0),
-        replace(good, trials=True),
-        replace(good, trials=2.5),
         replace(good, scenarios=(ScenarioCase(ScenarioKind.EIF),) * 2),
         replace(good, variable="emi_dbm", grid=(float("nan"),)),
         replace(good, scenarios=(ScenarioCase(ScenarioKind.EMI, float("inf")),)),
         replace(good, variable="ris_elements", grid=(-4.0,)),
+        # a grid value is checked as written: True is not the count 1, "4" not 4
+        replace(good, variable="ris_elements", grid=(True,)),
+        replace(good, variable="ris_elements", grid=("4",)),
     ):
         with pytest.raises(ConfigError):
             run_sweep(cfg, bad)
+    # the config's trials and seed are checked as written too
+    for bad_cfg in (
+        replace(cfg, mc_trials=0),
+        replace(cfg, rng_seed=-1),
+        replace(cfg, rng_seed=True),
+        replace(cfg, rng_seed=7.0),
+        replace(cfg, mc_trials=True),
+        replace(cfg, mc_trials=2.5),
+    ):
+        with pytest.raises(ConfigError):
+            run_sweep(bad_cfg, good)
 
 
 def test_run_sweep_optimized_modes_beat_fixed():
-    cfg = _tiny_cfg()
+    cfg = _tiny_cfg(trials=3)
     cases = (ScenarioCase(ScenarioKind.EMI, -60.0),)
-    kw = dict(variable="tx_power_dbm", grid=(30.0,), scenarios=cases, trials=3)
+    kw = dict(variable="tx_power_dbm", grid=(30.0,), scenarios=cases)
     fixed = run_sweep(cfg, SweepSpec(mode=Mode.FIXED, **kw))[0]
     unaware = run_sweep(cfg, SweepSpec(mode=Mode.UNAWARE, **kw))[0]
     aware = run_sweep(cfg, SweepSpec(mode=Mode.AWARE, **kw))[0]
@@ -271,7 +290,7 @@ def test_run_sweep_optimized_modes_beat_fixed():
 
 @pytest.mark.usefixtures("in_process")
 def test_run_sweep_skip_accounting(monkeypatch):
-    cfg = _tiny_cfg()
+    cfg = _tiny_cfg(trials=4)
     real_check = sinr.check_zf_gram
     fails = {"left": 1}
 
@@ -284,14 +303,14 @@ def test_run_sweep_skip_accounting(monkeypatch):
     monkeypatch.setattr(sinr, "check_zf_gram", flaky)
     spec = SweepSpec(variable="tx_power_dbm", grid=(30.0,),
                      scenarios=(ScenarioCase(ScenarioKind.EIF),),
-                     mode=Mode.FIXED, trials=4)
+                     mode=Mode.FIXED)
     rec = run_sweep(cfg, spec)[0]
     assert rec.skipped == 1
     assert rec.trials == 3
 
 
 def test_run_sweep_all_skipped_raises(monkeypatch):
-    cfg = _tiny_cfg()
+    cfg = _tiny_cfg(trials=2)
 
     def broken(gram, *args, **kwargs):
         raise ZfDegenerateError("forced degenerate draw")
@@ -299,17 +318,17 @@ def test_run_sweep_all_skipped_raises(monkeypatch):
     monkeypatch.setattr(sinr, "check_zf_gram", broken)
     spec = SweepSpec(variable="tx_power_dbm", grid=(30.0,),
                      scenarios=(ScenarioCase(ScenarioKind.EIF),),
-                     mode=Mode.FIXED, trials=2)
+                     mode=Mode.FIXED)
     with pytest.raises(RuntimeError, match="every trial was skipped"):
         run_sweep(cfg, spec)
 
 
 def test_run_sweep_trace_rows():
-    cfg = _tiny_cfg()
+    cfg = _tiny_cfg(trials=2)
     rows = []
     spec = SweepSpec(variable="tx_power_dbm", grid=(30.0,),
                      scenarios=(ScenarioCase(ScenarioKind.EIF),),
-                     mode=Mode.UNAWARE, trials=2)
+                     mode=Mode.UNAWARE)
     run_sweep(cfg, spec, trace=rows)
     assert rows
     assert all(len(row) == 9 for row in rows)
@@ -328,16 +347,19 @@ def test_run_single_trial_deterministic(tmp_path):
     for (case_a, rep_a), (case_b, rep_b) in zip(a, b):
         assert case_a == case_b
         np.testing.assert_array_equal(rep_a.sinr, rep_b.sinr)
-    c = run_single_trial(cfg, cases, Mode.FIXED, trial=7, seed=999)
+    c = run_single_trial(replace(cfg, rng_seed=999), cases, Mode.FIXED, trial=7)
     assert not np.array_equal(a[0][1].sinr, c[0][1].sinr)
 
 
 def test_run_single_trial_rejects_bad_indices():
     cfg = _tiny_cfg()
     cases = (ScenarioCase(ScenarioKind.EIF),)
-    for name, value in (("trial", -1), ("trial", 1.5), ("seed", -1), ("seed", True)):
+    for name, value in (("trial", -1), ("trial", 1.5)):
         with pytest.raises(ConfigError, match=name):
             run_single_trial(cfg, cases, Mode.FIXED, **{name: value})
+    for value in (-1, True):
+        with pytest.raises(ConfigError, match="rng_seed"):
+            run_single_trial(replace(cfg, rng_seed=value), cases, Mode.FIXED)
 
 
 def test_render_csv_format():
@@ -356,9 +378,9 @@ def test_render_csv_format():
 
 def test_run_sweep_rejects_repeated_scenarios():
     # a repeated case would pool its trials twice into one row
-    cfg = _tiny_cfg()
+    cfg = _tiny_cfg(trials=1)
     emi = ScenarioCase(ScenarioKind.EMI, -65.0)
-    spec = SweepSpec(variable="tx_power_dbm", grid=(30.0,), scenarios=(emi, emi), trials=1)
+    spec = SweepSpec(variable="tx_power_dbm", grid=(30.0,), scenarios=(emi, emi))
     with pytest.raises(ConfigError, match="'emi_-65' is given more than once"):
         run_sweep(cfg, spec)
     # an EMI sweep sets every EMI level, so differing levels still collide
@@ -391,11 +413,11 @@ _SWEEP_CASES = {
 def test_multi_point_sweep_equals_single_point_sweeps(sweep, mode):
     # sharing a draw's work between grid points must not change a byte of the
     # CSV or of the trace
-    cfg = _tiny_cfg(side=4)
+    cfg = _tiny_cfg(side=4, trials=2)
     if sweep.endswith("_unequal_levels"):
         cfg = _unequal_levels(cfg)
     variable, grid, cases = _SWEEP_CASES[sweep]
-    spec = SweepSpec(variable=variable, grid=grid, scenarios=cases, mode=mode, trials=2)
+    spec = SweepSpec(variable=variable, grid=grid, scenarios=cases, mode=mode)
     rows = []
     csv = render_csv(run_sweep(cfg, spec, trace=rows)).splitlines()
     trace = render_trace(rows).splitlines()
@@ -436,9 +458,8 @@ def test_power_sweep_draws_and_runs_cluster2_once_per_trial(mode, monkeypatch):
     }
     trials = 3
     cases = (ScenarioCase(ScenarioKind.EIF), ScenarioCase(ScenarioKind.EMI_IRR, -65.0))
-    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0, 20.0, 30.0), scenarios=cases,
-                     mode=mode, trials=trials)
-    run_sweep(_tiny_cfg(), spec)
+    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0, 20.0, 30.0), scenarios=cases, mode=mode)
+    run_sweep(_tiny_cfg(trials=trials), spec)
     assert len(counts["build_statistics"]) == 1
     assert len(counts["draw_realization"]) == trials
     # per draw: one build for cluster 1 alone and one with the neighbor RIS
@@ -474,8 +495,8 @@ def test_aware_sweep_builds_one_operator_per_draw(monkeypatch):
     runs = _count_calls(monkeypatch, harness, "rcg_lockstep")
     trials = 3
     levels = (-75.0, -70.0, -65.0, -60.0)
-    spec = SweepSpec(variable="emi_dbm", grid=levels, scenarios=EMI_SWEEP_CASES, mode=Mode.AWARE, trials=trials)
-    run_sweep(_tiny_cfg(), spec)
+    spec = SweepSpec(variable="emi_dbm", grid=levels, scenarios=EMI_SWEEP_CASES, mode=Mode.AWARE)
+    run_sweep(_tiny_cfg(trials=trials), spec)
     assert len(reflected) == trials
     assert len(ops) == trials
     assert len(runs) == trials
@@ -497,8 +518,8 @@ def test_aware_sweep_with_unequal_config_levels(monkeypatch):
     runs = _count_calls(monkeypatch, harness, "rcg_lockstep")
     trials = 3
     cases = (ScenarioCase(ScenarioKind.EMI_IRR), ScenarioCase(ScenarioKind.EMI_IRR, -65.0))
-    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0, 40.0), scenarios=cases, mode=Mode.AWARE, trials=trials)
-    records = run_sweep(_unequal_levels(_tiny_cfg()), spec)
+    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0, 40.0), scenarios=cases, mode=Mode.AWARE)
+    records = run_sweep(_unequal_levels(_tiny_cfg(trials=trials)), spec)
     assert [r.scenario for r in records] == ["emi_irr", "emi_irr_-65"] * 2
     assert len(reflected) == trials
     assert len(ops) == 2 * trials
@@ -531,9 +552,8 @@ def test_degenerate_cluster2_skips_only_the_irr_cases(mode, monkeypatch):
 
     for name in ("fixed_cluster2", "optimize_cluster2"):
         monkeypatch.setattr(harness, name, failing(getattr(harness, name)))
-    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0, 30.0), scenarios=DEFAULT_CASES,
-                     mode=mode, trials=3)
-    for rec in run_sweep(_tiny_cfg(), spec):
+    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0, 30.0), scenarios=DEFAULT_CASES, mode=mode)
+    for rec in run_sweep(_tiny_cfg(trials=3), spec):
         assert (rec.skipped, rec.trials) == ((1, 2) if "irr" in rec.scenario else (0, 3))
 
 
@@ -556,8 +576,8 @@ def test_degenerate_theta_skips_only_the_cases_that_read_it(mode, monkeypatch):
     real = sinr.check_zf_gram
     monkeypatch.setattr(sinr, "check_zf_gram", failing)
     cases = tuple(parse_scenario_token(t) for t in ("eif", "emi:-65", "irr"))
-    spec = SweepSpec(variable="emi_dbm", grid=(-75.0, -65.0), scenarios=cases, mode=mode, trials=3)
-    records = run_sweep(_tiny_cfg(), spec)
+    spec = SweepSpec(variable="emi_dbm", grid=(-75.0, -65.0), scenarios=cases, mode=mode)
+    records = run_sweep(_tiny_cfg(trials=3), spec)
     assert len(records) == 6
     for rec in records:
         skipped = mode is not Mode.AWARE or rec.scenario == "eif"
@@ -571,8 +591,8 @@ def test_emi_sweep_runs_the_unaware_optimizer_once_per_trial(monkeypatch):
     stacks = _count_calls(monkeypatch, harness, "optimize_eif_stack")
     cluster2 = _count_calls(monkeypatch, harness, "optimize_cluster2")
     spec = SweepSpec(variable="emi_dbm", grid=(-75.0, -70.0, -65.0), scenarios=EMI_SWEEP_CASES,
-                     mode=Mode.UNAWARE, trials=2)
-    run_sweep(_tiny_cfg(), spec)
+                     mode=Mode.UNAWARE)
+    run_sweep(_tiny_cfg(trials=2), spec)
     # one row per trial in each stack (cluster 2, then cluster 1), none per EMI level
     assert [len(call["links"]) for call in stacks] == [2, 2]
     assert len(runs) == 0
@@ -589,7 +609,7 @@ def test_each_theta_builds_its_parts_once(monkeypatch):
     cluster2 = _count_calls(monkeypatch, harness, "optimize_cluster2")
     stacks = _count_calls(monkeypatch, harness, "optimize_eif_stack")
     trials, grid = 2, (10.0, 25.0, 40.0)
-    kw = dict(variable="tx_power_dbm", grid=grid, scenarios=DEFAULT_CASES, trials=trials)
+    kw = dict(variable="tx_power_dbm", grid=grid, scenarios=DEFAULT_CASES)
     points = trials * len(grid)
     aware = sum(case.kind is not ScenarioKind.EIF for case in DEFAULT_CASES)
     irr = sum(case.kind.has_irr for case in DEFAULT_CASES)
@@ -603,7 +623,7 @@ def test_each_theta_builds_its_parts_once(monkeypatch):
         parts.clear()
         neighbor.clear()
         stacks.clear()
-        run_sweep(_tiny_cfg(), SweepSpec(mode=mode, **kw))
+        run_sweep(_tiny_cfg(trials=trials), SweepSpec(mode=mode, **kw))
         assert (len(parts), len(neighbor)) == (builds, neighbor_builds)
         # the cluster-2 rows, then the unaware rows: one per draw and per (draw, power)
         rows = [len(call["links"]) for call in stacks]
@@ -614,7 +634,7 @@ def test_each_theta_builds_its_parts_once(monkeypatch):
     cluster2.clear()
     stacks.clear()
     cases = (ScenarioCase(ScenarioKind.EIF), ScenarioCase(ScenarioKind.EMI, -65.0))
-    run_sweep(_tiny_cfg(), SweepSpec(mode=Mode.UNAWARE, **{**kw, "scenarios": cases}))
+    run_sweep(_tiny_cfg(trials=trials), SweepSpec(mode=Mode.UNAWARE, **{**kw, "scenarios": cases}))
     assert len(parts) == points
     assert neighbor == [] and cluster2 == []
     assert [len(call["links"]) for call in stacks] == [points]  # no cluster-2 rows
@@ -625,17 +645,17 @@ def test_elements_sweep_draws_per_point(monkeypatch):
     stats = _count_calls(monkeypatch, harness, "build_statistics")
     draws = _count_calls(monkeypatch, harness, "draw_realization")
     spec = SweepSpec(variable="ris_elements", grid=(4.0, 9.0, 16.0),
-                     scenarios=(ScenarioCase(ScenarioKind.IRR),), mode=Mode.FIXED, trials=3)
-    run_sweep(_tiny_cfg(), spec)
+                     scenarios=(ScenarioCase(ScenarioKind.IRR),), mode=Mode.FIXED)
+    run_sweep(_tiny_cfg(trials=3), spec)
     assert len(stats) == 3
     assert len(draws) == 3 * 3
 
 
 def test_aware_never_below_unaware_per_trial():
     # aware runs start from the unaware phases and only ascend the true utility
-    cfg = _tiny_cfg(side=4)
+    cfg = _tiny_cfg(side=4, trials=3)
     cases = tuple(c for c in DEFAULT_CASES if c.kind is not ScenarioKind.EIF)
-    kw = dict(variable="tx_power_dbm", grid=(10.0, 40.0), scenarios=cases, trials=3)
+    kw = dict(variable="tx_power_dbm", grid=(10.0, 40.0), scenarios=cases)
     unaware = run_sweep(cfg, SweepSpec(mode=Mode.UNAWARE, **kw))
     aware = run_sweep(cfg, SweepSpec(mode=Mode.AWARE, **kw))
     for u, a in zip(unaware, aware):
@@ -651,9 +671,9 @@ def test_z21_is_drawn_only_for_neighbor_cases(mode, monkeypatch, tmp_path):
     # read it: a sweep without an IRR case never draws it, and its rows are
     # those of the same cases in a sweep that does
     draws = _count_calls(monkeypatch, channels, "sample_inter_ris")
-    cfg = _tiny_cfg()
+    cfg = _tiny_cfg(trials=3)
     cases = (ScenarioCase(ScenarioKind.EIF), ScenarioCase(ScenarioKind.EMI, -65.0))
-    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0, 40.0), scenarios=cases, mode=mode, trials=3)
+    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0, 40.0), scenarios=cases, mode=mode)
     rows = render_csv(run_sweep(cfg, spec)).splitlines()
     assert draws == []
     full = render_csv(run_sweep(cfg, replace(spec, scenarios=cases + (ScenarioCase(ScenarioKind.IRR),))))
@@ -675,15 +695,14 @@ def test_z21_is_drawn_only_for_neighbor_cases(mode, monkeypatch, tmp_path):
 def test_results_do_not_depend_on_the_block_size(mode, monkeypatch):
     # a stacked run equals the single run, so blocks of 2 draws and stacks of
     # 3 rows (the unaware stack of a block spans two) change no byte
-    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0, 30.0), scenarios=DEFAULT_CASES,
-                     mode=mode, trials=5)
+    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0, 30.0), scenarios=DEFAULT_CASES, mode=mode)
     outputs = []
     for rows in (None, 3):
         if rows is not None:
             monkeypatch.setattr(harness, "STACK_ROWS", 2)
             monkeypatch.setattr(ao, "STACK_ROWS", rows)
         trace = []
-        outputs.append((render_csv(run_sweep(_tiny_cfg(), spec, trace=trace)), render_trace(trace)))
+        outputs.append((render_csv(run_sweep(_tiny_cfg(trials=5), spec, trace=trace)), render_trace(trace)))
     assert outputs[0] == outputs[1]
 
 
@@ -691,13 +710,13 @@ def test_results_do_not_depend_on_the_block_size(mode, monkeypatch):
 def test_single_trial_equals_its_trial_of_a_sweep(mode):
     # a single trial is a block of one draw on the sweep's path, so trial t
     # of a one-point sweep at the same seed has its sum rates and trace rows
-    cfg = _tiny_cfg(side=4)
-    seed, trial = 5, 2
+    cfg = replace(_tiny_cfg(side=4, trials=3), rng_seed=5)
+    trial = 2
     spec = SweepSpec(variable="tx_power_dbm", grid=(cfg.clusters[0].tx_power_dbm,),
-                     scenarios=DEFAULT_CASES, mode=mode, trials=3, seed=seed)
+                     scenarios=DEFAULT_CASES, mode=mode)
     rows, single_rows = [], []
     records = run_sweep(cfg, spec, trace=rows)
-    results = run_single_trial(cfg, DEFAULT_CASES, mode, trial=trial, seed=seed, trace=single_rows)
+    results = run_single_trial(cfg, DEFAULT_CASES, mode, trial=trial, trace=single_rows)
     for (case, report), record in zip(results, records, strict=True):
         assert (record.scenario, record.trials) == (case.label, 3)
         assert report.sum_rate_bps_hz == record.sum_rate_samples[trial]
@@ -711,8 +730,8 @@ def test_element_sweep_computes_each_surface_model_once(monkeypatch):
     models = _count_calls(monkeypatch, channels, "spatial_correlation")
     built = _count_calls(monkeypatch, harness, "build_statistics")
     spec = SweepSpec(variable="ris_elements", grid=(4.0, 9.0, 16.0, 25.0),
-                     scenarios=(ScenarioCase(ScenarioKind.IRR),), mode=Mode.FIXED, trials=2)
-    run_sweep(_tiny_cfg(side=3), spec)
+                     scenarios=(ScenarioCase(ScenarioKind.IRR),), mode=Mode.FIXED)
+    run_sweep(_tiny_cfg(side=3, trials=2), spec)
     assert len(models) == 4
     assert len(built) == 4
     assert built[0]["models"] is not None and all(call["models"] is built[0]["models"] for call in built)
@@ -757,12 +776,12 @@ def test_worker_processes_change_no_byte(sweep, monkeypatch):
     variable, grid, mode, trials, rows = _POOLED[sweep]
     if rows is not None:
         monkeypatch.setattr(harness, "STACK_ROWS", rows)
-    spec = SweepSpec(variable=variable, grid=grid, scenarios=DEFAULT_CASES, mode=mode, trials=trials)
+    spec = SweepSpec(variable=variable, grid=grid, scenarios=DEFAULT_CASES, mode=mode)
     outputs = []
     for workers in (1, 2):
         monkeypatch.setattr(harness, "_worker_count", lambda workers=workers: workers)
         trace = []
-        records = run_sweep(_tiny_cfg(side=4), spec, trace=trace)
+        records = run_sweep(_tiny_cfg(side=4, trials=trials), spec, trace=trace)
         outputs.append((render_csv(records), trace, [r.sum_rate_samples for r in records]))
     assert outputs[0] == outputs[1]
     assert outputs[0][1] or mode is Mode.FIXED
@@ -777,13 +796,12 @@ def test_a_worker_error_leaves_the_sweep_and_no_process(monkeypatch):
         return real(cfg, stats, trial, rng=rng)
 
     monkeypatch.setattr(harness, "_worker_count", lambda: 2)
-    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0,), scenarios=DEFAULT_CASES,
-                     mode=Mode.UNAWARE, trials=4)
-    run_sweep(_tiny_cfg(), spec)
+    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0,), scenarios=DEFAULT_CASES, mode=Mode.UNAWARE)
+    run_sweep(_tiny_cfg(trials=4), spec)
     assert multiprocessing.active_children() == []
     monkeypatch.setattr(harness, "draw_realization", failing)  # inherited by the workers
     with pytest.raises(ValueError, match="forced failure in trial 3"):
-        run_sweep(_tiny_cfg(), spec)
+        run_sweep(_tiny_cfg(trials=4), spec)
     assert multiprocessing.active_children() == []
 
 
@@ -797,10 +815,9 @@ def test_a_killed_worker_breaks_the_sweep_instead_of_hanging(monkeypatch):
 
     monkeypatch.setattr(harness, "_worker_count", lambda: 2)
     monkeypatch.setattr(harness, "draw_realization", dying)
-    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0,), scenarios=DEFAULT_CASES,
-                     mode=Mode.FIXED, trials=4)
+    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0,), scenarios=DEFAULT_CASES, mode=Mode.FIXED)
     with pytest.raises(BrokenProcessPool):
-        run_sweep(_tiny_cfg(), spec)
+        run_sweep(_tiny_cfg(trials=4), spec)
     assert multiprocessing.active_children() == []
 
 

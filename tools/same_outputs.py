@@ -42,7 +42,8 @@ from pathlib import Path
 
 BENCH_SEEDS = (12345, 1)
 CONFIG = "{config}"  # replaced by each tree's configs/default.json
-TRIALS = "4"  # per grid point of the sweeps in COMMANDS
+TRIALS = "4"  # per grid point of the sweeps in COMMANDS that pass --trials
+SEED = "7"  # a seed other than the config's rng_seed, for the commands that pass --seed
 COMMANDS = (
     ("sweep-emi", "--mode", "aware", "--trials", TRIALS),
     ("sweep-elements", "--mode", "aware", "--grid", "25,100", "--trials", TRIALS),
@@ -54,6 +55,10 @@ COMMANDS = (
     *(("single-trial", "--mode", mode, "--trial", trial) for mode in ("unaware", "aware") for trial in ("0", "3")),
     # one point and no optimizer run
     ("single-trial", "--mode", "fixed", "--trial", "0"),
+    # --seed sets the config's rng_seed for single-trial too
+    ("single-trial", "--mode", "aware", "--trial", "1", "--seed", SEED),
+    # no --trials: the trial count is the config's mc_trials
+    ("sweep-power", "--mode", "fixed", "--grid", "30", "--seed", SEED),
 )
 
 
