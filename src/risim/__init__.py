@@ -1,10 +1,8 @@
 """Monte Carlo simulator and phase optimizer for multi-RIS aided MISO downlinks."""
 
 from .ao import (
-    Cluster2State,
     alternate_optimize,
     evaluate_pair,
-    fixed_cluster2,
     optimize_cluster2,
     optimize_eif_stack,
 )

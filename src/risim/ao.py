@@ -1,24 +1,14 @@
-"""Joint ZF precoding and RIS phase optimization for one realization."""
+"""Joint ZF precoding and RIS phase optimization for one realization, and its neighbor terms."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import ChannelRealization
 from .precoding import effective_channel, zf_precoder
 from .rcg import RcgResult, optimize_phases, rcg_lockstep
-from .sinr import CascadeTerms, PowerAllocation, ScenarioKind, UtilityStack
+from .sinr import CascadeTerms, PowerAllocation, ScenarioKind, UtilityStack, build_cascades
 from .sinr import scenario_sinr as evaluate_pair  # the report of an optimized theta, ZF at it
-
-
-@dataclass(frozen=True)
-class Cluster2State:
-    """Neighbor-cluster phases and precoders, frozen while cluster 1 optimizes."""
-
-    theta: np.ndarray
-    u: np.ndarray  # (T2, K2) unit-norm columns
 
 
 # A fixed budget: with a stop on the objective's change, a run's length
@@ -101,22 +91,23 @@ def optimize_eif_stack(links, powers, weights, noise_power_w: float, max_iters: 
     return results
 
 
-def _cluster2_state(real: ChannelRealization, theta2: np.ndarray) -> Cluster2State:
-    """Neighbor phases theta2 with ZF precoding at theta2."""
-    return Cluster2State(theta=theta2, u=zf_precoder(effective_channel(real.g2, theta2, real.h2)))
+def optimize_cluster2(
+    real: ChannelRealization, terms: CascadeTerms, r2: np.ndarray, theta2: np.ndarray | None = None
+) -> CascadeTerms:
+    """terms, cluster 1's own terms for the draw real, with the neighbor RIS added.
 
-
-def fixed_cluster2(real: ChannelRealization) -> Cluster2State:
-    """Zero-phase neighbor: identity reflection and ZF precoding."""
-    return _cluster2_state(real, np.ones(real.h2.shape[0], dtype=complex))
-
-
-def optimize_cluster2(real: ChannelRealization, run: RcgResult) -> Cluster2State:
-    """The neighbor cluster after its interference-unaware AO on its own links.
-
-    run is that optimization (a row of optimize_eif_stack): the neighbor BS
-    and RIS optimize as if alone, so it is independent of every cluster-1
-    quantity and of the EMI levels. Returns its phases with ZF precoding at
-    them.
+    The neighbor, with correlation matrix r2, sits at theta2 with ZF
+    precoding there: at theta = 1 when theta2 is None (fixed mode), else at
+    the phases of its interference-unaware run on its own links (a row of
+    optimize_eif_stack), which is independent of every cluster-1 quantity
+    and of the EMI levels. Like terms, the result is at zero EMI (set a
+    scenario's levels with replace). Raises ZfDegenerateError when the
+    neighbor's ZF is ill-conditioned.
     """
-    return _cluster2_state(real, run.theta)
+    if theta2 is None:
+        theta2 = np.ones(real.h2.shape[0], dtype=complex)
+    u2 = zf_precoder(effective_channel(real.g2, theta2, real.h2))
+    return build_cascades(
+        terms.h1, terms.g1, terms.r1, emi_self_factor=terms.emi_self_factor,
+        theta2=theta2, u2=u2, h2=real.h2, z21=real.z21, r2=r2,
+    )

@@ -147,16 +147,16 @@ def build_statistics(cfg: SystemConfig, models: dict | None = None) -> ChannelSt
     return ChannelStatistics(clusters=tuple(per_cluster), inter_ris_gain=inter)
 
 
-@dataclass(init=False, eq=False)
+@dataclass(eq=False)
 class ChannelRealization:
     """One Monte Carlo draw of every small-scale channel in the system.
 
     h_n is the BS_n -> RIS_n channel (L_n^2, T_n); g_n stacks the RIS_n -> UE
     rows (K_n, L_n^2); z21 is the RIS_1 -> RIS_2 link with shape (L_2^2, L_1^2),
-    rows indexed by RIS-2 elements. z21 is given, or is what draw_z21 returns
-    (the same array on every call) when first read: draw_realization draws
-    it last from the trial's stream, so deferring it changes no number, and
-    a draw whose cases never read it never pays for it.
+    rows indexed by RIS-2 elements. z21 is what draw_z21 returns (the same
+    array on every call) when first read: draw_realization draws it last
+    from the trial's stream, so deferring it changes no number, and a draw
+    whose cases never read it never pays for it.
     """
 
     trial: int
@@ -165,12 +165,6 @@ class ChannelRealization:
     g1: np.ndarray
     g2: np.ndarray
     draw_z21: Callable[[], np.ndarray]
-
-    def __init__(self, trial: int, h1, h2, g1, g2, z21=None, draw_z21=None):
-        if (z21 is None) == (draw_z21 is None):
-            raise ValueError("give z21 or the function that draws it")
-        self.trial, self.h1, self.h2, self.g1, self.g2 = trial, h1, h2, g1, g2
-        self.draw_z21 = (lambda: z21) if draw_z21 is None else draw_z21
 
     @property
     def z21(self) -> np.ndarray:
@@ -182,20 +176,14 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
 
 
-def draw_realization(
-    cfg: SystemConfig,
-    stats: ChannelStatistics,
-    trial: int,
-    rng: np.random.Generator | None = None,
-) -> ChannelRealization:
-    """Draw all channels for one trial.
+def draw_realization(cfg: SystemConfig, stats: ChannelStatistics, trial: int) -> ChannelRealization:
+    """Draw all channels for one trial from its own stream, trial_rng(cfg.rng_seed, trial).
 
-    Deterministic given (cfg.rng_seed, trial) when rng is not supplied. The
-    draw order is fixed: h1, g1 users in index order, h2, g2 users, z21; the
-    realization keeps rng after the links and draws z21 when it is first read.
+    Deterministic given (cfg.rng_seed, trial). The draw order is fixed: h1,
+    g1 users in index order, h2, g2 users, z21; the realization keeps the
+    stream after the links and draws z21 when it is first read.
     """
-    if rng is None:
-        rng = trial_rng(cfg.rng_seed, trial)
+    rng = trial_rng(cfg.rng_seed, trial)
     channels = {}
     for n, (cluster, cs) in enumerate(zip(cfg.clusters, stats.clusters), start=1):
         h = sample_correlated_rayleigh(cs.corr, cs.bs_ris_gain, cluster.num_antennas, rng)

@@ -11,14 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ao import (
-    AO_WARM_RCG,
-    STACK_ROWS,
-    fixed_cluster2,
-    optimize_cluster2,
-    optimize_eif_stack,
-)
-from .channels import build_statistics, draw_realization, dump_realization, trial_rng
+from .ao import AO_WARM_RCG, STACK_ROWS, optimize_cluster2, optimize_eif_stack
+from .channels import build_statistics, draw_realization, dump_realization
 from .precoding import ZfDegenerateError
 from .rcg import rcg_lockstep
 from .scenario import (
@@ -82,14 +76,19 @@ EMI_SWEEP_CASES = (
 )
 
 
+def _member(enum, value, what: str):
+    """enum(value), or a ConfigError naming what, value and the choices."""
+    try:
+        return enum(value)
+    except ValueError as exc:
+        known = ", ".join(member.value for member in enum)
+        raise ConfigError(f"unknown {what} '{value}' (expected one of: {known})") from exc
+
+
 def parse_scenario_token(token: str) -> ScenarioCase:
     """Parse a CLI scenario token, name[:emi_dbm], e.g. 'eif' or 'emi:-65'."""
     name, sep, level = token.strip().partition(":")
-    try:
-        kind = ScenarioKind(name)
-    except ValueError as exc:
-        known = ", ".join(k.value for k in ScenarioKind)
-        raise ConfigError(f"unknown scenario '{name}' (expected one of: {known})") from exc
+    kind = _member(ScenarioKind, name, "scenario")
     if not sep:
         return ScenarioCase(kind)
     if not kind.has_emi:
@@ -183,12 +182,13 @@ def _case_at(variable: str, case: ScenarioCase, value: float) -> ScenarioCase:
 
 
 def _check_cases(cases, variable: str = "", value: float = 0.0) -> None:
-    """A non-empty list of cases with valid EMI levels and distinct labels at
-    the grid value value of variable."""
+    """A non-empty list of cases of known kinds, with valid EMI levels and
+    distinct labels at the grid value value of variable."""
     if len(cases) == 0:
         raise ConfigError("at least one scenario case is required")
     seen = set()
     for case in cases:
+        _member(ScenarioKind, case.kind, "scenario")
         if case.emi_dbm is not None:
             _check_dbm(f"scenario '{case.label}' EMI level", case.emi_dbm)
         # an EMI sweep sets every EMI level, so 'emi' and 'emi:-65' collide there
@@ -203,7 +203,7 @@ def _validate_spec(spec: SweepSpec) -> None:
         raise ConfigError(f"unknown sweep variable '{spec.variable}'")
     if len(spec.grid) == 0:
         raise ConfigError("sweep grid must not be empty")
-    Mode(spec.mode)
+    _member(Mode, spec.mode, "mode")
     for value in spec.grid:
         _check_number(f"{spec.variable} grid value", value)
         if spec.variable != "ris_elements":  # a power level in dBm
@@ -277,10 +277,11 @@ def _evaluate_block(cfg: SystemConfig, stats, reals, plan, mode: Mode, traces):
     runs from theta = 1 are made first, stacked across the draws (see
     _lockstep_runs). Each draw is then one pass:
 
-    1. The draw's cascade terms: cluster 1's own, and with the neighbor RIS
-       when some pair has an IRR kind. The terms hold no powers and no EMI
-       levels (no sweep changes cluster 2), so each is built once per draw.
-       A degenerate neighbor ZF is kept in place of the neighbor terms.
+    1. The draw's cascade terms: cluster 1's own, and when some pair has an
+       IRR kind, with the neighbor RIS at its phases (optimize_cluster2).
+       The terms hold no powers and no EMI levels (no sweep changes cluster
+       2), so each is built once per draw. A degenerate neighbor ZF is kept
+       in place of the neighbor terms.
     2. The terms at each distinct terms key of plan: the draw's own or
        neighbor terms at the key's EMI levels, or the error in their place.
        The pairs that share a key share one terms object.
@@ -314,18 +315,8 @@ def _evaluate_block(cfg: SystemConfig, stats, reals, plan, mode: Mode, traces):
         real, ready = reals.pop(0), runs.pop(0)
         base = {False: build_cascades(real.h1, real.g1, r1, emi_self_factor=cfg.emi_self_factor)}
         if neighbor:
-            try:
-                if mode is Mode.FIXED:
-                    c2 = fixed_cluster2(real)
-                else:
-                    c2 = optimize_cluster2(real, ready[("cluster2",)])
-            except ZfDegenerateError as exc:
-                base[True] = exc
-            else:
-                base[True] = build_cascades(
-                    real.h1, real.g1, r1, emi_self_factor=cfg.emi_self_factor,
-                    theta2=c2.theta, u2=c2.u, h2=real.h2, z21=real.z21, r2=r2,
-                )
+            theta2 = None if mode is Mode.FIXED else ready[("cluster2",)].theta
+            base[True] = _or_error(optimize_cluster2, real, base[False], r2, theta2)
         terms_at = {key: _or_error(replace, base[key[0]], emi1_w=key[1], emi2_w=key[2]) for key in term_keys}
 
         if mode is Mode.AWARE:
@@ -433,7 +424,7 @@ class _SweepJob:
         g, block = task
         cfg, stats, plan = self.groups[g]
         traces = {i: [] for i, *_ in plan} if self.traced else None
-        reals = [draw_realization(cfg, stats, t, rng=trial_rng(cfg.rng_seed, t)) for t in block]
+        reals = [draw_realization(cfg, stats, t) for t in block]
         outcomes = [
             [r if isinstance(r, ZfDegenerateError) else r.rates_bps_hz for r in reports]
             for reports in _evaluate_block(cfg, stats, reals, plan, self.mode, traces)
@@ -583,13 +574,13 @@ def run_single_trial(
     A case whose ZF is degenerate raises ZfDegenerateError.
     """
     cfg = validate_config(cfg)
-    mode = Mode(mode)
+    mode = _member(Mode, mode, "mode")
     _check_number("trial", trial, integer=True, minimum=0)
     _check_cases(cases)
     points = [(0, "", make_powers(cfg, unit_power), cases)]
     plan = _plan(cfg, points, mode)  # before the statistics: a missing EMI level fails here
     stats = build_statistics(cfg)
-    real = draw_realization(cfg, stats, trial, rng=trial_rng(cfg.rng_seed, trial))
+    real = draw_realization(cfg, stats, trial)
     if dump_dir is not None:
         dump_realization(real, dump_dir)
     (reports,) = _evaluate_block(cfg, stats, [real], plan, mode, None if trace is None else {0: trace})

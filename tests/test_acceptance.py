@@ -32,7 +32,6 @@ from risim import (
     sample_correlated_rayleigh,
     scenario_sinr,
     spatial_correlation,
-    trial_rng,
     weighted_log_utility,
     zf_precoder,
 )
@@ -318,7 +317,7 @@ def test_a7_interference_awareness_pays_off():
     diffs = {lv: [] for lv in levels}
     ctx = (powers, noise, w1)
     for t in range(trials):
-        real = draw_realization(cfg, stats, t, rng=trial_rng(cfg.rng_seed, t))
+        real = draw_realization(cfg, stats, t)
         base = build_cascades(real.h1, real.g1, stats.clusters[0].corr.matrix)
         unaware = alternate_optimize(base, ScenarioKind.EIF, *ctx)
         for lv in levels:

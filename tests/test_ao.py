@@ -1,28 +1,31 @@
 """Joint ZF precoding and phase optimization on single realizations."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import risim.precoding as precoding
 from risim import (
     PowerAllocation,
     RcgResult,
     ScenarioKind,
     UtilityStack,
+    ZfDegenerateError,
     alternate_optimize,
     build_cascades,
     build_statistics,
     dbm_to_watts,
     default_config,
     draw_realization,
+    effective_channel,
     evaluate_pair,
-    fixed_cluster2,
     make_powers,
     optimize_cluster2,
     optimize_eif_stack,
     rcg_lockstep,
     weighted_log_utility,
+    zf_precoder,
 )
 from risim.ao import AO_RCG, AO_WARM_RCG
 from risim.sinr import emi_irr_operator, reflected_emi_covariance
@@ -52,18 +55,10 @@ def _case(trial=0, side=5, emi_dbm=None, with_cluster2=False, optimize_c2=False)
     real = draw_realization(cfg, stats, trial)
     powers = make_powers(cfg)
     emi_w = 0.0 if emi_dbm is None else dbm_to_watts(emi_dbm)
-    neighbor = {}
+    terms = _own_terms(real, stats)
     if with_cluster2:
-        if optimize_c2:
-            run = _cluster2_run(real, powers.cluster2, cfg)
-            cluster2 = optimize_cluster2(real, run)
-        else:
-            cluster2 = fixed_cluster2(real)
-        neighbor = dict(
-            theta2=cluster2.theta, u2=cluster2.u, h2=real.h2, z21=real.z21,
-            r2=stats.clusters[1].corr.matrix,
-        )
-    terms = build_cascades(real.h1, real.g1, stats.clusters[0].corr.matrix, **neighbor)
+        theta2 = _cluster2_run(real, powers.cluster2, cfg).theta if optimize_c2 else None
+        terms = optimize_cluster2(real, terms, stats.clusters[1].corr.matrix, theta2)
     terms = replace(terms, emi1_w=emi_w, emi2_w=emi_w)
     return terms, (powers, cfg.noise_power_w, cfg.clusters[0].weights())
 
@@ -161,34 +156,82 @@ def test_evaluate_pair_at_unit_phases_deterministic():
     assert a.sum_rate_bps_hz == b.sum_rate_bps_hz
 
 
-def _draw(trial, side=5):
+def _draw(trial, side=5, side1=None):
+    """A draw, with cluster 1's surface side side1 when given."""
     cfg = _small_cfg(side)
+    if side1 is not None:
+        cfg = replace(cfg, clusters=(replace(cfg.clusters[0], ris_side=side1), cfg.clusters[1]))
     stats = build_statistics(cfg)
     return cfg, stats, draw_realization(cfg, stats, trial)
 
 
+def _own_terms(real, stats):
+    """Cluster 1's own cascade terms for the draw, as the harness builds them."""
+    return build_cascades(real.h1, real.g1, stats.clusters[0].corr.matrix)
+
+
 def test_fixed_cluster2_zero_phases():
-    _, _, real = _draw(0)
-    state = fixed_cluster2(real)
-    np.testing.assert_array_equal(state.theta, np.ones(real.h2.shape[0]))
-    np.testing.assert_allclose(np.linalg.norm(state.u, axis=0), 1.0, rtol=1e-12)
+    # at theta2 = 1 the neighbor reflects as the identity: W21 = Z21, and
+    # S = Z21^H H2 U2 with U2 ZF at theta2 = 1, its columns unit-norm
+    _, stats, real = _draw(0)
+    terms = optimize_cluster2(real, _own_terms(real, stats), stats.clusters[1].corr.matrix)
+    np.testing.assert_array_equal(terms.w21, real.z21)
+    u2 = zf_precoder(effective_channel(real.g2, np.ones(real.h2.shape[0], dtype=complex), real.h2))
+    np.testing.assert_allclose(np.linalg.norm(u2, axis=0), 1.0, rtol=1e-12)
+    np.testing.assert_array_equal(terms.s, np.conj(real.z21).T @ (real.h2 @ u2))
 
 
 def test_optimize_cluster2_independent_of_cluster1():
     cfg, stats, real = _draw(6)
+    r2 = stats.clusters[1].corr.matrix
     powers2 = make_powers(cfg).cluster2
     res = _cluster2_run(real, powers2, cfg)
     assert isinstance(res, RcgResult)
-    state = optimize_cluster2(real, res)
-    np.testing.assert_array_equal(state.theta, res.theta)
+    terms = optimize_cluster2(real, _own_terms(real, stats), r2, res.theta)
+    np.testing.assert_array_equal(terms.w21, res.theta[:, None] * real.z21)
     rng = np.random.default_rng(0)
     tampered = replace(
         real,
         h1=rng.standard_normal(real.h1.shape) + 1j * rng.standard_normal(real.h1.shape),
     )
-    state2 = optimize_cluster2(tampered, _cluster2_run(tampered, powers2, cfg))
-    np.testing.assert_array_equal(state.theta, state2.theta)
-    np.testing.assert_array_equal(state.u, state2.u)
+    run = _cluster2_run(tampered, powers2, cfg)
+    np.testing.assert_array_equal(run.theta, res.theta)
+    terms2 = optimize_cluster2(tampered, _own_terms(tampered, stats), r2, run.theta)
+    np.testing.assert_array_equal(terms.s, terms2.s)
+    np.testing.assert_array_equal(terms.w21, terms2.w21)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_optimize_cluster2_equals_the_terms_it_replaces(stacked):
+    # the neighbor at theta2 = 1 (fixed mode) or at a stacked cold run's
+    # phases: build_cascades fed ZF at theta2, bit for bit. The surfaces
+    # differ in size (16 and 25 elements), so theta2 = 1 takes h2's
+    cfg, stats, real = _draw(3, side1=4)
+    r1, r2 = stats.clusters[0].corr.matrix, stats.clusters[1].corr.matrix
+    if stacked:
+        theta2 = _cluster2_run(real, make_powers(cfg).cluster2, cfg).theta
+    else:
+        theta2 = np.ones(real.h2.shape[0], dtype=complex)
+    u2 = zf_precoder(effective_channel(real.g2, theta2, real.h2))
+    want = build_cascades(real.h1, real.g1, r1, theta2=theta2, u2=u2, h2=real.h2, z21=real.z21, r2=r2)
+    got = optimize_cluster2(real, _own_terms(real, stats), r2, theta2 if stacked else None)
+    assert got.num_elements == 16 and got.w21.shape == (25, 16)
+    for field in fields(want):
+        np.testing.assert_array_equal(getattr(got, field.name), getattr(want, field.name), err_msg=field.name)
+
+
+def test_optimize_cluster2_raises_on_a_degenerate_neighbor_zf(monkeypatch):
+    cfg, stats, real = _draw(2)
+    r2 = stats.clusters[1].corr.matrix
+    theta2 = _cluster2_run(real, make_powers(cfg).cluster2, cfg).theta
+
+    def failing(gram):
+        raise ZfDegenerateError("forced degenerate neighbor")
+
+    monkeypatch.setattr(precoding, "check_zf_gram", failing)
+    for phases in (None, theta2):
+        with pytest.raises(ZfDegenerateError, match="forced degenerate neighbor"):
+            optimize_cluster2(real, _own_terms(real, stats), r2, phases)
 
 
 @pytest.mark.parametrize("kind", [ScenarioKind.IRR, ScenarioKind.EMI, ScenarioKind.EMI_IRR])

@@ -231,6 +231,22 @@ def test_draw_realization_deterministic():
     assert not np.array_equal(a.h1, c.h1)
 
 
+def test_a_draw_comes_from_its_trial_stream_alone():
+    # trial_rng(cfg.rng_seed, trial) in the documented order: h1, g1's users,
+    # h2, g2's users, then z21
+    cfg = _small_cfg()
+    stats = build_statistics(cfg)
+    real = draw_realization(cfg, stats, trial=7)
+    rng = trial_rng(cfg.rng_seed, 7)
+    for n, (cluster, cs) in enumerate(zip(cfg.clusters, stats.clusters), start=1):
+        h = sample_correlated_rayleigh(cs.corr, cs.bs_ris_gain, cluster.num_antennas, rng)
+        g = [sample_correlated_rayleigh(cs.corr, gain, 1, rng)[:, 0] for gain in cs.ris_ue_gain]
+        np.testing.assert_array_equal(getattr(real, f"h{n}"), h)
+        np.testing.assert_array_equal(getattr(real, f"g{n}"), np.stack(g))
+    sides = (cfg.clusters[1].ris_side, cfg.clusters[0].ris_side)
+    np.testing.assert_array_equal(real.z21, sample_inter_ris(*sides, stats.inter_ris_gain, rng))
+
+
 def test_trial_rng_streams_are_independent_of_call_order():
     # trial k's stream depends only on (seed, k), not on other trials
     r5 = trial_rng(99, 5).standard_normal(8)
@@ -252,12 +268,14 @@ def test_dump_realization_round_trip(tmp_path):
 
 
 def test_realization_dataclass_fields():
+    z = np.zeros((4, 4))
     real = ChannelRealization(
         trial=0,
         h1=np.zeros((4, 2)),
         h2=np.zeros((4, 2)),
         g1=np.zeros((1, 4)),
         g2=np.zeros((1, 4)),
-        z21=np.zeros((4, 4)),
+        draw_z21=lambda: z,
     )
     assert real.trial == 0
+    assert real.z21 is z

@@ -42,7 +42,6 @@ from risim import (
     run_single_trial,
     run_sweep,
     save_config,
-    trial_rng,
 )
 from risim.cli import cli_main
 
@@ -264,6 +263,13 @@ def test_run_sweep_validates_spec():
     ):
         with pytest.raises(ConfigError):
             run_sweep(cfg, bad)
+    # a mode or scenario kind given through the API is named with the choices
+    for bad, message in (
+        (replace(good, mode="bogus"), "unknown mode 'bogus' \\(expected one of: fixed, unaware, aware\\)"),
+        (replace(good, scenarios=(ScenarioCase("bogus"),)), "unknown scenario 'bogus' \\(expected one of: eif,"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            run_sweep(cfg, bad)
     # the config's trials and seed are checked as written too
     for bad_cfg in (
         replace(cfg, mc_trials=0),
@@ -360,6 +366,10 @@ def test_run_single_trial_rejects_bad_indices():
     for value in (-1, True):
         with pytest.raises(ConfigError, match="rng_seed"):
             run_single_trial(replace(cfg, rng_seed=value), cases, Mode.FIXED)
+    with pytest.raises(ConfigError, match="unknown mode 'bogus' \\(expected one of: fixed, unaware, aware\\)"):
+        run_single_trial(cfg, cases, "bogus")
+    with pytest.raises(ConfigError, match="unknown scenario 'bogus' \\(expected one of: eif,"):
+        run_single_trial(cfg, (ScenarioCase("bogus"),), Mode.FIXED)
 
 
 def test_render_csv_format():
@@ -456,24 +466,29 @@ def test_power_sweep_draws_and_runs_cluster2_once_per_trial(mode, monkeypatch):
             "rcg_lockstep", "optimize_eif_stack",
         )
     }
+    neighbor_builds = _count_calls(monkeypatch, ao, "build_cascades")
     trials = 3
     cases = (ScenarioCase(ScenarioKind.EIF), ScenarioCase(ScenarioKind.EMI_IRR, -65.0))
     spec = SweepSpec(variable="tx_power_dbm", grid=(10.0, 20.0, 30.0), scenarios=cases, mode=mode)
     run_sweep(_tiny_cfg(trials=trials), spec)
     assert len(counts["build_statistics"]) == 1
     assert len(counts["draw_realization"]) == trials
-    # per draw: one build for cluster 1 alone and one with the neighbor RIS
+    # per draw: one build for cluster 1 alone here, and one with the neighbor
+    # RIS in optimize_cluster2
     builds = counts["build_cascades"]
-    assert len(builds) == 2 * trials
-    assert sum(kw.get("theta2") is not None for kw in builds) == trials
+    assert len(builds) == trials
+    assert all(kw.get("theta2") is None for kw in builds)
+    assert len(neighbor_builds) == trials
+    assert all(kw["theta2"] is not None for kw in neighbor_builds)
     # the runs from theta = 1 are two lockstep stacks: cluster 2, one row per
     # draw, and cluster 1's unaware runs, one row per (draw, power)
     stacks = [len(call["links"]) for call in counts["optimize_eif_stack"]]
     assert stacks == ([] if mode is Mode.FIXED else [trials, 3 * trials])
-    # the neighbor's precoder is built once per draw, from its stacked row
+    # the neighbor terms are built once per draw in every mode: at theta = 1
+    # in fixed mode, else at the phases of its stacked row
     cluster2 = counts["optimize_cluster2"]
-    assert len(cluster2) == (0 if mode is Mode.FIXED else trials)
-    assert all(call["run"] is not None for call in cluster2)
+    assert len(cluster2) == trials
+    assert all((call["theta2"] is None) == (mode is Mode.FIXED) for call in cluster2)
     # besides those, only aware mode runs: one stack per draw, a warm EMI_IRR
     # row per point, each started from its point's unaware phases
     runs = counts["rcg_lockstep"]
@@ -550,8 +565,7 @@ def test_degenerate_cluster2_skips_only_the_irr_cases(mode, monkeypatch):
 
         return wrapped
 
-    for name in ("fixed_cluster2", "optimize_cluster2"):
-        monkeypatch.setattr(harness, name, failing(getattr(harness, name)))
+    monkeypatch.setattr(harness, "optimize_cluster2", failing(harness.optimize_cluster2))
     spec = SweepSpec(variable="tx_power_dbm", grid=(10.0, 30.0), scenarios=DEFAULT_CASES, mode=mode)
     for rec in run_sweep(_tiny_cfg(trials=3), spec):
         assert (rec.skipped, rec.trials) == ((1, 2) if "irr" in rec.scenario else (0, 3))
@@ -686,7 +700,7 @@ def test_z21_is_drawn_only_for_neighbor_cases(mode, monkeypatch, tmp_path):
             "--dump-channels", str(tmp_path), "--out", str(tmp_path / "out.txt")]
     assert cli_main(argv) == 0
     dumped = np.load(tmp_path / "channels_trial00002.npz")
-    real = draw_realization(cfg, build_statistics(cfg), 2, rng=trial_rng(cfg.rng_seed, 2))
+    real = draw_realization(cfg, build_statistics(cfg), 2)
     for name in ("h1", "h2", "g1", "g2", "z21"):
         np.testing.assert_array_equal(dumped[name], getattr(real, name))
 
@@ -790,10 +804,10 @@ def test_worker_processes_change_no_byte(sweep, monkeypatch):
 def test_a_worker_error_leaves_the_sweep_and_no_process(monkeypatch):
     real = harness.draw_realization
 
-    def failing(cfg, stats, trial, rng=None):
+    def failing(cfg, stats, trial):
         if trial == 3:
             raise ValueError(f"forced failure in trial {trial}")
-        return real(cfg, stats, trial, rng=rng)
+        return real(cfg, stats, trial)
 
     monkeypatch.setattr(harness, "_worker_count", lambda: 2)
     spec = SweepSpec(variable="tx_power_dbm", grid=(10.0,), scenarios=DEFAULT_CASES, mode=Mode.UNAWARE)
@@ -808,10 +822,10 @@ def test_a_worker_error_leaves_the_sweep_and_no_process(monkeypatch):
 def test_a_killed_worker_breaks_the_sweep_instead_of_hanging(monkeypatch):
     caller, real = os.getpid(), harness.draw_realization
 
-    def dying(cfg, stats, trial, rng=None):
+    def dying(cfg, stats, trial):
         if trial == 3 and os.getpid() != caller:
             os.kill(os.getpid(), signal.SIGKILL)
-        return real(cfg, stats, trial, rng=rng)
+        return real(cfg, stats, trial)
 
     monkeypatch.setattr(harness, "_worker_count", lambda: 2)
     monkeypatch.setattr(harness, "draw_realization", dying)

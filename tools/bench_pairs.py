@@ -1,11 +1,17 @@
 """Paired benchmark runs of a parent and a change tree, summarised per metric.
 
-Run from the repository root, with the parent commit checked out elsewhere
-(a ``git clone`` or ``git archive`` of it):
+Run from the repository root, with both trees checked out as copies
+elsewhere (a ``git worktree``, ``git clone`` or ``git archive`` of each):
 
-    python3 tools/bench_pairs.py --parent ../parent --change . \
+    git worktree add ../parent HEAD~1
+    git worktree add ../change HEAD
+    python3 tools/bench_pairs.py --parent ../parent --change ../change \
         --workload unaware-elements --seeds 12345,21,22,23,24,25,26,27,28,29 \
         --out BENCH_12.json
+
+Measure the change from a copy too, not from the working repository: a
+change tree measured in place has read ``setup_s`` slower in 9 of 10 pairs
+where a copy of the same files did not, for a cause not found.
 
 Each seed is one pair: ``bench/run.py --workload W --seed S --seconds T
 --trace 0`` runs once in each tree, the parent first on even pair indices and

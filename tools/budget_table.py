@@ -78,7 +78,7 @@ def _config(risim, **cluster1):
 
 
 def _draws(risim, cfg, stats, count):
-    return [risim.draw_realization(cfg, stats, t, rng=risim.trial_rng(SEED, t)) for t in range(count)]
+    return [risim.draw_realization(cfg, stats, t) for t in range(count)]
 
 
 def _eif_runs(risim, cfg, reals, cluster, budget):

@@ -59,6 +59,9 @@ COMMANDS = (
     ("single-trial", "--mode", "aware", "--trial", "1", "--seed", SEED),
     # no --trials: the trial count is the config's mc_trials
     ("sweep-power", "--mode", "fixed", "--grid", "30", "--seed", SEED),
+    # the one fixed-mode path where the serving surface and the neighbor
+    # differ in size: the neighbor's theta = 1 takes h2's
+    ("sweep-elements", "--mode", "fixed", "--grid", "25,100", "--trials", TRIALS),
 )
 
 
@@ -108,16 +111,20 @@ def differences(a: tuple[Path, Path], b: tuple[Path, Path], names=("parent", "ch
     ]
 
 
-def _sweep_rows(path: Path) -> dict | None:
-    """A sweep CSV's rows by (sweep_value, scenario, repeat), repeat counting
-    the earlier rows with that key (a grid value given twice); None for any
-    other file."""
+SWEEP_KEY = ("sweep_value", "scenario")
+TRACE_KEY = ("sweep_value", "scenario", "mode", "trial", "stage", "inner_iter")
+
+
+def _keyed_rows(path: Path, key_fields, required=()) -> dict | None:
+    """A CSV's rows by their key_fields values and a repeat count, the
+    earlier rows with that key (a grid value given twice); None unless the
+    header has every key field and every required one."""
     reader = csv.DictReader(io.StringIO(path.read_text(encoding="utf-8")))
-    if "mean_sum_rate_bps_hz" not in (reader.fieldnames or ()):
+    if not {*key_fields, *required} <= set(reader.fieldnames or ()):
         return None
     rows, seen = {}, Counter()
     for row in reader:
-        key = (row["sweep_value"], row["scenario"])
+        key = tuple(row[name] for name in key_fields)
         rows[key + (seen[key],)] = row
         seen[key] += 1
     return rows
@@ -131,7 +138,8 @@ def _relative(a: str, b: str) -> str:
 def row_differences(parent: Path, change: Path) -> list[str] | None:
     """One line per row that differs between two sweep CSVs, keyed by sweep
     value and scenario; None when either file is not a sweep CSV."""
-    rows = {side: _sweep_rows(path) for side, path in (("parent", parent), ("change", change))}
+    sides = (("parent", parent), ("change", change))
+    rows = {side: _keyed_rows(path, SWEEP_KEY, ("mean_sum_rate_bps_hz",)) for side, path in sides}
     if None in rows.values():
         return None
     out = []
@@ -155,23 +163,6 @@ def row_differences(parent: Path, change: Path) -> list[str] | None:
     return out
 
 
-TRACE_KEY = ("sweep_value", "scenario", "mode", "trial", "stage", "inner_iter")
-
-
-def _trace_rows(path: Path) -> dict | None:
-    """A trace CSV's rows by TRACE_KEY and a repeat count (as _sweep_rows),
-    or None for any other file."""
-    reader = csv.DictReader(io.StringIO(path.read_text(encoding="utf-8")))
-    if not set(TRACE_KEY) <= set(reader.fieldnames or ()):
-        return None
-    rows, seen = {}, Counter()
-    for row in reader:
-        key = tuple(row[name] for name in TRACE_KEY)
-        rows[key + (seen[key],)] = row
-        seen[key] += 1
-    return rows
-
-
 def _relative_change(a: str, b: str) -> float:
     x, y = float(a), float(b)
     return abs(y - x) / abs(x) if x else abs(y - x)
@@ -182,7 +173,7 @@ def trace_summary(parent: Path, change: Path) -> str | None:
     TRACE_KEY, the rows found on one side only, the stages of both, and the
     largest relative change (absolute where the parent's value is 0) of each
     value column; None when either file is not a trace or the rows are equal."""
-    a, b = _trace_rows(parent), _trace_rows(change)
+    a, b = _keyed_rows(parent, TRACE_KEY), _keyed_rows(change, TRACE_KEY)
     if a is None or b is None or a == b:
         return None
     differ = [key for key in a if key in b and a[key] != b[key]]
