@@ -29,14 +29,12 @@ from .harness import (
     Mode,
     ScenarioCase,
     SweepSpec,
-    aggregate,
     make_powers,
     parse_scenario_token,
     render_csv,
     render_trace,
     run_single_trial,
     run_sweep,
-    write_trace,
 )
 from .precoding import ZfDegenerateError, effective_channel, zf_precoder
 from .rcg import (

@@ -17,9 +17,9 @@ from .harness import (
     _fmt,
     parse_scenario_token,
     render_csv,
+    render_trace,
     run_single_trial,
     run_sweep,
-    write_trace,
 )
 from .scenario import ConfigError, default_config, load_config
 from .sinr import outage_indicator
@@ -56,7 +56,6 @@ def _add_common(p: argparse.ArgumentParser, config_required: bool) -> None:
         "--scenarios",
         help="comma-separated scenario tokens, name[:emi_dbm], e.g. eif,irr,emi:-65",
     )
-    p.add_argument("--unit-power", action="store_true", help="1 W per user instead of a split budget")
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.add_argument("--trace", help="write a per-iteration optimizer trace CSV here")
 
@@ -126,7 +125,6 @@ def _dispatch(args) -> int:
             cases,
             mode,
             trial=args.trial,
-            unit_power=args.unit_power,
             trace=trace_rows,
             dump_dir=args.dump_channels,
         )
@@ -138,7 +136,6 @@ def _dispatch(args) -> int:
             grid=_parse_grid(args.grid),
             scenarios=_parse_cases(args.scenarios, default_cases),
             mode=mode,
-            unit_power=args.unit_power,
         )
         text = render_csv(run_sweep(cfg, spec, trace=trace_rows))
     if args.out:
@@ -146,7 +143,7 @@ def _dispatch(args) -> int:
     else:
         sys.stdout.write(text)
     if args.trace:
-        write_trace(trace_rows, args.trace)
+        Path(args.trace).write_text(render_trace(trace_rows), encoding="utf-8")
     return EXIT_OK
 
 

@@ -7,7 +7,6 @@ import os
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -101,13 +100,13 @@ def parse_scenario_token(token: str) -> ScenarioCase:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: a variable and grid, scenario cases, and a precoding mode."""
+    """One sweep: a variable and grid, scenario cases, and a precoding mode.
+    A grid value sets cluster 1 only: cluster 2 stays at its config power."""
 
     variable: str
     grid: tuple[float, ...]
     scenarios: tuple[ScenarioCase, ...] = DEFAULT_CASES
     mode: Mode = Mode.FIXED
-    unit_power: bool = False  # 1 W per user instead of splitting the BS budget
 
 
 @dataclass(frozen=True)
@@ -119,29 +118,13 @@ class MetricRecord:
     outage: tuple[float, ...]  # per user, fraction of trials below the threshold
     trials: int  # valid trials aggregated
     skipped: int
-    std_sum_rate_bps_hz: float = 0.0
     sum_rate_samples: tuple[float, ...] = ()  # each valid trial's weighted sum rate
 
 
-def aggregate(trial_rates, weights, threshold: float):
-    """Reduce per-trial per-user rates to (mean_sum, std_sum, outage-per-user)."""
-    arr = np.atleast_2d(np.asarray(trial_rates, dtype=float))
-    if arr.size == 0:
-        raise ValueError("no valid trials to aggregate")
-    w = np.asarray(weights, dtype=float)
-    sums = arr @ w
-    mean = float(sums.mean())
-    std = float(sums.std(ddof=1)) if sums.size > 1 else 0.0
-    outage = outage_indicator(arr, threshold).mean(axis=0)
-    return mean, std, outage
-
-
-def make_powers(cfg: SystemConfig, unit_power: bool = False) -> PowerAllocation:
-    """Equal power split per cluster, or 1 W per user when unit_power is set."""
+def make_powers(cfg: SystemConfig) -> PowerAllocation:
+    """Each cluster's transmit power, split equally over its users."""
     k1 = cfg.clusters[0].num_users
     k2 = cfg.clusters[1].num_users
-    if unit_power:
-        return PowerAllocation(np.ones(k1), np.ones(k2))
     return PowerAllocation(
         np.full(k1, cfg.clusters[0].tx_power_w / k1),
         np.full(k2, cfg.clusters[1].tx_power_w / k2),
@@ -512,7 +495,7 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, trace=None) -> list[MetricReco
         cfg_pt = _config_at(cfg, spec.variable, value)
         # the statistics and the draw see the grid value only through cluster 1's size
         _, points = by_side.setdefault(cfg_pt.clusters[0].ris_side, (cfg_pt, []))
-        points.append((i, value, make_powers(cfg_pt, spec.unit_power), cases[i]))
+        points.append((i, value, make_powers(cfg_pt), cases[i]))
     plans = [(cfg_g, _plan(cfg_g, points, mode)) for cfg_g, points in by_side.values()]  # before the statistics
     models = {}  # one correlation model per surface, across the groups
     groups = tuple((cfg_g, build_statistics(cfg_g, models), plan) for cfg_g, plan in plans)
@@ -541,18 +524,18 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, trace=None) -> list[MetricReco
                     f"{spec.variable}={value}"
                 )
             arr = np.array(rates[i][case])
-            mean, std, outage = aggregate(arr, weights1, cfg.rate_threshold_bps_hz)
+            sums = arr @ weights1
+            outage = outage_indicator(arr, cfg.rate_threshold_bps_hz).mean(axis=0)
             records.append(
                 MetricRecord(
                     sweep_value=float(value),
                     scenario=case.label,
                     mode=mode.value,
-                    mean_sum_rate_bps_hz=mean,
+                    mean_sum_rate_bps_hz=float(sums.mean()),
                     outage=tuple(float(o) for o in outage),
-                    trials=len(rates[i][case]),
+                    trials=len(sums),
                     skipped=skips[i][case],
-                    std_sum_rate_bps_hz=std,
-                    sum_rate_samples=tuple(float(s) for s in arr @ weights1),
+                    sum_rate_samples=tuple(float(s) for s in sums),
                 )
             )
     return records
@@ -563,7 +546,6 @@ def run_single_trial(
     cases,
     mode: Mode,
     trial: int = 0,
-    unit_power: bool = False,
     trace=None,
     dump_dir=None,
 ) -> list[tuple[ScenarioCase, SinrReport]]:
@@ -577,7 +559,7 @@ def run_single_trial(
     mode = _member(Mode, mode, "mode")
     _check_number("trial", trial, integer=True, minimum=0)
     _check_cases(cases)
-    points = [(0, "", make_powers(cfg, unit_power), cases)]
+    points = [(0, "", make_powers(cfg), cases)]
     plan = _plan(cfg, points, mode)  # before the statistics: a missing EMI level fails here
     stats = build_statistics(cfg)
     real = draw_realization(cfg, stats, trial)
@@ -621,7 +603,3 @@ def render_trace(rows) -> str:
         fields = [value, scenario, mode, str(trial), stage, str(inner_i)]
         lines.append(",".join(fields + [_fmt(x) for x in numbers]))  # objective, grad norm, step
     return "\n".join(lines) + "\n"
-
-
-def write_trace(rows, path) -> None:
-    Path(path).write_text(render_trace(rows), encoding="utf-8")

@@ -93,3 +93,13 @@ def test_claim_met_needs_nine_tenths_of_the_pairs_and_a_resolved_gain():
     s = summary(parent, won, better="lower")
     assert s["resolved"] and not s["claim_met"]
     assert summary(won, parent, better="lower")["claim_met"]
+
+
+def test_the_change_tree_must_be_named(tmp_path, capsys):
+    # a change measured in place reads slower than a copy of it, so there is no default
+    args = ["--parent", str(tmp_path), "--workload", "fixed-power", "--seeds", "1", "--out", str(tmp_path / "o.json")]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(args)
+    assert exc.value.code == 2  # argparse's usage error
+    assert "--change" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()

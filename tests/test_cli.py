@@ -250,13 +250,12 @@ def test_single_trial_outputs(tiny_config, tmp_path, capsys):
     assert trace.read_text(encoding="utf-8").splitlines()[0] == TRACE_HEADER
 
 
-def test_unit_power_changes_rates(tiny_config, capsys):
-    args = ["single-trial", "--config", tiny_config, "--scenarios", "eif"]
-    assert cli_main(args) == EXIT_OK
-    split = capsys.readouterr().out
-    assert cli_main(args + ["--unit-power"]) == EXIT_OK
-    unit = capsys.readouterr().out
-    assert split != unit
+@pytest.mark.parametrize("command", ["single-trial", "sweep-power"])
+def test_unit_power_is_a_usage_error(command, tiny_config, capsys):
+    # the config owns every transmit power: there is no flag that overrides it
+    args = [command, "--config", tiny_config, "--scenarios", "eif", "--unit-power"]
+    assert cli_main(args) == EXIT_USAGE
+    assert "--unit-power" in capsys.readouterr().err
 
 
 def test_console_script_installed(tiny_config):

@@ -30,7 +30,6 @@ from risim import (
     ScenarioKind,
     SweepSpec,
     ZfDegenerateError,
-    aggregate,
     build_statistics,
     dbm_to_watts,
     default_config,
@@ -71,21 +70,30 @@ def in_process(monkeypatch):
     monkeypatch.setattr(harness, "_worker_count", lambda: 1)
 
 
-def test_aggregate_hand_example():
-    rates = [[1.0, 2.0], [3.0, 4.0]]
-    mean, std, outage = aggregate(rates, np.ones(2), threshold=1.5)
-    assert mean == pytest.approx(5.0)
-    assert std == pytest.approx(np.std([3.0, 7.0], ddof=1))
-    np.testing.assert_allclose(outage, [0.5, 0.0])
-
-
-def test_aggregate_single_trial_and_weights():
-    mean, std, outage = aggregate([[2.0, 1.0]], np.array([2.0, 1.0]), threshold=0.5)
-    assert mean == pytest.approx(5.0)
-    assert std == 0.0
-    np.testing.assert_allclose(outage, [0.0, 0.0])
-    with pytest.raises(ValueError):
-        aggregate(np.zeros((0, 2)), np.ones(2), 0.1)
+@pytest.mark.parametrize("user_weights", [None, (2.0, 0.5)], ids=["unweighted", "weighted"])
+def test_record_statistics_are_those_of_its_trials(user_weights):
+    # a record's mean, samples and outage come from one array of its trials'
+    # rates: the weighted sums, their mean and the per-user fraction below
+    # the threshold, bit for bit
+    cfg = _tiny_cfg(trials=4)
+    one, two = cfg.clusters
+    cfg = replace(cfg, rate_threshold_bps_hz=1.0, clusters=(replace(one, user_weights=user_weights), two))
+    cases = (ScenarioCase(ScenarioKind.EIF), ScenarioCase(ScenarioKind.EMI, -65.0))
+    # at 40 and 50 dBm some trials of each point fall below 1 bit/s/Hz and some not
+    spec = SweepSpec(variable="tx_power_dbm", grid=(40.0, 50.0), scenarios=cases, mode=Mode.FIXED)
+    records = run_sweep(cfg, spec)
+    weights = cfg.clusters[0].weights()
+    for value, at in zip(spec.grid, (records[:2], records[2:]), strict=True):
+        cfg_pt = replace(cfg, clusters=(replace(cfg.clusters[0], tx_power_dbm=value), two))
+        trials = [run_single_trial(cfg_pt, cases, Mode.FIXED, trial=t) for t in range(cfg.mc_trials)]
+        for c, record in enumerate(at):
+            assert (record.trials, record.skipped) == (cfg.mc_trials, 0)
+            rates = np.array([results[c][1].rates_bps_hz for results in trials])
+            sums = rates @ weights
+            assert record.sum_rate_samples == tuple(float(s) for s in sums)
+            assert record.mean_sum_rate_bps_hz == float(sums.mean())
+            assert record.outage == tuple(float(o) for o in (rates < 1.0).mean(axis=0))
+    assert {o for r in records for o in r.outage} - {0.0, 1.0}
 
 
 def test_make_powers_split_and_unit():
@@ -93,8 +101,11 @@ def test_make_powers_split_and_unit():
     split = make_powers(cfg)
     np.testing.assert_allclose(split.cluster1, [0.5, 0.5])  # 1 W over two users
     np.testing.assert_allclose(split.cluster2, [0.5, 0.5])
-    unit = make_powers(cfg, unit_power=True)
+    # 1 W per user is a config power: 30 + 10 log10(users) dBm
+    unit_dbm = 30.0 + 10.0 * np.log10(2)
+    unit = make_powers(replace(cfg, clusters=tuple(replace(c, tx_power_dbm=unit_dbm) for c in cfg.clusters)))
     np.testing.assert_allclose(unit.cluster1, [1.0, 1.0])
+    np.testing.assert_allclose(unit.cluster2, [1.0, 1.0])
 
 
 def test_scenario_case_labels():
@@ -178,6 +189,24 @@ def test_run_sweep_samples_and_pairing():
     # scenarios share channel draws, and extra interference cannot help
     for a, b in zip(eif.sum_rate_samples, irr.sum_rate_samples):
         assert b <= a + 1e-12
+
+
+def test_power_grid_sets_cluster1_and_the_config_sets_cluster2():
+    # a power sweep's grid value is cluster 1's tx_power_dbm, and nothing else:
+    # its rows are those of a config at that power, swept over its own surface
+    cfg = _tiny_cfg(trials=3)
+    one, two = cfg.clusters
+    cases = (ScenarioCase(ScenarioKind.EIF), ScenarioCase(ScenarioKind.IRR))
+    power = SweepSpec(variable="tx_power_dbm", grid=(20.0,), scenarios=cases, mode=Mode.UNAWARE)
+    own = SweepSpec(variable="ris_elements", grid=(9.0,), scenarios=cases, mode=Mode.UNAWARE)
+    eif, irr = run_sweep(cfg, power)
+    at_20 = run_sweep(replace(cfg, clusters=(replace(one, tx_power_dbm=20.0), two)), own)
+    assert [replace(r, sweep_value=20.0) for r in at_20] == [eif, irr]
+    # cluster 2's power is the config's: it moves the irr row only
+    louder = replace(cfg, clusters=(one, replace(two, tx_power_dbm=two.tx_power_dbm + 10.0)))
+    eif_louder, irr_louder = run_sweep(louder, power)
+    assert eif_louder == eif
+    assert irr_louder.sum_rate_samples != irr.sum_rate_samples
 
 
 def test_run_sweep_eif_monotone_in_power():

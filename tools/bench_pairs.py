@@ -11,7 +11,8 @@ elsewhere (a ``git worktree``, ``git clone`` or ``git archive`` of each):
 
 Measure the change from a copy too, not from the working repository: a
 change tree measured in place has read ``setup_s`` slower in 9 of 10 pairs
-where a copy of the same files did not, for a cause not found.
+where a copy of the same files did not, for a cause not found. So
+``--change`` has no default.
 
 Each seed is one pair: ``bench/run.py --workload W --seed S --seconds T
 --trace 0`` runs once in each tree, the parent first on even pair indices and
@@ -114,7 +115,7 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dic
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
-    parser.add_argument("--change", type=Path, default=Path("."), help="checkout of the change")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, help="comma list, one pair per seed")
     parser.add_argument("--seconds", type=float, default=40.0)

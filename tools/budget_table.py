@@ -58,12 +58,6 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BL
 # -- the worker: runs on one tree's src --------------------------------------
 
 
-def _budget(ao, n):
-    """n iterations as the tree's optimizer takes a budget: an int or, in a tree
-    whose budgets are still option objects, AO_RCG's (no tolerance) at n."""
-    return n if isinstance(ao.AO_RCG, int) else replace(ao.AO_RCG, max_iters=n)
-
-
 def _at_budgets(result, budgets) -> list[float]:
     """The objective of result's run after each of budgets iterations (its
     last, for a run that stopped before)."""
@@ -105,12 +99,12 @@ def worker(spec: dict) -> dict:
     import risim
     from risim import ao
 
-    long = _budget(ao, spec["long"])
-    own = {t: getattr(b, "max_iters", b) for t, b in (("cold", ao.AO_RCG), ("warm", ao.AO_WARM_RCG))}
-    budgets = {t: sorted({*spec["budgets"][t], own[t], spec["long"]}) for t in own}
-    above = sorted({b for t in own for b in budgets[t] if b > spec["long"]})
+    long = spec["long"]
+    own = {"cold": ao.AO_RCG, "warm": ao.AO_WARM_RCG}
+    budgets = {t: sorted({*spec["budgets"][t], own[t], long}) for t in own}
+    above = sorted({b for t in own for b in budgets[t] if b > long})
     if above:
-        raise SystemExit(f"budgets {above} are above --long {spec['long']}: give --long {above[-1]} or more")
+        raise SystemExit(f"budgets {above} are above --long {long}: give --long {above[-1]} or more")
     out = {"budgets": budgets, "own": own, "rows": {"cold": {}, "warm": {}}}
 
     for n in spec["elements"]:
