@@ -7,6 +7,7 @@ import os
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
@@ -164,9 +165,9 @@ def _case_at(variable: str, case: ScenarioCase, value: float) -> ScenarioCase:
     return case
 
 
-def _check_cases(cases, variable: str = "", value: float = 0.0) -> None:
+def _check_cases(cases) -> None:
     """A non-empty list of cases of known kinds, with valid EMI levels and
-    distinct labels at the grid value value of variable."""
+    distinct labels."""
     if len(cases) == 0:
         raise ConfigError("at least one scenario case is required")
     seen = set()
@@ -174,11 +175,9 @@ def _check_cases(cases, variable: str = "", value: float = 0.0) -> None:
         _member(ScenarioKind, case.kind, "scenario")
         if case.emi_dbm is not None:
             _check_dbm(f"scenario '{case.label}' EMI level", case.emi_dbm)
-        # an EMI sweep sets every EMI level, so 'emi' and 'emi:-65' collide there
-        label = _case_at(variable, case, value).label
-        if label in seen:
-            raise ConfigError(f"scenario '{label}' is given more than once")
-        seen.add(label)
+        if case.label in seen:
+            raise ConfigError(f"scenario '{case.label}' is given more than once")
+        seen.add(case.label)
 
 
 def _validate_spec(spec: SweepSpec) -> None:
@@ -186,103 +185,107 @@ def _validate_spec(spec: SweepSpec) -> None:
         raise ConfigError(f"unknown sweep variable '{spec.variable}'")
     if len(spec.grid) == 0:
         raise ConfigError("sweep grid must not be empty")
-    _member(Mode, spec.mode, "mode")
     for value in spec.grid:
         _check_number(f"{spec.variable} grid value", value)
         if spec.variable != "ris_elements":  # a power level in dBm
             _check_dbm(f"{spec.variable} grid value", value)
-    _check_cases(spec.scenarios, spec.variable, spec.grid[0])
+    _check_cases(spec.scenarios)
+    if spec.variable == "emi_dbm":  # the grid sets every EMI level (_case_at)
+        for case in spec.scenarios:
+            if ScenarioKind(case.kind).has_emi and case.emi_dbm is not None:
+                token = f"{ScenarioKind(case.kind).value}:{case.emi_dbm:g}"
+                raise ConfigError(f"scenario '{token}': an emi_dbm sweep takes every EMI level from its grid")
 
 
 def _plan(cfg: SystemConfig, points, mode: Mode) -> list[tuple]:
     """The (grid point, case) pairs of points, in order, and what each reads.
 
     points holds each grid point's (grid index, sweep value, powers, cases).
-    A pair's entry is (i, value, powers, case, kind, terms key, run keys),
-    with i, value and powers those of its point and the terms key (has_irr,
-    emi1_w, emi2_w). The run keys are, in order: cluster 2's run for an IRR
-    kind, cluster 1's unaware run at its power, and in aware mode, for a
-    kind other than EIF, its aware run. A key's first item is the run's
-    trace stage. The last run's phases are the pair's; in fixed mode there
-    is no run and they are theta = 1. Nothing here depends on the draw, so
-    a group is planned once, before any draw: a case with no EMI level
-    raises its ConfigError here.
+    A pair's entry is (i, head, powers, case, kind, terms key, run keys),
+    with i and powers those of its point and head = (sweep value, case
+    label, mode value), its trace rows' first fields. The run keys are, in
+    order: cluster 2's run at its powers for an IRR kind, cluster 1's
+    unaware run at its power, and in aware mode, for a kind other than EIF,
+    its aware run. A key's first item is the run's trace stage. The last
+    run's phases are the pair's; in fixed mode there is no run and they are
+    theta = 1, ("fixed",). The terms key is (neighbor, emi1_w, emi2_w), with
+    neighbor False for a kind without IRR, else the neighbor's phase key:
+    ("fixed",) in fixed mode, else cluster 2's run key. Only the plan reads
+    the mode. Nothing here depends on the draw, so a group is planned once,
+    before any draw: a case with no EMI level raises its ConfigError here.
     """
     plan = []
     for i, value, powers, cases in points:
         p1 = tuple(powers.cluster1)
+        neighbor = ("fixed",) if mode is Mode.FIXED else ("cluster2", tuple(powers.cluster2))
         for case in cases:
             kind = ScenarioKind(case.kind)
             emi1_w, emi2_w = _case_levels(case, cfg)
             keys = []
             if mode is not Mode.FIXED:
                 if kind.has_irr:
-                    keys.append(("cluster2",))
+                    keys.append(neighbor)
                 keys.append(("cluster1_unaware", p1))
             if mode is Mode.AWARE and kind is not ScenarioKind.EIF:
                 keys.append((f"cluster1_aware_{kind.value}", emi1_w, emi2_w, p1))
-            plan.append((i, value, powers, case, kind, (kind.has_irr, emi1_w, emi2_w), keys))
+            term_key = (neighbor if kind.has_irr else False, emi1_w, emi2_w)
+            head = (value, case.label, mode.value)
+            plan.append((i, head, powers, case, kind, term_key, keys))
     return plan
 
 
 def _lockstep_runs(cfg: SystemConfig, reals, plan) -> list[dict]:
     """The runs from theta = 1 of each draw in reals that the keys of plan
-    name, under those keys (see _plan): cluster 2's, and cluster 1's unaware
-    run at each distinct cluster-1 power. Each kind is made as one lockstep
-    stack across the draws (ao.optimize_eif_stack); fixed mode names none.
+    name, under those keys (see _plan), at the powers they hold: cluster
+    2's, then cluster 1's unaware run per cluster-1 power, each stage as one
+    lockstep stack across the draws (ao.optimize_eif_stack).
     """
     runs = [{} for _ in reals]
-    noise = cfg.noise_power_w
     named = dict.fromkeys(key for *_, keys in plan for key in keys)
-    if ("cluster2",) in named:
-        w2 = cfg.clusters[1].weights()
-        p2 = plan[0][2].cluster2  # no sweep changes cluster 2
-        links = [(real.g2, real.h2) for real in reals]
-        made = optimize_eif_stack(links, [p2] * len(reals), [w2] * len(reals), noise)
-        for ready, result in zip(runs, made):
-            ready[("cluster2",)] = result
-    rows = [(j, key) for j in range(len(reals)) for key in named if key[0] == "cluster1_unaware"]
-    if rows:
-        w1 = cfg.clusters[0].weights()
-        links = [(reals[j].g1, reals[j].h1) for j, _ in rows]
-        made = optimize_eif_stack(links, [key[1] for _, key in rows], [w1] * len(rows), noise)
-        for (j, key), result in zip(rows, made):
-            runs[j][key] = result
+    stages = (("cluster2", 1, attrgetter("g2", "h2")), ("cluster1_unaware", 0, attrgetter("g1", "h1")))
+    for stage, c, links_of in stages:
+        rows = [(j, key) for j in range(len(reals)) for key in named if key[0] == stage]
+        if rows:
+            links = [links_of(reals[j]) for j, _ in rows]
+            weights = [cfg.clusters[c].weights()] * len(rows)
+            made = optimize_eif_stack(links, [key[1] for _, key in rows], weights, cfg.noise_power_w)
+            for (j, key), result in zip(rows, made):
+                runs[j][key] = result
     return runs
 
 
-def _evaluate_block(cfg: SystemConfig, stats, reals, plan, mode: Mode, traces):
+def _evaluate_block(cfg: SystemConfig, stats, reals, plan, traces):
     """Evaluate each draw of reals at every (grid point, case) pair of plan.
 
     Yields one list per draw, in plan order (see _plan): the pair's
     SinrReport, or the ZfDegenerateError that skips it. The trace rows of
     the point with grid index i go to traces[i], unless traces is None. The
-    runs from theta = 1 are made first, stacked across the draws (see
-    _lockstep_runs). Each draw is then one pass:
+    plan's runs from theta = 1 are made first, stacked across the draws
+    (see _lockstep_runs). Each draw is then one pass:
 
-    1. The draw's cascade terms: cluster 1's own, and when some pair has an
-       IRR kind, with the neighbor RIS at its phases (optimize_cluster2).
-       The terms hold no powers and no EMI levels (no sweep changes cluster
-       2), so each is built once per draw. A degenerate neighbor ZF is kept
-       in place of the neighbor terms.
+    1. The draw's cascade terms: cluster 1's own, and per neighbor key of
+       plan, with the neighbor RIS at those phases (optimize_cluster2). The
+       terms hold no cluster-1 powers and no EMI levels, so each is built
+       once per draw. A degenerate neighbor ZF is kept in place of the
+       neighbor terms.
     2. The terms at each distinct terms key of plan: the draw's own or
        neighbor terms at the key's EMI levels, or the error in their place.
        The pairs that share a key share one terms object.
-    3. In aware mode, one lockstep stack of the distinct aware runs of the
-       plan (kind, EMI levels, cluster-1 power): kind's utility on the
-       pair's terms (a row of sinr.UtilityStack), from the unaware phases at
-       that power, with the AO_WARM_RCG budget. The rows share the draw's
-       terms, so the stack builds one EMI_IRR operator per ratio e2 / e1 of
-       EMI levels, one for every per-case level, from one W21^H R2 W21 per
-       draw (see UtilityStack.of): neither depends on cluster 1's power.
+    3. One lockstep stack of the plan's runs not made yet (the aware runs),
+       in plan order: a pair's last run, its kind's utility on its terms
+       (a row of sinr.UtilityStack), from the phases of the run before it,
+       with the AO_WARM_RCG budget. The rows share the draw's terms, so the
+       stack builds one EMI_IRR operator per ratio e2 / e1 of EMI levels,
+       one for every per-case level, from one W21^H R2 W21 per draw (see
+       UtilityStack.of): neither depends on cluster 1's power.
     4. The pairs in order. A pair whose terms are an error is skipped.
        Each other pair's point gets the trace rows of every run the pair
        reads, once, as if it had made the run itself, and the pair is mixed
        from the per-user parts at its phases (see sinr.UserParts). The
        parts (and the neighbor parts, built only when an IRR case reads
-       them) are built once per run key, or once per draw at theta = 1, and
-       serve every case, power and EMI level evaluated there: a degenerate
-       ZF at those phases skips every pair that reads them.
+       them) are built once per (phase key, neighbor key) and serve every
+       case, power and EMI level evaluated there: a degenerate ZF at those
+       phases skips every pair that reads them.
 
     A stacked run equals the single run bit for bit, so no result depends
     on the block. reals is emptied as the draws are evaluated, so that each
@@ -290,32 +293,30 @@ def _evaluate_block(cfg: SystemConfig, stats, reals, plan, mode: Mode, traces):
     """
     runs = _lockstep_runs(cfg, reals, plan)
     term_keys = dict.fromkeys(term_key for *_, term_key, _ in plan)
-    neighbor = any(has_irr for has_irr, _, _ in term_keys)
+    neighbors = dict.fromkeys(neighbor for neighbor, _, _ in term_keys if neighbor)
     r1, r2 = stats.clusters[0].corr.matrix, stats.clusters[1].corr.matrix
     noise = cfg.noise_power_w
     w1 = cfg.clusters[0].weights()
     while reals:
         real, ready = reals.pop(0), runs.pop(0)
         base = {False: build_cascades(real.h1, real.g1, r1, emi_self_factor=cfg.emi_self_factor)}
-        if neighbor:
-            theta2 = None if mode is Mode.FIXED else ready[("cluster2",)].theta
-            base[True] = _or_error(optimize_cluster2, real, base[False], r2, theta2)
+        for key in neighbors:
+            theta2 = None if key == ("fixed",) else ready[key].theta
+            base[key] = _or_error(optimize_cluster2, real, base[False], r2, theta2)
         terms_at = {key: _or_error(replace, base[key[0]], emi1_w=key[1], emi2_w=key[2]) for key in term_keys}
 
-        if mode is Mode.AWARE:
-            rows, theta0 = {}, []
-            for _, _, powers, _, kind, term_key, keys in plan:
-                terms = terms_at[term_key]
-                aware = kind is not ScenarioKind.EIF and not isinstance(terms, ZfDegenerateError)
-                if aware and keys[-1] not in rows:
-                    rows[keys[-1]] = (terms, kind, powers, w1)
-                    theta0.append(ready[keys[-2]].theta)
-            if rows:
-                problem = UtilityStack.of(rows.values(), noise)
-                ready.update(zip(rows, rcg_lockstep(problem, np.array(theta0), AO_WARM_RCG)))
+        warm = {}  # each run the plan names that is not made yet: its row and start
+        for _, _, powers, _, kind, term_key, keys in plan:
+            terms = terms_at[term_key]
+            if keys and keys[-1] not in ready and not isinstance(terms, ZfDegenerateError):
+                warm.setdefault(keys[-1], ((terms, kind, powers, w1), ready[keys[-2]].theta))
+        if warm:
+            rows, theta0 = zip(*warm.values())
+            problem = UtilityStack.of(rows, noise)
+            ready.update(zip(warm, rcg_lockstep(problem, np.array(theta0), AO_WARM_RCG)))
 
         traced, parts, reports = set(), {}, []
-        for i, value, powers, case, kind, term_key, keys in plan:
+        for i, head, powers, case, kind, term_key, keys in plan:
             terms = terms_at[term_key]
             if isinstance(terms, ZfDegenerateError):
                 reports.append(terms)
@@ -327,18 +328,15 @@ def _evaluate_block(cfg: SystemConfig, stats, reals, plan, mode: Mode, traces):
                 res = ready[key]
                 for it in range(res.iterations):
                     obj = res.trace[min(it + 1, res.trace.size - 1)]  # a stalled iteration adds none
-                    row = (value, case.label, mode.value, real.trial, key[0], it, obj)
-                    traces[i].append(row + (res.grad_norms[it], res.steps[it]))
-            if keys:
-                key, theta = keys[-1], ready[keys[-1]].theta
-            else:
-                key, theta = ("fixed",), np.ones(terms.num_elements, dtype=complex)
+                    traces[i].append(head + (real.trial, key[0], it, obj, res.grad_norms[it], res.steps[it]))
+            key = keys[-1] if keys else ("fixed",)
+            theta = ready[key].theta if keys else np.ones(terms.num_elements, dtype=complex)
+            neighbor = term_key[0]
             if (key, False) not in parts:
                 parts[key, False] = _or_error(user_parts, terms, theta)
-            if kind.has_irr and (key, True) not in parts:
-                parts[key, True] = _or_error(neighbor_parts, parts[key, False], terms, theta)
-            mixed = parts[key, kind.has_irr]
-            reports.append(_or_error(parts_sinr, mixed, terms, kind, powers, noise, w1))
+            if neighbor and (key, neighbor) not in parts:
+                parts[key, neighbor] = _or_error(neighbor_parts, parts[key, False], terms, theta)
+            reports.append(_or_error(parts_sinr, parts[key, neighbor], terms, kind, powers, noise, w1))
         yield reports
 
 
@@ -400,7 +398,6 @@ class _SweepJob:
     """
 
     groups: tuple
-    mode: Mode
     traced: bool
 
     def __call__(self, task):
@@ -410,7 +407,7 @@ class _SweepJob:
         reals = [draw_realization(cfg, stats, t) for t in block]
         outcomes = [
             [r if isinstance(r, ZfDegenerateError) else r.rates_bps_hz for r in reports]
-            for reports in _evaluate_block(cfg, stats, reals, plan, self.mode, traces)
+            for reports in _evaluate_block(cfg, stats, reals, plan, traces)
         ]
         return outcomes, traces or {}
 
@@ -483,7 +480,7 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, trace=None) -> list[MetricReco
     """
     cfg = validate_config(cfg)
     _validate_spec(spec)
-    mode = Mode(spec.mode)
+    mode = _member(Mode, spec.mode, "mode")
 
     cases = [[_case_at(spec.variable, case, value) for case in spec.scenarios] for value in spec.grid]
     rates = [{case: [] for case in pt} for pt in cases]
@@ -501,7 +498,7 @@ def run_sweep(cfg: SystemConfig, spec: SweepSpec, trace=None) -> list[MetricReco
     groups = tuple((cfg_g, build_statistics(cfg_g, models), plan) for cfg_g, plan in plans)
     workers = min(_worker_count(), cfg.mc_trials)
     tasks = [(g, block) for g in range(len(groups)) for block in _blocks(cfg.mc_trials, workers)]
-    job = _SweepJob(groups, mode, trace is not None)
+    job = _SweepJob(groups, trace is not None)
     for (g, _), (outcomes, gained) in zip(tasks, _map_tasks(job, tasks, workers)):
         for outcome in outcomes:
             for (i, _, _, case, *_), rates_or_skip in zip(groups[g][2], outcome):
@@ -565,7 +562,7 @@ def run_single_trial(
     real = draw_realization(cfg, stats, trial)
     if dump_dir is not None:
         dump_realization(real, dump_dir)
-    (reports,) = _evaluate_block(cfg, stats, [real], plan, mode, None if trace is None else {0: trace})
+    (reports,) = _evaluate_block(cfg, stats, [real], plan, None if trace is None else {0: trace})
     for report in reports:
         if isinstance(report, ZfDegenerateError):
             raise report

@@ -42,7 +42,7 @@ from risim import (
     run_sweep,
     save_config,
 )
-from risim.cli import cli_main
+from risim.cli import EXIT_RUNTIME, cli_main
 
 
 def _tiny_cfg(side=3, trials=4):
@@ -373,6 +373,43 @@ def test_run_sweep_trace_rows():
     assert text.splitlines()[0] == TRACE_HEADER
 
 
+_TRACED_STAGES = {
+    Mode.FIXED: {},
+    Mode.UNAWARE: {"eif": {"cluster1_unaware"}, "irr": {"cluster2"}},
+    Mode.AWARE: {
+        "eif": {"cluster1_unaware"},
+        "irr": {"cluster2", "cluster1_aware_irr"},
+        "emi_-75": {"cluster1_aware_emi"},
+        "emi_-65": {"cluster1_aware_emi"},
+        "emi_irr_-75": {"cluster1_aware_emi_irr"},
+        "emi_irr_-65": {"cluster1_aware_emi_irr"},
+    },
+}
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_trace_rows_carry_label_mode_and_plan_stages(mode):
+    # each run's rows appear once per grid point and trial, under the first
+    # case in plan order that reads the run, with the sweep's mode
+    cfg = _tiny_cfg(trials=2)
+    spec = SweepSpec(variable="tx_power_dbm", grid=(10.0, 40.0), scenarios=DEFAULT_CASES, mode=mode)
+    rows = []
+    run_sweep(cfg, spec, trace=rows)
+    assert {row[2] for row in rows} <= {mode.value}
+    iterations = {}
+    for value, label, _, trial, stage, it, *_ in rows:
+        iterations.setdefault((value, label, stage, trial), []).append(it)
+    stages = {}
+    for value, label, stage, trial in iterations:
+        stages.setdefault((value, label), set()).add(stage)
+    expected = {(v, label): want for v in spec.grid for label, want in _TRACED_STAGES[mode].items()}
+    assert stages == expected
+    for its in iterations.values():
+        assert its == list(range(len(its)))
+    assert {key[3] for key in iterations} <= {0, 1}
+    assert len(iterations) == 2 * sum(len(want) for want in expected.values())
+
+
 def test_run_single_trial_deterministic(tmp_path):
     cfg = _tiny_cfg()
     cases = (ScenarioCase(ScenarioKind.EIF), ScenarioCase(ScenarioKind.EMI, -65.0))
@@ -422,11 +459,30 @@ def test_run_sweep_rejects_repeated_scenarios():
     spec = SweepSpec(variable="tx_power_dbm", grid=(30.0,), scenarios=(emi, emi))
     with pytest.raises(ConfigError, match="'emi_-65' is given more than once"):
         run_sweep(cfg, spec)
-    # an EMI sweep sets every EMI level, so differing levels still collide
     bare = ScenarioCase(ScenarioKind.EMI)
-    emi_sweep = replace(spec, variable="emi_dbm", grid=(-70.0,), scenarios=(bare, emi))
-    with pytest.raises(ConfigError, match="'emi_-70' is given more than once"):
+    emi_sweep = replace(spec, variable="emi_dbm", grid=(-70.0,), scenarios=(bare, bare))
+    with pytest.raises(ConfigError, match="'emi' is given more than once"):
         run_sweep(cfg, emi_sweep)
+
+
+def test_emi_sweep_rejects_a_scenario_emi_level(tmp_path, capsys):
+    # an EMI sweep sets every EMI level from its grid, so a level given on a
+    # case would be dropped without a word
+    cfg = _tiny_cfg(trials=1)
+    cases = (ScenarioCase(ScenarioKind.EMI), ScenarioCase(ScenarioKind.EMI_IRR, -65.0))
+    spec = SweepSpec(variable="emi_dbm", grid=(-75.0, -70.0), scenarios=cases)
+    with pytest.raises(ConfigError, match="'emi_irr:-65'"):
+        run_sweep(cfg, spec)
+    path = tmp_path / "cfg.json"
+    save_config(cfg, path)
+    out = tmp_path / "out.csv"
+    argv = ["sweep-emi", "--config", str(path), "--scenarios", "emi:-65,eif", "--grid=-75,-70", "--out", str(out)]
+    assert cli_main(argv) == EXIT_RUNTIME
+    assert not out.exists()
+    assert "'emi:-65'" in capsys.readouterr().err
+    # a case without an EMI level still sweeps, whatever its kind
+    assert cli_main(argv[:4] + ["emi,eif"] + argv[5:]) == 0
+    assert out.read_text().splitlines()[1].startswith("-75,emi_-75,")
 
 
 _SWEEP_CASES = {
@@ -618,7 +674,7 @@ def test_degenerate_theta_skips_only_the_cases_that_read_it(mode, monkeypatch):
 
     real = sinr.check_zf_gram
     monkeypatch.setattr(sinr, "check_zf_gram", failing)
-    cases = tuple(parse_scenario_token(t) for t in ("eif", "emi:-65", "irr"))
+    cases = tuple(parse_scenario_token(t) for t in ("eif", "emi", "irr"))
     spec = SweepSpec(variable="emi_dbm", grid=(-75.0, -65.0), scenarios=cases, mode=mode)
     records = run_sweep(_tiny_cfg(trials=3), spec)
     assert len(records) == 6

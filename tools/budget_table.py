@@ -130,11 +130,8 @@ def worker(spec: dict) -> dict:
         runs = out["rows"]["warm"][f"{dbm:g} dBm"] = []
         for t, real in enumerate(reals):
             th2 = np.array([complex(*z) for z in theta2[t]])
-            u2 = risim.zf_precoder(risim.effective_channel(real.g2, th2, real.h2))
-            base = risim.build_cascades(
-                real.h1, real.g1, r1, emi_self_factor=cfg.emi_self_factor,
-                theta2=th2, u2=u2, h2=real.h2, z21=real.z21, r2=r2,
-            )
+            own_terms = risim.build_cascades(real.h1, real.g1, r1, emi_self_factor=cfg.emi_self_factor)
+            base = risim.optimize_cluster2(real, own_terms, r2, th2)
             rows = []
             for kind, level in CASES:
                 e = risim.dbm_to_watts(level)
