@@ -56,26 +56,55 @@ def spatial_correlation(positions: np.ndarray, wavelength_m: float) -> Correlati
     R[l, m] = sinc(2 * ||d_l - d_m|| / wavelength) with the normalized sinc.
     The factor is computed from the eigendecomposition, clipping eigenvalues
     below EIG_CLIP to zero; half-wavelength grids make R rank deficient, so a
-    Cholesky factor would not exist.
+    Cholesky factor would not exist. F = V sqrt(Lambda) is written into the
+    real part of the complex factor, so the peak holds R, V and F alone.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 3:
         raise ValueError("positions must have shape (N, 3)")
     if wavelength_m <= 0.0:
         raise ValueError("wavelength must be positive")
-    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-    matrix = np.sinc(2.0 * dist / wavelength_m)
+    # Two N x N buffers and no (N, N, 3) temporary: the squared distances
+    # are added one coordinate at a time, in the order np.linalg.norm adds
+    # them, and np.sinc(2 d / wavelength) is applied in place, step for step
+    dist = np.zeros((len(pos), len(pos)))
+    matrix = np.empty_like(dist)  # each coordinate's squared differences, then R
+    for coord in pos.T:
+        np.subtract.outer(coord, coord, out=matrix)
+        matrix *= matrix
+        dist += matrix
+    np.sqrt(dist, out=dist)
+    dist *= 2.0
+    dist /= wavelength_m
+    dist *= np.pi  # np.sinc: y = pi x, eps where x = 0, then sin(y) / y
+    np.copyto(dist, np.finfo(float).eps, where=dist == 0.0)
+    np.sin(dist, out=matrix)
+    matrix /= dist
+    del dist
     eigvals, eigvecs = np.linalg.eigh(matrix)
     if eigvals.min() < EIG_NEG_TOL:
         raise ValueError(f"correlation matrix has eigenvalue {eigvals.min():.3e} < {EIG_NEG_TOL}")
     eigvals = np.where(eigvals < EIG_CLIP, 0.0, eigvals)
-    factor = (eigvecs * np.sqrt(eigvals)[None, :]).astype(complex)
+    factor = np.zeros(eigvecs.shape, dtype=complex)
+    np.multiply(eigvecs, np.sqrt(eigvals), out=factor.real)
     return CorrelationModel(matrix=matrix, factor=factor)
 
 
-def _cn_samples(rng: np.random.Generator, shape) -> np.ndarray:
-    """i.i.d. CN(0, 1) samples: each component N(0, 1/2)."""
-    return np.sqrt(0.5) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+def _cn_samples(rng: np.random.Generator, shape, scale: float = 1.0) -> np.ndarray:
+    """i.i.d. CN(0, scale) samples: each component N(0, scale / 2).
+
+    The real parts are drawn first, then the imaginary parts, each as
+    sqrt(scale) * (sqrt(1/2) * x) for standard normal x, through one real
+    scratch buffer: the same bits as sqrt(scale) * (sqrt(1/2) * (x + 1j y)),
+    with no full-size complex temporary.
+    """
+    out = np.empty(shape, dtype=complex)
+    part = np.empty(shape)
+    for dst in (out.real, out.imag):
+        rng.standard_normal(out=part)
+        part *= np.sqrt(0.5)
+        np.multiply(part, np.sqrt(scale), out=dst)
+    return out
 
 
 def sample_correlated_rayleigh(
@@ -95,8 +124,7 @@ def sample_inter_ris(
     """(side_rows^2, side_cols^2) matrix of i.i.d. CN(0, scale) entries."""
     if scale < 0.0:
         raise ValueError("scale must be >= 0")
-    shape = (side_rows * side_rows, side_cols * side_cols)
-    return np.sqrt(scale) * _cn_samples(rng, shape)
+    return _cn_samples(rng, (side_rows * side_rows, side_cols * side_cols), scale)
 
 
 @dataclass(frozen=True)
@@ -156,7 +184,11 @@ class ChannelRealization:
     rows indexed by RIS-2 elements. z21 is what draw_z21 returns (the same
     array on every call) when first read: draw_realization draws it last
     from the trial's stream, so deferring it changes no number, and a draw
-    whose cases never read it never pays for it.
+    whose cases never read it never pays for it. Once the neighbor terms
+    that need it (s and W21, see sinr.build_cascades) are built, the sweep
+    calls release_z21, so the draw stops holding it; a later read raises
+    instead of drawing again from the spent stream. Read z21 before then to
+    keep it (dump_realization does).
     """
 
     trial: int
@@ -169,6 +201,14 @@ class ChannelRealization:
     @property
     def z21(self) -> np.ndarray:
         return self.draw_z21()
+
+    def release_z21(self) -> None:
+        """Drop z21 (and the stream it was drawn from); a later read raises."""
+        self.draw_z21 = _released_z21
+
+
+def _released_z21() -> np.ndarray:
+    raise RuntimeError("z21 of this draw was released once its neighbor terms were built")
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:

@@ -91,12 +91,16 @@ def parse_scenario_token(token: str) -> ScenarioCase:
     kind = _member(ScenarioKind, name, "scenario")
     if not sep:
         return ScenarioCase(kind)
-    if not kind.has_emi:
-        raise ConfigError(f"scenario '{name}' does not take an EMI level")
+    _check_takes_level(kind)
     try:
         return ScenarioCase(kind, float(level))
     except ValueError as exc:
         raise ConfigError(f"bad EMI level in scenario token '{token}'") from exc
+
+
+def _check_takes_level(kind: ScenarioKind) -> None:
+    if not kind.has_emi:
+        raise ConfigError(f"scenario '{kind.value}' does not take an EMI level")
 
 
 @dataclass(frozen=True)
@@ -166,14 +170,15 @@ def _case_at(variable: str, case: ScenarioCase, value: float) -> ScenarioCase:
 
 
 def _check_cases(cases) -> None:
-    """A non-empty list of cases of known kinds, with valid EMI levels and
-    distinct labels."""
+    """A non-empty list of cases of known kinds, with valid EMI levels on
+    EMI kinds only and distinct labels."""
     if len(cases) == 0:
         raise ConfigError("at least one scenario case is required")
     seen = set()
     for case in cases:
-        _member(ScenarioKind, case.kind, "scenario")
+        kind = _member(ScenarioKind, case.kind, "scenario")
         if case.emi_dbm is not None:
+            _check_takes_level(kind)
             _check_dbm(f"scenario '{case.label}' EMI level", case.emi_dbm)
         if case.label in seen:
             raise ConfigError(f"scenario '{case.label}' is given more than once")
@@ -289,7 +294,8 @@ def _evaluate_block(cfg: SystemConfig, stats, reals, plan, traces):
 
     A stacked run equals the single run bit for bit, so no result depends
     on the block. reals is emptied as the draws are evaluated, so that each
-    draw (and its z21) is freed once done.
+    draw is freed once done, and a draw releases its z21 once its neighbor
+    terms are built (ChannelRealization.release_z21).
     """
     runs = _lockstep_runs(cfg, reals, plan)
     term_keys = dict.fromkeys(term_key for *_, term_key, _ in plan)
@@ -303,6 +309,7 @@ def _evaluate_block(cfg: SystemConfig, stats, reals, plan, traces):
         for key in neighbors:
             theta2 = None if key == ("fixed",) else ready[key].theta
             base[key] = _or_error(optimize_cluster2, real, base[False], r2, theta2)
+        real.release_z21()  # the neighbor terms hold s and W21
         terms_at = {key: _or_error(replace, base[key[0]], emi1_w=key[1], emi2_w=key[2]) for key in term_keys}
 
         warm = {}  # each run the plan names that is not made yet: its row and start

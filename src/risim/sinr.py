@@ -109,7 +109,9 @@ def build_cascades(
     s = None
     w21 = None
     if theta2 is not None:
-        s = np.conj(z21).T @ (np.conj(theta2)[:, None] * (h2 @ u2))
+        # conj(Z21^T (theta2 o conj(H2 u2))): the bits of conj(Z21)^T (conj(theta2)
+        # o H2 u2), with no conjugated copy of Z21
+        s = np.conj(z21.T @ (theta2[:, None] * np.conj(h2 @ u2)))
         w21 = theta2[:, None] * z21  # Theta2^H Z21
 
     return CascadeTerms(
@@ -173,7 +175,7 @@ def _operator_key(terms: CascadeTerms):
     return (id(terms.w21), id(terms.r2), id(terms.r1), terms.emi_self_factor, ratio)
 
 
-def emi_irr_operator(terms: CascadeTerms, reflected=None) -> np.ndarray | None:
+def emi_irr_operator(terms: CascadeTerms, reflected=None, *, overwrite: bool = False) -> np.ndarray | None:
     """A, with e A = f e1 R1 + e2 D the EMI part of the EMI_IRR covariance,
     or None when e1 = e2 = 0.
 
@@ -181,16 +183,22 @@ def emi_irr_operator(terms: CascadeTerms, reflected=None) -> np.ndarray | None:
     with the same e2 / e1 (every per-case level, e1 = e2) shares one A; with
     e1 = 0, e = e2 and A = D. reflected is D (reflected_emi_covariance),
     built here when not given; passing it lets several operators share it,
-    with the same result to the last bit.
+    with the same result to the last bit. A is built in reflected's buffer
+    when overwrite is set or reflected is built here, else in a copy, so a
+    shared reflected is left as it was. f R1 is added to A's real part alone
+    when R1 is real, so no complex copy of it is made.
     """
     if not (terms.emi1_w or terms.emi2_w):
         return None
     if reflected is None:
-        reflected = reflected_emi_covariance(terms)
-    if not terms.emi1_w:
-        return reflected
-    op = (terms.emi2_w / terms.emi1_w) * reflected
-    op += terms.emi_self_factor * terms.r1
+        reflected, overwrite = reflected_emi_covariance(terms), True
+    op = reflected if overwrite else reflected.copy()
+    if terms.emi1_w:
+        op *= terms.emi2_w / terms.emi1_w
+        if np.iscomplexobj(terms.r1):
+            op += terms.emi_self_factor * terms.r1
+        else:
+            np.add(op.real, terms.emi_self_factor * terms.r1, out=op.real)
     return op
 
 
@@ -419,21 +427,24 @@ class UtilityStack:
         first. Each EMI_IRR row then gets its operator A (emi_irr_operator),
         one per _operator_key, from one W21^H R2 W21 per neighbor terms: the
         rows of a draw at every EMI level with e2 / e1 fixed and every power
-        share one A.
+        share one A. The last A built from a W21^H R2 W21 is built in its
+        buffer, so a draw whose rows share one A makes no N x N complex
+        matrix beside it.
         """
         rows = [(terms, ScenarioKind(kind), powers, weights) for terms, kind, powers, weights in rows]
         for terms, kind, powers, _ in rows:
             if kind.has_irr:
                 _cluster2_powers(terms, kind, powers)
+        keys = [_operator_key(terms) if kind is ScenarioKind.EMI_IRR else None for terms, kind, _, _ in rows]
+        last = {key[:2]: key for key in dict.fromkeys(keys) if key is not None}  # per D, its last A takes it
         reflected, ops, per_row = {}, {}, []
-        for terms, kind, powers, _ in rows:
+        for (terms, kind, powers, _), key in zip(rows, keys):
             op = None
-            key = _operator_key(terms) if kind is ScenarioKind.EMI_IRR else None
             if key is not None:
                 if key not in ops:
                     if key[:2] not in reflected:
                         reflected[key[:2]] = reflected_emi_covariance(terms)
-                    ops[key] = emi_irr_operator(terms, reflected[key[:2]])
+                    ops[key] = emi_irr_operator(terms, reflected[key[:2]], overwrite=last[key[:2]] == key)
                 op = ops[key]
             per_row.append(None if kind is ScenarioKind.EIF else (terms, kind, powers, op))
         return cls(

@@ -1,6 +1,7 @@
 """Path loss oracles, spatial correlation, and channel sampling."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -93,6 +94,78 @@ def test_correlation_rejects_bad_inputs():
         spatial_correlation(np.zeros((4, 2)), 0.1)
     with pytest.raises(ValueError):
         spatial_correlation(np.zeros((4, 3)), 0.0)
+
+
+def _norm_sinc_matrix(pos, wavelength):
+    """R as spatial_correlation first built it, through (N, N, 3) temporaries."""
+    return np.sinc(2.0 * np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1) / wavelength)
+
+
+def _clipped_factor(eigvals, eigvecs):
+    """The factor as first built from eigh's output, through a real product and a complex copy."""
+    eigvals = np.where(eigvals < 1e-10, 0.0, eigvals)
+    return (eigvecs * np.sqrt(eigvals)[None, :]).astype(complex)
+
+
+@pytest.mark.parametrize("area, sides", [(None, range(1, 41)), (0.003, range(1, 21))])
+def test_correlation_equals_the_norm_sinc_formula(area, sides, monkeypatch):
+    # the in-place build gives the bits of the formula it replaced; the
+    # factor is checked against the clipped product of the very eigh output
+    # it came from (eigh is deterministic, so a second call would repeat it)
+    eigh, seen = np.linalg.eigh, []
+
+    def recorded(matrix):
+        seen.append(eigh(matrix))
+        return seen[-1]
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    cfg = default_config()
+    area = cfg.clusters[0].element_area_m2 if area is None else area
+    for side in sides:
+        pos = ris_element_positions(side, area)
+        corr = spatial_correlation(pos, cfg.wavelength_m)
+        np.testing.assert_array_equal(corr.matrix, _norm_sinc_matrix(pos, cfg.wavelength_m), err_msg=f"side {side}")
+        np.testing.assert_array_equal(corr.factor, _clipped_factor(*seen[-1]), err_msg=f"side {side}")
+    # positions off any plane: the squared distances add in norm's order
+    pos = np.random.default_rng(8).standard_normal((30, 3)) * [0.1, 0.3, 0.05]
+    np.testing.assert_array_equal(spatial_correlation(pos, 0.1).matrix, _norm_sinc_matrix(pos, 0.1))
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_correlation_peak_memory_is_its_outputs_and_the_eigenvectors():
+    # R (N^2 reals), the complex factor (2 N^2) and, while the factor is
+    # written, eigh's eigenvectors (N^2): 4/3 of the outputs, bounded at 1.4
+    # for the small arrays beside them. The (N, N, 3) temporaries of the
+    # norm formula peaked at 2.7 times the outputs
+    pos = ris_element_positions(20, default_config().clusters[0].element_area_m2)
+    corr, peak = _traced_peak(spatial_correlation, pos, 0.1)
+    assert peak <= 1.4 * (corr.matrix.nbytes + corr.factor.nbytes)
+
+
+def test_inter_ris_draw_peak_memory_is_its_result_and_one_real_part():
+    # the complex result and one real scratch part; the complex expression
+    # it replaced peaked at 2.3 times the result
+    z, peak = _traced_peak(sample_inter_ris, 20, 20, 0.5, np.random.default_rng(1))
+    assert peak <= 1.5 * z.nbytes + 64 * 1024  # and small objects
+
+
+def test_sample_inter_ris_equals_the_complex_expression():
+    # filled one part at a time, with the bits of the expression it replaced
+    for rows, cols, scale in ((3, 4, 0.5), (20, 20, 2.0e-7), (1, 7, 1.0)):
+        got = sample_inter_ris(rows, cols, scale, np.random.default_rng(rows * cols))
+        rng = np.random.default_rng(rows * cols)
+        shape = (rows * rows, cols * cols)
+        a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+        np.testing.assert_array_equal(got, np.sqrt(scale) * (np.sqrt(0.5) * (a + 1j * b)))
 
 
 def test_sampler_mean_and_variance():
@@ -279,3 +352,13 @@ def test_realization_dataclass_fields():
     )
     assert real.trial == 0
     assert real.z21 is z
+
+
+def test_a_released_z21_raises_instead_of_drawing_again():
+    cfg = _small_cfg()
+    real = draw_realization(cfg, build_statistics(cfg), trial=5)
+    kept = real.z21
+    real.release_z21()
+    with pytest.raises(RuntimeError, match="released"):
+        real.z21
+    np.testing.assert_array_equal(kept, draw_realization(cfg, build_statistics(cfg), trial=5).z21)

@@ -452,6 +452,19 @@ def test_render_csv_format():
     assert text == CSV_HEADER + "\n30,eif,fixed,0.3333333333,0.25,8,1\n"
 
 
+def test_an_emi_level_on_a_kind_without_emi_is_a_config_error():
+    # as parse_scenario_token rejects 'eif:-65', so do the sweep and the
+    # single trial, instead of evaluating the case at zero EMI
+    cfg = _tiny_cfg(trials=1)
+    for case in (ScenarioCase(ScenarioKind.EIF, -65.0), ScenarioCase(ScenarioKind.IRR, -50.0)):
+        message = f"scenario '{case.kind.value}' does not take an EMI level"
+        spec = SweepSpec(variable="tx_power_dbm", grid=(30.0,), scenarios=(case,))
+        with pytest.raises(ConfigError, match=message):
+            run_sweep(cfg, spec)
+        with pytest.raises(ConfigError, match=message):
+            run_single_trial(cfg, (case,), Mode.FIXED)
+
+
 def test_run_sweep_rejects_repeated_scenarios():
     # a repeated case would pool its trials twice into one row
     cfg = _tiny_cfg(trials=1)
@@ -788,6 +801,25 @@ def test_z21_is_drawn_only_for_neighbor_cases(mode, monkeypatch, tmp_path):
     real = draw_realization(cfg, build_statistics(cfg), 2)
     for name in ("h1", "h2", "g1", "g2", "z21"):
         np.testing.assert_array_equal(dumped[name], getattr(real, name))
+
+
+@pytest.mark.usefixtures("in_process")
+def test_a_draw_releases_z21_once_its_neighbor_terms_are_built(monkeypatch):
+    # the neighbor terms hold s and W21, so a sweep's draw stops holding
+    # z21; a later read raises instead of drawing from the spent stream
+    reals = []
+
+    def kept(*args):
+        reals.append(draw_realization(*args))
+        return reals[-1]
+
+    monkeypatch.setattr(harness, "draw_realization", kept)
+    cfg = _tiny_cfg(trials=2)
+    run_sweep(cfg, SweepSpec(variable="tx_power_dbm", grid=(30.0,), scenarios=(ScenarioCase(ScenarioKind.IRR),)))
+    assert len(reals) == 2
+    for real in reals:
+        with pytest.raises(RuntimeError, match="released"):
+            real.z21
 
 
 @pytest.mark.parametrize("mode", [Mode.UNAWARE, Mode.AWARE])

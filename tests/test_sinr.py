@@ -573,6 +573,62 @@ def test_real_reflected_covariance_matches_the_complex_product():
     assert np.all(np.diagonal(got).imag == 0.0)
 
 
+@pytest.mark.parametrize("n1, n2, antennas", [(6, 5, 2), (16, 25, 3), (400, 400, 2)])
+def test_neighbor_streams_equal_the_conjugated_copy_formula(n1, n2, antennas):
+    # s is formed as conj(Z21^T (theta2 o conj(H2 u2))), with no conjugated
+    # copy of Z21: the bits of the formula it replaced
+    rng = np.random.default_rng(n1 + n2)
+    theta2, u2, h2, z21 = _random_theta(rng, n2), _cn(rng, antennas, 2), _cn(rng, n2, antennas), _cn(rng, n2, n1)
+    terms = build_cascades(_cn(rng, n1, antennas), _cn(rng, 2, n1), np.eye(n1),
+                           theta2=theta2, u2=u2, h2=h2, z21=z21, r2=np.eye(n2))
+    np.testing.assert_array_equal(terms.s, np.conj(z21).T @ (np.conj(theta2)[:, None] * (h2 @ u2)))
+
+
+def _copying_operator(terms, reflected):
+    """emi_irr_operator as first written: (e2 / e1) D and f R1 in new arrays."""
+    if not terms.emi1_w:
+        return reflected
+    op = (terms.emi2_w / terms.emi1_w) * reflected
+    op += terms.emi_self_factor * terms.r1
+    return op
+
+
+@pytest.mark.parametrize("real_r1", [True, False])
+def test_emi_irr_operator_equals_the_copying_formula(real_r1):
+    # A is built in D's buffer, with f R1 added to its real part when R1 is
+    # real; for a real and a complex R1, every operator, alone or from a
+    # shared D, and every operator of a stack has the formula's bits
+    rng = np.random.default_rng(43)
+    r1 = spatial_correlation(ris_element_positions(4, 1.0 / 16), 1.0).matrix if real_r1 else _unit_diag_psd(rng, 16)
+    assert np.iscomplexobj(r1) is not real_r1
+    base = build_cascades(
+        _cn(rng, 16, 2), _cn(rng, 2, 16), r1, emi_self_factor=3.0, theta2=_random_theta(rng, 25),
+        u2=_cn(rng, 2, 2), h2=_cn(rng, 25, 2), z21=_cn(rng, 25, 16),
+        r2=spatial_correlation(ris_element_positions(5, 1.0 / 16), 1.0).matrix,
+    )
+    reflected = reflected_emi_covariance(base)
+    kept = reflected.copy()
+    rows, want = [], []
+    for e1, e2 in ((0.7, 0.3), (0.0, 0.3), (0.3, 0.3), (0.7, 0.3)):
+        terms = replace(base, emi1_w=e1, emi2_w=e2)
+        want.append(_copying_operator(terms, kept))
+        np.testing.assert_array_equal(emi_irr_operator(terms), want[-1])
+        np.testing.assert_array_equal(emi_irr_operator(terms, reflected), want[-1])
+        np.testing.assert_array_equal(reflected, kept)  # shared, so left as it was
+        rows.append((terms, ScenarioKind.EMI_IRR, PowerAllocation(np.ones(2), np.ones(2)), None))
+    d = reflected_emi_covariance(base)
+    op = emi_irr_operator(replace(base, emi1_w=0.7, emi2_w=0.3), d, overwrite=True)
+    assert op is d
+    np.testing.assert_array_equal(op, want[0])
+    # a stack builds its last operator from D in D's buffer, after the
+    # others, the e1 = 0 one (A = D) of the first stack among them
+    for first in (0, 2):
+        ops = [row[3] for row in UtilityStack.of(rows[first:], NOISE).interference]
+        for got, expected in zip(ops, want[first:], strict=True):
+            np.testing.assert_array_equal(got, expected)
+    assert ops[0] is not ops[1]
+
+
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(_unequal_clusters())
 def test_interference_never_lowers_den_below_noise(sizes):
